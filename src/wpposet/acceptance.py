@@ -59,7 +59,7 @@ def criterion_6(nmax=None):
     for n in range(1, _cap(6, nmax) + 1):
         for k in range(1, n + 1):
             tr.forest_count(n, k)
-    for n in range(1, _cap(5, nmax) + 1):
+    for n in range(1, _cap(6, nmax) + 1):
         P = pt.build_poset(n, pt.WEIGHTED)
         mu0 = P.mu_from_bottom()
         per_alpha = Counter(ch.alpha_of_forest(F)

@@ -9,7 +9,6 @@ with u = 0 for a blue node and u = 1 for a red one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import partitions as pt
 from . import trees as tr
@@ -33,23 +32,6 @@ def u_merge(p, block_masks, u):
         mask |= m
         total += v
     return pt.sort_blocks(rest + ((mask, total + u),))
-
-
-@dataclass(frozen=True)
-class PosetChain:
-    """A chain stored as indices into a host poset, bottom to top."""
-
-    host: object
-    indices: tuple
-
-    def partitions(self):
-        return tuple(self.host.elements[k] for k in self.indices)
-
-    def pretty(self):
-        return pretty_chain(self.partitions())
-
-    def __len__(self):
-        return len(self.indices)
 
 
 def pretty_chain(parts):
@@ -85,15 +67,6 @@ def chain_partitions_of_tree(t, tau=None):
         rmask = pt.members_mask(tr.leaves(node[2]))
         chain.append(u_merge(chain[-1], [lmask, rmask], u_of_color(node[0])))
     return tuple(chain)
-
-
-def chain_of_tree(t, tau=None, host=None):
-    """PosetChain version of chain_partitions_of_tree."""
-    parts = chain_partitions_of_tree(t, tau)
-    n = pt.ground_size(parts[0])
-    if host is None:
-        host = pt.build_poset(n, pt.WEIGHTED)
-    return PosetChain(host, tuple(host.index[p] for p in parts))
 
 
 def tree_of_chain(parts):
@@ -142,31 +115,6 @@ def alpha_of_forest(F):
     blocks = tuple((pt.members_mask(sorted(T.labels)), T.descent_count())
                    for T in F)
     return pt.sort_blocks(blocks)
-
-
-def chain_of_forest(F, merge_order=None):
-    """Unrefinable chain of partitions from 0-hat to the forest's partition.
-
-    F is a list of bicolored trees whose leaf sets partition [n]; the
-    default merge order concatenates the trees' postorders.
-    """
-    allleaves = []
-    for t in F:
-        allleaves.extend(tr.leaves(t))
-    n = len(allleaves)
-    if sorted(allleaves) != list(range(1, n + 1)):
-        raise ValueError("forest leaf sets must partition [n]")
-    nodes = []
-    for t in F:
-        nodes.extend(node for _p, node in tr.postorder_internal(t))
-    order = range(len(nodes)) if merge_order is None else merge_order
-    chain = [pt.bottom(n)]
-    for k in order:
-        node = nodes[k]
-        lmask = pt.members_mask(tr.leaves(node[1]))
-        rmask = pt.members_mask(tr.leaves(node[2]))
-        chain.append(u_merge(chain[-1], [lmask, rmask], u_of_color(node[0])))
-    return tuple(chain)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every subcommand is a reproducible run: output depends only on the
 arguments (and the seed, where sampling is involved), so identical
 configurations produce byte-identical JSON.  Exit codes: 0 on success,
-1 on an assertion failure (the failing witness is printed), 2 when a
-resource cap is exceeded (a structured record is printed).
+1 on an assertion failure (the failing witness is printed), 2 on bad
+input (a message on stderr) or when a resource cap is exceeded (a
+structured record is printed).
 """
 
 from __future__ import annotations
@@ -270,46 +271,57 @@ def build_parser():
                     "partition poset.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, *flags):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--i", type=int, default=None)
-        p.add_argument("--variant", default=pt.WEIGHTED,
-                       choices=[pt.WEIGHTED, pt.POINTED, pt.AUGMENTED])
-        p.add_argument("--family", default="comb",
-                       choices=["comb", "lyndon", "liu", "tree"])
-        p.add_argument("--side", default=st.COHOMOLOGY,
-                       choices=[st.COHOMOLOGY, st.LIE2, "full"])
         p.add_argument("--format", default="text",
                        choices=["text", "json", "csv", "dot"])
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--max-elements", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-        return p
 
+    index = ("--i", {"type": int, "default": None})
+    max_elements = ("--max-elements", {"type": int, "default": None})
     add("invariants", cmd_invariants,
-        "rank sizes, Mobius, characteristic and Whitney invariants")
+        "rank sizes, Mobius, characteristic and Whitney invariants",
+        ("--variant", {"default": pt.WEIGHTED,
+                       "choices": [pt.WEIGHTED, pt.POINTED, pt.AUGMENTED]}),
+        max_elements)
     add("el-verify", cmd_el_verify,
-        "verify the edge labeling is an EL-labeling")
+        "verify the edge labeling is an EL-labeling", max_elements)
     add("homology", cmd_homology,
-        "integral homology of (0,[n]^i), or of the proper part without --i")
+        "integral homology of (0,[n]^i), or of the proper part without --i",
+        index, max_elements)
     add("bases", cmd_bases,
-        "cardinality / full-rank verification of a cochain family")
+        "cardinality / full-rank verification of a cochain family",
+        index,
+        ("--family", {"default": "comb",
+                      "choices": ["comb", "lyndon", "liu", "tree"]}),
+        ("--side", {"default": st.COHOMOLOGY,
+                    "choices": [st.COHOMOLOGY, "full"]}))
     add("straighten", cmd_straighten,
-        "straighten a seeded random tree onto the comb basis")
+        "straighten a seeded random tree onto the comb basis",
+        index,
+        ("--side", {"default": st.COHOMOLOGY,
+                    "choices": [st.COHOMOLOGY, st.LIE2, "full"]}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}))
     add("psi", cmd_psi,
-        "the bijection from rooted trees to bicolored Lyndon-type trees")
+        "the bijection from rooted trees to bicolored Lyndon-type trees",
+        index)
     add("whitney", cmd_whitney,
         "Whitney numbers and Whitney cohomology ranks")
     add("report-all", cmd_report_all,
-        "run the full acceptance suite with every size capped at n")
+        "run the full acceptance suite with every size capped at n",
+        ("--jobs", {"type": int, "default": 1}))
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        i = getattr(args, "i", None)
+        if i is not None and not 0 <= i < args.n:
+            raise ValueError(f"--i must be in 0..{args.n - 1}, got {i}")
         return args.fn(args)
     except ResourceCapError as exc:
         print(_dumps({"error": "resource-cap", "what": exc.what,

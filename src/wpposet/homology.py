@@ -10,7 +10,6 @@ top boundary maps.
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 
 from . import chains as ch
@@ -66,10 +65,6 @@ class OpenPoset:
     def top_dim(self):
         return max(self.chains_by_dim())
 
-    def boundary_vectors(self, r):
-        """List of (chain, boundary ChainVector) for all r-chains."""
-        return [(c, boundary_of_chain(c)) for c in self.chains_by_dim().get(r, [])]
-
     def cycle_basis(self, r=None):
         """Integer basis of ker(boundary) in dimension r (default: top)."""
         if r is None:
@@ -93,7 +88,7 @@ def boundary_of_chain(c):
     return out
 
 
-def boundary(host, v):
+def boundary(v):
     """The boundary of a homogeneous ChainVector."""
     out = {}
     for c, coeff in v.items():
@@ -317,11 +312,3 @@ def sparse_triplet_dump(host, r):
         for c2, s in boundary_of_chain(c).items():
             lines.append(f"{rows[c2]} {col} {s}")
     return "\n".join(lines)
-
-
-def report_json_str(host):
-    import time
-    t0 = time.time()
-    rep = homology_report(host)
-    rep["runtime_ms"] = int((time.time() - t0) * 1000)
-    return json.dumps(rep, indent=2, sort_keys=True)

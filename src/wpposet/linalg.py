@@ -1,20 +1,15 @@
 """Exact sparse integer linear algebra.
 
-Vectors are dicts mapping hashable, sortable keys to nonzero ints.  All
-elimination is fraction-free; rationals (``fractions.Fraction``) appear
-only in explicit solves where a witness is requested.
+Vectors are dicts mapping hashable, sortable keys to nonzero ints.  Rank,
+kernel and witness solve share one fraction-free column reduction
+(:class:`Echelon`); rationals (``fractions.Fraction``) appear only in the
+witness that :func:`solve_rational` returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-
-def vec_scale(v, c):
-    if c == 0:
-        return {}
-    return {k: c * x for k, x in v.items()}
 
 
 def vec_combine(a, ca, b, cb):
@@ -51,16 +46,21 @@ def vec_primitive(v):
     return v
 
 
-class Echelon:
-    """Incremental integer row-echelon structure.
+_TARGET = object()  # tracker key of the target in Echelon.solve
 
-    Rows are kept primitive.  ``add`` reduces the incoming vector against
-    the stored rows (cross-multiplication, so everything stays integral)
-    and installs the residual as a new pivot row when nonzero.
+
+class Echelon:
+    """Incremental integer column reduction with fixed pivots.
+
+    Each stored vector is filed under its largest key, its pivot, and no
+    two stored vectors share a pivot, so the rank is the number stored
+    (persistence-style reduction: Edelsbrunner-Harer, *Computational
+    Topology*, ch. VII).  With ``track`` on, each vector carries the
+    integer combination of the added inputs it equals.
     """
 
     def __init__(self, track=False):
-        self.by_pivot = {}   # pivot_key -> (row, tracker or None)
+        self.by_pivot = {}   # pivot key -> (vector, tracker or None)
         self.track = track
 
     @property
@@ -68,29 +68,32 @@ class Echelon:
         return len(self.by_pivot)
 
     def _reduce(self, v, t):
-        while True:
-            pkey = next((k for k in v if k in self.by_pivot), None)
-            if pkey is None:
+        """Clear v's largest key against the stored vector pivoted there
+        until no stored vector has that pivot; t follows every step, so
+        v == sum_j t[j] * input_j keeps holding."""
+        while v:
+            low = max(v)
+            stored = self.by_pivot.get(low)
+            if stored is None:
                 break
-            prow, ptrack = self.by_pivot[pkey]
-            c = v[pkey]
-            p = prow[pkey]
-            v = vec_combine(v, p, prow, -c)
+            prow, ptrack = stored
+            c, p = v[low], prow[low]
+            # a == 1 exactly when p divides c: a plain integer subtraction
+            g = p if c % p == 0 else gcd(c, p)
+            a, b = p // g, c // g
+            v = vec_combine(v, a, prow, -b)
             if t is not None:
-                t = vec_combine(t, p, ptrack, -c)
-                if v or t:
-                    g = gcd(vec_content(v), vec_content(t))
-                    if g > 1:
-                        v = {k: x // g for k, x in v.items()}
-                        t = {k: x // g for k, x in t.items()}
-            elif v:
-                v = vec_primitive(v)
+                t = vec_combine(t, a, ptrack, -b)
+            if a == 1:
+                continue
+            g = vec_content(v)
+            if t is not None:
+                g = gcd(g, vec_content(t))
+            if g > 1:
+                v = {k: x // g for k, x in v.items()}
+                if t is not None:
+                    t = {k: x // g for k, x in t.items()}
         return v, t
-
-    def residual(self, v):
-        """Reduction of v against the stored rows (zero iff v in the span)."""
-        r, _t = self._reduce(dict(v), None)
-        return r
 
     def add(self, v, tag=None):
         """Insert ``v``; returns the tracker combination when the vector is
@@ -100,9 +103,25 @@ class Echelon:
         v, t = self._reduce(dict(v), t)
         if not v:
             return t if self.track else ()
-        pkey = min(v, key=lambda k: (abs(v[k]), k))
-        self.by_pivot[pkey] = (v, t)
+        if t is None:
+            v = vec_primitive(v)
+        self.by_pivot[max(v)] = (v, t)
         return None
+
+    def solve(self, target):
+        """x with sum_j x[j] * input_j = target, as a dict tag ->
+        Fraction, or None when target is outside the span.  Needs
+        ``track``.
+
+        The reduction keeps D*target = residual + sum_j s_j * input_j
+        (its tracker holds D under the key _TARGET and -s_j under j), so
+        a zero residual gives x[j] = s_j / D.
+        """
+        residual, t = self._reduce(dict(target), {_TARGET: 1})
+        if residual:
+            return None
+        d = t.pop(_TARGET)
+        return {j: Fraction(-x, d) for j, x in t.items()}
 
 
 def rank_of(vectors):
@@ -129,50 +148,10 @@ def kernel_basis(vectors):
 def solve_rational(vectors, target):
     """x with sum_j x_j vectors[j] = target over the rationals, as a dict
     j -> Fraction, or None when the system is inconsistent."""
-    rows = []  # (pivot_key, Fraction row, Fraction tracker)
+    ech = Echelon(track=True)
     for j, v in enumerate(vectors):
-        w = {k: Fraction(x) for k, x in v.items()}
-        t = {j: Fraction(1)}
-        for pkey, prow, ptrack in rows:
-            c = w.get(pkey)
-            if not c:
-                continue
-            w = _fvec_sub(w, c, prow)
-            t = _fvec_sub(t, c, ptrack)
-        if not w:
-            continue
-        pkey = min(w)
-        inv = 1 / w[pkey]
-        w = {k: x * inv for k, x in w.items()}
-        t = {k: x * inv for k, x in t.items()}
-        rows.append((pkey, w, t))
-    resid = {k: Fraction(x) for k, x in target.items()}
-    sol = {}
-    for pkey, prow, ptrack in rows:
-        c = resid.get(pkey)
-        if not c:
-            continue
-        resid = _fvec_sub(resid, c, prow)
-        for j, x in ptrack.items():
-            val = sol.get(j, Fraction(0)) + c * x
-            if val:
-                sol[j] = val
-            else:
-                sol.pop(j, None)
-    if resid:
-        return None
-    return sol
-
-
-def _fvec_sub(a, c, b):
-    out = dict(a)
-    for k, x in b.items():
-        val = out.get(k, Fraction(0)) - c * x
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
+        ech.add(v, tag=j)
+    return ech.solve(target)
 
 
 def snf_invariant_factors(vectors):

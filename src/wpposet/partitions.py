@@ -84,10 +84,6 @@ def bottom(n):
     return tuple((1 << (a - 1), 0) for a in range(1, n + 1))
 
 
-def pointed_bottom(n):
-    return tuple((1 << (a - 1), a) for a in range(1, n + 1))
-
-
 def partition_str(p):
     if p is TOP:
         return "Top"
@@ -235,8 +231,8 @@ class Poset:
             self.covers[k] = ups
             for j in ups:
                 self.lower_covers[j].append(k)
-        self._mu0 = None
-        self._mu_memo = {}
+        self._down = None
+        self._mu_rows = {}
 
     @property
     def bottom_index(self):
@@ -256,40 +252,53 @@ class Poset:
         return [k for k, e in enumerate(self.elements)
                 if e is not TOP and len(e) == 1]
 
-    def mu_from_bottom(self):
-        """mu(0-hat, x) for every element, one bottom-up sweep."""
-        if self._mu0 is None:
-            mu = [0] * len(self.elements)
-            order = sorted(range(len(self.elements)), key=lambda k: self.ranks[k])
-            for k in order:
-                if self.ranks[k] == 0:
-                    mu[k] = 1
+    def _down_sets(self):
+        """Bitset of the elements <= k, for every k.
+
+        Elements are listed in rank order, so every lower cover of k has
+        a smaller index and one pass over lower_covers builds them all.
+        """
+        if self._down is None:
+            down = []
+            for k, lows in enumerate(self.lower_covers):
+                d = 1 << k
+                for j in lows:
+                    d |= down[j]
+                down.append(d)
+            self._down = down
+        return self._down
+
+    def _mu_row(self, i):
+        """mu(i, x) for every element x (0 unless i <= x), one rank-ordered
+        pass: mu(i, x) = -sum of mu(i, z) over i <= z < x."""
+        row = self._mu_rows.get(i)
+        if row is None:
+            down = self._down_sets()
+            row = [0] * len(self.elements)
+            row[i] = 1
+            above = 1 << i  # bitset of the z >= i passed so far
+            for k in range(i + 1, len(self.elements)):
+                if not down[k] >> i & 1:
                     continue
-                mu[k] = -sum(mu[j] for j in order
-                             if self.ranks[j] < self.ranks[k] and self.leq(j, k))
-            self._mu0 = mu
-        return self._mu0
+                total = 0
+                bits = down[k] & above
+                while bits:
+                    low = bits & -bits
+                    total += row[low.bit_length() - 1]
+                    bits ^= low
+                row[k] = -total
+                above |= 1 << k
+            self._mu_rows[i] = row
+        return row
+
+    def mu_from_bottom(self):
+        """mu(0-hat, x) for every element."""
+        return self._mu_row(0)
 
     def mobius(self, i, j):
-        if not self.leq(i, j):
+        if not self._down_sets()[j] >> i & 1:
             raise ValueError("mobius requires x <= y")
-        if i == 0:
-            return self.mu_from_bottom()[j]
-        key = (i, j)
-        if key not in self._mu_memo:
-            if i == j:
-                self._mu_memo[key] = 1
-            else:
-                interval = [z for z in range(len(self.elements))
-                            if self.leq(i, z) and self.leq(z, j) and z != j]
-                interval.sort(key=lambda k: self.ranks[k])
-                local = {}
-                for z in interval:
-                    local[z] = 1 if z == i else -sum(
-                        local[w] for w in interval
-                        if self.ranks[w] < self.ranks[z] and self.leq(w, z))
-                self._mu_memo[key] = -sum(local.values())
-        return self._mu_memo[key]
+        return self._mu_row(i)[j]
 
 
 @lru_cache(maxsize=None)

@@ -42,10 +42,6 @@ def leaves(t):
     return leaves(t[1]) + leaves(t[2])
 
 
-def leaf_set(t):
-    return frozenset(leaves(t))
-
-
 def internal_count(t):
     return 0 if is_leaf(t) else 1 + internal_count(t[1]) + internal_count(t[2])
 
@@ -151,27 +147,6 @@ def leaf_perm_sign(t):
     return -1 if inv % 2 else 1
 
 
-def normalize(t):
-    """Return ``(sign, t')`` with ``t'`` normalized (each subtree's leftmost
-    leaf carries its minimum label).
-
-    The sign is the product of ``(-1)**(|I(left)| * |I(right)|)`` over the
-    child swaps performed, i.e. the coefficient relating the two chains in
-    cohomology.
-    """
-    if is_leaf(t):
-        return 1, t
-    col, l, r = t
-    sl, l = normalize(l)
-    sr, r = normalize(r)
-    sign = sl * sr
-    if min_leaf(l) > min_leaf(r):
-        if (internal_count(l) * internal_count(r)) % 2:
-            sign = -sign
-        l, r = r, l
-    return sign, (col, l, r)
-
-
 def is_normalized(t):
     if is_leaf(t):
         return True
@@ -191,13 +166,6 @@ def _recursive_valency(t):
         return t
     a, b = _recursive_valency(t[1]), _recursive_valency(t[2])
     return min(a, b) if t[0] == BLUE else max(a, b)
-
-
-def recursive_valencies(t):
-    """Postorder-indexed table of the min/max recursive valencies (Liu's
-    graphical roots)."""
-    return {k: _recursive_valency(node)
-            for k, (_p, node) in enumerate(postorder_internal(t))}
 
 
 def _is_lyndon_node(node):
@@ -252,27 +220,6 @@ def is_liu_lyndon(t):
             if not _recursive_valency(l[2]) < vr:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class TreeFlags:
-    normalized: bool
-    comb: bool
-    lyndon: bool
-    liu_lyndon: bool
-    minleaf_valency: dict
-    recursive_valency: dict
-
-
-def classify(t):
-    return TreeFlags(
-        normalized=is_normalized(t),
-        comb=is_comb(t),
-        lyndon=is_lyndon(t),
-        liu_lyndon=is_liu_lyndon(t),
-        minleaf_valency=minleaf_valencies(t),
-        recursive_valency=recursive_valencies(t),
-    )
 
 
 # -- enumeration -------------------------------------------------------------
@@ -411,8 +358,8 @@ def enumerate_liu(labels):
 def enumerate_family(family, n, i=None, method="direct"):
     """Enumerate one of the three tree families on ``[n]``.
 
-    ``method="filter"`` brute-forces normalized trees through
-    :func:`classify`; ``"direct"`` uses the per-family constructions.
+    ``method="filter"`` brute-forces normalized trees through the family
+    predicates; ``"direct"`` uses the per-family constructions.
     """
     labels = tuple(range(1, n + 1))
     if method == "filter":
@@ -507,15 +454,6 @@ def valency_decreasing_tau(t):
     return tuple(order)
 
 
-def inversions_of_perm(tau):
-    return sum(1 for i in range(len(tau))
-               for j in range(i + 1, len(tau)) if tau[i] > tau[j])
-
-
-def perm_sign(tau):
-    return -1 if inversions_of_perm(tau) % 2 else 1
-
-
 # ---------------------------------------------------------------------------
 # rooted trees with descents
 # ---------------------------------------------------------------------------
@@ -530,12 +468,6 @@ class RootedTree:
     @property
     def labels(self):
         return frozenset(c for c, _p in self.parent) | {self.root}
-
-    def parent_of(self, x):
-        for c, p in self.parent:
-            if c == x:
-                return p
-        return None
 
     def children(self, x):
         return sorted(c for c, p in self.parent if p == x)

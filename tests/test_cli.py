@@ -147,3 +147,24 @@ def test_report_all_failure_exit(capsys, monkeypatch):
     code, out = run(capsys, "report-all", "--n", "2")
     assert code == 1
     assert "[FAIL]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--n", "3", "--i", "5"],
+    ["straighten", "--n", "3", "--i", "9"],
+    ["bases", "--n", "3", "--i", "7"],
+    ["psi", "--n", "3", "--i", "-1"],
+], ids=["homology", "straighten", "bases", "psi"])
+def test_index_out_of_range_is_bad_input(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --i must be in 0..2, got {argv[-1]}\n"
+
+
+def test_flag_of_another_subcommand_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["homology", "--n", "3", "--variant", "pointed"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --variant pointed" in capsys.readouterr().err

@@ -35,7 +35,7 @@ def test_degenerate_host():
 def test_boundary_squares_to_zero():
     host = hm.open_interval(4, 2)
     for c in host.chains_by_dim()[1]:
-        assert hm.boundary(host, hm.boundary_of_chain(c)) == {}
+        assert hm.boundary(hm.boundary_of_chain(c)) == {}
 
 
 def test_coboundary_squares_to_zero():
@@ -54,7 +54,7 @@ def test_boundary_coboundary_adjoint(seed):
     c = {rng.choice(by_dim[r]): rng.randint(-3, 3)}
     cp = {rng.choice(by_dim[r + 1]): rng.randint(-3, 3)}
     assert hm.pairing(hm.coboundary(host, c), cp) == \
-        hm.pairing(c, hm.boundary(host, cp))
+        hm.pairing(c, hm.boundary(cp))
 
 
 def test_cycle_basis_is_kernel():
@@ -62,7 +62,7 @@ def test_cycle_basis_is_kernel():
     basis = host.cycle_basis()
     assert len(basis) == 26
     for z in basis:
-        assert hm.boundary(host, z) == {}
+        assert hm.boundary(z) == {}
 
 
 def test_coboundary_member_with_witness():
@@ -100,7 +100,7 @@ def test_fundamental_cycle_is_a_cycle():
     for T in tr.enumerate_rooted_trees(range(1, 5), 1)[:6]:
         host = hm.open_interval(4, 1)
         rho = hm.fundamental_cycle(T)
-        assert hm.boundary(host, rho) == {}
+        assert hm.boundary(rho) == {}
 
 
 def test_pairing_matrix_n3():

@@ -87,6 +87,34 @@ def test_random_kernel_dimension(seed):
         assert total == {}
 
 
+def combination(vecs, x):
+    total = {}
+    for j, c in x.items():
+        for k, v in vecs[j].items():
+            total[k] = total.get(k, 0) + c * v
+    return {k: v for k, v in total.items() if v}
+
+
+@given(st.integers(0, 10_000))
+def test_random_solve_rational(seed):
+    # entries in [-3, 3] give non-unit pivots, so the reduction also takes
+    # its cross-multiplying branch
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    vecs = dense_to_vecs(M)
+    x = {j: rng.randint(-3, 3) for j in range(rows)}
+    target = combination(vecs, x)
+    assert combination(vecs, linalg.solve_rational(vecs, target)) == target
+    other = {k: rng.randint(-3, 3) for k in range(cols)}
+    other = {k: v for k, v in other.items() if v}
+    sol = linalg.solve_rational(vecs, other)
+    if linalg.rank_of(vecs + [other]) > linalg.rank_of(vecs):
+        assert sol is None
+    else:
+        assert combination(vecs, sol) == other
+
+
 @given(st.integers(0, 10_000))
 def test_snf_product_matches_det(seed):
     # |det| equals the product of the invariant factors for square full rank

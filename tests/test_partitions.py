@@ -45,6 +45,23 @@ def test_single_interval_mobius():
     assert P.mobius(P.index[x], P.index[y]) == -1
 
 
+def test_mobius_all_pairs_defining_sum():
+    # sum_{i <= z <= j} mu(i, z) = [i == j], with the order read from leq
+    for n in range(1, 5):
+        for variant in (pt.WEIGHTED, pt.POINTED, pt.AUGMENTED):
+            P = pt.build_poset(n, variant)
+            N = len(P.elements)
+            for i in range(N):
+                above = [z for z in range(N) if P.leq(i, z)]
+                for j in range(N):
+                    if j not in above:
+                        with pytest.raises(ValueError):
+                            P.mobius(i, j)
+                        continue
+                    total = sum(P.mobius(i, z) for z in above if P.leq(z, j))
+                    assert total == (i == j)
+
+
 def test_poset_is_pure_and_bounded_below():
     for n in range(1, 5):
         for variant in (pt.WEIGHTED, pt.POINTED, pt.AUGMENTED):

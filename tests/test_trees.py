@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpposet import ResourceCapError
+from wpposet import straighten as sn
 from wpposet import trees as tr
 
 B, R = tr.BLUE, tr.RED
@@ -56,24 +57,27 @@ def test_per_i_palindromic_families(t):
 
 @given(bicolored())
 def test_normalize_idempotent(t):
-    sign, canon = tr.normalize(t)
+    sign, canon = sn.normalize_signed(t, sn.COHOMOLOGY)
     assert sign in (1, -1)
     assert tr.is_normalized(canon)
-    assert tr.normalize(canon) == (1, canon)
+    assert sn.normalize_signed(canon, sn.COHOMOLOGY) == (1, canon)
     assert sorted(tr.leaves(canon)) == sorted(tr.leaves(t))
     assert tr.red_count(canon) == tr.red_count(t)
 
 
-@given(bicolored())
-def test_child_swap_changes_sign(t):
+@given(bicolored(), st.sampled_from([sn.COHOMOLOGY, sn.LIE2]))
+def test_child_swap_changes_sign(t, side):
     if tr.is_leaf(t):
         return
     col, l, r = t
     swapped = (col, r, l)
-    s1, c1 = tr.normalize(t)
-    s2, c2 = tr.normalize(swapped)
+    s1, c1 = sn.normalize_signed(t, side)
+    s2, c2 = sn.normalize_signed(swapped, side)
     assert c1 == c2
-    expected = (-1) ** (tr.internal_count(l) * tr.internal_count(r))
+    if side == sn.LIE2:
+        expected = -1
+    else:
+        expected = (-1) ** (tr.internal_count(l) * tr.internal_count(r))
     assert s2 == s1 * expected
 
 
