@@ -57,8 +57,7 @@ def criterion_5(nmax=None):
 
 def criterion_6(nmax=None):
     for n in range(1, _cap(6, nmax) + 1):
-        for k in range(1, n + 1):
-            tr.forest_count(n, k)
+        tr.forest_counts(n)
     for n in range(1, _cap(6, nmax) + 1):
         P = pt.build_poset(n, pt.WEIGHTED)
         mu0 = P.mu_from_bottom()

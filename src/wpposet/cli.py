@@ -33,9 +33,12 @@ def _dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _check_max_elements(P, cap):
-    if cap is not None and len(P.elements) > cap:
-        raise ResourceCapError(f"poset with {len(P.elements)} elements", cap)
+def _check_max_elements(n, variant, cap):
+    """Refuse a poset larger than ``cap`` from its closed-form size,
+    before anything is built."""
+    size = pt.poset_size(n, variant)
+    if cap is not None and size > cap:
+        raise ResourceCapError(f"poset with {size} elements", cap)
 
 
 def _emit(args, text_fn, json_obj, csv_fn=None, dot_fn=None):
@@ -59,8 +62,8 @@ def _emit(args, text_fn, json_obj, csv_fn=None, dot_fn=None):
 # ---------------------------------------------------------------------------
 
 def cmd_invariants(args):
+    _check_max_elements(args.n, args.variant, args.max_elements)
     P = pt.build_poset(args.n, args.variant)
-    _check_max_elements(P, args.max_elements)
     rep = pt.json_report(args.n, args.variant)
 
     def text():
@@ -77,8 +80,7 @@ def cmd_invariants(args):
 
 
 def cmd_el_verify(args):
-    P = pt.build_poset(args.n, pt.AUGMENTED)
-    _check_max_elements(P, args.max_elements)
+    _check_max_elements(args.n, pt.AUGMENTED, args.max_elements)
     rep = lb.verify_el(args.n)
     if not rep["passed"]:
         print(f"EL verification failed at n={args.n}; first violations:")
@@ -319,6 +321,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.n < 1:
+            raise ValueError(f"--n must be >= 1, got {args.n}")
         i = getattr(args, "i", None)
         if i is not None and not 0 <= i < args.n:
             raise ValueError(f"--i must be in 0..{args.n - 1}, got {i}")

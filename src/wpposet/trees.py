@@ -9,15 +9,18 @@ for free:
   ``{"b", "r"}``.
 
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
-from a parent map.
+from a parent map.  :func:`psi` costs O(n) per tree on [n]; Liu's order on
+the m trees of one T_{A,i} costs one indexed closure per (A, i), then
+O(m^2) for :func:`liu_linear_extension`.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb
 
 from .errors import ResourceCapError
 
@@ -355,24 +358,12 @@ def enumerate_liu(labels):
     return [psi(T) for T in enumerate_rooted_trees(sorted(labels))]
 
 
-def enumerate_family(family, n, i=None, method="direct"):
-    """Enumerate one of the three tree families on ``[n]``.
-
-    ``method="filter"`` brute-forces normalized trees through the family
-    predicates; ``"direct"`` uses the per-family constructions.
-    """
-    labels = tuple(range(1, n + 1))
-    if method == "filter":
-        preds = {"comb": is_comb, "lyndon": is_lyndon, "liu": is_liu_lyndon}
-        # Liu-Lyndon trees need not be min-leaf normalized, so filter the
-        # full set; combs and Lyndon trees are normalized by definition.
-        pool = (enumerate_bicolored(labels) if family == "liu"
-                else enumerate_normalized(labels))
-        out = [t for t in pool if preds[family](t)]
-    else:
-        fns = {"comb": enumerate_combs, "lyndon": enumerate_lyndon,
-               "liu": enumerate_liu}
-        out = fns[family](labels)
+def enumerate_family(family, n, i=None):
+    """Enumerate one of the three tree families on ``[n]`` by its direct
+    construction, optionally only the trees with ``i`` red nodes."""
+    fns = {"comb": enumerate_combs, "lyndon": enumerate_lyndon,
+           "liu": enumerate_liu}
+    out = fns[family](tuple(range(1, n + 1)))
     if i is not None:
         out = [t for t in out if red_count(t) == i]
     return sorted(out, key=repr)
@@ -469,9 +460,6 @@ class RootedTree:
     def labels(self):
         return frozenset(c for c, _p in self.parent) | {self.root}
 
-    def children(self, x):
-        return sorted(c for c, p in self.parent if p == x)
-
     def descent_count(self):
         return sum(1 for c, p in self.parent if c < p)
 
@@ -490,7 +478,6 @@ class RootedTree:
 def _prufer_decode(A, seq):
     """Edges of the labeled (unrooted) tree on sorted tuple A with Prufer
     sequence ``seq``."""
-    import heapq
     degree = {x: 1 for x in A}
     for x in seq:
         degree[x] += 1
@@ -609,36 +596,41 @@ def drake_product(n):
 # the bijection psi and the Liu partial order
 # ---------------------------------------------------------------------------
 
-def _subtree_nodes(T, x):
-    nodes = {x}
-    stack = [x]
-    while stack:
-        u = stack.pop()
-        for v in T.children(u):
-            nodes.add(v)
-            stack.append(v)
-    return nodes
-
-
-def _restrict(T, nodes, root):
-    pmap = {c: p for c, p in T.parent if c in nodes and p in nodes}
-    return RootedTree.from_parent_map(root, pmap)
+def _children_map(T):
+    """node -> its children; ascending, because ``T.parent`` is sorted by child."""
+    kids = {}
+    for c, p in T.parent:
+        kids.setdefault(p, []).append(c)
+    return kids
 
 
 def psi(T):
-    """Liu's bijection from rooted trees to Liu-Lyndon trees."""
-    labels = sorted(T.labels)
-    if len(labels) == 1:
-        return labels[0]
-    r = T.root
-    kids = T.children(r)
-    bigger = [c for c in kids if c > r]
-    x = min(bigger) if bigger else max(kids)
-    sub = _subtree_nodes(T, x)
-    t_x = _restrict(T, sub, x)
-    t_rest = _restrict(T, set(labels) - sub, r)
-    col = BLUE if x > r else RED
-    return (col, psi(t_rest), psi(t_x))
+    """Liu's bijection from rooted trees to Liu-Lyndon trees.
+
+    Cuts the root's edge to its smallest larger child (else its largest
+    child), recursing on both sides.  The cuts at one node therefore go
+    through its larger children ascending, then its smaller ones
+    descending, so the left spine is built in one pass per node: O(n).
+    """
+    return _psi_at(T.root, _children_map(T))
+
+
+def _psi_at(r, kids):
+    children = kids.get(r)
+    if not children:
+        return r
+    # the last cut is innermost, so build outward from it: the smaller
+    # children ascending, then the larger ones descending
+    t = r
+    for x in children:
+        if x > r:
+            break
+        t = (RED, t, _psi_at(x, kids))
+    for x in reversed(children):
+        if x < r:
+            break
+        t = (BLUE, t, _psi_at(x, kids))
+    return t
 
 
 def psi_inverse(t):
@@ -652,40 +644,83 @@ def psi_inverse(t):
 
 
 def _psi_inverse_unchecked(t):
-    if is_leaf(t):
-        return RootedTree(t, ())
-    T1 = _psi_inverse_unchecked(t[1])
-    T2 = _psi_inverse_unchecked(t[2])
-    pmap = dict(T1.parent)
-    pmap.update(dict(T2.parent))
-    pmap[T2.root] = T1.root
-    return RootedTree.from_parent_map(T1.root, pmap)
+    # each node (col, l, r) hangs the root of r, its leftmost leaf, below
+    # the root of l; one pass collects the whole parent map
+    pmap = {}
+
+    def root_of(s):
+        if is_leaf(s):
+            return s
+        top = root_of(s[1])
+        pmap[root_of(s[2])] = top
+        return top
+
+    return RootedTree.from_parent_map(root_of(t), pmap)
 
 
-def _forest_alpha_key(T, removed_edge):
-    """Node-set/descent data of the two components of T minus an edge."""
-    c, p = removed_edge
-    sub = _subtree_nodes(T, c)
-    rest = T.labels - sub
-    t1 = _restrict(T, sub, c)
-    t2 = _restrict(T, rest, T.root)
-    return t1, t2
+def _subtree(x, kids):
+    """Labels of the subtree below ``x``, ``x`` included."""
+    nodes = [x]
+    for u in nodes:
+        nodes.extend(kids.get(u, ()))
+    return frozenset(nodes)
+
+
+def _edge_splits(T):
+    """One entry per edge (c, p) of T, in ``T.parent`` order: the edge's
+    color, the labels below it, the tree below it rooted at c and its
+    descent count, the tree left above it and its descent count."""
+    kids = _children_map(T)
+    total = T.descent_count()
+    out = []
+    for c, p in T.parent:
+        nodes = _subtree(c, kids)
+        inner = tuple(e for e in T.parent if e[0] in nodes and e[0] != c)
+        outer = tuple(e for e in T.parent if e[0] not in nodes)
+        d_inner = sum(1 for x, y in inner if x < y)
+        out.append((RED if c < p else BLUE, nodes,
+                    RootedTree(c, inner), d_inner,
+                    RootedTree(T.root, outer), total - d_inner - (c < p)))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _liu_reachability(labels, i):
     """Transitive closure (as a dict tree -> frozenset of >=-trees) of the
-    one-step relation defining Liu's partial order on rooted trees."""
+    one-step relation defining Liu's partial order on rooted trees.
+
+    T steps to T' when cutting some edge of T and some root edge of T',
+    both of one color, leaves two forests whose components pair up by
+    label set and are <= pairwise.  Every edge split is computed once and
+    indexed by (color, labels below the edge); each root edge of T' then
+    looks up the splits of T whose lower labels match its lower or its
+    upper side.
+    """
     trees = enumerate_rooted_trees(list(labels), i)
-    idx = {T: k for k, T in enumerate(trees)}
     m = len(trees)
+    splits = [_edge_splits(T) for T in trees]
+    index = {}
+    for k, tree_splits in enumerate(splits):
+        for color, nodes, *parts in tree_splits:
+            index.setdefault((color, nodes), []).append((k, *parts))
+    everything = frozenset(labels)
     succ = [set() for _ in range(m)]
-    for T in trees:
-        for Tp in trees:
-            if T is Tp:
+    for kp, Tp in enumerate(trees):
+        for (_c, p), split in zip(Tp.parent, splits[kp]):
+            if p != Tp.root:
                 continue
-            if _liu_one_step(T, Tp):
-                succ[idx[T]].add(idx[Tp])
+            color, low, t_low, d_low, t_high, d_high = split
+            high = everything - low
+            for k, t1, d1, t2, d2 in index.get((color, low), ()):
+                if (k != kp and d1 == d_low and d2 == d_high
+                        and _liu_leq_within(t1, t_low, low, d1)
+                        and _liu_leq_within(t2, t_high, high, d2)):
+                    succ[k].add(kp)
+            for k, t1, d1, t2, d2 in index.get((color, high), ()):
+                if (k != kp and d1 == d_high and d2 == d_low
+                        and _liu_leq_within(t1, t_high, high, d1)
+                        and _liu_leq_within(t2, t_low, low, d2)):
+                    succ[k].add(kp)
     # transitive closure; a cycle would contradict antisymmetry
     closure = [None] * m
     state = [0] * m  # 0 unvisited, 1 on stack, 2 done
@@ -709,57 +744,59 @@ def _liu_reachability(labels, i):
             for k in range(m)}
 
 
-def _liu_one_step(T, Tp):
-    root_p = Tp.root
-    for cp, pp in Tp.parent:
-        if pp != root_p:
-            continue
-        color_p = RED if cp < pp else BLUE
-        t1p, t2p = _forest_alpha_key(Tp, (cp, pp))
-        for c, p in T.parent:
-            if (RED if c < p else BLUE) != color_p:
-                continue
-            t1, t2 = _forest_alpha_key(T, (c, p))
-            # match components by node set; descent counts must agree too
-            pairs = None
-            if t1.labels == t1p.labels and t2.labels == t2p.labels:
-                pairs = [(t1, t1p), (t2, t2p)]
-            elif t1.labels == t2p.labels and t2.labels == t1p.labels:
-                pairs = [(t1, t2p), (t2, t1p)]
-            if pairs is None:
-                continue
-            if all(a.descent_count() == b.descent_count()
-                   and liu_leq(a, b) for a, b in pairs):
-                return True
-    return False
+def _liu_leq_within(T1, T2, labels, i):
+    """liu_leq for two trees known to lie in T_{labels,i}."""
+    if T1 == T2 or len(labels) <= 2:
+        return True
+    return T2 in _liu_reachability(tuple(sorted(labels)), i)[T1]
+
+
+def _liu_class(trees):
+    """(labels, descent count) shared by all the trees, else ValueError."""
+    labels, i = trees[0].labels, trees[0].descent_count()
+    for T in trees:
+        if T.labels != labels or T.descent_count() != i:
+            raise ValueError("liu_leq compares trees in the same T_{A,i}")
+    return labels, i
 
 
 def liu_leq(T1, T2):
     """Liu's partial order on rooted trees with the same label set and
     descent count."""
-    if T1.labels != T2.labels or T1.descent_count() != T2.descent_count():
-        raise ValueError("liu_leq compares trees in the same T_{A,i}")
-    if T1 == T2:
-        return True
-    if len(T1.labels) <= 2:
-        return True
-    reach = _liu_reachability(tuple(sorted(T1.labels)), T1.descent_count())
-    return T2 in reach[T1]
+    return _liu_leq_within(T1, T2, *_liu_class([T1, T2]))
 
 
 def liu_linear_extension(trees):
-    """A linear extension of the Liu order (deterministic tie-break)."""
-    trees = list(trees)
-    remaining = sorted(trees, key=repr)
+    """A linear extension of the Liu order (deterministic tie-break).
+
+    Kahn's algorithm over the order among the inputs, read once from the
+    closure: it always takes the minimal tree that comes first by
+    ``repr``.  O(m^2) in the m inputs once the closure is built.
+    """
+    order = sorted(trees, key=repr)
+    m = len(order)
+    above = [[] for _ in range(m)]
+    indegree = [0] * m
+    if m > 1:
+        labels, i = _liu_class(order)
+        reach = _liu_reachability(tuple(sorted(labels)), i)
+        for a, S in enumerate(order):
+            up = reach[S]
+            for b, T in enumerate(order):
+                if T != S and T in up:
+                    above[a].append(b)
+                    indegree[b] += 1
+    heap = [k for k in range(m) if indegree[k] == 0]
     out = []
-    while remaining:
-        for T in remaining:
-            if not any(liu_leq(S, T) for S in remaining if S != T):
-                out.append(T)
-                remaining.remove(T)
-                break
-        else:
-            raise RuntimeError("cycle detected in the Liu relation")
+    while heap:
+        k = heapq.heappop(heap)
+        out.append(order[k])
+        for b in above[k]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                heapq.heappush(heap, b)
+    if len(out) < m:
+        raise RuntimeError("cycle detected in the Liu relation")
     return out
 
 
@@ -790,14 +827,21 @@ def enumerate_rooted_forests(n):
             yield list(combo)
 
 
+def forest_counts(n):
+    """Numbers of rooted forests on [n] with k = 1..n trees (index k-1),
+    from one enumeration, each checked against C(n-1, k-1) n^(n-k)."""
+    counts = [0] * n
+    for F in enumerate_rooted_forests(n):
+        counts[len(F) - 1] += 1
+    for k, count in enumerate(counts, 1):
+        expected = comb(n - 1, k - 1) * n ** (n - k)
+        if count != expected:
+            raise AssertionError(f"forest count {count} != {expected} at n={n}, k={k}")
+    return counts
+
+
 def forest_count(n, k):
-    """Number of rooted forests on [n] with k trees, by enumeration,
-    checked against the closed form C(n-1, k-1) n^(n-k)."""
-    from math import comb
+    """Number of rooted forests on [n] with k trees; see :func:`forest_counts`."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    count = sum(1 for F in enumerate_rooted_forests(n) if len(F) == k)
-    expected = comb(n - 1, k - 1) * n ** (n - k)
-    if count != expected:
-        raise AssertionError(f"forest count {count} != {expected} at n={n}, k={k}")
-    return count
+    return forest_counts(n)[k - 1]

@@ -168,3 +168,30 @@ def test_flag_of_another_subcommand_is_rejected(capsys):
         cli.main(["homology", "--n", "3", "--variant", "pointed"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --variant pointed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["psi", "invariants", "whitney"])
+def test_nonpositive_n_is_bad_input(capsys, command):
+    code = cli.main([command, "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --n must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["el-verify", "--n", "7"], 6323),
+    (["invariants", "--n", "7", "--variant", "pointed"], 6322),
+], ids=["el-verify", "invariants"])
+def test_cap_fires_before_construction(capsys, monkeypatch, argv, size):
+    from wpposet import partitions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the poset was built before the cap check")
+
+    monkeypatch.setattr(partitions, "build_poset", refuse)
+    code, out = run(capsys, *argv, "--max-elements", "10")
+    assert code == 2
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": f"poset with {size} elements",
+                               "limit": 10}

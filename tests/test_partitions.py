@@ -77,13 +77,14 @@ def test_pointed_and_weighted_have_equal_rank_sizes(n):
     W = pt.build_poset(n, pt.WEIGHTED)
     P = pt.build_poset(n, pt.POINTED)
     assert W.rank_sizes() == P.rank_sizes()
+    assert len(W.elements) == pt.poset_size(n) == pt.poset_size(n, pt.POINTED)
 
 
 @given(st.integers(2, 5))
 def test_augmented_adds_one_top(n):
     W = pt.build_poset(n, pt.WEIGHTED)
     A = pt.build_poset(n, pt.AUGMENTED)
-    assert len(A.elements) == len(W.elements) + 1
+    assert len(A.elements) == len(W.elements) + 1 == pt.poset_size(n, pt.AUGMENTED)
     top = A.index[pt.TOP]
     assert A.covers[top] == []
     assert all(top in A.covers[A.index[e]] for e in W.elements if len(e) == 1)

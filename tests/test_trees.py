@@ -38,11 +38,16 @@ def test_family_per_i_frozen():
 
 
 def test_family_direct_matches_filter():
+    # brute force through the family predicates; Liu-Lyndon trees need not
+    # be min-leaf normalized, so they are filtered from the full set
+    preds = {"comb": tr.is_comb, "lyndon": tr.is_lyndon,
+             "liu": tr.is_liu_lyndon}
     for n in range(1, 5):
         for fam in ("comb", "lyndon", "liu"):
-            direct = set(tr.enumerate_family(fam, n, method="direct"))
-            filtered = set(tr.enumerate_family(fam, n, method="filter"))
-            assert direct == filtered
+            pool = (tr.enumerate_bicolored(n) if fam == "liu"
+                    else tr.enumerate_normalized(n))
+            filtered = {t for t in pool if preds[fam](t)}
+            assert set(tr.enumerate_family(fam, n)) == filtered
 
 
 @given(bicolored())
@@ -136,6 +141,17 @@ def test_forest_count_frozen():
     assert tr.forest_count(4, 4) == 1
 
 
+def test_forest_counts_one_pass():
+    # C(n-1, k-1) n^(n-k); they sum to (n+1)^(n-1)
+    assert tr.forest_counts(4) == [64, 48, 12, 1]
+    for n in range(1, 6):
+        counts = tr.forest_counts(n)
+        assert sum(counts) == (n + 1) ** (n - 1)
+        assert counts == [tr.forest_count(n, k) for k in range(1, n + 1)]
+    with pytest.raises(ValueError):
+        tr.forest_count(3, 4)
+
+
 def test_psi_roundtrip_small():
     for n in range(1, 6):
         for T in tr.enumerate_rooted_trees(range(1, n + 1)):
@@ -161,6 +177,146 @@ def test_liu_order_reflexive_and_acyclic():
         for T2 in trees5:
             if tr.liu_leq(T1, T2):
                 assert pos[T1] <= pos[T2]
+
+
+# -- the edge-rescanning implementations psi and the Liu order replaced ------
+
+def _old_children(T, x):
+    return sorted(c for c, p in T.parent if p == x)
+
+
+def _old_subtree_nodes(T, x):
+    nodes = {x}
+    stack = [x]
+    while stack:
+        u = stack.pop()
+        for v in _old_children(T, u):
+            nodes.add(v)
+            stack.append(v)
+    return nodes
+
+
+def _old_restrict(T, nodes, root):
+    pmap = {c: p for c, p in T.parent if c in nodes and p in nodes}
+    return tr.RootedTree.from_parent_map(root, pmap)
+
+
+def _old_psi(T):
+    labels = sorted(T.labels)
+    if len(labels) == 1:
+        return labels[0]
+    r = T.root
+    kids = _old_children(T, r)
+    bigger = [c for c in kids if c > r]
+    x = min(bigger) if bigger else max(kids)
+    sub = _old_subtree_nodes(T, x)
+    t_x = _old_restrict(T, sub, x)
+    t_rest = _old_restrict(T, set(labels) - sub, r)
+    col = B if x > r else R
+    return (col, _old_psi(t_rest), _old_psi(t_x))
+
+
+def _old_forest_alpha_key(T, removed_edge):
+    c, _p = removed_edge
+    sub = _old_subtree_nodes(T, c)
+    return (_old_restrict(T, sub, c),
+            _old_restrict(T, T.labels - sub, T.root))
+
+
+_OLD_REACH = {}
+
+
+def _old_liu_leq(T1, T2):
+    if T1 == T2 or len(T1.labels) <= 2:
+        return True
+    return T2 in _old_liu_reachability(tuple(sorted(T1.labels)),
+                                       T1.descent_count())[T1]
+
+
+def _old_liu_one_step(T, Tp):
+    root_p = Tp.root
+    for cp, pp in Tp.parent:
+        if pp != root_p:
+            continue
+        color_p = R if cp < pp else B
+        t1p, t2p = _old_forest_alpha_key(Tp, (cp, pp))
+        for c, p in T.parent:
+            if (R if c < p else B) != color_p:
+                continue
+            t1, t2 = _old_forest_alpha_key(T, (c, p))
+            pairs = None
+            if t1.labels == t1p.labels and t2.labels == t2p.labels:
+                pairs = [(t1, t1p), (t2, t2p)]
+            elif t1.labels == t2p.labels and t2.labels == t1p.labels:
+                pairs = [(t1, t2p), (t2, t1p)]
+            if pairs is None:
+                continue
+            if all(a.descent_count() == b.descent_count()
+                   and _old_liu_leq(a, b) for a, b in pairs):
+                return True
+    return False
+
+
+def _old_liu_reachability(labels, i):
+    """Closure of the one-step relation tested on all ordered pairs."""
+    if (labels, i) not in _OLD_REACH:
+        trees = tr.enumerate_rooted_trees(list(labels), i)
+        succ = {T: {Tp for Tp in trees
+                     if Tp is not T and _old_liu_one_step(T, Tp)}
+                for T in trees}
+        reach = {}
+
+        def close(T):
+            if T not in reach:
+                reach[T] = {T}
+                for Tp in succ[T]:
+                    reach[T] |= close(Tp)
+            return reach[T]
+
+        _OLD_REACH[(labels, i)] = {T: frozenset(close(T)) for T in trees}
+    return _OLD_REACH[(labels, i)]
+
+
+def _old_liu_linear_extension(trees):
+    remaining = sorted(trees, key=repr)
+    out = []
+    while remaining:
+        for T in remaining:
+            if not any(tr.liu_leq(S, T) for S in remaining if S != T):
+                out.append(T)
+                remaining.remove(T)
+                break
+        else:
+            raise RuntimeError("cycle detected in the Liu relation")
+    return out
+
+
+def test_psi_matches_edge_rescanning_psi():
+    for n in range(1, 7):
+        for T in tr.enumerate_rooted_trees(range(1, n + 1)):
+            assert tr.psi(T) == _old_psi(T)
+
+
+def test_liu_reachability_matches_all_pairs_closure():
+    for n in range(1, 5):
+        labels = tuple(range(1, n + 1))
+        for i in range(n):
+            assert tr._liu_reachability(labels, i) == \
+                _old_liu_reachability(labels, i)
+
+
+def test_liu_linear_extension_matches_rescan():
+    for n in range(1, 6):
+        for i in range(n):
+            trees = tr.enumerate_rooted_trees(range(1, n + 1), i)
+            assert tr.liu_linear_extension(trees) == \
+                _old_liu_linear_extension(trees)
+    # order of the input does not matter; mixed classes are refused
+    trees = tr.enumerate_rooted_trees(range(1, 5), 1)
+    assert tr.liu_linear_extension(trees[::-1]) == \
+        _old_liu_linear_extension(trees)
+    with pytest.raises(ValueError):
+        tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, 4)))
 
 
 def test_linear_extensions_and_tau():
