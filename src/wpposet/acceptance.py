@@ -221,12 +221,22 @@ ALL_CRITERIA = [
 ]
 
 
+def run_criterion(k, nmax=None):
+    """(name, ok, detail) of criterion ``k``; a criterion that raises fails,
+    with the exception as its witness, instead of ending the run."""
+    crit = ALL_CRITERIA[k - 1]
+    try:
+        return crit(nmax)
+    except Exception as exc:
+        return crit.__name__, False, f"raised {type(exc).__name__}: {exc}"
+
+
 def run_all(nmax=None, emit=print):
     """Run every criterion, emitting one pass/fail line each."""
     ok_all = True
     results = []
-    for k, crit in enumerate(ALL_CRITERIA, 1):
-        name, ok, detail = crit(nmax)
+    for k in range(1, len(ALL_CRITERIA) + 1):
+        name, ok, detail = run_criterion(k, nmax)
         ok_all &= ok
         results.append({"criterion": k, "name": name, "ok": ok, "detail": detail})
         emit(f"[{'PASS' if ok else 'FAIL'}] criterion {k:2d}: {name} ({detail})")

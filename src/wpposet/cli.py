@@ -99,13 +99,16 @@ def cmd_el_verify(args):
 
 
 def cmd_homology(args):
-    if args.i is not None:
-        host = hm.open_interval(args.n, args.i)
-    else:
-        host = hm.proper_part(args.n)
-    if args.max_elements is not None and len(host.elements) > args.max_elements:
-        raise ResourceCapError(
-            f"open poset with {len(host.elements)} elements", args.max_elements)
+    # the cap is checked on the element count alone, before the open
+    # poset's quadratic order table is built
+    if args.max_elements is not None:
+        size = (len(hm.interval_elements(args.n, args.i)) if args.i is not None
+                else pt.poset_size(args.n) - 1)
+        if size > args.max_elements:
+            raise ResourceCapError(f"open poset with {size} elements",
+                                   args.max_elements)
+    host = (hm.open_interval(args.n, args.i) if args.i is not None
+            else hm.proper_part(args.n))
     rep = hm.homology_report(host)
     rep.pop("runtime_ms", None)
 
@@ -160,9 +163,11 @@ def cmd_bases(args):
 
 
 def cmd_straighten(args):
+    # choosing from the index range draws the same index as choosing from
+    # the enumerated list, so a seed picks the same tree as it always has
     rng = random.Random(args.seed)
-    pool = tr.enumerate_bicolored(args.n, args.i)
-    t = rng.choice(pool)
+    k = rng.choice(range(tr.bicolored_count(args.n, args.i)))
+    t = tr.bicolored_at(args.n, k, args.i)
     trace = []
     out = (st.straighten_full_poset(t, trace=trace) if args.side == "full"
            else st.straighten(t, args.side, trace=trace))
@@ -231,19 +236,15 @@ def cmd_whitney(args):
     return _emit(args, text, rep)
 
 
-def _run_criterion(pair):
-    k, nmax = pair
-    return (k,) + acceptance.ALL_CRITERIA[k - 1](nmax)
-
-
 def cmd_report_all(args):
     nmax = args.n
     ids = list(range(1, len(acceptance.ALL_CRITERIA) + 1))
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            raw = list(pool.map(_run_criterion, [(k, nmax) for k in ids]))
+            raw = list(pool.map(acceptance.run_criterion, ids,
+                                [nmax] * len(ids)))
         results = [{"criterion": k, "name": name, "ok": ok, "detail": detail}
-                   for k, name, ok, detail in raw]
+                   for k, (name, ok, detail) in zip(ids, raw)]
         ok_all = all(r["ok"] for r in results)
         if args.format != "json":
             for r in results:

@@ -135,15 +135,19 @@ def pairing(u, v):
 # hosts
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def open_interval(n, i):
-    """(0-hat, [n]^i) as an OpenPoset."""
+def interval_elements(n, i):
+    """The elements of (0-hat, [n]^i), read off the weighted poset on [n]
+    in one pass; no order complex is built."""
     P = pt.build_poset(n, pt.WEIGHTED)
     top = pt.sort_blocks((((1 << n) - 1, i),))
     bot = pt.bottom(n)
-    elems = [e for e in P.elements
-             if e not in (top, bot) and pt.leq(e, top)]
-    return OpenPoset(f"(0,[{n}]^{i})", elems, pt.leq)
+    return [e for e in P.elements if e not in (top, bot) and pt.leq(e, top)]
+
+
+@lru_cache(maxsize=None)
+def open_interval(n, i):
+    """(0-hat, [n]^i) as an OpenPoset."""
+    return OpenPoset(f"(0,[{n}]^{i})", interval_elements(n, i), pt.leq)
 
 
 @lru_cache(maxsize=None)

@@ -136,6 +136,10 @@ def _straighten_normalized(t, side, trace):
         return _memo[key]
     path = find_offender(t)
     if path is None:
+        # every output comb is produced here, so one check per memo entry
+        # covers every later read of it
+        if not tr.is_comb(t):
+            raise AssertionError("straightened output is not a comb")
         out = {t: 1}
     else:
         node = tr.subtree_at(t, path)
@@ -173,8 +177,6 @@ def straighten(t, side=COHOMOLOGY, trace=None):
     sign, t0 = normalize_signed(t, side)
     out = TreeSum(side)
     for comb, c in _straighten_normalized(t0, side, trace).items():
-        if not tr.is_comb(comb):
-            raise AssertionError("straightened output is not a comb")
         out.add(comb, sign * c)
     return out
 

@@ -8,6 +8,11 @@ for free:
 * an internal node is ``(color, left, right)`` with ``color`` in
   ``{"b", "r"}``.
 
+:func:`enumerate_bicolored` lists every bicolored tree on a label set;
+:func:`bicolored_count` gives its length in closed form and
+:func:`bicolored_at` its k-th entry without building the list, which is
+how one tree on [7] or [8] is drawn.
+
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
 from a parent map.  :func:`psi` costs O(n) per tree on [n]; Liu's order on
 the m trees of one T_{A,i} costs one indexed closure per (A, i), then
@@ -20,7 +25,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .errors import ResourceCapError
 
@@ -262,17 +267,90 @@ def _color_all(shape, i=None):
     return out
 
 
-def enumerate_bicolored(labels, i=None):
-    """All labeled bicolored binary trees on the given label set, optionally
-    restricted to ``i`` red internal nodes.  Deterministic order."""
+def _bicolored_labels(labels):
+    """Sorted label list of ``labels`` (an int n stands for [n]), refused
+    past TREE_ENUM_CAP."""
     A = sorted(labels) if not isinstance(labels, int) else list(range(1, labels + 1))
     if len(A) > TREE_ENUM_CAP:
         raise ResourceCapError(f"bicolored trees on {len(A)} labels", TREE_ENUM_CAP)
+    return A
+
+
+def _catalan(m):
+    return comb(2 * m, m) // (m + 1)
+
+
+def enumerate_bicolored(labels, i=None):
+    """All labeled bicolored binary trees on the given label set, optionally
+    restricted to ``i`` red internal nodes.  Deterministic order: leaf word
+    (permutations in lexicographic order), then shape (split point, left
+    shape major), then coloring (in postorder, blue before red)."""
+    A = _bicolored_labels(labels)
     out = []
     for word in itertools.permutations(A):
         for shape in _uncolored_on_word(word):
             out.extend(_color_all(shape, i))
     return out
+
+
+def _colorings_count(n, i):
+    return 2 ** (n - 1) if i is None else comb(n - 1, i)
+
+
+def bicolored_count(labels, i=None):
+    """``len(enumerate_bicolored(labels, i))`` in closed form:
+    n! Cat(n-1) 2^(n-1), or n! Cat(n-1) C(n-1, i) red-count ``i`` trees."""
+    n = len(_bicolored_labels(labels))
+    return factorial(n) * _catalan(n - 1) * _colorings_count(n, i)
+
+
+def _shape_at(word, k):
+    """``_uncolored_on_word(word)[k]`` without the list."""
+    m = len(word)
+    if m == 1:
+        return word[0]
+    for s in range(1, m):
+        rights = _catalan(m - s - 1)
+        block = _catalan(s - 1) * rights
+        if k < block:
+            lk, rk = divmod(k, rights)
+            return ("x", _shape_at(word[:s], lk), _shape_at(word[s:], rk))
+        k -= block
+
+
+def _colors_at(m, k, i):
+    """``k``-th color tuple of ``m`` internal nodes in ``_color_all`` order."""
+    if i is None:
+        return tuple(RED if k >> (m - 1 - j) & 1 else BLUE for j in range(m))
+    colors = []
+    for j in range(m):
+        # the combinations that put a red at node j come first
+        with_j = comb(m - j - 1, i - 1) if i else 0
+        if k < with_j:
+            colors.append(RED)
+            i -= 1
+        else:
+            colors.append(BLUE)
+            k -= with_j
+    return tuple(colors)
+
+
+def bicolored_at(labels, k, i=None):
+    """``enumerate_bicolored(labels, i)[k]`` without building the list:
+    the leaf word, the shape and the coloring are decoded from ``k`` in
+    turn, in the enumeration's order."""
+    A = _bicolored_labels(labels)
+    n = len(A)
+    if not 0 <= k < bicolored_count(A, i):
+        raise IndexError(f"no bicolored tree at index {k}")
+    k, color_k = divmod(k, _colorings_count(n, i))
+    k, shape_k = divmod(k, _catalan(n - 1))
+    word = []
+    for j in range(n - 1, -1, -1):
+        d, k = divmod(k, factorial(j))
+        word.append(A.pop(d))
+    shape = _shape_at(word, shape_k)
+    return _colorings(shape, iter(_colors_at(n - 1, color_k, i)))
 
 
 def enumerate_normalized(labels, i=None):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -195,3 +196,92 @@ def test_cap_fires_before_construction(capsys, monkeypatch, argv, size):
     assert json.loads(out) == {"error": "resource-cap",
                                "what": f"poset with {size} elements",
                                "limit": 10}
+
+
+def _old_straighten_draw(n, i, seed, _pools={}):
+    # the draw straighten made before it unranked: choose from the list
+    import random
+    from wpposet import trees as tr
+    if (n, i) not in _pools:
+        _pools[n, i] = tr.enumerate_bicolored(n, i)
+    return random.Random(seed).choice(_pools[n, i])
+
+
+def test_straighten_seed_picks_the_listed_tree(capsys):
+    from wpposet import trees as tr
+    for n in range(1, 6):
+        for i in [None] + list(range(n)):
+            for seed in range(16):
+                argv = ["straighten", "--n", str(n), "--seed", str(seed),
+                        "--format", "json"]
+                if i is not None:
+                    argv += ["--i", str(i)]
+                code, out = run(capsys, *argv)
+                assert code == 0
+                want = _old_straighten_draw(n, i, seed)
+                assert json.loads(out)["input"] == tr.tree_to_bracket(want)
+
+
+@pytest.mark.parametrize("n, seed", [(6, 3), (8, 0)])
+def test_straighten_never_lists_trees(capsys, monkeypatch, n, seed):
+    from wpposet import trees as tr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("every bicolored tree was listed to pick one")
+
+    monkeypatch.setattr(tr, "enumerate_bicolored", refuse)
+    code, out = run(capsys, "straighten", "--n", str(n), "--seed", str(seed),
+                    "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    labels = sorted(int(x) for x in re.findall(r"\d+", rep["input"]))
+    assert labels == list(range(1, n + 1))
+    assert rep["terms"]
+
+
+def test_straighten_past_the_cap_is_refused(capsys):
+    code, out = run(capsys, "straighten", "--n", "9")
+    assert code == 2
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": "bicolored trees on 9 labels",
+                               "limit": 8}
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["homology", "--n", "6"], 1056),
+    (["homology", "--n", "6", "--i", "2"], 842),
+], ids=["proper-part", "interval"])
+def test_homology_cap_fires_before_the_host(capsys, monkeypatch, argv, size):
+    from wpposet import homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the open poset was built before the cap check")
+
+    monkeypatch.setattr(homology.OpenPoset, "__init__", refuse)
+    code, out = run(capsys, *argv, "--max-elements", "10")
+    assert code == 2
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": f"open poset with {size} elements",
+                               "limit": 10}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "jobs"])
+def test_report_all_crashing_criterion_is_a_fail_row(capsys, monkeypatch,
+                                                     jobs):
+    from wpposet import acceptance
+
+    def crashing(nmax=None):
+        raise ZeroDivisionError("injected for the test")
+
+    monkeypatch.setitem(acceptance.__dict__, "ALL_CRITERIA",
+                        acceptance.ALL_CRITERIA[:2] + [crashing]
+                        + acceptance.ALL_CRITERIA[3:])
+    code, out = run(capsys, "report-all", "--n", "2", "--jobs", jobs,
+                    "--format", "json")
+    assert code == 1
+    rep = json.loads(out)
+    assert not rep["passed"] and len(rep["criteria"]) == 16
+    row = rep["criteria"][2]
+    assert row["criterion"] == 3 and not row["ok"]
+    assert row["detail"] == "raised ZeroDivisionError: injected for the test"
+    assert all(r["ok"] for r in rep["criteria"] if r is not row)

@@ -1,6 +1,7 @@
 import json
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from wpposet import homology as hm
@@ -136,3 +137,13 @@ def test_tree_sum_json():
     out = sn.straighten((B, 1, (B, 2, 3)))
     data = json.loads(out.to_json())
     assert {d["coeff"] for d in data} == {-1}
+
+
+def test_non_comb_output_is_refused(monkeypatch):
+    # the comb check sits where results enter the memo; a rewriting that
+    # stopped early must be caught there
+    monkeypatch.setattr(sn, "_memo", {})
+    monkeypatch.setattr(sn, "find_offender", lambda t: None)
+    with pytest.raises(AssertionError, match="straightened output is not a comb"):
+        sn.straighten((B, 1, (B, 2, 3)))
+    assert sn._memo == {}

@@ -12,8 +12,9 @@ B, R = tr.BLUE, tr.RED
 
 @st.composite
 def bicolored(draw, max_n=5):
+    # a uniform index into enumerate_bicolored(n), unranked without the list
     n = draw(st.integers(2, max_n))
-    return draw(st.sampled_from(tr.enumerate_bicolored(n)))
+    return tr.bicolored_at(n, draw(st.integers(0, tr.bicolored_count(n) - 1)))
 
 
 def test_enumeration_counts_frozen():
@@ -350,3 +351,28 @@ def test_tree_json_roundtrip():
 def test_enumeration_cap():
     with pytest.raises(ResourceCapError):
         tr.enumerate_rooted_trees(range(1, 10))
+    with pytest.raises(ResourceCapError):
+        tr.bicolored_at(9, 0)
+
+
+def test_bicolored_at_matches_enumeration():
+    for n in range(1, 6):
+        for i in [None] + list(range(n)):
+            pool = tr.enumerate_bicolored(n, i)
+            assert len(pool) == tr.bicolored_count(n, i)
+            assert [tr.bicolored_at(n, k, i) for k in range(len(pool))] == pool
+            with pytest.raises(IndexError):
+                tr.bicolored_at(n, len(pool), i)
+    # any label set, not only [n]
+    labels = (2, 5, 7, 9)
+    pool = tr.enumerate_bicolored(labels, 1)
+    assert [tr.bicolored_at(labels, k, 1) for k in range(len(pool))] == pool
+
+
+def test_bicolored_count_closed_form():
+    # n! Cat(n-1) 2^(n-1) in all, split by red count as C(n-1, i)
+    assert [tr.bicolored_count(n) for n in range(1, 9)] == \
+        [1, 4, 48, 960, 26880, 967680, 42577920, 2214051840]
+    for n in range(1, 9):
+        assert sum(tr.bicolored_count(n, i) for i in range(n)) == \
+            tr.bicolored_count(n)
