@@ -8,8 +8,6 @@ with u = 0 for a blue node and u = 1 for a red one.
 
 from __future__ import annotations
 
-import json
-
 from . import partitions as pt
 from . import trees as tr
 
@@ -32,16 +30,6 @@ def u_merge(p, block_masks, u):
         mask |= m
         total += v
     return pt.sort_blocks(rest + ((mask, total + u),))
-
-
-def pretty_chain(parts):
-    return " ⋖ ".join(pt.partition_str(p) for p in parts)
-
-
-def chain_json(parts):
-    return json.dumps([
-        [{"block": pt.mask_members(m), "weight": v} for m, v in p]
-        for p in parts])
 
 
 def chain_partitions_of_tree(t, tau=None):

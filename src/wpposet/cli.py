@@ -100,7 +100,7 @@ def cmd_el_verify(args):
 
 def cmd_homology(args):
     # the cap is checked on the element count alone, before the open
-    # poset's quadratic order table is built
+    # poset and its order complex are built
     if args.max_elements is not None:
         size = (len(hm.interval_elements(args.n, args.i)) if args.i is not None
                 else pt.poset_size(args.n) - 1)

@@ -1,15 +1,16 @@
 """Exact (co)homology of order complexes of open subposets.
 
-Chains are tuples of partitions, strictly increasing in the poset order;
-the empty chain generates the degree -1 part of the reduced complex.  A
-ChainVector is a sparse dict mapping chains to integers.  Everything is
-computed over the integers, with Smith normal form certificates for the
-top boundary maps.
+An open poset is a subset of the weighted partition poset on [n]; its
+order is read from that poset's down-set bitsets
+(``partitions.Poset.down_sets``).  Chains are tuples of partitions,
+strictly increasing in the poset order; the empty chain generates the
+degree -1 part of the reduced complex.  A ChainVector is a sparse dict
+mapping chains to integers.  Everything is computed over the integers,
+with Smith normal form certificates for the top boundary maps.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import chains as ch
@@ -21,42 +22,60 @@ CHAIN_COUNT_CAP = 2_000_000
 
 
 class OpenPoset:
-    """A finite open poset with its order complex.
+    """The subposet of a built poset P induced on the elements keep, with
+    its order complex.
 
-    elements must be hashable and pairwise comparable through leq; chains
-    of the order complex are cached per dimension.
+    Elements are listed sorted and indexed locally; up[k] and down[k] are
+    bitsets over those indices of the elements strictly above and below
+    element k, restricted from P's down-sets, so building them costs one
+    step per comparable pair.  Chains of the order complex are cached per
+    dimension.
     """
 
-    def __init__(self, name, elements, leq):
+    def __init__(self, name, P, keep):
         self.name = name
-        self.elements = sorted(elements)
+        self.elements = sorted(keep)
         self.index = {e: k for k, e in enumerate(self.elements)}
-        n = len(self.elements)
-        self.above = [[] for _ in range(n)]
-        self.below_set = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j and leq(self.elements[i], self.elements[j]):
-                    self.above[i].append(j)
-                    self.below_set[j].add(i)
-        self.above_set = [set(a) for a in self.above]
+        hosts = [P.index[e] for e in self.elements]
+        local = {h: k for k, h in enumerate(hosts)}
+        keep_mask = 0
+        for h in hosts:
+            keep_mask |= 1 << h
+        down_sets = P.down_sets()
+        self.up = [0] * len(hosts)
+        self.down = [0] * len(hosts)
+        for k, h in enumerate(hosts):
+            for g in pt.bits(down_sets[h] & keep_mask & ~(1 << h)):
+                j = local[g]
+                self.down[k] |= 1 << j
+                self.up[j] |= 1 << k
         self._chains = None
         self._kernel = {}
-        self._coboundary_columns = {}
 
     def chains_by_dim(self):
         """dict r -> list of r-chains (tuples of elements); r = -1 is the
-        empty chain."""
+        empty chain.  Each chain is extended by the elements above its
+        last one, in index order; the size of the next dimension is
+        counted from those before it is built, and the run is refused
+        once the total, the empty chain included, would pass
+        CHAIN_COUNT_CAP."""
         if self._chains is None:
-            by_dim = {-1: [()]}
-            frontier = [(i,) for i in range(len(self.elements))]
-            r = 0
+            elements = self.elements
+            above = [list(pt.bits(u)) for u in self.up]
+            everything = list(range(len(elements)))
+            by_dim = {}
+            frontier = [()]
+            total = 1
+            r = -1
             while frontier:
-                by_dim[r] = [tuple(self.elements[i] for i in c) for c in frontier]
-                if sum(len(v) for v in by_dim.values()) > CHAIN_COUNT_CAP:
+                by_dim[r] = [tuple(elements[k] for k in c) for c in frontier]
+                nexts = [above[c[-1]] if c else everything for c in frontier]
+                total += sum(map(len, nexts))
+                if total > CHAIN_COUNT_CAP:
                     raise pt.ResourceCapError(
                         f"chains of {self.name}", CHAIN_COUNT_CAP)
-                frontier = [c + (j,) for c in frontier for j in self.above[c[-1]]]
+                frontier = [c + (j,) for c, js in zip(frontier, nexts)
+                            for j in js]
                 r += 1
             self._chains = by_dim
         return self._chains
@@ -116,14 +135,13 @@ def coboundary(host, v):
 
 
 def _coboundary_of_chain(host, c):
-    n = len(host.elements)
+    everything = (1 << len(host.elements)) - 1
     idx = [host.index[e] for e in c]
     for i in range(len(c) + 1):
-        lower = host.above_set[idx[i - 1]] if i > 0 else set(range(n))
-        upper = host.below_set[idx[i]] if i < len(c) else set(range(n))
-        for j in lower & upper:
-            mid = host.elements[j]
-            yield c[:i] + (mid,) + c[i:], (-1) ** i
+        lower = host.up[idx[i - 1]] if i > 0 else everything
+        upper = host.down[idx[i]] if i < len(c) else everything
+        for j in pt.bits(lower & upper):
+            yield c[:i] + (host.elements[j],) + c[i:], (-1) ** i
 
 
 def pairing(u, v):
@@ -136,35 +154,39 @@ def pairing(u, v):
 # ---------------------------------------------------------------------------
 
 def interval_elements(n, i):
-    """The elements of (0-hat, [n]^i), read off the weighted poset on [n]
-    in one pass; no order complex is built."""
+    """The elements of (0-hat, [n]^i): the down-set of [n]^i in the
+    weighted poset on [n], minus [n]^i and the bottom (index 0); no
+    order complex is built."""
     P = pt.build_poset(n, pt.WEIGHTED)
-    top = pt.sort_blocks((((1 << n) - 1, i),))
-    bot = pt.bottom(n)
-    return [e for e in P.elements if e not in (top, bot) and pt.leq(e, top)]
+    top = P.index[pt.sort_blocks((((1 << n) - 1, i),))]
+    return [P.elements[k]
+            for k in pt.bits(P.down_sets()[top] & ~(1 << top | 1))]
 
 
 @lru_cache(maxsize=None)
 def open_interval(n, i):
     """(0-hat, [n]^i) as an OpenPoset."""
-    return OpenPoset(f"(0,[{n}]^{i})", interval_elements(n, i), pt.leq)
+    return OpenPoset(f"(0,[{n}]^{i})", pt.build_poset(n, pt.WEIGHTED),
+                     interval_elements(n, i))
 
 
 @lru_cache(maxsize=None)
 def proper_part(n):
     """Pi_n^w minus its bottom, as an OpenPoset."""
     P = pt.build_poset(n, pt.WEIGHTED)
-    elems = [e for e in P.elements if e != pt.bottom(n)]
-    return OpenPoset(f"Pi_{n}^w - 0", elems, pt.leq)
+    return OpenPoset(f"Pi_{n}^w - 0", P, P.elements[1:])
 
 
 @lru_cache(maxsize=None)
 def open_boolean_of_tree(T):
-    """The proper part of Pi_T (boolean lattice on the edges of T)."""
+    """The proper part of Pi_T (boolean lattice on the edges of T).  Pi_T
+    is an induced subposet of Pi_n^w (``chains.pi_subposet`` checks it),
+    so its order is read from the weighted poset on [n]."""
     elems, _mapping = ch.pi_subposet(T)
     n = len(T.labels)
     inner = [e for e in elems if 0 < n - len(e) < n - 1]
-    return OpenPoset(f"Pi_T proper ({T!r})", inner, pt.leq)
+    return OpenPoset(f"Pi_T proper ({T!r})", pt.build_poset(n, pt.WEIGHTED),
+                     inner)
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +270,6 @@ def fundamental_cycle(T):
     return rho
 
 
-def verify_dual_bases(cycles, cochains):
-    """Build the pairing matrix and report invertibility over Z and Q."""
-    if len(cycles) != len(cochains):
-        raise ValueError("lists must have equal length")
-    M = [[pairing(rho, c) for c in cochains] for rho in cycles]
-    det = linalg.bareiss_det(M)
-    return {
-        "det": det,
-        "invertible_over_Z": det in (1, -1),
-        "invertible_over_Q": det != 0,
-        "matrix": M,
-    }
-
-
 def rank_in_top_quotient(host, vectors):
     """Rank of the images of top-dimensional cochain vectors in the
     quotient C^top / B^top (pairing against a cycle basis)."""
@@ -304,15 +312,3 @@ def homology_report(host, runtime_ms=None):
         "torsion_free_top": data["torsion_free_top"],
         "runtime_ms": runtime_ms,
     }
-
-
-def sparse_triplet_dump(host, r):
-    """Boundary map in dimension r as 'row col value' lines; rows index
-    (r-1)-chains, columns index r-chains, both in list order."""
-    by_dim = host.chains_by_dim()
-    rows = {c: k for k, c in enumerate(by_dim.get(r - 1, []))}
-    lines = [f"# boundary dim {r} of {host.name}"]
-    for col, c in enumerate(by_dim.get(r, [])):
-        for c2, s in boundary_of_chain(c).items():
-            lines.append(f"{rows[c2]} {col} {s}")
-    return "\n".join(lines)

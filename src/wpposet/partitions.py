@@ -16,7 +16,6 @@ the one-block partitions.
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 from math import comb
 
@@ -69,6 +68,14 @@ def members_mask(members):
     return m
 
 
+def bits(x):
+    """The positions of the set bits of x, in ascending order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def sort_blocks(blocks):
     return tuple(sorted(blocks, key=lambda b: b[0] & -b[0]))
 
@@ -91,27 +98,6 @@ def partition_str(p):
     for m, v in p:
         parts.append("".join(str(a) for a in mask_members(m)) + f"^{v}")
     return "{" + "|".join(parts) + "}"
-
-
-def validate(p, variant=WEIGHTED):
-    """Raise ValueError unless p is a well-formed partition of some [n]."""
-    union = 0
-    for m, v in p:
-        if m <= 0:
-            raise ValueError("empty block")
-        if union & m:
-            raise ValueError("overlapping blocks")
-        union |= m
-        if variant == WEIGHTED:
-            if not 0 <= v <= bin(m).count("1") - 1:
-                raise ValueError(f"weight {v} out of range for block {m:b}")
-        else:
-            if not (m >> (v - 1)) & 1:
-                raise ValueError(f"point {v} not a member of block {m:b}")
-    if union != (1 << union.bit_length()) - 1:
-        raise ValueError("blocks do not cover an initial segment [n]")
-    if p != sort_blocks(p):
-        raise ValueError("blocks not sorted by minimum element")
 
 
 def covers(a, b, variant=WEIGHTED):
@@ -210,7 +196,8 @@ def _set_partitions_masks(n):
 
 
 class Poset:
-    """A finite graded poset given by elements, covers and a comparator."""
+    """A finite graded poset given by its elements and covers; the order
+    relation is their closure, kept as down-set bitsets (``down_sets``)."""
 
     def __init__(self, n, variant, augmented):
         self.n = n
@@ -244,16 +231,15 @@ class Poset:
             sizes[r] += 1
         return sizes
 
-    def leq(self, i, j):
-        return leq(self.elements[i], self.elements[j], self.variant)
-
     def maximal_indices(self):
         """Indices of the one-block partitions, in weight/point order."""
         return [k for k, e in enumerate(self.elements)
                 if e is not TOP and len(e) == 1]
 
-    def _down_sets(self):
-        """Bitset of the elements <= k, for every k.
+    def down_sets(self):
+        """Bitset of the elements <= k, for every k: the one stored form
+        of the order relation, read by the Mobius sweep and by the open
+        posets of ``homology``.
 
         Elements are listed in rank order, so every lower cover of k has
         a smaller index and one pass over lower_covers builds them all.
@@ -273,20 +259,14 @@ class Poset:
         pass: mu(i, x) = -sum of mu(i, z) over i <= z < x."""
         row = self._mu_rows.get(i)
         if row is None:
-            down = self._down_sets()
+            down = self.down_sets()
             row = [0] * len(self.elements)
             row[i] = 1
             above = 1 << i  # bitset of the z >= i passed so far
             for k in range(i + 1, len(self.elements)):
                 if not down[k] >> i & 1:
                     continue
-                total = 0
-                bits = down[k] & above
-                while bits:
-                    low = bits & -bits
-                    total += row[low.bit_length() - 1]
-                    bits ^= low
-                row[k] = -total
+                row[k] = -sum(row[z] for z in bits(down[k] & above))
                 above |= 1 << k
             self._mu_rows[i] = row
         return row
@@ -296,7 +276,7 @@ class Poset:
         return self._mu_row(0)
 
     def mobius(self, i, j):
-        if not self._down_sets()[j] >> i & 1:
+        if not self.down_sets()[j] >> i & 1:
             raise ValueError("mobius requires x <= y")
         return self._mu_row(i)[j]
 
@@ -440,38 +420,6 @@ def forest_count(n, k):
     return trees.forest_count(n, k)
 
 
-def upper_interval_isomorphic(P, alpha):
-    """Check explicitly that [alpha, 1-hat] of the augmented poset maps
-    order-isomorphically onto the augmented poset on [|alpha|] via block
-    relabeling and weight subtraction."""
-    if not P.augmented:
-        raise ValueError("needs the augmented poset")
-    a = P.index[alpha]
-    k = len(alpha)
-    Q = build_poset(k, AUGMENTED)
-
-    def project(beta):
-        if beta is TOP:
-            return TOP
-        blocks = []
-        for m, v in beta:
-            inside = [(j, va) for j, (ma, va) in enumerate(alpha) if ma & m]
-            newmask = members_mask([j + 1 for j, _va in inside])
-            blocks.append((newmask, v - sum(va for _j, va in inside)))
-        return sort_blocks(tuple(blocks))
-
-    interval = [j for j in range(len(P.elements)) if P.leq(a, j)]
-    images = [project(P.elements[j]) for j in interval]
-    if sorted(map(repr, images)) != sorted(map(repr, Q.elements)):
-        return False
-    pos = {j: Q.index[img] for j, img in zip(interval, images)}
-    for x in interval:
-        for y in interval:
-            if P.leq(x, y) != Q.leq(pos[x], pos[y]):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
@@ -513,6 +461,3 @@ def json_report(n, variant=WEIGHTED):
         "whitney_second": second,
     }
 
-
-def report_json_str(n, variant=WEIGHTED):
-    return json.dumps(json_report(n, variant), indent=2, sort_keys=True)

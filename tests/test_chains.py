@@ -104,10 +104,3 @@ def test_forest_partition_weights():
     assert full[0][1] == T.descent_count()
     empty = ch.forest_partition(T, [])
     assert empty == pt.bottom(3)
-
-
-def test_pretty_chain_and_json():
-    parts = ch.chain_partitions_of_tree((B, (R, 1, 2), 3))
-    s = ch.pretty_chain(parts)
-    assert "{12^1|3^0}" in s
-    ch.chain_json(parts)  # must serialize

@@ -1,10 +1,13 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
+from wpposet import ResourceCapError
 from wpposet import chains as ch
 from wpposet import homology as hm
 from wpposet import linalg
+from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
@@ -107,9 +110,7 @@ def test_pairing_matrix_n3():
     ordered = tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, 4), 1))
     cycles = [hm.fundamental_cycle(T) for T in ordered]
     cochains = [hm.chain_vector_of_tree(tr.psi(T)) for T in ordered]
-    rep = hm.verify_dual_bases(cycles, cochains)
-    assert rep["invertible_over_Z"]
-    M = rep["matrix"]
+    M = [[hm.pairing(rho, c) for c in cochains] for rho in cycles]
     assert all(M[j][j] == 1 for j in range(len(M)))
     assert all(M[j][k] == 0 for j in range(len(M)) for k in range(j))
 
@@ -126,9 +127,86 @@ def test_rank_in_top_quotient_full():
     assert rank == betti == 5
 
 
-def test_sparse_triplet_dump_and_report():
+def test_homology_report():
     host = hm.open_interval(3, 1)
-    dump = hm.sparse_triplet_dump(host, 0)
-    assert dump.splitlines()[0].startswith("#")
     rep = hm.homology_report(host)
     assert rep["betti"]["0"] == 5
+
+
+class _PairwiseOrder:
+    """The open-poset construction that read the order by calling pt.leq on
+    every ordered pair: above[k] lists the local indices strictly above k
+    in ascending order, below_set[k] the set strictly below."""
+
+    def __init__(self, elements):
+        self.elements = sorted(elements)
+        self.index = {e: k for k, e in enumerate(self.elements)}
+        n = len(self.elements)
+        self.above = [[] for _ in range(n)]
+        self.below_set = [set() for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and pt.leq(self.elements[i], self.elements[j]):
+                    self.above[i].append(j)
+                    self.below_set[j].add(i)
+
+    def chains_by_dim(self):
+        by_dim = {-1: [()]}
+        frontier = [(k,) for k in range(len(self.elements))]
+        r = 0
+        while frontier:
+            by_dim[r] = [tuple(self.elements[k] for k in c) for c in frontier]
+            frontier = [c + (j,) for c in frontier for j in self.above[c[-1]]]
+            r += 1
+        return by_dim
+
+    def coboundary_of_point(self, e):
+        """The coboundary of the 0-chain (e,): insert below, then above."""
+        k = self.index[e]
+        out = {}
+        for j in self.below_set[k]:
+            out[(self.elements[j], e)] = 1
+        for j in self.above[k]:
+            out[(e, self.elements[j])] = -1
+        return out
+
+
+def _open_hosts():
+    for n in range(1, 6):
+        for i in range(n):
+            yield hm.open_interval(n, i)
+        yield hm.proper_part(n)
+    for T in tr.enumerate_rooted_trees(range(1, 5)):
+        yield hm.open_boolean_of_tree(T)
+
+
+def test_open_posets_match_pairwise_leq_order():
+    for host in _open_hosts():
+        oracle = _PairwiseOrder(host.elements)
+        assert host.elements == oracle.elements, host.name
+        assert host.chains_by_dim() == oracle.chains_by_dim(), host.name
+        for (e,) in host.chains_by_dim().get(0, []):
+            assert hm.coboundary(host, {(e,): 1}) == \
+                oracle.coboundary_of_point(e), host.name
+
+
+def test_interval_elements_match_leq_filter():
+    for n in range(1, 7):
+        P = pt.build_poset(n, pt.WEIGHTED)
+        bot = pt.bottom(n)
+        for i in range(n):
+            top = pt.sort_blocks((((1 << n) - 1, i),))
+            assert hm.interval_elements(n, i) == [
+                e for e in P.elements if e not in (top, bot) and pt.leq(e, top)]
+
+
+def test_chain_cap_is_checked_before_the_frontier(monkeypatch):
+    P = pt.build_poset(4, pt.WEIGHTED)
+    total = sum(len(cs) for cs in hm.proper_part(4).chains_by_dim().values())
+    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total)
+    assert sum(len(cs) for cs in hm.OpenPoset(
+        "at cap", P, P.elements[1:]).chains_by_dim().values()) == total
+    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total - 1)
+    with pytest.raises(ResourceCapError) as err:
+        hm.OpenPoset("past cap", P, P.elements[1:]).chains_by_dim()
+    assert (err.value.what, err.value.limit) == ("chains of past cap", total - 1)

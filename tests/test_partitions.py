@@ -46,19 +46,24 @@ def test_single_interval_mobius():
 
 
 def test_mobius_all_pairs_defining_sum():
-    # sum_{i <= z <= j} mu(i, z) = [i == j], with the order read from leq
+    # sum_{i <= z <= j} mu(i, z) = [i == j], with the order read from the
+    # blockwise pt.leq, independent of the down-sets the sweep reads
     for n in range(1, 5):
         for variant in (pt.WEIGHTED, pt.POINTED, pt.AUGMENTED):
             P = pt.build_poset(n, variant)
             N = len(P.elements)
+
+            def leq(x, y):
+                return pt.leq(P.elements[x], P.elements[y], P.variant)
+
             for i in range(N):
-                above = [z for z in range(N) if P.leq(i, z)]
+                above = [z for z in range(N) if leq(i, z)]
                 for j in range(N):
                     if j not in above:
                         with pytest.raises(ValueError):
                             P.mobius(i, j)
                         continue
-                    total = sum(P.mobius(i, z) for z in above if P.leq(z, j))
+                    total = sum(P.mobius(i, z) for z in above if leq(z, j))
                     assert total == (i == j)
 
 
@@ -137,8 +142,8 @@ def test_json_report_schema_and_determinism():
     rep = pt.json_report(4)
     assert set(rep) == {"n", "variant", "rank_sizes", "mu_poly",
                         "char_poly", "whitney_first", "whitney_second"}
-    s1 = pt.report_json_str(4)
-    s2 = pt.report_json_str(4)
+    s1 = json.dumps(pt.json_report(4), indent=2, sort_keys=True)
+    s2 = json.dumps(pt.json_report(4), indent=2, sort_keys=True)
     assert s1 == s2
     json.loads(s1)
 
