@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 from . import chains as ch
 from . import homology as hm
 from . import labeling as lb
+from . import linalg
 from . import partitions as pt
 from . import straighten as st
 from . import trees as tr
@@ -150,14 +152,9 @@ def criterion_12(nmax=None):
 
 def _check_straighten(t, n, i, host):
     out = st.straighten(t)
-    diff = dict(hm.chain_vector_of_tree(t))
-    for k, x in st.cochain_sum(out).items():
-        val = diff.get(k, 0) - x
-        if val:
-            diff[k] = val
-        else:
-            diff.pop(k, None)
-    return all(tr.is_comb(c) for c in out.terms) and hm.coboundary_member(host, diff)
+    diff = linalg.vec_combine(hm.chain_vector_of_tree(t), 1,
+                              st.cochain_sum(out), -1)
+    return all(tr.is_comb(c) for c in out) and hm.coboundary_member(host, diff)
 
 
 def criterion_13(nmax=None):
@@ -169,7 +166,7 @@ def criterion_13(nmax=None):
                 return "straightening soundness", False, f"tree {t!r}"
         for side in (st.COHOMOLOGY, st.LIE2):
             for inst, rel in st.relation_instances(n, side=side):
-                if st.straighten_sum(rel).terms:
+                if st.straighten_sum(rel, side):
                     return "straightening soundness", False, f"relation {inst!r}"
     return "straightening soundness", True, f"full n <= {hi}"
 
@@ -231,12 +228,19 @@ def run_criterion(k, nmax=None):
         return crit.__name__, False, f"raised {type(exc).__name__}: {exc}"
 
 
-def run_all(nmax=None, emit=print):
-    """Run every criterion, emitting one pass/fail line each."""
+def run_all(nmax=None, emit=print, jobs=1):
+    """Run every criterion, emitting one pass/fail line each; with jobs > 1
+    the criteria run in a pool of that many processes and the lines come
+    in criterion order once all are done."""
+    ids = range(1, len(ALL_CRITERIA) + 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            raw = list(pool.map(run_criterion, ids, [nmax] * len(ids)))
+    else:
+        raw = (run_criterion(k, nmax) for k in ids)
     ok_all = True
     results = []
-    for k in range(1, len(ALL_CRITERIA) + 1):
-        name, ok, detail = run_criterion(k, nmax)
+    for k, (name, ok, detail) in zip(ids, raw):
         ok_all &= ok
         results.append({"criterion": k, "name": name, "ok": ok, "detail": detail})
         emit(f"[{'PASS' if ok else 'FAIL'}] criterion {k:2d}: {name} ({detail})")

@@ -16,7 +16,6 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import acceptance
 from . import homology as hm
@@ -110,7 +109,6 @@ def cmd_homology(args):
     host = (hm.open_interval(args.n, args.i) if args.i is not None
             else hm.proper_part(args.n))
     rep = hm.homology_report(host)
-    rep.pop("runtime_ms", None)
 
     def text():
         print(f"poset: {rep['poset_id']}")
@@ -131,7 +129,7 @@ def cmd_homology(args):
 
 
 def cmd_bases(args):
-    if args.side == "full":
+    if args.side == st.FULL:
         rep = st.verify_bases(args.n, full=True)
         if not rep["passed"]:
             print(f"basis verification failed: {_dumps(rep)}")
@@ -140,7 +138,7 @@ def cmd_bases(args):
     if args.i is None:
         raise ValueError("bases needs --i (or --side full)")
     if args.family == "tree":
-        rep = st.verify_bases(args.n, args.i, liu_pairing=True)
+        rep = st.verify_bases(args.n, args.i)
         if not rep["passed"]:
             print(f"basis verification failed: {_dumps(rep)}")
             return 1
@@ -169,14 +167,13 @@ def cmd_straighten(args):
     k = rng.choice(range(tr.bicolored_count(args.n, args.i)))
     t = tr.bicolored_at(args.n, k, args.i)
     trace = []
-    out = (st.straighten_full_poset(t, trace=trace) if args.side == "full"
-           else st.straighten(t, args.side, trace=trace))
+    out = st.straighten(t, args.side, trace=trace)
     rep = {
         "n": args.n,
         "seed": args.seed,
         "side": args.side,
         "input": tr.tree_to_bracket(t),
-        "terms": {tr.tree_to_bracket(c): x for c, x in out.terms.items()},
+        "terms": {tr.tree_to_bracket(c): x for c, x in out.items()},
     }
 
     def text():
@@ -237,29 +234,14 @@ def cmd_whitney(args):
 
 
 def cmd_report_all(args):
-    nmax = args.n
-    ids = list(range(1, len(acceptance.ALL_CRITERIA) + 1))
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            raw = list(pool.map(acceptance.run_criterion, ids,
-                                [nmax] * len(ids)))
-        results = [{"criterion": k, "name": name, "ok": ok, "detail": detail}
-                   for k, (name, ok, detail) in zip(ids, raw)]
-        ok_all = all(r["ok"] for r in results)
-        if args.format != "json":
-            for r in results:
-                print(f"[{'PASS' if r['ok'] else 'FAIL'}] "
-                      f"criterion {r['criterion']:2d}: {r['name']} "
-                      f"({r['detail']})")
-    else:
-        emit = (lambda line: None) if args.format == "json" else print
-        ok_all, results = acceptance.run_all(nmax, emit=emit)
+    emit = (lambda line: None) if args.format == "json" else print
+    ok_all, results = acceptance.run_all(args.n, emit=emit, jobs=args.jobs)
     if args.format == "json":
-        print(_dumps({"n": nmax, "passed": ok_all, "criteria": results}))
+        print(_dumps({"n": args.n, "passed": ok_all, "criteria": results}))
     elif not ok_all:
         print("FAILED")
     else:
-        print(f"all {len(results)} criteria passed at n <= {nmax}")
+        print(f"all {len(results)} criteria passed at n <= {args.n}")
     return 0 if ok_all else 1
 
 
@@ -301,12 +283,12 @@ def build_parser():
         ("--family", {"default": "comb",
                       "choices": ["comb", "lyndon", "liu", "tree"]}),
         ("--side", {"default": st.COHOMOLOGY,
-                    "choices": [st.COHOMOLOGY, "full"]}))
+                    "choices": [st.COHOMOLOGY, st.FULL]}))
     add("straighten", cmd_straighten,
         "straighten a seeded random tree onto the comb basis",
         index,
         ("--side", {"default": st.COHOMOLOGY,
-                    "choices": [st.COHOMOLOGY, st.LIE2, "full"]}),
+                    "choices": [st.COHOMOLOGY, st.LIE2, st.FULL]}),
         ("--seed", {"type": int, "default": DEFAULT_SEED}))
     add("psi", cmd_psi,
         "the bijection from rooted trees to bicolored Lyndon-type trees",

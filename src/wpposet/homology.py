@@ -111,12 +111,7 @@ def boundary(v):
     """The boundary of a homogeneous ChainVector."""
     out = {}
     for c, coeff in v.items():
-        for c2, s in boundary_of_chain(c).items():
-            val = out.get(c2, 0) + coeff * s
-            if val:
-                out[c2] = val
-            else:
-                out.pop(c2, None)
+        linalg.vec_add(out, boundary_of_chain(c), coeff)
     return out
 
 
@@ -125,23 +120,20 @@ def coboundary(host, v):
     with the gaps at the ends open toward the (virtual) bottom and top."""
     out = {}
     for c, coeff in v.items():
-        for c2, s in _coboundary_of_chain(host, c):
-            val = out.get(c2, 0) + coeff * s
-            if val:
-                out[c2] = val
-            else:
-                out.pop(c2, None)
+        linalg.vec_add(out, _coboundary_of_chain(host, c), coeff)
     return out
 
 
 def _coboundary_of_chain(host, c):
     everything = (1 << len(host.elements)) - 1
     idx = [host.index[e] for e in c]
+    out = {}
     for i in range(len(c) + 1):
         lower = host.up[idx[i - 1]] if i > 0 else everything
         upper = host.down[idx[i]] if i < len(c) else everything
         for j in pt.bits(lower & upper):
-            yield c[:i] + (host.elements[j],) + c[i:], (-1) ** i
+            out[c[:i] + (host.elements[j],) + c[i:]] = (-1) ** i
+    return out
 
 
 def pairing(u, v):
@@ -238,12 +230,11 @@ def coboundary_member(host, v, want_witness=False):
     return True, {cod[j]: x for j, x in sol.items()}
 
 
-def chain_vector_of_tree(t, tau=None, omit_top=True, omit_bottom=True):
+def chain_vector_of_tree(t, omit_top=True):
     """c-bar (or c-breve with omit_top False) of a tree as a ChainVector."""
-    parts = ch.chain_partitions_of_tree(t, tau)
-    lo = 1 if omit_bottom else 0
+    parts = ch.chain_partitions_of_tree(t)
     hi = len(parts) - 1 if omit_top else len(parts)
-    return {tuple(parts[lo:hi]): 1}
+    return {tuple(parts[1:hi]): 1}
 
 
 def fundamental_cycle(T):
@@ -302,7 +293,7 @@ def whitney_cohomology_ranks(n):
 # reports
 # ---------------------------------------------------------------------------
 
-def homology_report(host, runtime_ms=None):
+def homology_report(host):
     data = betti_numbers(host)
     return {
         "poset_id": host.name,
@@ -310,5 +301,4 @@ def homology_report(host, runtime_ms=None):
         "betti": {str(r): b for r, b in data["betti"].items()},
         "torsion_top": {str(r): v for r, v in data["torsion_nontrivial"].items()},
         "torsion_free_top": data["torsion_free_top"],
-        "runtime_ms": runtime_ms,
     }

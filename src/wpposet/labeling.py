@@ -151,12 +151,6 @@ def verify_el(n, collect_rows=False):
     return report
 
 
-def maximal_chains(n, x, y):
-    """All saturated chains of [x, y] in the augmented poset (indices)."""
-    P, by_interval = _saturated_chains_by_interval(n)
-    return P, by_interval.get((x, y), [])
-
-
 def ascent_free_chains(n, top):
     """Ascent-free maximal chains of [0-hat, top] in the augmented poset.
 
@@ -166,15 +160,6 @@ def ascent_free_chains(n, top):
     y = P.index[top]
     chains = by_interval.get((P.bottom_index, y), [])
     return P, [c for c in chains if is_ascent_free(_label_word(P, c))]
-
-
-def increasing_chain(n, x, y):
-    """The unique increasing maximal chain of [x, y] (indices)."""
-    P, chains = maximal_chains(n, x, y)
-    found = [c for c in chains if is_increasing(_label_word(P, c))]
-    if len(found) != 1:
-        raise AssertionError(f"{len(found)} increasing chains in interval")
-    return P, found[0]
 
 
 def report_csv(n):

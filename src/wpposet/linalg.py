@@ -12,15 +12,20 @@ from fractions import Fraction
 from math import gcd
 
 
-def vec_combine(a, ca, b, cb):
-    """ca*a + cb*b with zero entries pruned."""
-    out = {k: ca * x for k, x in a.items()} if ca != 1 else dict(a)
-    for k, x in b.items():
-        val = out.get(k, 0) + cb * x
+def vec_add(out, v, c):
+    """out += c*v in place, with zero entries pruned."""
+    for k, x in v.items():
+        val = out.get(k, 0) + c * x
         if val:
             out[k] = val
         else:
             out.pop(k, None)
+
+
+def vec_combine(a, ca, b, cb):
+    """ca*a + cb*b with zero entries pruned."""
+    out = {k: ca * x for k, x in a.items()} if ca != 1 else dict(a)
+    vec_add(out, b, cb)
     return out
 
 

@@ -1,33 +1,49 @@
 """Straightening of tree-indexed cohomology generators and Lie elements
 into the comb bases.
 
-The rewriting engine works on normalized bicolored trees.  An internal
-node is "offending" when its right child is internal and the pair is not
-(red parent, blue right child); the associativity and mixed relations
-eliminate the offending pattern, strictly decreasing the lexicographic
-(weight, inversions) measure.  The cohomology and Lie sides share the
-pattern matching and differ only in their sign tables.
+One rewriting engine serves three sides.  It works on normalized
+bicolored trees: an internal node is offending (``trees.is_offending``)
+when its right child is internal and the pair is not (red parent, blue
+right child).  The associativity and mixed relations, solved for the
+offending node (:func:`rewrite_terms`), eliminate it and strictly
+decrease the lexicographic (weight, inversions) measure.  The sides share
+these rules and differ only in one sign table, :func:`_sign`, read by the
+swap and the rewriting rules alike:
+
+* ``cohomology`` (the top cohomology of the maximal intervals of the
+  weighted partition poset): (-1)^e, e a product of internal-node counts
+  that each rule names;
+* ``lie2`` (the multilinear free Lie algebra with two compatible
+  brackets): -1;
+* ``full`` (the proper part of the whole poset): straightened on the
+  cohomology side, then red comb roots flip to blue and the blue-blue
+  root pattern is rewritten away, onto the blue-rooted combs.
+
+Sums of trees are plain ``{tree: coeff}`` dicts, added up with
+``linalg.vec_add``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import chains as ch
 from . import homology as hm
+from . import linalg
 from . import trees as tr
 
 COHOMOLOGY = "cohomology"
 LIE2 = "lie2"
-FULL = "full-poset"
+FULL = "full"
+
+
+def _sign(side, e):
+    """The side's sign table: -1 on lie2, (-1)^e on cohomology."""
+    return -1 if side == LIE2 or e % 2 else 1
 
 
 def swap_sign(side, left, right):
     """Coefficient picked up by swapping the children of a node."""
-    if side == LIE2:
-        return -1
-    return -1 if (tr.internal_count(left) * tr.internal_count(right)) % 2 else 1
+    return _sign(side, tr.internal_count(left) * tr.internal_count(right))
 
 
 def normalize_signed(t, side):
@@ -56,75 +72,36 @@ def find_offender(t, _path=()):
         got = find_offender(child, _path + (step,))
         if got is not None:
             return got
-    r = t[2]
-    if not tr.is_leaf(r) and not (t[0] == tr.RED and r[0] == tr.BLUE):
-        return _path
-    return None
+    return _path if tr.is_offending(t) else None
 
 
-def _assoc_terms(side, col, u1, u2, u3):
-    """Solve the associativity relation for Y1 ^ (Y2 ^ Y3), same color."""
-    if side == LIE2:
-        s3, s12 = -1, -1
-    else:
-        s3 = (-1) ** tr.internal_count(u3)
-        s12 = (-1) ** (tr.internal_count(u1) * tr.internal_count(u2))
-    return [
-        ((col, (col, u1, u2), u3), -s3),
-        ((col, u2, (col, u1, u3)), -s12),
-    ]
-
-
-def _mixed_terms(side, u1, u2, u3):
-    """Solve the mixed relation for Y1 b^ (Y2 r^ Y3)."""
-    B, R = tr.BLUE, tr.RED
-    if side == LIE2:
-        s3, s12 = -1, -1
-    else:
-        s3 = (-1) ** tr.internal_count(u3)
-        s12 = (-1) ** (tr.internal_count(u1) * tr.internal_count(u2))
-    return [
-        ((R, u1, (B, u2, u3)), -1),
-        ((B, (R, u1, u2), u3), -s3),
-        ((R, (B, u1, u2), u3), -s3),
-        ((R, u2, (B, u1, u3)), -s12),
-        ((B, u2, (R, u1, u3)), -s12),
-    ]
+def _kind(node):
+    """The relation that rewrites an offending node."""
+    return "assoc" if node[0] == node[2][0] else "mixed"
 
 
 def rewrite_terms(node, side):
-    """Replacement terms for an offending subtree, as (subtree, coeff)."""
-    c1, u1, right = node
-    c2, u2, u3 = right
+    """Replacement terms for an offending subtree, as (subtree, coeff):
+    the associativity relation for Y1 ^ (Y2 ^ Y3) in one color, or the
+    mixed relation for Y1 b^ (Y2 r^ Y3), solved for that subtree."""
+    c1, u1, (c2, u2, u3) = node
+    s3 = _sign(side, tr.internal_count(u3))
+    s12 = swap_sign(side, u1, u2)
     if c1 == c2:
-        return _assoc_terms(side, c1, u1, u2, u3)
-    if c1 == tr.BLUE and c2 == tr.RED:
-        return _mixed_terms(side, u1, u2, u3)
+        return [
+            ((c1, (c1, u1, u2), u3), -s3),
+            ((c1, u2, (c1, u1, u3)), -s12),
+        ]
+    B, R = tr.BLUE, tr.RED
+    if c1 == B:
+        return [
+            ((R, u1, (B, u2, u3)), -1),
+            ((B, (R, u1, u2), u3), -s3),
+            ((R, (B, u1, u2), u3), -s3),
+            ((R, u2, (B, u1, u3)), -s12),
+            ((B, u2, (R, u1, u3)), -s12),
+        ]
     raise AssertionError("red-blue pattern is not offending")
-
-
-@dataclass
-class TreeSum:
-    """Sparse integer combination of bicolored trees."""
-
-    side: str
-    terms: dict = field(default_factory=dict)
-
-    def add(self, t, coeff):
-        val = self.terms.get(t, 0) + coeff
-        if val:
-            self.terms[t] = val
-        else:
-            self.terms.pop(t, None)
-
-    def scaled_into(self, other, factor):
-        for t, c in self.terms.items():
-            other.add(t, c * factor)
-
-    def to_json(self):
-        return json.dumps(
-            [{"tree": tr.tree_to_json(t), "coeff": c}
-             for t, c in sorted(self.terms.items(), key=lambda kv: repr(kv[0]))])
 
 
 _memo = {}
@@ -152,63 +129,50 @@ def _straighten_normalized(t, side, trace):
                 raise AssertionError(
                     f"measure failed to decrease: {m0} -> {m2}")
             if trace is not None:
-                kind = "assoc" if node[0] == node[2][0] else "mixed"
-                trace.append(f"{kind} at {''.join(path) or 'root'}: "
+                trace.append(f"{_kind(node)} at {''.join(path) or 'root'}: "
                              f"{m0} -> {m2} coeff {coeff * s2}")
-            for comb, c in _straighten_normalized(t2, side, trace).items():
-                val = out.get(comb, 0) + coeff * s2 * c
-                if val:
-                    out[comb] = val
-                else:
-                    out.pop(comb, None)
+            linalg.vec_add(out, _straighten_normalized(t2, side, trace),
+                           coeff * s2)
     if trace is None:
         _memo[key] = out
     return out
 
 
 def straighten(t, side=COHOMOLOGY, trace=None):
-    """Express the generator of ``t`` in the comb basis.
+    """Express the generator of ``t`` in the comb basis of ``side``.
 
-    Returns a TreeSum supported on combs; with a list passed as ``trace``,
-    appends one line per rewriting step.
+    Returns a ``{comb: coeff}`` dict; on the full side every comb is
+    blue-rooted.  With a list passed as ``trace``, appends one line per
+    rewriting step.
     """
-    if side not in (COHOMOLOGY, LIE2):
-        raise ValueError("side must be cohomology or lie2")
-    sign, t0 = normalize_signed(t, side)
-    out = TreeSum(side)
-    for comb, c in _straighten_normalized(t0, side, trace).items():
-        out.add(comb, sign * c)
-    return out
+    if side not in (COHOMOLOGY, LIE2, FULL):
+        raise ValueError("side must be cohomology, lie2 or full")
+    base = COHOMOLOGY if side == FULL else side
+    sign, t0 = normalize_signed(t, base)
+    out = {comb: sign * c
+           for comb, c in _straighten_normalized(t0, base, trace).items()}
+    if side != FULL:
+        return out
+    full = {}
+    for comb, coeff in out.items():
+        _full_into(full, comb, coeff, trace)
+    return full
 
 
-def straighten_full_poset(t, trace=None):
-    """Express a full-poset generator in the blue-rooted comb basis.
-
-    Proceeds by interval straightening, then flips red comb roots, then
-    removes the blue-blue root pattern; the size of the root's right
-    subtree strictly decreases through the recursion.
-    """
-    out = TreeSum(FULL)
-    base = straighten(t, COHOMOLOGY, trace)
-    for comb, coeff in base.terms.items():
-        _full_into(comb, coeff, out, trace)
-    return out
-
-
-def _full_into(comb, coeff, out, trace):
-    if tr.is_leaf(comb):
-        out.add(comb, coeff)
-        return
-    if comb[0] == tr.RED:
+def _full_into(out, comb, coeff, trace):
+    """Add coeff times a cohomology comb, rewritten onto the blue-rooted
+    combs, to out.  A red root flips to blue with a sign; a blue root over
+    a blue internal right child takes one associativity step and is
+    straightened again, so the size of the root's right subtree strictly
+    decreases through the recursion."""
+    if not tr.is_leaf(comb) and comb[0] == tr.RED:
         comb = (tr.BLUE, comb[1], comb[2])
         coeff = -coeff
         if trace is not None:
             trace.append("root flip: red -> blue")
     if tr.is_comb(comb):
-        out.add(comb, coeff)
+        linalg.vec_add(out, {comb: 1}, coeff)
         return
-    # blue root over a blue internal right child: one associativity step,
-    # then re-straighten; the root's right subtree strictly shrinks
     r_size = tr.internal_count(comb[2])
     for sub, c2 in rewrite_terms(comb, COHOMOLOGY):
         s3, t3 = normalize_signed(sub, COHOMOLOGY)
@@ -217,10 +181,19 @@ def _full_into(comb, coeff, out, trace):
         if trace is not None:
             trace.append(f"root assoc: r {r_size} -> "
                          f"{tr.internal_count(t3[2])} coeff {coeff * c2 * s3}")
-        for comb2, c4 in straighten(t3, COHOMOLOGY).terms.items():
+        for comb2, c4 in straighten(t3, COHOMOLOGY).items():
             if not (tr.is_leaf(comb2) or tr.internal_count(comb2[2]) < r_size):
                 raise AssertionError("full-poset measure failed to decrease")
-            _full_into(comb2, coeff * c2 * s3 * c4, out, trace)
+            _full_into(out, comb2, coeff * c2 * s3 * c4, trace)
+
+
+def straighten_sum(s, side):
+    """Straighten every term of a ``{tree: coeff}`` sum on ``side`` and
+    combine."""
+    out = {}
+    for t, coeff in s.items():
+        linalg.vec_add(out, straighten(t, side), coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,48 +202,29 @@ def _full_into(comb, coeff, out, trace):
 
 @dataclass(frozen=True)
 class RelationInstance:
-    kind: str        # swap | assoc | mixed | type4
+    kind: str        # swap | assoc | mixed
     position: tuple  # path from the root
     host: object     # the anchor tree
 
 
-def relation_instances(n, i=None, side=COHOMOLOGY, trees=None):
-    """All instantiations of the relations on trees over [n] (red count i),
-    as (RelationInstance, TreeSum) pairs; every sum straightens to zero.
+def relation_instances(n, side=COHOMOLOGY):
+    """All instantiations of the relations on bicolored trees over [n], as
+    (RelationInstance, {tree: coeff}) pairs; every sum straightens to zero
+    on ``side``.
     """
-    pool = trees if trees is not None else tr.enumerate_bicolored(n, i)
     out = []
-    for t in pool:
+    for t in tr.enumerate_bicolored(n):
         for path, node in tr.postorder_internal(t):
             col, l, r = node
-            swap = TreeSum(side)
-            swap.add(t, 1)
-            swap.add(tr.replace_at(t, path, (col, r, l)), -swap_sign(side, l, r))
-            out.append((RelationInstance("swap", path, t), swap))
-            if tr.is_leaf(r):
-                continue
-            c2, u2, u3 = r
-            if col == c2:
-                rel = TreeSum(side)
-                rel.add(t, 1)
-                for sub, coeff in _assoc_terms(side, col, l, u2, u3):
-                    rel.add(tr.replace_at(t, path, sub), -coeff)
-                out.append((RelationInstance("assoc", path, t), rel))
-            elif col == tr.BLUE and c2 == tr.RED:
-                rel = TreeSum(side)
-                rel.add(t, 1)
-                for sub, coeff in _mixed_terms(side, l, u2, u3):
-                    rel.add(tr.replace_at(t, path, sub), -coeff)
-                out.append((RelationInstance("mixed", path, t), rel))
-    return out
-
-
-def straighten_sum(s, full=False):
-    """Straighten every term of a TreeSum and combine."""
-    out = TreeSum(FULL if full else s.side)
-    for t, coeff in s.terms.items():
-        part = straighten_full_poset(t) if full else straighten(t, s.side)
-        part.scaled_into(out, coeff)
+            swapped = tr.replace_at(t, path, (col, r, l))
+            out.append((RelationInstance("swap", path, t),
+                        {t: 1, swapped: -swap_sign(side, l, r)}))
+            if tr.is_offending(node):
+                rel = {t: 1}
+                for sub, coeff in rewrite_terms(node, side):
+                    linalg.vec_add(rel, {tr.replace_at(t, path, sub): 1},
+                                   -coeff)
+                out.append((RelationInstance(_kind(node), path, t), rel))
     return out
 
 
@@ -285,31 +239,22 @@ def phi(t):
 
 
 def phi_of_sum(s):
+    """The cochain image of a ``{tree: coeff}`` sum of Lie generators."""
     out = {}
-    for t, coeff in s.terms.items():
-        for k, v in phi(t).items():
-            val = out.get(k, 0) + coeff * v
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+    for t, coeff in s.items():
+        linalg.vec_add(out, phi(t), coeff)
     return out
 
 
-def cochain_sum(s, omit_top=True):
-    """Plain (unsigned) cochain vector of a TreeSum."""
+def cochain_sum(s):
+    """Plain (unsigned) cochain vector of a ``{tree: coeff}`` sum."""
     out = {}
-    for t, coeff in s.terms.items():
-        for k, v in hm.chain_vector_of_tree(t, omit_top=omit_top).items():
-            val = out.get(k, 0) + coeff * v
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+    for t, coeff in s.items():
+        linalg.vec_add(out, hm.chain_vector_of_tree(t), coeff)
     return out
 
 
-def verify_bases(n, i=None, full=False, liu_pairing=True):
+def verify_bases(n, i=None, full=False):
     """Cardinality and full-rank verification of the claimed bases.
 
     With full=False checks the comb / Lyndon / Liu-Lyndon cochain sets in
@@ -346,13 +291,12 @@ def verify_bases(n, i=None, full=False, liu_pairing=True):
         report["families"][name] = {
             "count": len(fam), "rank": rank, "betti": betti, "ok": ok}
         report["passed"] &= ok
-    if liu_pairing:
-        ordered = tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, n + 1), i))
-        cycles = [hm.fundamental_cycle(T) for T in ordered]
-        cochains = [hm.chain_vector_of_tree(tr.psi(T)) for T in ordered]
-        M = [[hm.pairing(rho, c) for c in cochains] for rho in cycles]
-        upper = all(M[j][k] == 0 for j in range(len(M)) for k in range(j))
-        diag = all(M[j][j] == 1 for j in range(len(M)))
-        report["pairing"] = {"upper_triangular": upper, "unit_diagonal": diag}
-        report["passed"] &= upper and diag
+    ordered = tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, n + 1), i))
+    cycles = [hm.fundamental_cycle(T) for T in ordered]
+    cochains = [hm.chain_vector_of_tree(tr.psi(T)) for T in ordered]
+    M = [[hm.pairing(rho, c) for c in cochains] for rho in cycles]
+    upper = all(M[j][k] == 0 for j in range(len(M)) for k in range(j))
+    diag = all(M[j][j] == 1 for j in range(len(M)))
+    report["pairing"] = {"upper_triangular": upper, "unit_diagonal": diag}
+    report["passed"] &= upper and diag
     return report

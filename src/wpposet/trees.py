@@ -100,20 +100,6 @@ def tree_to_bracket(t):
     return f"{lo}{tree_to_bracket(t[1])},{tree_to_bracket(t[2])}{hi}"
 
 
-def tree_to_json(t):
-    if is_leaf(t):
-        return {"leaf": t}
-    return {"color": "blue" if t[0] == BLUE else "red",
-            "left": tree_to_json(t[1]), "right": tree_to_json(t[2])}
-
-
-def tree_from_json(obj):
-    if "leaf" in obj:
-        return int(obj["leaf"])
-    col = BLUE if obj["color"] == "blue" else RED
-    return (col, tree_from_json(obj["left"]), tree_from_json(obj["right"]))
-
-
 # -- signs, weights and inversions ------------------------------------------
 
 def tree_sign(t):
@@ -185,14 +171,17 @@ def _is_lyndon_node(node):
     return min_leaf(l[2]) > min_leaf(node[2])
 
 
+def is_offending(node):
+    """Whether the straightening relations rewrite an internal node: its
+    right child is internal and the pair is not (red parent, blue right
+    child)."""
+    r = node[2]
+    return not is_leaf(r) and not (node[0] == RED and r[0] == BLUE)
+
+
 def is_comb(t):
-    if not is_normalized(t):
-        return False
-    for _p, node in postorder_internal(t):
-        r = node[2]
-        if not is_leaf(r) and not (node[0] == RED and r[0] == BLUE):
-            return False
-    return True
+    return is_normalized(t) and not any(
+        is_offending(node) for _p, node in postorder_internal(t))
 
 
 def is_lyndon(t):

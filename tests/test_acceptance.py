@@ -6,8 +6,6 @@ asserts the criterion's verdict.  The same checks back the CLI's
 ``report-all`` subcommand.
 """
 
-import pytest
-
 from wpposet import acceptance
 
 

@@ -1,7 +1,4 @@
-import itertools
-
 import pytest
-from hypothesis import given, strategies as st
 
 from wpposet import chains as ch
 from wpposet import partitions as pt

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from wpposet import ResourceCapError
 from wpposet import chains as ch
 from wpposet import homology as hm
-from wpposet import linalg
 from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr

@@ -58,16 +58,6 @@ def test_ascent_free_chains_are_lyndon_chains():
         assert got == want
 
 
-def test_increasing_chain_unique():
-    P, _ = lb.ascent_free_chains(3, pt.TOP)
-    bot = P.bottom_index
-    top = P.index[pt.TOP]
-    P2, chain = lb.increasing_chain(3, bot, top)
-    word = [lb.edge_label(P2.elements[i], P2.elements[j], 3)
-            for i, j in zip(chain, chain[1:])]
-    assert lb.is_increasing(word)
-
-
 def test_report_csv_has_rows():
     csv_text = lb.report_csv(3)
     lines = csv_text.strip().splitlines()
