@@ -150,7 +150,7 @@ def criterion_12(nmax=None):
     return "psi bijection with inverse", True, f"A within [{hi}]"
 
 
-def _check_straighten(t, n, i, host):
+def _check_straighten(t, host):
     out = st.straighten(t)
     diff = linalg.vec_combine(hm.chain_vector_of_tree(t), 1,
                               st.cochain_sum(out), -1)
@@ -161,8 +161,7 @@ def criterion_13(nmax=None):
     hi = _cap(5, nmax)
     for n in range(2, hi + 1):
         for t in tr.enumerate_bicolored(n):
-            if not _check_straighten(t, n, tr.red_count(t),
-                                     hm.open_interval(n, tr.red_count(t))):
+            if not _check_straighten(t, hm.open_interval(n, tr.red_count(t))):
                 return "straightening soundness", False, f"tree {t!r}"
         for side in (st.COHOMOLOGY, st.LIE2):
             for inst, rel in st.relation_instances(n, side=side):

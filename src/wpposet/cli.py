@@ -101,7 +101,7 @@ def cmd_homology(args):
     # the cap is checked on the element count alone, before the open
     # poset and its order complex are built
     if args.max_elements is not None:
-        size = (len(hm.interval_elements(args.n, args.i)) if args.i is not None
+        size = (hm.interval_size(args.n, args.i) if args.i is not None
                 else pt.poset_size(args.n) - 1)
         if size > args.max_elements:
             raise ResourceCapError(f"open poset with {size} elements",

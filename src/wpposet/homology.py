@@ -5,13 +5,15 @@ order is read from that poset's down-set bitsets
 (``partitions.Poset.down_sets``).  Chains are tuples of partitions,
 strictly increasing in the poset order; the empty chain generates the
 degree -1 part of the reduced complex.  A ChainVector is a sparse dict
-mapping chains to integers.  Everything is computed over the integers,
-with Smith normal form certificates for the top boundary maps.
+mapping chains to integers.  Everything is computed over the integers;
+one reduction per boundary map gives its rank and, through its unit-pivot
+certificate, the torsion of the top two maps.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from . import chains as ch
 from . import linalg
@@ -155,6 +157,29 @@ def interval_elements(n, i):
             for k in pt.bits(P.down_sets()[top] & ~(1 << top | 1))]
 
 
+def interval_size(n, i):
+    """len(interval_elements(n, i)) without building the poset.
+
+    A weighted partition with k blocks and weight sum s lies below [n]^i
+    exactly when s <= i <= s + k - 1.  counts[m][(k, s)] counts them on an
+    m-set: the block holding the least element has some size b (C(m-1,
+    b-1) choices of the rest of it) and weight 0..b-1.  The bottom and
+    [n]^i are left out; at n = 1 they are one element.
+    """
+    counts = [{(0, 0): 1}]
+    for m in range(1, n + 1):
+        here = {}
+        for b in range(1, m + 1):
+            ways = comb(m - 1, b - 1)
+            for (k, s), c in counts[m - b].items():
+                for w in range(b):
+                    key = (k + 1, s + w)
+                    here[key] = here.get(key, 0) + ways * c
+        counts.append(here)
+    below = sum(c for (k, s), c in counts[n].items() if s <= i <= s + k - 1)
+    return below - (1 if n == 1 else 2)
+
+
 @lru_cache(maxsize=None)
 def open_interval(n, i):
     """(0-hat, [n]^i) as an OpenPoset."""
@@ -186,22 +211,28 @@ def open_boolean_of_tree(T):
 # ---------------------------------------------------------------------------
 
 def betti_numbers(host):
-    """Reduced Betti numbers {r: betti_r} plus SNF certificates for the
-    top two boundary maps."""
+    """Reduced Betti numbers {r: betti_r} plus the nontrivial invariant
+    factors of the top two boundary maps, top first.  Each map is reduced
+    once (``linalg.Echelon``) for its rank; where every installed pivot
+    is a unit its invariant factors are all 1, and only where one is not
+    does ``linalg.snf_invariant_factors`` compute them."""
     by_dim = host.chains_by_dim()
     top = max(by_dim)
-    ranks = {}
+    ranks, unimodular = {}, {}
     for r in sorted(by_dim):
-        ranks[r] = linalg.rank_of([boundary_of_chain(c) for c in by_dim[r]])
+        ech = linalg.Echelon()
+        for c in by_dim[r]:
+            ech.add(boundary_of_chain(c))
+        ranks[r], unimodular[r] = ech.rank, ech.unimodular
     betti = {}
     for r in sorted(by_dim):
         betti[r] = len(by_dim[r]) - ranks[r] - ranks.get(r + 1, 0)
     torsion = {}
     for r in (top, top - 1):
         if r in by_dim and r >= 0:
-            factors = linalg.snf_invariant_factors(
-                [boundary_of_chain(c) for c in by_dim[r]])
-            torsion[r] = [f for f in factors if f != 1]
+            torsion[r] = [] if unimodular[r] else [
+                f for f in linalg.snf_invariant_factors(
+                    [boundary_of_chain(c) for c in by_dim[r]]) if f != 1]
     return {
         "betti": betti,
         "top_dim": top,
@@ -275,7 +306,6 @@ def rank_in_top_quotient(host, vectors):
 def whitney_cohomology_ranks(n):
     """Ranks of the Whitney cohomology, computed as sums of |mu| over
     ranks and checked against C(n-1,r) n^r with total (n+1)^(n-1)."""
-    from math import comb
     P = pt.build_poset(n, pt.WEIGHTED)
     mu0 = P.mu_from_bottom()
     got = [0] * n

@@ -1,9 +1,10 @@
 """Exact sparse integer linear algebra.
 
 Vectors are dicts mapping hashable, sortable keys to nonzero ints.  Rank,
-kernel and witness solve share one fraction-free column reduction
-(:class:`Echelon`); rationals (``fractions.Fraction``) appear only in the
-witness that :func:`solve_rational` returns.
+kernel, witness solve and the torsion certificate share one fraction-free
+column reduction (:class:`Echelon`); :func:`snf_invariant_factors` runs
+only where that certificate fails.  Rationals (``fractions.Fraction``)
+appear only in the witness that :func:`solve_rational` returns.
 """
 
 from __future__ import annotations
@@ -62,7 +63,15 @@ class Echelon:
     (persistence-style reduction: Edelsbrunner-Harer, *Computational
     Topology*, ch. VII).  With ``track`` on, each vector carries the
     integer combination of the added inputs it equals.
+
+    ``unimodular`` stays True while every vector installed has pivot entry
+    +-1.  Then every reduction step is a unit subtraction, so the stored
+    vectors are a Z-basis of the inputs' span with unit pivots in distinct
+    keys: the span is a direct summand and every invariant factor of the
+    inputs is 1.
     """
+
+    unimodular = True  # the class default; add() clears it per instance
 
     def __init__(self, track=False):
         self.by_pivot = {}   # pivot key -> (vector, tracker or None)
@@ -108,9 +117,12 @@ class Echelon:
         v, t = self._reduce(dict(v), t)
         if not v:
             return t if self.track else ()
+        low = max(v)
+        if v[low] not in (1, -1):
+            self.unimodular = False
         if t is None:
             v = vec_primitive(v)
-        self.by_pivot[max(v)] = (v, t)
+        self.by_pivot[low] = (v, t)
         return None
 
     def solve(self, target):
@@ -161,82 +173,36 @@ def solve_rational(vectors, target):
 
 def snf_invariant_factors(vectors):
     """Invariant factors (positive, divisibility-sorted) of the integer
-    matrix whose rows are ``vectors``.  Greedy unit-pivot elimination with
-    a gcd fallback; suited to sparse incidence-style matrices."""
-    rows = {i: dict(v) for i, v in enumerate(vectors) if v}
-    cols = {}
-    for i, v in rows.items():
-        for k in v:
-            cols.setdefault(k, set()).add(i)
+    matrix whose rows are ``vectors``.
 
-    def discard(i, k):
-        rows[i].pop(k, None)
-        s = cols.get(k)
-        if s:
-            s.discard(i)
-            if not s:
-                cols.pop(k, None)
-
-    def set_entry(i, k, val):
-        if val:
-            rows[i][k] = val
-            cols.setdefault(k, set()).add(i)
-        else:
-            discard(i, k)
-
+    The fallback for a reduction that installed a non-unit pivot (see
+    ``Echelon.unimodular``), so it is short rather than fast: pivot on an
+    entry of least absolute value, divide it out of its column by row
+    operations and out of its row by column operations, and pivot again
+    while a remainder is left; a pivot alone in its row and column is an
+    invariant factor up to divisibility.
+    """
+    rows = [dict(v) for v in vectors if v]
     factors = []
     while rows:
-        best = None
-        for i, v in rows.items():
-            for k, x in v.items():
-                if best is None or abs(x) < best[2]:
-                    best = (i, k, abs(x))
-            if best and best[2] == 1:
-                break
-        if best is None:
-            break
-        pi, pk, _ = best
-        # make the pivot the gcd of its row and column, then eliminate
-        while True:
-            p = rows[pi][pk]
-            off = next((i for i in cols[pk] if i != pi and rows[i][pk] % p), None)
-            if off is not None:
-                q = rows[off][pk] // p
-                merged = vec_combine(rows[off], 1, rows[pi], -q)
-                for k in list(rows[off]):
-                    discard(off, k)
-                for k, x in merged.items():
-                    set_entry(off, k, x)
-                pi = off  # the remainder row has the smaller pivot
-                continue
-            offk = next((k for k, x in rows[pi].items() if k != pk and x % p), None)
-            if offk is not None:
-                # column op leaves the remainder at offk; pivot moves there
-                q = rows[pi][offk] // p
-                for i in list(cols[pk]):
-                    set_entry(i, offk, rows[i].get(offk, 0) - q * rows[i][pk])
-                pk = offk
-                continue
-            break
-        p = rows[pi][pk]
-        for i in list(cols[pk]):
-            if i == pi:
-                continue
-            q = rows[i][pk] // p
-            merged = vec_combine(rows[i], 1, rows[pi], -q)
-            for k in list(rows[i]):
-                discard(i, k)
-            for k, x in merged.items():
-                set_entry(i, k, x)
-            if not rows[i]:
-                rows.pop(i)
-        # the pivot row's other entries are all divisible by p; clear them
-        for k in list(rows[pi]):
-            discard(pi, k)
-        rows.pop(pi, None)
-        factors.append(abs(p))
-    if rows:
-        raise RuntimeError("SNF elimination failed to terminate")
+        prow, pk = min(((v, k) for v in rows for k in v),
+                       key=lambda e: abs(e[0][e[1]]))
+        p = prow[pk]
+        for v in rows:
+            if v is not prow and pk in v:
+                vec_add(v, prow, -(v[pk] // p))
+        if all(pk not in v for v in rows if v is not prow):
+            # column pk holds p alone, so a column operation changes
+            # only the pivot row
+            for k in [k for k in prow if k != pk]:
+                if prow[k] % p:
+                    prow[k] %= p
+                else:
+                    del prow[k]
+            if len(prow) == 1:
+                factors.append(abs(p))
+                prow.clear()
+        rows = [v for v in rows if v]
     # enforce the divisibility chain: (a, b) -> (gcd, lcm) until sorted
     changed = True
     while changed:

@@ -415,11 +415,6 @@ def whitney_numbers(n):
     return first, second
 
 
-def forest_count(n, k):
-    from . import trees
-    return trees.forest_count(n, k)
-
-
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------

@@ -252,12 +252,13 @@ def test_straighten_past_the_cap_is_refused(capsys):
     (["homology", "--n", "6", "--i", "2"], 842),
 ], ids=["proper-part", "interval"])
 def test_homology_cap_fires_before_the_host(capsys, monkeypatch, argv, size):
-    from wpposet import homology
+    from wpposet import homology, partitions
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the open poset was built before the cap check")
+        raise AssertionError("the poset was built before the cap check")
 
     monkeypatch.setattr(homology.OpenPoset, "__init__", refuse)
+    monkeypatch.setattr(partitions, "build_poset", refuse)
     code, out = run(capsys, *argv, "--max-elements", "10")
     assert code == 2
     assert json.loads(out) == {"error": "resource-cap",

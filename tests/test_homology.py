@@ -27,6 +27,27 @@ def test_betti_of_proper_part_frozen():
     assert rep["betti"][rep["top_dim"]] == 27
 
 
+def test_betti_numbers_fallback_matches_certificate(monkeypatch):
+    # every map below has unit pivots, so the report is read from the
+    # certificate; with it forced off the SNF must give the same report
+    hosts = [hm.open_interval(4, i) for i in range(4)] + [hm.proper_part(4)]
+    reports = [hm.betti_numbers(host) for host in hosts]
+    calls = []
+    snf = hm.linalg.snf_invariant_factors
+
+    def counted_snf(vectors):
+        calls.append(len(vectors))
+        return snf(vectors)
+
+    monkeypatch.setattr(hm.linalg.Echelon, "unimodular", False)
+    monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
+    for host, rep in zip(hosts, reports):
+        assert hm.betti_numbers(host) == rep, host.name
+        assert list(rep["torsion_nontrivial"]) == [rep["top_dim"],
+                                                   rep["top_dim"] - 1]
+    assert len(calls) == 2 * len(hosts)
+
+
 def test_degenerate_host():
     # the open interval at n=2 is empty: reduced homology lives in degree -1
     host = hm.open_interval(2, 0)
@@ -68,20 +89,13 @@ def test_cycle_basis_is_kernel():
 
 
 def test_coboundary_member_with_witness():
-    host = hm.open_interval(3, 1)
+    host = hm.open_interval(4, 1)
     c = host.chains_by_dim()[0][0]
     v = hm.coboundary(host, {c: 2})
+    assert v
     ok, witness = hm.coboundary_member(host, v, want_witness=True)
     assert ok
-    got = {}
-    for c2, x in witness.items():
-        for k, s in hm._coboundary_of_chain(host, c2):
-            val = got.get(k, 0) + x * s
-            if val:
-                got[k] = val
-            else:
-                got.pop(k, None)
-    assert got == v
+    assert hm.coboundary(host, witness) == v
 
 
 def test_non_member_detected():
@@ -197,6 +211,13 @@ def test_interval_elements_match_leq_filter():
             top = pt.sort_blocks((((1 << n) - 1, i),))
             assert hm.interval_elements(n, i) == [
                 e for e in P.elements if e not in (top, bot) and pt.leq(e, top)]
+
+
+def test_interval_size_matches_elements():
+    for n in range(1, 7):
+        for i in range(n):
+            assert hm.interval_size(n, i) == len(hm.interval_elements(n, i))
+    assert hm.interval_size(8, 3) == 34_274
 
 
 def test_chain_cap_is_checked_before_the_frontier(monkeypatch):

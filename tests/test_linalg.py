@@ -52,6 +52,37 @@ def test_snf_divisibility_chain():
     assert linalg.snf_invariant_factors(dense_to_vecs(M)) == [1, 1]
 
 
+def echelon_of(vecs):
+    ech = linalg.Echelon()
+    for v in vecs:
+        ech.add(v)
+    return ech
+
+
+def test_unimodular_certificate():
+    assert echelon_of(dense_to_vecs([[1, 1, 0], [0, -1, 1], [1, 0, 1]])).unimodular
+    # a content of 2: the pivot is checked before the vector is made primitive
+    assert not echelon_of([{0: 2}]).unimodular
+    assert linalg.snf_invariant_factors([{0: 2}]) == [2]
+    # a non-unit pivot without torsion: the fallback finds the factor 1
+    assert not echelon_of([{0: 1, 1: 2}]).unimodular
+    assert linalg.snf_invariant_factors([{0: 1, 1: 2}]) == [1]
+
+
+@given(st.integers(0, 10_000))
+def test_unimodular_certificate_means_no_torsion(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    M = [[rng.choice([0, 0, 0, 1, -1, 1, -1, 2, -2, 3])
+          for _ in range(cols)] for _ in range(rows)]
+    vecs = dense_to_vecs(M)
+    ech = echelon_of(vecs)
+    factors = linalg.snf_invariant_factors(vecs)
+    assert len(factors) == ech.rank
+    if ech.unimodular:
+        assert factors == [1] * ech.rank
+
+
 def test_bareiss_det_known():
     assert linalg.bareiss_det([[1, 2], [3, 4]]) == -2
     assert linalg.bareiss_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30

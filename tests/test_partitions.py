@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from wpposet import ResourceCapError
 from wpposet import partitions as pt
+from wpposet import trees as tr
 
 
 def blocks(p):
@@ -126,9 +127,9 @@ def test_whitney_matrices_inverse():
 
 
 def test_forest_count_closed_form():
-    assert pt.forest_count(5, 1) == 625
-    assert pt.forest_count(4, 2) == 48
-    assert pt.forest_count(3, 3) == 1
+    assert tr.forest_count(5, 1) == 625
+    assert tr.forest_count(4, 2) == 48
+    assert tr.forest_count(3, 3) == 1
 
 
 def test_caps_raise():
