@@ -126,7 +126,10 @@ def criterion_11(nmax=None):
     for n in range(1, _cap(7, nmax) + 1):
         counts = tr.drake_product(n)
         for fam in ("comb", "lyndon", "liu"):
-            per_i = Counter(tr.red_count(t) for t in tr.enumerate_family(fam, n))
+            trees = tr.enumerate_family(fam, n)
+            if len(set(trees)) != len(trees):
+                return "family counts", False, f"{fam} n={n}: repeated trees"
+            per_i = Counter(tr.red_count(t) for t in trees)
             if [per_i.get(i, 0) for i in range(n)] != counts:
                 return "family counts", False, f"{fam} n={n}: {dict(per_i)}"
         if sum(counts) != n ** (n - 1):

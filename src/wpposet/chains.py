@@ -139,9 +139,13 @@ def pi_subposet(T):
     E(T)}, with the embedding dict frozenset(E) -> partition.
 
     Verifies explicitly that E -> alpha(T_E) is an order isomorphism from
-    the boolean lattice of edge subsets.
+    the boolean lattice of edge subsets, reading the order of every pair
+    from the down-set bitsets of Pi_n^w.  T must be a tree on [n].
     """
     import itertools
+    n = len(T.labels)
+    if T.labels != frozenset(range(1, n + 1)):
+        raise ValueError("pi_subposet needs a tree on [n]")
     edges = [(c, p) for c, p in T.parent]
     mapping = {}
     for k in range(len(edges) + 1):
@@ -150,9 +154,12 @@ def pi_subposet(T):
     elems = list(mapping.values())
     if len(set(elems)) != len(elems):
         raise AssertionError("alpha(T_E) is not injective")
-    for E1, a1 in mapping.items():
-        for E2, a2 in mapping.items():
-            if (E1 <= E2) != pt.leq(a1, a2):
+    P = pt.build_poset(n, pt.WEIGHTED)
+    down = P.down_sets()
+    at = [(E, P.index[a]) for E, a in mapping.items()]
+    for E1, k1 in at:
+        for E2, k2 in at:
+            if (E1 <= E2) != bool(down[k2] >> k1 & 1):
                 raise AssertionError("Pi_T is not boolean under inclusion")
     return sorted(set(elems), key=lambda p: (pt.ground_size(p) - len(p), p)), mapping
 

@@ -13,8 +13,16 @@ for free:
 :func:`bicolored_at` its k-th entry without building the list, which is
 how one tree on [7] or [8] is drawn.
 
+The comb, Lyndon and Liu-Lyndon families are each built directly, never
+filtered from a larger pool: a memoized recursion over the splits of the
+sorted label set joins the trees on both sides under the family's local
+node rule, so the work is about the size of the family.
+:func:`enumerate_family` returns them in that construction's order.
+
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
-from a parent map.  :func:`psi` costs O(n) per tree on [n]; Liu's order on
+from a parent map; :func:`enumerate_rooted_trees` orients each unrooted
+tree once and reroots it by one pointer flip per edge.
+:func:`psi` costs O(n) per tree on [n]; Liu's order on
 the m trees of one T_{A,i} costs one indexed closure per (A, i), then
 O(m^2) for :func:`liu_linear_extension`.
 """
@@ -366,6 +374,16 @@ def _normalized_uncolored(A):
     return out
 
 
+def _splits(A, normalized):
+    """Every split of the sorted label tuple ``A`` into a nonempty left
+    and right part, as (left, right) sorted tuples; with ``normalized``
+    only those that keep ``A[0]`` on the left."""
+    for rbits in range(2 if normalized else 1, (1 << len(A)) - 1,
+                       2 if normalized else 1):
+        yield (tuple(x for k, x in enumerate(A) if not rbits >> k & 1),
+               tuple(x for k, x in enumerate(A) if rbits >> k & 1))
+
+
 def _combs_blue_rooted(A):
     out = []
     for x in A[1:]:
@@ -382,10 +400,7 @@ def enumerate_combs(labels):
     if len(A) == 1:
         return [A[0]]
     out = list(_combs_blue_rooted(A))
-    rest = A[1:]
-    for rbits in range(1, 1 << len(rest)):
-        B = tuple(x for k, x in enumerate(rest) if rbits >> k & 1)
-        left = (A[0],) + tuple(x for k, x in enumerate(rest) if not rbits >> k & 1)
+    for left, B in _splits(A, normalized=True):
         rights = [B[0]] if len(B) == 1 else _combs_blue_rooted(B)
         for rt in rights:
             for l in enumerate_combs(left):
@@ -393,47 +408,88 @@ def enumerate_combs(labels):
     return out
 
 
-def enumerate_lyndon(labels):
-    """All bicolored Lyndon trees, via normalized shapes plus constrained
-    colorings (non-Lyndon nodes are blue with a red left child)."""
-    A = tuple(sorted(labels))
+@lru_cache(maxsize=None)
+def _lyndon_on(A):
+    """Lyndon trees on the sorted label tuple ``A`` as (tree, m) pairs:
+    ``m`` is the least leaf of the tree's right child (None for a leaf).
+
+    A normalized node (l, r) is Lyndon when l is a leaf or m(l) > min(r),
+    and a node that is not must be blue with a red left child."""
+    if len(A) == 1:
+        return [(A[0], None)]
     out = []
-    for shape in _normalized_uncolored(A):
-        nodes = postorder_internal(shape)
-        pos = {path: k for k, (path, _n) in enumerate(nodes)}
-        forced = {}
-        ok = True
-        for path, node in nodes:
-            if not _is_lyndon_node(node):
-                for key, val in ((pos[path], BLUE), (pos[path + ("L",)], RED)):
-                    if forced.get(key, val) != val:
-                        ok = False
-                    forced[key] = val
-        if not ok:
-            continue
-        free = [k for k in range(len(nodes)) if k not in forced]
-        for bits in range(1 << len(free)):
-            colors = dict(forced)
-            for j, k in enumerate(free):
-                colors[k] = RED if bits >> j & 1 else BLUE
-            out.append(_colorings(shape, iter(colors[k] for k in range(len(nodes)))))
+    for L, R in _splits(A, normalized=True):
+        x = R[0]
+        rights = [r for r, _m in _lyndon_on(R)]
+        for l, m in _lyndon_on(L):
+            if m is None or m > x:
+                colors = (BLUE, RED)
+            elif l[0] == RED:
+                colors = (BLUE,)
+            else:
+                continue
+            for r in rights:
+                for c in colors:
+                    out.append(((c, l, r), x))
+    return out
+
+
+def enumerate_lyndon(labels):
+    """All bicolored Lyndon trees, by direct recursion over the normalized
+    splits of the label set."""
+    return [t for t, _m in _lyndon_on(tuple(sorted(labels)))]
+
+
+@lru_cache(maxsize=None)
+def _liu_on(A):
+    """Liu-Lyndon trees on the sorted label tuple ``A``, grouped by their
+    recursive valency, as {v: [(tree, w)]}: ``w`` is the recursive valency
+    of the tree's right child (None for a leaf).
+
+    A blue node needs v(l) < v(r) and, over a blue left child, w(l) > v(r);
+    a red node needs v(l) > v(r) and a leaf or red left child with
+    w(l) < v(r).  Either way the node's valency is v(l)."""
+    if len(A) == 1:
+        return {A[0]: [(A[0], None)]}
+    out = {}
+    for L, R in _splits(A, normalized=False):
+        rights = _liu_on(R)
+        for vl, lefts in _liu_on(L).items():
+            acc = out.setdefault(vl, [])
+            for l, w in lefts:
+                for vr, rs in rights.items():
+                    if vl < vr and (w is None or l[0] == RED or w > vr):
+                        acc.extend(((BLUE, l, r), vr) for r, _w in rs)
+                    elif vl > vr and (w is None or (l[0] == RED and w < vr)):
+                        acc.extend(((RED, l, r), vr) for r, _w in rs)
     return out
 
 
 def enumerate_liu(labels):
-    """All Liu-Lyndon trees, as the image of the rooted-tree bijection."""
-    return [psi(T) for T in enumerate_rooted_trees(sorted(labels))]
+    """All Liu-Lyndon trees, by direct recursion over the ordered splits
+    of the label set."""
+    return [t for group in _liu_on(tuple(sorted(labels))).values()
+            for t, _w in group]
 
 
 def enumerate_family(family, n, i=None):
-    """Enumerate one of the three tree families on ``[n]`` by its direct
-    construction, optionally only the trees with ``i`` red nodes."""
+    """Enumerate one of the three tree families on ``[n]``, optionally only
+    the trees with ``i`` red nodes.
+
+    Each family is a memoized recursion over the splits of the sorted
+    label set that joins the trees on both sides under a local node rule:
+    combs and Lyndon trees split with 1 on the left (normalized), Liu-Lyndon
+    trees over all ordered splits.  The list comes in that construction's
+    order, which is deterministic but otherwise unspecified.  ``n`` past
+    TREE_ENUM_CAP is refused before any work."""
+    if n > TREE_ENUM_CAP:
+        raise ResourceCapError(f"{family} trees on {n} labels", TREE_ENUM_CAP)
     fns = {"comb": enumerate_combs, "lyndon": enumerate_lyndon,
            "liu": enumerate_liu}
     out = fns[family](tuple(range(1, n + 1)))
     if i is not None:
-        out = [t for t in out if red_count(t) == i]
-    return sorted(out, key=repr)
+        return [t for t in out if red_count(t) == i]
+    return list(out)
 
 
 # -- linear extensions -------------------------------------------------------
@@ -594,16 +650,37 @@ def _orient(adj, root):
 
 def enumerate_rooted_trees(labels, i=None):
     """All rooted trees on the label set, optionally with exactly ``i``
-    descents.  Deterministic order (Prufer sequence, then root)."""
+    descents.  Deterministic order (Prufer sequence, then root).
+
+    Each unrooted tree is oriented once, from its least label; moving the
+    root across an edge flips that edge's parent pointer only, so every
+    other root costs one pointer flip and one pass to write its parent
+    tuple.
+    """
     A = tuple(sorted(labels))
     if len(A) > TREE_ENUM_CAP:
         raise ResourceCapError(f"rooted trees on {len(A)} labels", TREE_ENUM_CAP)
+    pos = {x: k for k, x in enumerate(A)}
     out = []
     for adj in _unrooted_trees(A):
-        for root in A:
-            T = RootedTree.from_parent_map(root, _orient(adj, root))
-            if i is None or T.descent_count() == i:
-                out.append(T)
+        pmap = _orient(adj, A[0])
+        # (child, parent) pairs in label order, None at the root
+        pairs = [None] + [(x, pmap[x]) for x in A[1:]]
+        rooted = {A[0]: (pairs, sum(1 for c, p in pmap.items() if c < p))}
+        stack = [A[0]]
+        while stack:
+            u = stack.pop()
+            pu, du = rooted[u]
+            for v in adj[u]:
+                if v not in rooted:
+                    pv = pu.copy()
+                    pv[pos[u]], pv[pos[v]] = (u, v), None
+                    rooted[v] = (pv, du - (v < u) + (u < v))
+                    stack.append(v)
+        for k, root in enumerate(A):
+            pv, d = rooted[root]
+            if i is None or d == i:
+                out.append(RootedTree(root, tuple(pv[:k] + pv[k + 1:])))
     return out
 
 

@@ -59,6 +59,29 @@ def test_criterion_11_family_counts():
     _run(11)
 
 
+def test_criterion_11_catches_a_repeated_tree(monkeypatch):
+    from collections import Counter
+    from wpposet import trees as tr
+    real = tr.enumerate_family
+
+    def one_repeated(family, n, i=None):
+        # one tree stands in for another of the same red count, so the
+        # per-i counts still match
+        fam = real(family, n, i)
+        if family == "lyndon" and n == 3:
+            k = next(k for k in range(1, len(fam))
+                     if tr.red_count(fam[k]) == tr.red_count(fam[0]))
+            fam[k] = fam[0]
+        return fam
+
+    monkeypatch.setattr(tr, "enumerate_family", one_repeated)
+    fam = tr.enumerate_family("lyndon", 3)
+    assert Counter(map(tr.red_count, fam)) == \
+        Counter(map(tr.red_count, real("lyndon", 3)))
+    assert acceptance.run_criterion(11, 3) == \
+        ("family counts", False, "lyndon n=3: repeated trees")
+
+
 def test_criterion_12_psi_bijection():
     _run(12)
 

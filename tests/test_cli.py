@@ -247,6 +247,24 @@ def test_straighten_past_the_cap_is_refused(capsys):
                                "limit": 8}
 
 
+@pytest.mark.parametrize("family", ["comb", "lyndon", "liu"])
+def test_bases_past_the_tree_cap_is_refused(capsys, monkeypatch, family):
+    from wpposet import trees as tr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trees were enumerated before the cap check")
+
+    for name in ("enumerate_combs", "enumerate_lyndon", "enumerate_liu",
+                 "enumerate_rooted_trees"):
+        monkeypatch.setattr(tr, name, refuse)
+    code, out = run(capsys, "bases", "--n", "9", "--i", "0",
+                    "--family", family)
+    assert code == 2
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": f"{family} trees on 9 labels",
+                               "limit": 8}
+
+
 @pytest.mark.parametrize("argv, size", [
     (["homology", "--n", "6"], 1056),
     (["homology", "--n", "6", "--i", "2"], 842),

@@ -160,9 +160,77 @@ def test_psi_roundtrip_small():
 
 
 def test_psi_image_is_liu():
-    for n in range(1, 6):
+    # the Liu-Lyndon family is built by its own recursion, not through psi
+    for n in range(1, 7):
         image = {tr.psi(T) for T in tr.enumerate_rooted_trees(range(1, n + 1))}
-        assert image == set(tr.enumerate_liu(range(1, n + 1)))
+        fam = tr.enumerate_family("liu", n)
+        assert len(set(fam)) == len(fam) == len(image)
+        assert image == set(fam)
+    assert set(tr.enumerate_liu((2, 5, 7))) == \
+        {tr.psi(T) for T in tr.enumerate_rooted_trees((2, 5, 7))}
+
+
+# -- the shape-and-forced-coloring Lyndon enumeration the recursion replaced --
+
+def _old_enumerate_lyndon(labels):
+    """Normalized shapes, each non-Lyndon node forced blue over a red left
+    child, the other nodes colored freely."""
+    A = tuple(sorted(labels))
+    out = []
+    for shape in tr._normalized_uncolored(A):
+        nodes = tr.postorder_internal(shape)
+        pos = {path: k for k, (path, _n) in enumerate(nodes)}
+        forced = {}
+        ok = True
+        for path, node in nodes:
+            if not tr._is_lyndon_node(node):
+                for key, val in ((pos[path], B), (pos[path + ("L",)], R)):
+                    if forced.get(key, val) != val:
+                        ok = False
+                    forced[key] = val
+        if not ok:
+            continue
+        free = [k for k in range(len(nodes)) if k not in forced]
+        for bits in range(1 << len(free)):
+            colors = dict(forced)
+            for j, k in enumerate(free):
+                colors[k] = R if bits >> j & 1 else B
+            out.append(tr._colorings(shape, iter(colors[k] for k in range(len(nodes)))))
+    return out
+
+
+def test_lyndon_recursion_matches_forced_colorings():
+    for n in range(1, 7):
+        fam = tr.enumerate_family("lyndon", n)
+        assert len(set(fam)) == len(fam)
+        assert set(fam) == set(_old_enumerate_lyndon(range(1, n + 1)))
+    assert set(tr.enumerate_lyndon((2, 5, 7, 9))) == \
+        set(_old_enumerate_lyndon((2, 5, 7, 9)))
+
+
+# -- the per-root orientation the rerooting sweep replaced -------------------
+
+def _old_enumerate_rooted_trees(labels, i=None):
+    A = tuple(sorted(labels))
+    out = []
+    for adj in tr._unrooted_trees(A):
+        for root in A:
+            T = tr.RootedTree.from_parent_map(root, tr._orient(adj, root))
+            if i is None or T.descent_count() == i:
+                out.append(T)
+    return out
+
+
+def test_rerooting_matches_orienting_every_root():
+    for n in range(1, 7):
+        labels = range(1, n + 1)
+        assert tr.enumerate_rooted_trees(labels) == \
+            _old_enumerate_rooted_trees(labels)
+        for i in range(n):
+            assert tr.enumerate_rooted_trees(labels, i) == \
+                _old_enumerate_rooted_trees(labels, i)
+    assert tr.enumerate_rooted_trees((2, 5, 7, 9), 1) == \
+        _old_enumerate_rooted_trees((2, 5, 7, 9), 1)
 
 
 def test_liu_order_reflexive_and_acyclic():
