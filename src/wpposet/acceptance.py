@@ -99,7 +99,7 @@ def criterion_8(nmax=None):
 
 
 def criterion_9(nmax=None):
-    for n in range(2, _cap(5, nmax) + 1):
+    for n in range(2, _cap(6, nmax) + 1):
         counts = Counter(T.descent_count()
                          for T in tr.enumerate_rooted_trees(range(1, n + 1)))
         for i in range(n):
@@ -113,7 +113,7 @@ def criterion_9(nmax=None):
         top = rep["top_dim"]
         if rep["betti"][top] != (n - 1) ** (n - 1) or not rep["torsion_free_top"]:
             return "Betti numbers", False, f"proper part n={n}: {rep['betti']}"
-    return "Betti numbers and torsion", True, f"n <= {_cap(5, nmax)}"
+    return "Betti numbers and torsion", True, f"n <= {_cap(6, nmax)}"
 
 
 def criterion_10(nmax=None):

@@ -2,12 +2,18 @@
 
 An open poset is a subset of the weighted partition poset on [n]; its
 order is read from that poset's down-set bitsets
-(``partitions.Poset.down_sets``).  Chains are tuples of partitions,
-strictly increasing in the poset order; the empty chain generates the
-degree -1 part of the reduced complex.  A ChainVector is a sparse dict
-mapping chains to integers.  Everything is computed over the integers;
-one reduction per boundary map gives its rank and, through its unit-pivot
-certificate, the torsion of the top two maps.
+(``partitions.Poset.down_sets``).  Inside this module a chain of the
+order complex is a tuple of the open poset's local indices, strictly
+increasing in the poset order, and a boundary map is reduced over the
+positions of the chains in their dimension's list; at the module's API
+(``OpenPoset.chains_by_dim``, ``cycle_basis``, ChainVectors) a chain is
+the tuple of partitions those indices stand for.  The empty chain
+generates the degree -1 part of the reduced complex.  A ChainVector is a
+sparse dict mapping chains to integers.  Everything is computed over the
+integers; one reduction per boundary map, top dimension first, gives its
+rank and, through its unit-pivot certificate, the torsion of the top two
+maps.  Each host keeps one form of its top cycle basis, the cycle index,
+from which quotient ranks and coboundary tests are read.
 """
 
 from __future__ import annotations
@@ -30,8 +36,11 @@ class OpenPoset:
     Elements are listed sorted and indexed locally; up[k] and down[k] are
     bitsets over those indices of the elements strictly above and below
     element k, restricted from P's down-sets, so building them costs one
-    step per comparable pair.  Chains of the order complex are cached per
-    dimension.
+    step per comparable pair.  Chains of the order complex are listed per
+    dimension as tuples of local indices, in lexicographic order; since
+    local indices follow the sorted elements, a chain's position in its
+    list orders it as its tuple of partitions would.  The host stores one
+    form of its top cycle basis, the cycle index (``cycle_index``).
     """
 
     def __init__(self, name, P, keep):
@@ -51,26 +60,26 @@ class OpenPoset:
                 j = local[g]
                 self.down[k] |= 1 << j
                 self.up[j] |= 1 << k
+        self._index_chains = None
         self._chains = None
-        self._kernel = {}
+        self._cycles = None
 
-    def chains_by_dim(self):
-        """dict r -> list of r-chains (tuples of elements); r = -1 is the
-        empty chain.  Each chain is extended by the elements above its
-        last one, in index order; the size of the next dimension is
-        counted from those before it is built, and the run is refused
-        once the total, the empty chain included, would pass
-        CHAIN_COUNT_CAP."""
-        if self._chains is None:
-            elements = self.elements
+    def index_chains(self):
+        """dict r -> list of r-chains as tuples of local indices, in
+        lexicographic order; r = -1 is the empty chain.  Each chain is
+        extended by the elements above its last one, in index order; the
+        size of the next dimension is counted from those before it is
+        built, and the run is refused once the total, the empty chain
+        included, would pass CHAIN_COUNT_CAP."""
+        if self._index_chains is None:
             above = [list(pt.bits(u)) for u in self.up]
-            everything = list(range(len(elements)))
+            everything = list(range(len(self.elements)))
             by_dim = {}
             frontier = [()]
             total = 1
             r = -1
             while frontier:
-                by_dim[r] = [tuple(elements[k] for k in c) for c in frontier]
+                by_dim[r] = frontier
                 nexts = [above[c[-1]] if c else everything for c in frontier]
                 total += sum(map(len, nexts))
                 if total > CHAIN_COUNT_CAP:
@@ -79,23 +88,106 @@ class OpenPoset:
                 frontier = [c + (j,) for c, js in zip(frontier, nexts)
                             for j in js]
                 r += 1
-            self._chains = by_dim
+            self._index_chains = by_dim
+        return self._index_chains
+
+    def chains_by_dim(self):
+        """dict r -> list of r-chains as tuples of elements, in the order
+        of ``index_chains``; converted on the first request."""
+        if self._chains is None:
+            elements = self.elements
+            self._chains = {
+                r: [tuple(elements[k] for k in c) for c in cs]
+                for r, cs in self.index_chains().items()}
         return self._chains
 
     @property
     def top_dim(self):
-        return max(self.chains_by_dim())
+        return max(self.index_chains())
 
-    def cycle_basis(self, r=None):
-        """Integer basis of ker(boundary) in dimension r (default: top)."""
-        if r is None:
-            r = self.top_dim
-        if r not in self._kernel:
-            chains_r = self.chains_by_dim().get(r, [])
-            combos = linalg.kernel_basis([boundary_of_chain(c) for c in chains_r])
-            self._kernel[r] = [
-                {chains_r[j]: x for j, x in combo.items()} for combo in combos]
-        return self._kernel[r]
+    def top_key(self, c):
+        """The index tuple of a top-dimensional chain c of elements;
+        ValueError when c is not one."""
+        key = tuple(self.index.get(e, -1) for e in c)
+        if (len(key) != self.top_dim + 1 or -1 in key
+                or any(not self.up[a] >> b & 1 for a, b in zip(key, key[1:]))):
+            raise ValueError(
+                f"{' < '.join(map(pt.partition_str, c)) or 'the empty chain'}"
+                f" is not a top chain of {self.name}")
+        return key
+
+    def cycle_index(self):
+        """(index, count): an integer basis z_0 .. z_{count-1} of the top
+        cycles, stored by chain: index[c] is the flat tuple (j, z_j[c],
+        j', z_j'[c], ...) over the z_j with the top index chain c in their
+        support.  There is one per chain, so it is a tuple, not a dict,
+        and equal ones are one object.  Computed once."""
+        if self._cycles is None:
+            by_dim = self.index_chains()
+            top = max(by_dim)
+            chains = by_dim[top]
+            combos = linalg.kernel_basis(
+                _boundary_rows(chains, _positions(by_dim.get(top - 1, []))))
+            index = {}
+            for j, combo in enumerate(combos):
+                for k, x in combo.items():
+                    index.setdefault(chains[k], []).extend((j, x))
+            shared = {}
+            for c, entries in index.items():
+                entries = tuple(entries)
+                index[c] = shared.setdefault(entries, entries)
+            self._cycles = index, len(combos)
+        return self._cycles
+
+    def cycle_basis(self):
+        """Integer basis of the top cycles as ChainVectors, read from the
+        cycle index."""
+        index, count = self.cycle_index()
+        basis = [{} for _ in range(count)]
+        elements = self.elements
+        for c, entries in index.items():
+            chain = tuple(elements[k] for k in c)
+            for j, x in zip(entries[::2], entries[1::2]):
+                basis[j][chain] = x
+        return basis
+
+
+def _positions(chains):
+    return {c: k for k, c in enumerate(chains)}
+
+
+def _boundary_rows(chains, faces):
+    """The boundary of each index chain, one row at a time, keyed by the
+    position of each face in ``faces`` (its dimension's list)."""
+    for c in chains:
+        yield {faces[c[:i] + c[i + 1:]]: -1 if i & 1 else 1
+               for i in range(len(c))}
+
+
+def _reductions(host):
+    """(r, rank, unimodular, pivots) of the r-th boundary map's reduction
+    (``linalg.Echelon``), top dimension first; pivots is the set of face
+    positions its stored vectors are pivoted at.
+
+    Rows are streamed in chain order.  An r-chain installed as a pivot by
+    the (r+1)-st reduction is skipped (clearing: Chen-Kerber, "Persistent
+    homology computation with a twist", 2011): the reduced cycle pivoted
+    there shows its boundary to lie in the span of the boundaries of the
+    r-chains before it, so it would reduce to zero and install nothing.
+    The stored vectors, so the rank and the unit-pivot certificate, are
+    those of the whole map.
+    """
+    by_dim = host.index_chains()
+    cleared = set()
+    for r in sorted(by_dim, reverse=True):
+        faces = _positions(by_dim.get(r - 1, []))
+        ech = linalg.Echelon()
+        for row in _boundary_rows(
+                (c for k, c in enumerate(by_dim[r]) if k not in cleared),
+                faces):
+            ech.add(row)
+        cleared = set(ech.by_pivot)
+        yield r, ech.rank, ech.unimodular, cleared
 
 
 def boundary_of_chain(c):
@@ -213,26 +305,21 @@ def open_boolean_of_tree(T):
 def betti_numbers(host):
     """Reduced Betti numbers {r: betti_r} plus the nontrivial invariant
     factors of the top two boundary maps, top first.  Each map is reduced
-    once (``linalg.Echelon``) for its rank; where every installed pivot
-    is a unit its invariant factors are all 1, and only where one is not
-    does ``linalg.snf_invariant_factors`` compute them."""
-    by_dim = host.chains_by_dim()
+    once (``_reductions``) for its rank; where every installed pivot is a
+    unit its invariant factors are all 1, and only where one is not does
+    ``linalg.snf_invariant_factors`` compute them from the whole map."""
+    by_dim = host.index_chains()
     top = max(by_dim)
-    ranks, unimodular = {}, {}
-    for r in sorted(by_dim):
-        ech = linalg.Echelon()
-        for c in by_dim[r]:
-            ech.add(boundary_of_chain(c))
-        ranks[r], unimodular[r] = ech.rank, ech.unimodular
-    betti = {}
-    for r in sorted(by_dim):
-        betti[r] = len(by_dim[r]) - ranks[r] - ranks.get(r + 1, 0)
-    torsion = {}
-    for r in (top, top - 1):
-        if r in by_dim and r >= 0:
-            torsion[r] = [] if unimodular[r] else [
-                f for f in linalg.snf_invariant_factors(
-                    [boundary_of_chain(c) for c in by_dim[r]]) if f != 1]
+    ranks, torsion = {}, {}
+    for r, rank, unimodular, _pivots in _reductions(host):
+        ranks[r] = rank
+        if r >= 0 and r >= top - 1:
+            torsion[r] = [] if unimodular else [
+                f for f in linalg.snf_invariant_factors(list(_boundary_rows(
+                    by_dim[r], _positions(by_dim.get(r - 1, [])))))
+                if f != 1]
+    betti = {r: len(by_dim[r]) - ranks[r] - ranks.get(r + 1, 0)
+             for r in sorted(by_dim)}
     return {
         "betti": betti,
         "top_dim": top,
@@ -241,19 +328,32 @@ def betti_numbers(host):
     }
 
 
+def _quotient_row(host, v):
+    """The cycle-index columns of a top-dimensional ChainVector v,
+    {j: <v, z_j>}; ValueError on a chain that is not a top chain."""
+    index = host.cycle_index()[0]
+    row = {}
+    for c, coeff in v.items():
+        entries = index.get(host.top_key(c), ())
+        for j, x in zip(entries[::2], entries[1::2]):
+            row[j] = row.get(j, 0) + coeff * x
+    return {j: x for j, x in row.items() if x}
+
+
 def coboundary_member(host, v, want_witness=False):
     """Is v (top-dimensional) a coboundary?  Over the rationals this is
-    orthogonality to every top-dimensional cycle; a witness w with
-    coboundary(w) = v is solved for on request."""
+    orthogonality to every top-dimensional cycle, so v is a member exactly
+    when its cycle-index row is empty; a witness w with coboundary(w) = v
+    is solved for on request.  A chain of v that is not a top chain of
+    host raises ValueError."""
     if not v:
         return (True, {}) if want_witness else True
-    member = all(pairing(v, z) == 0 for z in host.cycle_basis())
+    member = not _quotient_row(host, v)
     if not want_witness:
         return member
     if not member:
         return False, None
-    r = len(next(iter(v))) - 1
-    cod = host.chains_by_dim().get(r - 1, [])
+    cod = host.chains_by_dim().get(host.top_dim - 1, [])
     cols = [coboundary(host, {c: 1}) for c in cod]
     sol = linalg.solve_rational(cols, v)
     if sol is None:
@@ -294,13 +394,11 @@ def fundamental_cycle(T):
 
 def rank_in_top_quotient(host, vectors):
     """Rank of the images of top-dimensional cochain vectors in the
-    quotient C^top / B^top (pairing against a cycle basis)."""
-    basis = host.cycle_basis()
-    rows = []
-    for v in vectors:
-        row = {j: pairing(v, z) for j, z in enumerate(basis)}
-        rows.append({j: x for j, x in row.items() if x})
-    return linalg.rank_of(rows), len(basis)
+    quotient C^top / B^top: each vector becomes the sum of its chains'
+    cycle-index rows.  A chain that is not a top chain of host raises
+    ValueError."""
+    rows = [_quotient_row(host, v) for v in vectors]
+    return linalg.rank_of(rows), host.cycle_index()[1]
 
 
 def whitney_cohomology_ranks(n):
@@ -327,7 +425,7 @@ def homology_report(host):
     data = betti_numbers(host)
     return {
         "poset_id": host.name,
-        "dims": {str(r): len(cs) for r, cs in host.chains_by_dim().items()},
+        "dims": {str(r): len(cs) for r, cs in host.index_chains().items()},
         "betti": {str(r): b for r, b in data["betti"].items()},
         "torsion_top": {str(r): v for r, v in data["torsion_nontrivial"].items()},
         "torsion_free_top": data["torsion_free_top"],

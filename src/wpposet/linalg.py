@@ -2,9 +2,11 @@
 
 Vectors are dicts mapping hashable, sortable keys to nonzero ints.  Rank,
 kernel, witness solve and the torsion certificate share one fraction-free
-column reduction (:class:`Echelon`); :func:`snf_invariant_factors` runs
-only where that certificate fails.  Rationals (``fractions.Fraction``)
-appear only in the witness that :func:`solve_rational` returns.
+column reduction (:class:`Echelon`); a step whose stored pivot divides
+the entry it clears is a plain subtraction, made in place on the vector
+being reduced, and :func:`snf_invariant_factors` runs only where the
+certificate fails.  Rationals (``fractions.Fraction``) appear only in
+the witness that :func:`solve_rational` returns.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ class Echelon:
     def _reduce(self, v, t):
         """Clear v's largest key against the stored vector pivoted there
         until no stored vector has that pivot; t follows every step, so
-        v == sum_j t[j] * input_j keeps holding."""
+        v == sum_j t[j] * input_j keeps holding.  v and t belong to the
+        caller's reduction alone: where the stored pivot divides v's
+        entry the step subtracts in place, without a copy."""
         while v:
             low = max(v)
             stored = self.by_pivot.get(low)
@@ -92,14 +96,18 @@ class Echelon:
                 break
             prow, ptrack = stored
             c, p = v[low], prow[low]
-            # a == 1 exactly when p divides c: a plain integer subtraction
-            g = p if c % p == 0 else gcd(c, p)
+            if c % p == 0:
+                # p divides c: a plain subtraction, made in place
+                b = c // p
+                vec_add(v, prow, -b)
+                if t is not None:
+                    vec_add(t, ptrack, -b)
+                continue
+            g = gcd(c, p)
             a, b = p // g, c // g
             v = vec_combine(v, a, prow, -b)
             if t is not None:
                 t = vec_combine(t, a, ptrack, -b)
-            if a == 1:
-                continue
             g = vec_content(v)
             if t is not None:
                 g = gcd(g, vec_content(t))

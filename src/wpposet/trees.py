@@ -915,7 +915,9 @@ def liu_linear_extension(trees):
 
     Kahn's algorithm over the order among the inputs, read once from the
     closure: it always takes the minimal tree that comes first by
-    ``repr``.  O(m^2) in the m inputs once the closure is built.
+    ``repr``.  Each input's successors are read from its closure set
+    through a tree -> position dict, so the cost is the size of the
+    closure, not m^2 in the m inputs.
     """
     order = sorted(trees, key=repr)
     m = len(order)
@@ -924,10 +926,11 @@ def liu_linear_extension(trees):
     if m > 1:
         labels, i = _liu_class(order)
         reach = _liu_reachability(tuple(sorted(labels)), i)
+        position = {T: k for k, T in enumerate(order)}
         for a, S in enumerate(order):
-            up = reach[S]
-            for b, T in enumerate(order):
-                if T != S and T in up:
+            for T in reach[S]:
+                b = position.get(T)
+                if b is not None and T != S:
                     above[a].append(b)
                     indegree[b] += 1
     heap = [k for k in range(m) if indegree[k] == 0]

@@ -90,6 +90,33 @@ def test_criterion_13_straightening_soundness():
     _run(13)
 
 
+def test_criterion_13_catches_a_term_outside_its_interval(monkeypatch):
+    from wpposet import straighten as st
+    from wpposet import trees as tr
+    real = st.straighten
+    depth = []
+
+    def one_red_too_many(t, *args, **kwargs):
+        # the outermost call gains a term: its first comb with the blue
+        # node below the root made red, whose chain lies in the next
+        # interval up, not in the one being checked
+        depth.append(t)
+        try:
+            out = real(t, *args, **kwargs)
+        finally:
+            depth.pop()
+        c = next(iter(out), None)
+        if depth or c is None or tr.is_leaf(c[1]) or c[1][0] != tr.BLUE:
+            return out
+        return {**out, (c[0], (tr.RED,) + c[1][1:], c[2]): 1}
+
+    monkeypatch.setattr(st, "straighten", one_red_too_many)
+    name, ok, detail = acceptance.run_criterion(13, 3)
+    assert not ok
+    assert detail == ("raised ValueError: {12^1|3^0} is not a top chain "
+                      "of (0,[3]^0)")
+
+
 def test_criterion_14_basis_verifications():
     _run(14)
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from wpposet import ResourceCapError
 from wpposet import chains as ch
 from wpposet import homology as hm
+from wpposet import linalg
 from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
@@ -230,3 +231,105 @@ def test_chain_cap_is_checked_before_the_frontier(monkeypatch):
     with pytest.raises(ResourceCapError) as err:
         hm.OpenPoset("past cap", P, P.elements[1:]).chains_by_dim()
     assert (err.value.what, err.value.limit) == ("chains of past cap", total - 1)
+
+
+# The partition-keyed route the index-keyed one replaced: one Echelon per
+# boundary map over boundary_of_chain, the cycle kernel over the same rows,
+# and quotient rank and coboundary membership by pairing against every
+# cycle.
+
+def _oracle_reductions(host):
+    """dim r -> Echelon of the boundary rows of the r-chains of elements."""
+    out = {}
+    for r, chains_r in host.chains_by_dim().items():
+        ech = linalg.Echelon()
+        for c in chains_r:
+            ech.add(hm.boundary_of_chain(c))
+        out[r] = ech
+    return out
+
+
+def _oracle_cycle_basis(host):
+    chains_top = host.chains_by_dim()[host.top_dim]
+    combos = linalg.kernel_basis([hm.boundary_of_chain(c) for c in chains_top])
+    return [{chains_top[j]: x for j, x in combo.items()} for combo in combos]
+
+
+def _as_set(vectors):
+    return {frozenset(v.items()) for v in vectors}
+
+
+def test_index_chain_reduction_matches_partition_oracle():
+    for host in _open_hosts():
+        idx, chains = host.index_chains(), host.chains_by_dim()
+        oracle = _oracle_reductions(host)
+        for r, cs in idx.items():
+            assert cs == sorted(cs), (host.name, r)
+        for r, rank, unimodular, pivots in hm._reductions(host):
+            old = oracle[r]
+            assert (rank, unimodular) == (old.rank, old.unimodular), \
+                (host.name, r)
+            # the same faces become pivots: positions keep the order
+            assert {chains[r - 1][k] for k in pivots} == set(old.by_pivot), \
+                (host.name, r)
+        rep = hm.betti_numbers(host)
+        assert rep["betti"] == {
+            r: len(cs) - oracle[r].rank - (oracle[r + 1].rank
+                                           if r + 1 in oracle else 0)
+            for r, cs in chains.items()}, host.name
+        top = rep["top_dim"]
+        assert rep["torsion_free_top"] == all(
+            oracle[r].unimodular for r in (top, top - 1) if r >= 0), host.name
+        assert _as_set(host.cycle_basis()) == \
+            _as_set(_oracle_cycle_basis(host)), host.name
+
+
+def _quotient_cases():
+    """(host, vectors): family cochains, phi images and straightening
+    differences of each (0,[n]^i), and the full families of the proper
+    part, n <= 4."""
+    for n in range(2, 5):
+        for i in range(n):
+            host = hm.open_interval(n, i)
+            vecs = [hm.chain_vector_of_tree(t)
+                    for fam in ("comb", "lyndon", "liu")
+                    for t in tr.enumerate_family(fam, n, i)]
+            vecs += [sn.phi(t) for t in tr.enumerate_family("comb", n, i)]
+            for t in tr.enumerate_bicolored(n):
+                if tr.red_count(t) == i:
+                    vecs.append(linalg.vec_combine(
+                        hm.chain_vector_of_tree(t), 1,
+                        sn.cochain_sum(sn.straighten(t)), -1))
+            yield host, vecs
+        vecs = [hm.chain_vector_of_tree(t, omit_top=False)
+                for fam in ("comb", "lyndon") for t in tr.enumerate_family(fam, n)]
+        yield hm.proper_part(n), vecs
+
+
+def test_quotient_rank_and_membership_match_pairing_oracle():
+    for host, vecs in _quotient_cases():
+        basis = _oracle_cycle_basis(host)
+        rows = [{j: hm.pairing(v, z) for j, z in enumerate(basis)}
+                for v in vecs]
+        rows = [{j: x for j, x in row.items() if x} for row in rows]
+        assert hm.rank_in_top_quotient(host, vecs) == \
+            (linalg.rank_of(rows), len(basis)), host.name
+        for v, row in zip(vecs, rows):
+            assert hm.coboundary_member(host, v) == (not row), (host.name, v)
+
+
+def test_chain_outside_the_host_is_refused():
+    host1, host2 = hm.open_interval(4, 1), hm.open_interval(4, 2)
+    c = next(c for c in host2.chains_by_dim()[host2.top_dim]
+             if any(e not in host1.index for e in c))
+    with pytest.raises(ValueError, match=r"not a top chain of \(0,\[4\]\^1\)"):
+        hm.coboundary_member(host1, {c: 1})
+    with pytest.raises(ValueError, match=r"not a top chain of \(0,\[4\]\^1\)"):
+        hm.rank_in_top_quotient(host1, [{c: 1}])
+    # a chain of host1 that is not top-dimensional, and one that is not
+    # a chain, are refused too
+    low = host1.chains_by_dim()[host1.top_dim - 1][0]
+    top = host1.chains_by_dim()[host1.top_dim][0]
+    for bad in (low, top[::-1]):
+        with pytest.raises(ValueError, match="not a top chain"):
+            hm.coboundary_member(host1, {bad: 1})
