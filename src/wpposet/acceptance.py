@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 from . import chains as ch
 from . import homology as hm
@@ -236,6 +235,9 @@ def run_all(nmax=None, emit=print, jobs=1):
     in criterion order once all are done."""
     ids = range(1, len(ALL_CRITERIA) + 1)
     if jobs > 1:
+        # loading the pool costs every process that imports this module
+        # about 30 ms, so only the --jobs path pays it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(run_criterion, ids, [nmax] * len(ids)))
     else:

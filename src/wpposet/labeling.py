@@ -9,7 +9,6 @@ a of the componentwise orders on (b, u).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import partitions as pt
@@ -20,11 +19,36 @@ EQUAL = "equal"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
 class EdgeLabel:
-    a: int
-    b: int
-    u: int
+    """The label (a, b)^u: immutable, equal to an EdgeLabel with equal
+    fields and hashed as the tuple (a, b, u)."""
+
+    __slots__ = ("a", "b", "u")
+
+    def __init__(self, a, b, u):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "u", u)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.u) == (other.a, other.b, other.u)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.u))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return EdgeLabel, (self.a, self.b, self.u)
+
+    def __repr__(self):
+        return f"EdgeLabel(a={self.a!r}, b={self.b!r}, u={self.u!r})"
 
     def __str__(self):
         return f"({self.a},{self.b})^{self.u}"
@@ -76,9 +100,13 @@ def lex_precedes(word, other):
 
 @lru_cache(maxsize=None)
 def _saturated_chains_by_interval(n):
-    """dict (x_index, y_index) -> list of saturated chains (index tuples)
-    covering every closed interval of the augmented poset."""
+    """(P, by_interval, labels) for the augmented poset P on [n]:
+    by_interval maps (x_index, y_index) to the saturated chains (index
+    tuples) of every closed interval, and labels maps each cover
+    (x_index, y_index) to its edge label, computed once per cover."""
     P = pt.build_poset(n, pt.AUGMENTED)
+    labels = {(x, y): edge_label(P.elements[x], P.elements[y], n)
+              for x, ups in enumerate(P.covers) for y in ups}
     down = {}
 
     def descend(y):
@@ -95,13 +123,11 @@ def _saturated_chains_by_interval(n):
     for y in range(len(P.elements)):
         for chain in descend(y):
             by_interval.setdefault((chain[0], chain[-1]), []).append(chain)
-    return P, by_interval
+    return P, by_interval, labels
 
 
-def _label_word(P, chain):
-    n = P.n
-    return tuple(edge_label(P.elements[i], P.elements[j], n)
-                 for i, j in zip(chain, chain[1:]))
+def _label_word(labels, chain):
+    return tuple(map(labels.__getitem__, zip(chain, chain[1:])))
 
 
 def verify_el(n, collect_rows=False):
@@ -112,13 +138,13 @@ def verify_el(n, collect_rows=False):
     passed.  With collect_rows, report["rows"] lists per-interval counts
     (interval, #max chains, #increasing, lex_first_ok, #ascent-free).
     """
-    P, by_interval = _saturated_chains_by_interval(n)
+    P, by_interval, labels = _saturated_chains_by_interval(n)
     violations = []
     rows = []
     for (x, y), chainlist in sorted(by_interval.items()):
         if x == y:
             continue
-        words = [_label_word(P, c) for c in chainlist]
+        words = [_label_word(labels, c) for c in chainlist]
         increasing = [k for k, w in enumerate(words) if is_increasing(w)]
         lex_ok = (len(increasing) == 1 and all(
             lex_precedes(words[increasing[0]], w)
@@ -156,10 +182,10 @@ def ascent_free_chains(n, top):
 
     top is a poset element (a partition or pt.TOP); returns index tuples.
     """
-    P, by_interval = _saturated_chains_by_interval(n)
+    P, by_interval, labels = _saturated_chains_by_interval(n)
     y = P.index[top]
     chains = by_interval.get((P.bottom_index, y), [])
-    return P, [c for c in chains if is_ascent_free(_label_word(P, c))]
+    return P, [c for c in chains if is_ascent_free(_label_word(labels, c))]
 
 
 def report_csv(n):

@@ -11,7 +11,6 @@ the witness that :func:`solve_rational` returns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -145,6 +144,9 @@ class Echelon:
         residual, t = self._reduce(dict(target), {_TARGET: 1})
         if residual:
             return None
+        # imported here: only a witness solve needs rationals, and the
+        # module costs every process that imports this one a few ms
+        from fractions import Fraction
         d = t.pop(_TARGET)
         return {j: Fraction(-x, d) for j, x in t.items()}
 
@@ -156,12 +158,16 @@ def rank_of(vectors):
     return ech.rank
 
 
-def kernel_basis(vectors):
+def kernel_basis(vectors, ech=None):
     """Integer basis of {x : sum_j x_j vectors[j] = 0}.
 
-    Returned vectors are primitive dicts keyed by the input index j.
+    Returned vectors are primitive dicts keyed by the input index j.  A
+    caller that also wants the reduction's rank, pivots or certificate
+    passes an empty tracked ``Echelon`` as ``ech``, which is left holding
+    the reduction.
     """
-    ech = Echelon(track=True)
+    if ech is None:
+        ech = Echelon(track=True)
     out = []
     for j, v in enumerate(vectors):
         combo = ech.add(v, tag=j)
