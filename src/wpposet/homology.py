@@ -63,7 +63,6 @@ class OpenPoset:
         self._index_chains = None
         self._chains = None
         self._cycles = None
-        self._top_reduction = None
 
     def index_chains(self):
         """dict r -> list of r-chains as tuples of local indices, in
@@ -122,18 +121,13 @@ class OpenPoset:
         cycles, stored by chain: index[c] is the flat tuple (j, z_j[c],
         j', z_j'[c], ...) over the z_j with the top index chain c in their
         support.  There is one per chain, so it is a tuple, not a dict,
-        and equal ones are one object.  Computed once, from the one
-        tracked reduction of the top boundary map, whose rank,
-        ``unimodular`` flag and pivots are kept for ``_reductions``."""
+        and equal ones are one object.  Computed once."""
         if self._cycles is None:
             by_dim = self.index_chains()
             top = max(by_dim)
             chains = by_dim[top]
-            ech = linalg.Echelon(track=True)
             combos = linalg.kernel_basis(
-                _boundary_rows(chains, _positions(by_dim.get(top - 1, []))),
-                ech)
-            self._top_reduction = ech.rank, ech.unimodular, set(ech.by_pivot)
+                _boundary_rows(chains, _positions(by_dim.get(top - 1, []))))
             index = {}
             for j, combo in enumerate(combos):
                 for k, x in combo.items():
@@ -182,23 +176,10 @@ def _reductions(host):
     r-chains before it, so it would reduce to zero and install nothing.
     The stored vectors, so the rank and the unit-pivot certificate, are
     those of the whole map.
-
-    Once the host has built its cycle index, the top map is read from
-    the tracked reduction behind it instead of being reduced again; the
-    two agree on rank, certificate and pivots, since up to the first
-    non-unit pivot both make the same unit subtractions and the pivots
-    depend only on the span of each prefix of the rows.  The index is not
-    built here: tracking costs a Betti-only caller a quarter to a half
-    more on the top map.
     """
     by_dim = host.index_chains()
-    top = max(by_dim)
     cleared = set()
     for r in sorted(by_dim, reverse=True):
-        if r == top and host._top_reduction is not None:
-            rank, unimodular, cleared = host._top_reduction
-            yield r, rank, unimodular, cleared
-            continue
         faces = _positions(by_dim.get(r - 1, []))
         ech = linalg.Echelon()
         for row in _boundary_rows(

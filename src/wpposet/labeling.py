@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import partitions as pt
+from .frozen import Frozen
 
 LESS = "less"
 GREATER = "greater"
@@ -19,36 +20,10 @@ EQUAL = "equal"
 INCOMPARABLE = "incomparable"
 
 
-class EdgeLabel:
-    """The label (a, b)^u: immutable, equal to an EdgeLabel with equal
-    fields and hashed as the tuple (a, b, u)."""
+class EdgeLabel(Frozen):
+    """The label (a, b)^u."""
 
     __slots__ = ("a", "b", "u")
-
-    def __init__(self, a, b, u):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "u", u)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.u) == (other.a, other.b, other.u)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.u))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return EdgeLabel, (self.a, self.b, self.u)
-
-    def __repr__(self):
-        return f"EdgeLabel(a={self.a!r}, b={self.b!r}, u={self.u!r})"
 
     def __str__(self):
         return f"({self.a},{self.b})^{self.u}"

@@ -158,16 +158,12 @@ def rank_of(vectors):
     return ech.rank
 
 
-def kernel_basis(vectors, ech=None):
+def kernel_basis(vectors):
     """Integer basis of {x : sum_j x_j vectors[j] = 0}.
 
-    Returned vectors are primitive dicts keyed by the input index j.  A
-    caller that also wants the reduction's rank, pivots or certificate
-    passes an empty tracked ``Echelon`` as ``ech``, which is left holding
-    the reduction.
+    Returned vectors are primitive dicts keyed by the input index j.
     """
-    if ech is None:
-        ech = Echelon(track=True)
+    ech = Echelon(track=True)
     out = []
     for j, v in enumerate(vectors):
         combo = ech.add(v, tag=j)

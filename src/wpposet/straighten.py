@@ -30,6 +30,7 @@ from functools import lru_cache
 from . import homology as hm
 from . import linalg
 from . import trees as tr
+from .frozen import Frozen
 
 COHOMOLOGY = "cohomology"
 LIE2 = "lie2"
@@ -210,40 +211,11 @@ def straighten_sum(s, side):
 # relation instances
 # ---------------------------------------------------------------------------
 
-class RelationInstance:
+class RelationInstance(Frozen):
     """Where a relation is instantiated: its kind (swap, assoc or mixed),
-    the path from the root to the node it acts on, and the anchor tree.
-    Immutable, equal to a RelationInstance with equal fields and hashed as
-    the tuple of its fields."""
+    the path from the root to the node it acts on, and the anchor tree."""
 
     __slots__ = ("kind", "position", "host")
-
-    def __init__(self, kind, position, host):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "host", host)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.position, self.host)
-                == (other.kind, other.position, other.host))
-
-    def __hash__(self):
-        return hash((self.kind, self.position, self.host))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return RelationInstance, (self.kind, self.position, self.host)
-
-    def __repr__(self):
-        return (f"RelationInstance(kind={self.kind!r}, "
-                f"position={self.position!r}, host={self.host!r})")
 
 
 def relation_instances(n, side=COHOMOLOGY):

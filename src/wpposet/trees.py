@@ -35,6 +35,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import ResourceCapError
+from .frozen import Frozen
 
 BLUE = "b"
 RED = "r"
@@ -571,34 +572,11 @@ def valency_decreasing_tau(t):
 # rooted trees with descents
 # ---------------------------------------------------------------------------
 
-class RootedTree:
+class RootedTree(Frozen):
     """Rooted tree on a finite label set, stored as a sorted parent map:
-    ``parent`` is the tuple of (child, parent) pairs, sorted by child.
-    Immutable, equal to a RootedTree with equal fields and hashed as the
-    tuple (root, parent)."""
+    ``parent`` is the tuple of (child, parent) pairs, sorted by child."""
 
     __slots__ = ("root", "parent")
-
-    def __init__(self, root, parent):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "parent", parent)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.root, self.parent) == (other.root, other.parent)
-
-    def __hash__(self):
-        return hash((self.root, self.parent))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return RootedTree, (self.root, self.parent)
 
     @property
     def labels(self):

@@ -12,6 +12,7 @@ import pytest
 from wpposet import labeling as lb
 from wpposet import straighten as sn
 from wpposet import trees as tr
+from wpposet.frozen import Frozen
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = ("acceptance", "chains", "cli", "homology", "labeling", "linalg",
@@ -61,3 +62,18 @@ def test_frozen_class_contract(value, fields, text):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(value, protocol))
         assert back == value and type(back) is cls
+
+
+def test_frozen_base_keeps_classes_apart():
+    class Pair(Frozen):
+        __slots__ = ("root", "parent")
+
+    fields = (2, ((1, 2), (3, 2)))
+    # same field names and values, another class: not equal
+    assert Pair(*fields) != tr.RootedTree(*fields)
+    assert Pair(*fields) == Pair(*fields)
+    with pytest.raises(TypeError):
+        Pair(2)
+    with pytest.raises(TypeError):
+        class Single(Frozen):
+            __slots__ = ("x",)

@@ -28,21 +28,11 @@ def test_betti_of_proper_part_frozen():
     assert rep["betti"][rep["top_dim"]] == 27
 
 
-def _fresh_hosts(n):
-    """Uncached hosts of every (0,[n]^i) and of the proper part: a host
-    keeps its top reduction, so a patched reduction needs new ones."""
-    P = pt.build_poset(n, pt.WEIGHTED)
-    return [hm.OpenPoset(f"(0,[{n}]^{i})", P, hm.interval_elements(n, i))
-            for i in range(n)] + [
-        hm.OpenPoset(f"Pi_{n}^w - 0", P, P.elements[1:])]
-
-
 def test_betti_numbers_fallback_matches_certificate(monkeypatch):
     # every map below has unit pivots, so the report is read from the
-    # certificate; with it forced off the SNF must give the same report,
-    # also where the top map is read from the cycle index's reduction
-    reports = 2 * [hm.betti_numbers(host) for host in _fresh_hosts(4)]
-    hosts = _fresh_hosts(4) + _fresh_hosts(4)
+    # certificate; with it forced off the SNF must give the same report
+    hosts = [hm.open_interval(4, i) for i in range(4)] + [hm.proper_part(4)]
+    reports = [hm.betti_numbers(host) for host in hosts]
     calls = []
     snf = hm.linalg.snf_invariant_factors
 
@@ -52,47 +42,11 @@ def test_betti_numbers_fallback_matches_certificate(monkeypatch):
 
     monkeypatch.setattr(hm.linalg.Echelon, "unimodular", False)
     monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
-    for host in hosts[len(hosts) // 2:]:
-        host.cycle_index()
     for host, rep in zip(hosts, reports):
         assert hm.betti_numbers(host) == rep, host.name
         assert list(rep["torsion_nontrivial"]) == [rep["top_dim"],
                                                    rep["top_dim"] - 1]
     assert len(calls) == 2 * len(hosts)
-
-
-def test_top_map_is_reduced_once_after_the_cycle_index(monkeypatch):
-    # a reduction of the top map is seen by the face list it is keyed over
-    reduced = []
-    positions = hm._positions
-
-    def counted(chains):
-        reduced.append(chains)
-        return positions(chains)
-
-    monkeypatch.setattr(hm, "_positions", counted)
-    for index_first in (False, True):
-        for host in _fresh_hosts(4):
-            by_dim = host.index_chains()
-            top_faces = by_dim[max(by_dim) - 1]
-            if index_first:
-                hm.rank_in_top_quotient(host, [])
-            hm.betti_numbers(host)
-            hm.rank_in_top_quotient(host, [])
-            hm.betti_numbers(host)
-            times = sum(1 for faces in reduced if faces is top_faces)
-            # Betti numbers asked first reduce it untracked; from the
-            # index on, they read the index's reduction
-            assert times == (1 if index_first else 2), host.name
-            reduced.clear()
-
-
-def test_top_reduction_of_the_index_matches_untracked():
-    for n in range(2, 6):
-        for untracked, tracked in zip(_fresh_hosts(n), _fresh_hosts(n)):
-            tracked.cycle_index()
-            assert list(hm._reductions(untracked)) == \
-                list(hm._reductions(tracked)), untracked.name
 
 
 def test_degenerate_host():
