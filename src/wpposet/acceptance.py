@@ -45,8 +45,8 @@ def criterion_3(nmax=None):
 
 def criterion_4(nmax=None):
     for n in range(1, _cap(6, nmax) + 1):
-        pt.characteristic_polynomial(pt.build_poset(n, pt.WEIGHTED))
-        pt.characteristic_polynomial(pt.build_poset(n, pt.POINTED))
+        pt.characteristic_polynomial(pt.mobius_poset(n, pt.WEIGHTED))
+        pt.characteristic_polynomial(pt.mobius_poset(n, pt.POINTED))
     return "characteristic polynomial (both variants)", True, f"n <= {_cap(6, nmax)}"
 
 
@@ -60,7 +60,7 @@ def criterion_6(nmax=None):
     for n in range(1, _cap(6, nmax) + 1):
         tr.forest_counts(n)
     for n in range(1, _cap(6, nmax) + 1):
-        P = pt.build_poset(n, pt.WEIGHTED)
+        P = pt.mobius_poset(n, pt.WEIGHTED)
         mu0 = P.mu_from_bottom()
         per_alpha = Counter(ch.alpha_of_forest(F)
                             for F in tr.enumerate_rooted_forests(n))
@@ -80,8 +80,7 @@ def criterion_7(nmax=None):
 
 def criterion_8(nmax=None):
     for n in range(2, _cap(5, nmax) + 1):
-        counts = Counter(T.descent_count()
-                         for T in tr.enumerate_rooted_trees(range(1, n + 1)))
+        counts = tr.descent_counts(n)
         for i in range(n):
             top = pt.sort_blocks((((1 << n) - 1, i),))
             P, af = lb.ascent_free_chains(n, top)
@@ -99,8 +98,7 @@ def criterion_8(nmax=None):
 
 def criterion_9(nmax=None):
     for n in range(2, _cap(6, nmax) + 1):
-        counts = Counter(T.descent_count()
-                         for T in tr.enumerate_rooted_trees(range(1, n + 1)))
+        counts = tr.descent_counts(n)
         for i in range(n):
             rep = hm.betti_numbers(hm.open_interval(n, i))
             top = rep["top_dim"]
@@ -192,7 +190,7 @@ def criterion_14(nmax=None):
 
 def criterion_15(nmax=None):
     for n in range(1, _cap(5, nmax) + 1):
-        hm.whitney_cohomology_ranks(n)
+        pt.whitney_cohomology_ranks(n)
     return "Whitney cohomology ranks", True, f"n <= {_cap(5, nmax)}"
 
 

@@ -62,8 +62,8 @@ def _emit(args, text_fn, json_obj, csv_fn=None, dot_fn=None):
 
 def cmd_invariants(args):
     _check_max_elements(args.n, args.variant, args.max_elements)
-    P = pt.build_poset(args.n, args.variant)
     rep = pt.json_report(args.n, args.variant)
+    P = pt.build_poset(args.n, args.variant)
 
     def text():
         print(f"poset: n={args.n} variant={args.variant} "
@@ -221,7 +221,7 @@ def cmd_psi(args):
 
 def cmd_whitney(args):
     first, second = pt.whitney_numbers(args.n)
-    ranks = hm.whitney_cohomology_ranks(args.n)
+    ranks = pt.whitney_cohomology_ranks(args.n)
     rep = {"n": args.n, "whitney_first": first, "whitney_second": second,
            "cohomology_ranks": ranks, "cohomology_total": sum(ranks)}
 

@@ -13,7 +13,9 @@ sparse dict mapping chains to integers.  Everything is computed over the
 integers; one reduction per boundary map, top dimension first, gives its
 rank and, through its unit-pivot certificate, the torsion of the top two
 maps.  Each host keeps one form of its top cycle basis, the cycle index,
-from which quotient ranks and coboundary tests are read.
+from which quotient ranks and coboundary membership are read; membership
+is a yes/no answer, with no witness cochain.  The Whitney cohomology
+ranks are read off the Mobius function, in ``partitions``.
 """
 
 from __future__ import annotations
@@ -340,25 +342,12 @@ def _quotient_row(host, v):
     return {j: x for j, x in row.items() if x}
 
 
-def coboundary_member(host, v, want_witness=False):
+def coboundary_member(host, v):
     """Is v (top-dimensional) a coboundary?  Over the rationals this is
     orthogonality to every top-dimensional cycle, so v is a member exactly
-    when its cycle-index row is empty; a witness w with coboundary(w) = v
-    is solved for on request.  A chain of v that is not a top chain of
-    host raises ValueError."""
-    if not v:
-        return (True, {}) if want_witness else True
-    member = not _quotient_row(host, v)
-    if not want_witness:
-        return member
-    if not member:
-        return False, None
-    cod = host.chains_by_dim().get(host.top_dim - 1, [])
-    cols = [coboundary(host, {c: 1}) for c in cod]
-    sol = linalg.solve_rational(cols, v)
-    if sol is None:
-        raise AssertionError("rational witness solve failed for a member")
-    return True, {cod[j]: x for j, x in sol.items()}
+    when its cycle-index row is empty.  A chain of v that is not a top
+    chain of host raises ValueError."""
+    return not v or not _quotient_row(host, v)
 
 
 def chain_vector_of_tree(t, omit_top=True):
@@ -399,22 +388,6 @@ def rank_in_top_quotient(host, vectors):
     ValueError."""
     rows = [_quotient_row(host, v) for v in vectors]
     return linalg.rank_of(rows), host.cycle_index()[1]
-
-
-def whitney_cohomology_ranks(n):
-    """Ranks of the Whitney cohomology, computed as sums of |mu| over
-    ranks and checked against C(n-1,r) n^r with total (n+1)^(n-1)."""
-    P = pt.build_poset(n, pt.WEIGHTED)
-    mu0 = P.mu_from_bottom()
-    got = [0] * n
-    for k, m in enumerate(mu0):
-        got[P.ranks[k]] += abs(m)
-    expected = [comb(n - 1, r) * n ** r for r in range(n)]
-    if got != expected:
-        raise AssertionError(f"Whitney cohomology ranks {got} != {expected}")
-    if sum(got) != (n + 1) ** (n - 1):
-        raise AssertionError("Whitney cohomology total is off")
-    return got
 
 
 # ---------------------------------------------------------------------------

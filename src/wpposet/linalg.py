@@ -1,12 +1,11 @@
 """Exact sparse integer linear algebra.
 
 Vectors are dicts mapping hashable, sortable keys to nonzero ints.  Rank,
-kernel, witness solve and the torsion certificate share one fraction-free
-column reduction (:class:`Echelon`); a step whose stored pivot divides
-the entry it clears is a plain subtraction, made in place on the vector
-being reduced, and :func:`snf_invariant_factors` runs only where the
-certificate fails.  Rationals (``fractions.Fraction``) appear only in
-the witness that :func:`solve_rational` returns.
+kernel and the torsion certificate share one fraction-free column
+reduction (:class:`Echelon`); a step whose stored pivot divides the entry
+it clears is a plain subtraction, made in place on the vector being
+reduced, and :func:`snf_invariant_factors` runs only where the
+certificate fails.  Every value is an integer.
 """
 
 from __future__ import annotations
@@ -51,9 +50,6 @@ def vec_primitive(v):
     if g > 1:
         return {k: x // g for k, x in v.items()}
     return v
-
-
-_TARGET = object()  # tracker key of the target in Echelon.solve
 
 
 class Echelon:
@@ -132,24 +128,6 @@ class Echelon:
         self.by_pivot[low] = (v, t)
         return None
 
-    def solve(self, target):
-        """x with sum_j x[j] * input_j = target, as a dict tag ->
-        Fraction, or None when target is outside the span.  Needs
-        ``track``.
-
-        The reduction keeps D*target = residual + sum_j s_j * input_j
-        (its tracker holds D under the key _TARGET and -s_j under j), so
-        a zero residual gives x[j] = s_j / D.
-        """
-        residual, t = self._reduce(dict(target), {_TARGET: 1})
-        if residual:
-            return None
-        # imported here: only a witness solve needs rationals, and the
-        # module costs every process that imports this one a few ms
-        from fractions import Fraction
-        d = t.pop(_TARGET)
-        return {j: Fraction(-x, d) for j, x in t.items()}
-
 
 def rank_of(vectors):
     ech = Echelon()
@@ -170,15 +148,6 @@ def kernel_basis(vectors):
         if combo is not None:
             out.append(vec_primitive(combo))
     return out
-
-
-def solve_rational(vectors, target):
-    """x with sum_j x_j vectors[j] = target over the rationals, as a dict
-    j -> Fraction, or None when the system is inconsistent."""
-    ech = Echelon(track=True)
-    for j, v in enumerate(vectors):
-        ech.add(v, tag=j)
-    return ech.solve(target)
 
 
 def snf_invariant_factors(vectors):

@@ -219,7 +219,7 @@ class Poset:
             for j in ups:
                 self.lower_covers[j].append(k)
         self._down = None
-        self._mu_rows = {}
+        self._mu = None
 
     @property
     def bottom_index(self):
@@ -254,31 +254,16 @@ class Poset:
             self._down = down
         return self._down
 
-    def _mu_row(self, i):
-        """mu(i, x) for every element x (0 unless i <= x), one rank-ordered
-        pass: mu(i, x) = -sum of mu(i, z) over i <= z < x."""
-        row = self._mu_rows.get(i)
-        if row is None:
-            down = self.down_sets()
-            row = [0] * len(self.elements)
-            row[i] = 1
-            above = 1 << i  # bitset of the z >= i passed so far
-            for k in range(i + 1, len(self.elements)):
-                if not down[k] >> i & 1:
-                    continue
-                row[k] = -sum(row[z] for z in bits(down[k] & above))
-                above |= 1 << k
-            self._mu_rows[i] = row
-        return row
-
     def mu_from_bottom(self):
-        """mu(0-hat, x) for every element."""
-        return self._mu_row(0)
-
-    def mobius(self, i, j):
-        if not self.down_sets()[j] >> i & 1:
-            raise ValueError("mobius requires x <= y")
-        return self._mu_row(i)[j]
+        """mu(0-hat, x) for every element x, one rank-ordered pass:
+        mu(0-hat, x) = -sum of mu(0-hat, z) over z < x.  Computed once."""
+        if self._mu is None:
+            down = self.down_sets()
+            mu = [1]
+            for k in range(1, len(down)):
+                mu.append(-sum(mu[z] for z in bits(down[k] ^ (1 << k))))
+            self._mu = mu
+        return self._mu
 
 
 @lru_cache(maxsize=None)
@@ -291,6 +276,15 @@ def build_poset(n, variant=WEIGHTED):
     if variant in (WEIGHTED, POINTED):
         return Poset(n, variant, augmented=False)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def mobius_poset(n, variant=WEIGHTED):
+    """``build_poset(n, variant)`` for a reader of its Mobius function,
+    refused past MOBIUS_CAP_N before anything is built."""
+    if n > MOBIUS_CAP_N:
+        # the any-pair sweep's wording, kept so cap records keep their bytes
+        raise ResourceCapError(f"all-pairs Mobius at n={n}", MOBIUS_CAP_N)
+    return build_poset(n, variant)
 
 
 def poset_size(n, variant=WEIGHTED):
@@ -337,12 +331,9 @@ def mu_polynomial(n):
     """Coefficients (in t) of sum_i mu(0-hat, [n]^i) t^i, computed on the
     poset and checked against the product formula
     (-1)^(n-1) prod_{j=1}^{n-1} ((n-j) + j t)."""
-    if n > MOBIUS_CAP_N:
-        raise ResourceCapError(f"all-pairs Mobius at n={n}", MOBIUS_CAP_N)
-    P = build_poset(n, WEIGHTED)
+    P = mobius_poset(n, WEIGHTED)
     mu0 = P.mu_from_bottom()
-    tops = P.maximal_indices()
-    got = [mu0[k] for k in sorted(tops, key=lambda k: P.elements[k][0][1])]
+    got = [mu0[k] for k in P.maximal_indices()]
     poly = [1]
     for j in range(1, n):
         poly = poly_mul(poly, [n - j, j])
@@ -355,14 +346,21 @@ def mu_polynomial(n):
 def mu_augmented(n):
     """mu(0-hat, 1-hat) of the augmented poset, checked against
     (-1)^n (n-1)^(n-1)."""
-    if n > MOBIUS_CAP_N:
-        raise ResourceCapError(f"all-pairs Mobius at n={n}", MOBIUS_CAP_N)
-    P = build_poset(n, AUGMENTED)
+    P = mobius_poset(n, AUGMENTED)
     got = P.mu_from_bottom()[P.index[TOP]]
     expected = (-1) ** n * (n - 1) ** (n - 1)
     if got != expected:
         raise AssertionError(f"mu(0,1) = {got} != {expected} at n={n}")
     return got
+
+
+def _mu_rank_sums(P, absolute=False):
+    """The sum of mu(0-hat, x), or of |mu(0-hat, x)|, over the x of each
+    rank, rank 0 first."""
+    sums = [0] * (max(P.ranks) + 1)
+    for r, m in zip(P.ranks, P.mu_from_bottom()):
+        sums[r] += abs(m) if absolute else m
+    return sums
 
 
 def characteristic_polynomial(P):
@@ -371,12 +369,7 @@ def characteristic_polynomial(P):
         raise ValueError("characteristic polynomial is defined on the "
                          "unaugmented poset")
     n = P.n
-    if n > MOBIUS_CAP_N:
-        raise ResourceCapError(f"all-pairs Mobius at n={n}", MOBIUS_CAP_N)
-    mu0 = P.mu_from_bottom()
-    coeffs = [0] * n
-    for k, m in enumerate(mu0):
-        coeffs[n - 1 - P.ranks[k]] += m
+    coeffs = _mu_rank_sums(P)[::-1]
     expected = [1]
     for _ in range(n - 1):
         expected = poly_mul(expected, [-n, 1])
@@ -403,9 +396,7 @@ def whitney_matrices(n):
 def whitney_numbers(n):
     """(first kind, second kind), read off chi and the rank sizes; also
     verifies the inverse-matrix identity."""
-    if n > MOBIUS_CAP_N:
-        raise ResourceCapError(f"all-pairs Mobius at n={n}", MOBIUS_CAP_N)
-    chi = characteristic_polynomial(build_poset(n, WEIGHTED))
+    chi = characteristic_polynomial(mobius_poset(n, WEIGHTED))
     first = [chi[n - 1 - k] for k in range(n)]
     second = rank_generating_function(n)
     exp_first = [(-1) ** k * comb(n - 1, k) * n ** k for k in range(n)]
@@ -413,6 +404,18 @@ def whitney_numbers(n):
         raise AssertionError(f"first Whitney numbers {first} != {exp_first}")
     whitney_matrices(n)
     return first, second
+
+
+def whitney_cohomology_ranks(n):
+    """Ranks of the Whitney cohomology, the sums of |mu(0-hat, x)| over the
+    ranks, checked against C(n-1,r) n^r with total (n+1)^(n-1)."""
+    got = _mu_rank_sums(mobius_poset(n, WEIGHTED), absolute=True)
+    expected = [comb(n - 1, r) * n ** r for r in range(n)]
+    if got != expected:
+        raise AssertionError(f"Whitney cohomology ranks {got} != {expected}")
+    if sum(got) != (n + 1) ** (n - 1):
+        raise AssertionError("Whitney cohomology total is off")
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +441,7 @@ def to_dot(P):
 
 def json_report(n, variant=WEIGHTED):
     """The summary report for one poset, as a JSON-serializable dict."""
-    P = build_poset(n, variant)
+    P = mobius_poset(n, variant)
     mu0 = P.mu_from_bottom()
     chi = None if P.augmented else characteristic_polynomial(P)
     if variant == WEIGHTED:

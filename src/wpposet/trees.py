@@ -984,10 +984,3 @@ def forest_counts(n):
         if count != expected:
             raise AssertionError(f"forest count {count} != {expected} at n={n}, k={k}")
     return counts
-
-
-def forest_count(n, k):
-    """Number of rooted forests on [n] with k trees; see :func:`forest_counts`."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    return forest_counts(n)[k - 1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -304,3 +305,85 @@ def test_report_all_crashing_criterion_is_a_fail_row(capsys, monkeypatch,
     assert row["criterion"] == 3 and not row["ok"]
     assert row["detail"] == "raised ZeroDivisionError: injected for the test"
     assert all(r["ok"] for r in rep["criteria"] if r is not row)
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--n", "8", "--variant", "weighted"],
+    ["invariants", "--n", "8", "--variant", "pointed"],
+    ["invariants", "--n", "8", "--variant", "augmented"],
+    ["whitney", "--n", "8"],
+], ids=["weighted", "pointed", "augmented", "whitney"])
+def test_mobius_cap_fires_before_any_poset(capsys, monkeypatch, argv):
+    from wpposet import partitions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a poset was built before the Mobius cap")
+
+    monkeypatch.setattr(partitions, "Poset", refuse)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": "all-pairs Mobius at n=8",
+                               "limit": 6}
+
+
+# sha256 of the stdout of each command with --format json, as printed
+# when every Mobius value came from an any-pair sweep; a rewrite of the
+# Mobius layer must keep these bytes
+JSON_DIGESTS = {
+    "invariants --n 1 --variant weighted":
+        "8acbbaa8c4ed6e4a1adf019d19dfb668d04ca272757416ccf816b769f8c00079",
+    "invariants --n 1 --variant pointed":
+        "eecc3c42feb2e21e478a19f5347ca2b7dc02f4b7bd2e7b7038da58b1a801be28",
+    "invariants --n 1 --variant augmented":
+        "bf29a40f7115ffc1972616e8b4c97886868ccc02c646d5790c0765dcaa1dd658",
+    "invariants --n 2 --variant weighted":
+        "8392dccd7d4b6ed2cd33e17afe8e2340cb97783cdd79f074c403128893ebf35e",
+    "invariants --n 2 --variant pointed":
+        "bdbc39e19dcb6b5699bc54fd1eebed3bc65b0c14167a00c3dacca3ccf0578209",
+    "invariants --n 2 --variant augmented":
+        "5b056074598b696bf7b847df577e895b4005ae174922bf8668005fa73bdb9ace",
+    "invariants --n 3 --variant weighted":
+        "9dbd13b1d100862b5dadaa8b20c388212304fedb4d93663f71d7f9379e17b4a5",
+    "invariants --n 3 --variant pointed":
+        "0a1614a6ec393094976099b1f1c25cf360d1d5a317e7403a096a2c20a3c9b9c9",
+    "invariants --n 3 --variant augmented":
+        "89daeff78e4aab050851bc047445e737bc3f62444ca44142c7d0d9646a01fd4e",
+    "invariants --n 4 --variant weighted":
+        "7d844f5744960284abb7e0f105f17efa7a25897e526313e76e62ade157a974f6",
+    "invariants --n 4 --variant pointed":
+        "9d392d6cea93129e8849a3575a28d85da094899a664d009197244193717175b1",
+    "invariants --n 4 --variant augmented":
+        "b28836c067d2c3b04451915212efb01302b758950113b4b42f327db977d198c6",
+    "invariants --n 5 --variant weighted":
+        "2d66e7ef77c765a6cf3914e0f32372e80f1376e57094809ea4fda15357303d47",
+    "invariants --n 5 --variant pointed":
+        "f490a35c20ced2a9e9e9b7c903a5f861e7f5d2a34881c18d81fbf29ccf904d44",
+    "invariants --n 5 --variant augmented":
+        "167f64188295cd75c4d3218629aa4f157faa8e5db0c175d907a6a1a50ecb0fab",
+    "invariants --n 6 --variant weighted":
+        "f1e5cd4022d1f4d079a5d7c7a5b5c384d4532b7f9093bdf8f8b2a42aa5cdf763",
+    "invariants --n 6 --variant pointed":
+        "900c81e12d8937e8e59c769fc05f36e9265bd013ed5e733fdefefedada5ec31d",
+    "invariants --n 6 --variant augmented":
+        "c158707427f0b0b7666a74230e9e89443dabfcb044833f2ec6e5b637b5ee75ab",
+    "whitney --n 1":
+        "c827f0f7a28f60c1c1620a3df659d78e36e8fa276aa3391914afe356f161c2bd",
+    "whitney --n 2":
+        "b4a1f636cbb55362f4f84190a5fb4422a8c8988ca883b6af37867e480090ef75",
+    "whitney --n 3":
+        "af82fd450ea683b0f88423a8e584f29b5a90d6dac2ca6330a624a5fae866f161",
+    "whitney --n 4":
+        "9c59f39024c4b9c1dc90d9d712e8adc278690bf658bdaeea11897d6836d2e386",
+    "whitney --n 5":
+        "322e41bb6291f8d36ffbce388fbdbc62f92f88cab7ff6204afdae155c7cecf06",
+    "whitney --n 6":
+        "8c70d8ef9c97b30d26a7d99d51a833481a6a3d06c6db9f8bec539982b32f52b3",
+}
+
+
+def test_invariants_and_whitney_json_bytes_pinned(capsys):
+    for command, digest in JSON_DIGESTS.items():
+        code, out = run(capsys, *command.split(), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
@@ -26,21 +25,6 @@ def test_kernel_basis_annihilates():
             total = linalg.vec_combine(total, 1, vecs[j], c)
         assert total == {}
         assert linalg.vec_content(combo) == 1
-
-
-def test_solve_rational_exact():
-    vecs = dense_to_vecs([[2, 0], [1, 1]])
-    sol = linalg.solve_rational(vecs, {0: 1, 1: 3})
-    total = {}
-    for j, c in sol.items():
-        for k, x in vecs[j].items():
-            total[k] = total.get(k, 0) + c * x
-    assert total == {0: Fraction(1), 1: Fraction(3)}
-
-
-def test_solve_rational_inconsistent():
-    vecs = dense_to_vecs([[1, 1, 0]])
-    assert linalg.solve_rational(vecs, {2: 1}) is None
 
 
 def test_snf_divisibility_chain():
@@ -116,34 +100,6 @@ def test_random_kernel_dimension(seed):
         for j, c in combo.items():
             total = linalg.vec_combine(total, 1, vecs[j], c)
         assert total == {}
-
-
-def combination(vecs, x):
-    total = {}
-    for j, c in x.items():
-        for k, v in vecs[j].items():
-            total[k] = total.get(k, 0) + c * v
-    return {k: v for k, v in total.items() if v}
-
-
-@given(st.integers(0, 10_000))
-def test_random_solve_rational(seed):
-    # entries in [-3, 3] give non-unit pivots, so the reduction also takes
-    # its cross-multiplying branch
-    rng = random.Random(seed)
-    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-    M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-    vecs = dense_to_vecs(M)
-    x = {j: rng.randint(-3, 3) for j in range(rows)}
-    target = combination(vecs, x)
-    assert combination(vecs, linalg.solve_rational(vecs, target)) == target
-    other = {k: rng.randint(-3, 3) for k in range(cols)}
-    other = {k: v for k, v in other.items() if v}
-    sol = linalg.solve_rational(vecs, other)
-    if linalg.rank_of(vecs + [other]) > linalg.rank_of(vecs):
-        assert sol is None
-    else:
-        assert combination(vecs, sol) == other
 
 
 @given(st.integers(0, 10_000))

@@ -41,31 +41,22 @@ def test_characteristic_polynomial_is_shifted_power():
 
 def test_single_interval_mobius():
     P = pt.build_poset(3, pt.WEIGHTED)
-    x = pt.bottom(3)
     y = pt.sort_blocks(((0b011, 1), (0b100, 0)))  # {12^1|3^0}
-    assert P.mobius(P.index[x], P.index[y]) == -1
+    assert P.elements[P.bottom_index] == pt.bottom(3)
+    assert P.mu_from_bottom()[P.index[y]] == -1
 
 
 def test_mobius_all_pairs_defining_sum():
-    # sum_{i <= z <= j} mu(i, z) = [i == j], with the order read from the
-    # blockwise pt.leq, independent of the down-sets the sweep reads
+    # sum_{z <= y} mu(0-hat, z) = [y == 0-hat], with the order read from
+    # the blockwise pt.leq, independent of the down-sets the sweep reads
     for n in range(1, 5):
         for variant in (pt.WEIGHTED, pt.POINTED, pt.AUGMENTED):
             P = pt.build_poset(n, variant)
-            N = len(P.elements)
-
-            def leq(x, y):
-                return pt.leq(P.elements[x], P.elements[y], P.variant)
-
-            for i in range(N):
-                above = [z for z in range(N) if leq(i, z)]
-                for j in range(N):
-                    if j not in above:
-                        with pytest.raises(ValueError):
-                            P.mobius(i, j)
-                        continue
-                    total = sum(P.mobius(i, z) for z in above if leq(z, j))
-                    assert total == (i == j)
+            mu = P.mu_from_bottom()
+            for y in P.elements:
+                total = sum(m for z, m in zip(P.elements, mu)
+                            if pt.leq(z, y, P.variant))
+                assert total == (y == P.elements[P.bottom_index])
 
 
 def test_poset_is_pure_and_bounded_below():
@@ -127,9 +118,9 @@ def test_whitney_matrices_inverse():
 
 
 def test_forest_count_closed_form():
-    assert tr.forest_count(5, 1) == 625
-    assert tr.forest_count(4, 2) == 48
-    assert tr.forest_count(3, 3) == 1
+    assert tr.forest_counts(5)[0] == 625
+    assert tr.forest_counts(4)[1] == 48
+    assert tr.forest_counts(3)[2] == 1
 
 
 def test_caps_raise():
@@ -137,6 +128,11 @@ def test_caps_raise():
         pt.build_poset(10, pt.WEIGHTED)
     with pytest.raises(ResourceCapError):
         pt.mu_polynomial(7)
+
+
+def test_whitney_cohomology_ranks_are_capped():
+    with pytest.raises(ResourceCapError):
+        pt.whitney_cohomology_ranks(7)
 
 
 def test_json_report_schema_and_determinism():
