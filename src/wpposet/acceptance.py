@@ -171,7 +171,7 @@ def criterion_13(nmax=None):
 
 
 def criterion_14(nmax=None):
-    for n in range(2, _cap(4, nmax) + 1):
+    for n in range(2, _cap(5, nmax) + 1):
         for i in range(n):
             rep = st.verify_bases(n, i)
             if not rep["passed"]:
@@ -179,13 +179,7 @@ def criterion_14(nmax=None):
         rep = st.verify_bases(n, full=True)
         if not rep["passed"]:
             return "basis verifications", False, f"full n={n}: {rep}"
-    detail = f"full n <= {_cap(4, nmax)}"
-    if nmax is None or nmax >= 5:
-        rep = st.verify_bases(5, 1)
-        if not rep["passed"]:
-            return "basis verifications", False, f"n=5 i=1: {rep}"
-        detail += "; n=5 at i=1"
-    return "basis verifications", True, detail
+    return "basis verifications", True, f"full n <= {_cap(5, nmax)}"
 
 
 def criterion_15(nmax=None):

@@ -4,9 +4,19 @@ A bicolored binary tree together with a linear extension of its internal
 nodes determines a maximal chain of [0-hat, [n]^i]: walk the extension
 and at each step u-merge the blocks carried by the two child subtrees,
 with u = 0 for a blue node and u = 1 for a red one.
+
+A rooted tree T on [n] spans the boolean subposet Pi_T of the weighted
+partition poset: one element alpha(T_E) per subset E of its edges.
+``pi_subposet`` builds it as a table indexed by edge bitmask, one block
+merge per entry, and checks that it embeds the boolean lattice;
+``maximal_chains_of_pi_t`` reads one signed maximal chain per ordering
+of the edges off that table.
 """
 
 from __future__ import annotations
+
+import itertools
+from functools import lru_cache
 
 from . import partitions as pt
 from . import trees as tr
@@ -20,16 +30,18 @@ def u_merge(p, block_masks, u):
     """Replace the named blocks of p by their union with weight sum+u."""
     if not 0 <= u <= len(block_masks) - 1:
         raise ValueError(f"u={u} out of range for {len(block_masks)} blocks")
-    chosen = [b for b in p if b[0] in set(block_masks)]
+    named = set(block_masks)
+    chosen = [b for b in p if b[0] in named]
     if len(chosen) != len(block_masks):
         raise ValueError("some blocks are absent from the partition")
-    rest = tuple(b for b in p if b[0] not in set(block_masks))
+    rest = [b for b in p if b[0] not in named]
     mask = 0
-    total = 0
+    total = u
     for m, v in chosen:
         mask |= m
         total += v
-    return pt.sort_blocks(rest + ((mask, total + u),))
+    rest.append((mask, total))
+    return pt.sort_blocks(rest)
 
 
 def chain_partitions_of_tree(t, tau=None):
@@ -57,42 +69,6 @@ def chain_partitions_of_tree(t, tau=None):
     return tuple(chain)
 
 
-def tree_of_chain(parts):
-    """Recover (t, tau) from a maximal chain given as partitions.
-
-    The returned tau follows the chain's own merge order, so
-    chain_partitions_of_tree(t, tau) reproduces the input exactly.
-    """
-    parts = tuple(parts)
-    n = pt.ground_size(parts[0])
-    if parts[0] != pt.bottom(n) or len(parts) != n or len(parts[-1]) != 1:
-        raise ValueError("not a maximal chain of [0-hat, [n]^i]")
-    subtree = {1 << (a - 1): a for a in range(1, n + 1)}
-    creation = []
-    for a, b in zip(parts, parts[1:]):
-        new = set(b) - set(a)
-        gone = set(a) - set(b)
-        if len(new) != 1 or len(gone) != 2:
-            raise ValueError("consecutive elements are not a cover")
-        ((m, v),) = new
-        (m1, v1), (m2, v2) = gone
-        if m1 | m2 != m or m1 & m2:
-            raise ValueError("consecutive elements are not a cover")
-        u = v - (v1 + v2)
-        if u not in (0, 1):
-            raise ValueError("weight increment out of range")
-        if pt.mask_min(m1) > pt.mask_min(m2):
-            m1, m2 = m2, m1
-        color = tr.BLUE if u == 0 else tr.RED
-        subtree[m] = (color, subtree.pop(m1), subtree.pop(m2))
-        creation.append(m)
-    (t,) = subtree.values()
-    pos = {pt.members_mask(tr.leaves(node)): k
-           for k, (_p, node) in enumerate(tr.postorder_internal(t))}
-    tau = tuple(pos[m] for m in creation)
-    return t, tau
-
-
 # ---------------------------------------------------------------------------
 # forests
 # ---------------------------------------------------------------------------
@@ -109,67 +85,74 @@ def alpha_of_forest(F):
 # the boolean subposets Pi_T
 # ---------------------------------------------------------------------------
 
-def forest_partition(T, edge_subset):
-    """alpha(T_E): blocks are the components of T restricted to the edge
-    subset, weighted by their descent (red-edge) counts."""
-    keep = set(edge_subset)
-    comp = {x: x for x in T.labels}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for c, p in keep:
-        comp[find(c)] = find(p)
-    groups = {}
-    for x in T.labels:
-        groups.setdefault(find(x), []).append(x)
-    blocks = []
-    for members in groups.values():
-        mask = pt.members_mask(members)
-        w = sum(1 for c, p in keep if c < p and c in members)
-        blocks.append((mask, w))
-    return pt.sort_blocks(tuple(blocks))
-
-
 def pi_subposet(T):
-    """The induced subposet Pi_T of Pi_n^w on {alpha(T_E) : E subsets of
-    E(T)}, with the embedding dict frozenset(E) -> partition.
+    """alpha(T_E) for every edge subset E of T, as a list indexed by the
+    bitmask of E over ``T.parent``.  T must be a tree on [n].
 
-    Verifies explicitly that E -> alpha(T_E) is an order isomorphism from
-    the boolean lattice of edge subsets, reading the order of every pair
-    from the down-set bitsets of Pi_n^w.  T must be a tree on [n].
+    The entry for E is the entry for E minus its lowest edge (c, p) with
+    the blocks of c and p u-merged, u = (c < p): a component's weight is
+    its count of descent (red) edges.  The table is
+    checked to be the boolean lattice of edge subsets, embedded in
+    Pi_n^w (``check_boolean``).
     """
-    import itertools
     n = len(T.labels)
     if T.labels != frozenset(range(1, n + 1)):
         raise ValueError("pi_subposet needs a tree on [n]")
-    edges = [(c, p) for c, p in T.parent]
-    mapping = {}
-    for k in range(len(edges) + 1):
-        for E in itertools.combinations(edges, k):
-            mapping[frozenset(E)] = forest_partition(T, E)
-    elems = list(mapping.values())
-    if len(set(elems)) != len(elems):
-        raise AssertionError("alpha(T_E) is not injective")
+    table = [pt.bottom(n)]
+    for E in range(1, 1 << len(T.parent)):
+        low = E & -E
+        c, p = T.parent[low.bit_length() - 1]
+        ends = 1 << (c - 1) | 1 << (p - 1)
+        below = table[E ^ low]
+        table.append(u_merge(below, [m for m, _v in below if m & ends],
+                             int(c < p)))
+    check_boolean(n, table)
+    return table
+
+
+def check_boolean(n, table):
+    """AssertionError unless E -> table[E] is injective and an order
+    embedding of the boolean lattice of bitmasks into Pi_n^w: for every E
+    the elements of the image below table[E], read from the down-set
+    bitsets of Pi_n^w, are exactly the images of the subsets of E, whose
+    union is built by a pass over the masks in increasing order."""
     P = pt.build_poset(n, pt.WEIGHTED)
     down = P.down_sets()
-    at = [(E, P.index[a]) for E, a in mapping.items()]
-    for E1, k1 in at:
-        for E2, k2 in at:
-            if (E1 <= E2) != bool(down[k2] >> k1 & 1):
-                raise AssertionError("Pi_T is not boolean under inclusion")
-    return sorted(set(elems), key=lambda p: (pt.ground_size(p) - len(p), p)), mapping
+    at = [P.index[a] for a in table]
+    if len(set(at)) != len(at):
+        raise AssertionError("alpha(T_E) is not injective")
+    image = sum(1 << k for k in at)
+    below = []
+    for E, k in enumerate(at):
+        acc, rest = 1 << k, E
+        while rest:
+            low = rest & -rest
+            acc |= below[E ^ low]
+            rest ^= low
+        if down[k] & image != acc:
+            raise AssertionError("Pi_T is not boolean under inclusion")
+        below.append(acc)
+
+
+@lru_cache(maxsize=None)
+def _edge_orders(m):
+    """One (masks, sign) pair per ordering of m edges, in
+    ``itertools.permutations`` order: the bitmasks of its first 0..m
+    edges and the sign of the ordering as a permutation."""
+    out = []
+    for perm in itertools.permutations(range(m)):
+        masks = [0]
+        for k in perm:
+            masks.append(masks[-1] | 1 << k)
+        inversions = sum(a > b for j, a in enumerate(perm) for b in perm[j + 1:])
+        out.append((tuple(masks), -1 if inversions & 1 else 1))
+    return tuple(out)
 
 
 def maximal_chains_of_pi_t(T):
-    """All maximal chains of Pi_T (each adds one edge at a time)."""
-    import itertools
-    edges = [(c, p) for c, p in T.parent]
-    chains = []
-    for perm in itertools.permutations(edges):
-        chain = [forest_partition(T, perm[:k]) for k in range(len(edges) + 1)]
-        chains.append(tuple(chain))
-    return chains
+    """Every maximal chain of Pi_T, bottom and top included, with its
+    sign: one (chain, sign) pair per ordering of T's edges, the chain
+    adding them one at a time in that order."""
+    table = pi_subposet(T)
+    return [(tuple(map(table.__getitem__, masks)), sign)
+            for masks, sign in _edge_orders(len(T.parent))]

@@ -14,8 +14,11 @@ integers; one reduction per boundary map, top dimension first, gives its
 rank and, through its unit-pivot certificate, the torsion of the top two
 maps.  Each host keeps one form of its top cycle basis, the cycle index,
 from which quotient ranks and coboundary membership are read; membership
-is a yes/no answer, with no witness cochain.  The Whitney cohomology
-ranks are read off the Mobius function, in ``partitions``.
+is a yes/no answer, with no witness cochain.  The fundamental cycle of
+the boolean subposet Pi_T of a rooted tree needs no host and no kernel:
+it is a signed sum of the maximal chains of Pi_T, written down directly
+and checked to be a cycle.  The Whitney cohomology ranks are read off
+the Mobius function, in ``partitions``.
 """
 
 from __future__ import annotations
@@ -193,14 +196,7 @@ def _reductions(host):
 
 
 def boundary_of_chain(c):
-    if not c:
-        return {}
-    if len(c) == 1:
-        return {(): 1}
-    out = {}
-    for i in range(len(c)):
-        out[c[:i] + c[i + 1:]] = (-1) ** i
-    return out
+    return {c[:i] + c[i + 1:]: -1 if i & 1 else 1 for i in range(len(c))}
 
 
 def boundary(v):
@@ -288,18 +284,6 @@ def proper_part(n):
     return OpenPoset(f"Pi_{n}^w - 0", P, P.elements[1:])
 
 
-@lru_cache(maxsize=None)
-def open_boolean_of_tree(T):
-    """The proper part of Pi_T (boolean lattice on the edges of T).  Pi_T
-    is an induced subposet of Pi_n^w (``chains.pi_subposet`` checks it),
-    so its order is read from the weighted poset on [n]."""
-    elems, _mapping = ch.pi_subposet(T)
-    n = len(T.labels)
-    inner = [e for e in elems if 0 < n - len(e) < n - 1]
-    return OpenPoset(f"Pi_T proper ({T!r})", pt.build_poset(n, pt.WEIGHTED),
-                     inner)
-
-
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
@@ -359,25 +343,18 @@ def chain_vector_of_tree(t, omit_top=True):
 
 def fundamental_cycle(T):
     """Generator of the top homology of the open part of Pi_T, normalized
-    so the chain of psi(T) has coefficient +1."""
-    n = len(T.labels)
-    key = tuple(ch.chain_partitions_of_tree(tr.psi(T))[1:-1])
-    if n == 2:
-        return {(): 1}
-    host = open_boolean_of_tree(T)
-    basis = host.cycle_basis()
-    if len(basis) != 1:
-        raise AssertionError(f"top cycle space of Pi_T has rank {len(basis)}")
-    rho = basis[0]
-    coeff = rho.get(key)
+    so the chain of psi(T) has coefficient +1: the sum of sgn(sigma)
+    times the maximal chain of the boolean Pi_T adding T's edges in the
+    order sigma, bottom and top dropped (Bjorner, "Topological methods",
+    1995).  Each call checks the chain of psi(T) and the zero boundary."""
+    rho = {chain[1:-1]: sign for chain, sign in ch.maximal_chains_of_pi_t(T)}
+    coeff = rho.get(tuple(ch.chain_partitions_of_tree(tr.psi(T))[1:-1]))
     if coeff is None:
         raise AssertionError("c(psi(T)) is missing from the fundamental cycle")
-    if abs(coeff) != 1:
-        raise AssertionError("fundamental cycle is not unimodular")
     if coeff == -1:
         rho = {c: -x for c, x in rho.items()}
-    if any(abs(x) != 1 for x in rho.values()):
-        raise AssertionError("fundamental cycle has a non-unit coefficient")
+    if boundary(rho):
+        raise AssertionError("the fundamental cycle of Pi_T has a boundary")
     return rho
 
 

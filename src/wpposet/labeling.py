@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import partitions as pt
+from .errors import ResourceCapError
 from .frozen import Frozen
 
 LESS = "less"
@@ -73,12 +74,18 @@ def lex_precedes(word, other):
     return len(word) <= len(other)
 
 
+EL_CAP_N = 6  # saturated chains listed: 555,134 on [6], 23.6M on [7]
+
+
 @lru_cache(maxsize=None)
 def _saturated_chains_by_interval(n):
     """(P, by_interval, labels) for the augmented poset P on [n]:
     by_interval maps (x_index, y_index) to the saturated chains (index
     tuples) of every closed interval, and labels maps each cover
-    (x_index, y_index) to its edge label, computed once per cover."""
+    (x_index, y_index) to its edge label, computed once per cover.  n past
+    EL_CAP_N is refused before anything is built."""
+    if n > EL_CAP_N:
+        raise ResourceCapError(f"EL verification on {n} labels", EL_CAP_N)
     P = pt.build_poset(n, pt.AUGMENTED)
     labels = {(x, y): edge_label(P.elements[x], P.elements[y], n)
               for x, ups in enumerate(P.covers) for y in ups}

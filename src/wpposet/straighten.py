@@ -243,8 +243,10 @@ def relation_instances(n, side=COHOMOLOGY):
 # phi and basis verification
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1 << 14)
 def phi(t):
-    """The cochain image of a Lie generator: sgn(sigma) sgn(T) c-bar."""
+    """The cochain image of a Lie generator: sgn(sigma) sgn(T) c-bar.
+    Memoized like ``_comb_chain``; callers only read the returned dict."""
     sign = tr.leaf_perm_sign(t) * tr.tree_sign(t)
     return {k: sign * v for k, v in hm.chain_vector_of_tree(t).items()}
 
@@ -304,11 +306,23 @@ def verify_bases(n, i=None, full=False):
             "count": len(fam), "rank": rank, "betti": betti, "ok": ok}
         report["passed"] &= ok
     ordered = tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, n + 1), i))
-    cycles = [hm.fundamental_cycle(T) for T in ordered]
-    cochains = [hm.chain_vector_of_tree(tr.psi(T)) for T in ordered]
-    M = [[hm.pairing(rho, c) for c in cochains] for rho in cycles]
-    upper = all(M[j][k] == 0 for j in range(len(M)) for k in range(j))
-    diag = all(M[j][j] == 1 for j in range(len(M)))
+    upper, diag = liu_pairing(ordered)
     report["pairing"] = {"upper_triangular": upper, "unit_diagonal": diag}
     report["passed"] &= upper and diag
     return report
+
+
+def liu_pairing(ordered):
+    """(upper_triangular, unit_diagonal) of the matrix <rho_j, c_k> of the
+    fundamental cycles of the Pi_T against the cochains of psi(T), over
+    the trees T in the given order.  Each cochain is one chain, so entry
+    (j, k) is the coefficient of c_k's chain in rho_j: the chains are
+    indexed once and each cycle's chains looked up."""
+    chains = [next(iter(hm.chain_vector_of_tree(tr.psi(T)))) for T in ordered]
+    column = {c: k for k, c in enumerate(chains)}
+    upper = diag = True
+    for j, T in enumerate(ordered):
+        rho = hm.fundamental_cycle(T)
+        upper &= all(column.get(c, j) >= j for c in rho)
+        diag &= rho.get(chains[j]) == 1
+    return upper, diag

@@ -22,9 +22,10 @@ node rule, so the work is about the size of the family.
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
 from a parent map; :func:`enumerate_rooted_trees` orients each unrooted
 tree once and reroots it by one pointer flip per edge.
-:func:`psi` costs O(n) per tree on [n]; Liu's order on
-the m trees of one T_{A,i} costs one indexed closure per (A, i), then
-O(m^2) for :func:`liu_linear_extension`.
+:func:`psi` costs O(n) per tree on [n].  Liu's order on
+the trees of one T_{A,i} is computed once per (A, i), as one closure
+bitset per tree; :func:`liu_leq` is one bit test in it, and
+:func:`liu_linear_extension` masks the bitsets to its inputs.
 """
 
 from __future__ import annotations
@@ -809,35 +810,56 @@ def _subtree(x, kids):
     return frozenset(nodes)
 
 
+def _liu_place(T, labels, i):
+    """(position, closure bitset) of T in its class T_{labels,i}."""
+    _trees, position, closure = _liu_reachability(tuple(sorted(labels)), i)
+    k = position[T]
+    return k, closure[k]
+
+
 def _edge_splits(T):
     """One entry per edge (c, p) of T, in ``T.parent`` order: the edge's
-    color, the labels below it, the tree below it rooted at c and its
-    descent count, the tree left above it and its descent count."""
+    color, the labels below it, then for the tree below it (rooted at c)
+    and for the tree left above it, its descent count followed by its
+    position and closure bitset in its own class (``_liu_place``)."""
     kids = _children_map(T)
     total = T.descent_count()
+    labels = T.labels
     out = []
     for c, p in T.parent:
         nodes = _subtree(c, kids)
         inner = tuple(e for e in T.parent if e[0] in nodes and e[0] != c)
         outer = tuple(e for e in T.parent if e[0] not in nodes)
         d_inner = sum(1 for x, y in inner if x < y)
+        d_outer = total - d_inner - (c < p)
         out.append((RED if c < p else BLUE, nodes,
-                    RootedTree(c, inner), d_inner,
-                    RootedTree(T.root, outer), total - d_inner - (c < p)))
+                    d_inner, *_liu_place(RootedTree(c, inner), nodes, d_inner),
+                    d_outer, *_liu_place(RootedTree(T.root, outer),
+                                         labels - nodes, d_outer)))
     return out
+
+
+def _bit_positions(x):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 @lru_cache(maxsize=None)
 def _liu_reachability(labels, i):
-    """Transitive closure (as a dict tree -> frozenset of >=-trees) of the
-    one-step relation defining Liu's partial order on rooted trees.
+    """(trees, position, closure) for Liu's partial order on T_{labels,i}:
+    the class's trees in enumeration order, the dict tree -> position, and
+    per position the bitset of the positions of the trees >= it, itself
+    included: the transitive closure of the one-step relation.
 
     T steps to T' when cutting some edge of T and some root edge of T',
     both of one color, leaves two forests whose components pair up by
-    label set and are <= pairwise.  Every edge split is computed once and
-    indexed by (color, labels below the edge); each root edge of T' then
-    looks up the splits of T whose lower labels match its lower or its
-    upper side.
+    label set and are <= pairwise.  Every edge split is computed once,
+    with its two parts placed in their own smaller classes, and indexed
+    by (color, labels below the edge); each root edge of T' then looks up
+    the splits of T whose lower labels match its lower or its upper side,
+    and each comparison of parts is one bit test.
     """
     trees = enumerate_rooted_trees(list(labels), i)
     m = len(trees)
@@ -847,51 +869,40 @@ def _liu_reachability(labels, i):
         for color, nodes, *parts in tree_splits:
             index.setdefault((color, nodes), []).append((k, *parts))
     everything = frozenset(labels)
-    succ = [set() for _ in range(m)]
+    succ = [0] * m
     for kp, Tp in enumerate(trees):
         for (_c, p), split in zip(Tp.parent, splits[kp]):
             if p != Tp.root:
                 continue
-            color, low, t_low, d_low, t_high, d_high = split
-            high = everything - low
-            for k, t1, d1, t2, d2 in index.get((color, low), ()):
+            color, low, d_low, at_low, _r, d_high, at_high, _r = split
+            for k, d1, _at, r1, d2, _at, r2 in index.get((color, low), ()):
                 if (k != kp and d1 == d_low and d2 == d_high
-                        and _liu_leq_within(t1, t_low, low, d1)
-                        and _liu_leq_within(t2, t_high, high, d2)):
-                    succ[k].add(kp)
-            for k, t1, d1, t2, d2 in index.get((color, high), ()):
+                        and r1 >> at_low & 1 and r2 >> at_high & 1):
+                    succ[k] |= 1 << kp
+            for k, d1, _at, r1, d2, _at, r2 in index.get(
+                    (color, everything - low), ()):
                 if (k != kp and d1 == d_high and d2 == d_low
-                        and _liu_leq_within(t1, t_high, high, d1)
-                        and _liu_leq_within(t2, t_low, low, d2)):
-                    succ[k].add(kp)
+                        and r1 >> at_high & 1 and r2 >> at_low & 1):
+                    succ[k] |= 1 << kp
     # transitive closure; a cycle would contradict antisymmetry
-    closure = [None] * m
+    closure = [0] * m
     state = [0] * m  # 0 unvisited, 1 on stack, 2 done
 
     def close(k):
         if state[k] == 1:
             raise RuntimeError("cycle detected in the Liu relation")
-        if state[k] == 2:
-            return closure[k]
-        state[k] = 1
-        acc = set(succ[k])
-        for j in succ[k]:
-            acc |= close(j)
-        closure[k] = acc
-        state[k] = 2
-        return acc
+        if state[k] == 0:
+            state[k] = 1
+            acc = 1 << k | succ[k]
+            for j in _bit_positions(succ[k]):
+                acc |= close(j)
+            closure[k] = acc
+            state[k] = 2
+        return closure[k]
 
     for k in range(m):
         close(k)
-    return {trees[k]: frozenset(trees[j] for j in closure[k]) | {trees[k]}
-            for k in range(m)}
-
-
-def _liu_leq_within(T1, T2, labels, i):
-    """liu_leq for two trees known to lie in T_{labels,i}."""
-    if T1 == T2 or len(labels) <= 2:
-        return True
-    return T2 in _liu_reachability(tuple(sorted(labels)), i)[T1]
+    return trees, {T: k for k, T in enumerate(trees)}, closure
 
 
 def _liu_class(trees):
@@ -905,8 +916,10 @@ def _liu_class(trees):
 
 def liu_leq(T1, T2):
     """Liu's partial order on rooted trees with the same label set and
-    descent count."""
-    return _liu_leq_within(T1, T2, *_liu_class([T1, T2]))
+    descent count: one bit test in the class's closure."""
+    labels, i = _liu_class([T1, T2])
+    _trees, position, closure = _liu_reachability(tuple(sorted(labels)), i)
+    return bool(closure[position[T1]] >> position[T2] & 1)
 
 
 def liu_linear_extension(trees):
@@ -914,9 +927,8 @@ def liu_linear_extension(trees):
 
     Kahn's algorithm over the order among the inputs, read once from the
     closure: it always takes the minimal tree that comes first by
-    ``repr``.  Each input's successors are read from its closure set
-    through a tree -> position dict, so the cost is the size of the
-    closure, not m^2 in the m inputs.
+    ``repr``.  Each input's closure bitset is masked to the inputs, so
+    the cost is the size of the closure among them.
     """
     order = sorted(trees, key=repr)
     m = len(order)
@@ -924,14 +936,15 @@ def liu_linear_extension(trees):
     indegree = [0] * m
     if m > 1:
         labels, i = _liu_class(order)
-        reach = _liu_reachability(tuple(sorted(labels)), i)
-        position = {T: k for k, T in enumerate(order)}
-        for a, S in enumerate(order):
-            for T in reach[S]:
-                b = position.get(T)
-                if b is not None and T != S:
-                    above[a].append(b)
-                    indegree[b] += 1
+        _trees, position, closure = _liu_reachability(tuple(sorted(labels)), i)
+        at = [position[T] for T in order]
+        back = {k: a for a, k in enumerate(at)}
+        inputs = sum(1 << k for k in back)
+        for a, k in enumerate(at):
+            for j in _bit_positions(closure[k] & inputs & ~(1 << k)):
+                b = back[j]
+                above[a].append(b)
+                indegree[b] += 1
     heap = [k for k in range(m) if indegree[k] == 0]
     out = []
     while heap:

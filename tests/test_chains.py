@@ -38,13 +38,50 @@ def test_top_weight_is_red_count():
         assert parts[-1][0][1] == tr.red_count(t)
 
 
+def tree_of_chain(parts):
+    """Recover (t, tau) from a maximal chain given as partitions; the
+    inverse of ch.chain_partitions_of_tree.
+
+    The returned tau follows the chain's own merge order, so
+    chain_partitions_of_tree(t, tau) reproduces the input exactly.
+    """
+    parts = tuple(parts)
+    n = pt.ground_size(parts[0])
+    if parts[0] != pt.bottom(n) or len(parts) != n or len(parts[-1]) != 1:
+        raise ValueError("not a maximal chain of [0-hat, [n]^i]")
+    subtree = {1 << (a - 1): a for a in range(1, n + 1)}
+    creation = []
+    for a, b in zip(parts, parts[1:]):
+        new = set(b) - set(a)
+        gone = set(a) - set(b)
+        if len(new) != 1 or len(gone) != 2:
+            raise ValueError("consecutive elements are not a cover")
+        ((m, v),) = new
+        (m1, v1), (m2, v2) = gone
+        if m1 | m2 != m or m1 & m2:
+            raise ValueError("consecutive elements are not a cover")
+        u = v - (v1 + v2)
+        if u not in (0, 1):
+            raise ValueError("weight increment out of range")
+        if pt.mask_min(m1) > pt.mask_min(m2):
+            m1, m2 = m2, m1
+        color = tr.BLUE if u == 0 else tr.RED
+        subtree[m] = (color, subtree.pop(m1), subtree.pop(m2))
+        creation.append(m)
+    (t,) = subtree.values()
+    pos = {pt.members_mask(tr.leaves(node)): k
+           for k, (_p, node) in enumerate(tr.postorder_internal(t))}
+    tau = tuple(pos[m] for m in creation)
+    return t, tau
+
+
 def test_tree_of_chain_roundtrip_exhaustive():
     seen = set()
     for t in tr.enumerate_bicolored(4):
         for tau in tr.linear_extensions(t):
             parts = ch.chain_partitions_of_tree(t, tau)
             seen.add(parts)
-            t2, tau2 = ch.tree_of_chain(parts)
+            t2, tau2 = tree_of_chain(parts)
             assert ch.chain_partitions_of_tree(t2, tau2) == parts
     # every maximal chain of [0-hat, [4]^i] arises this way
     P = pt.build_poset(4, pt.WEIGHTED)
@@ -78,26 +115,82 @@ def test_alpha_of_forest():
     assert alphas == set(P.elements)
 
 
+def forest_partition(T, edge_subset):
+    """alpha(T_E) by union-find: blocks are the components of T restricted
+    to the edge subset, weighted by their descent (red-edge) counts."""
+    keep = set(edge_subset)
+    comp = {x: x for x in T.labels}
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    for c, p in keep:
+        comp[find(c)] = find(p)
+    groups = {}
+    for x in T.labels:
+        groups.setdefault(find(x), []).append(x)
+    blocks = []
+    for members in groups.values():
+        mask = pt.members_mask(members)
+        w = sum(1 for c, p in keep if c < p and c in members)
+        blocks.append((mask, w))
+    return pt.sort_blocks(tuple(blocks))
+
+
 def test_pi_subposet_is_boolean():
     T = tr.enumerate_rooted_trees(range(1, 5))[0]
-    elems, mapping = ch.pi_subposet(T)
-    assert len(elems) == 2 ** 3
-    assert len(mapping) == 2 ** 3
+    table = ch.pi_subposet(T)
+    assert len(table) == 2 ** 3
+    assert len(set(table)) == 2 ** 3
+
+
+def test_pi_subposet_matches_forest_partition():
+    for n in range(1, 6):
+        for T in tr.enumerate_rooted_trees(range(1, n + 1)):
+            edges = T.parent
+            assert ch.pi_subposet(T) == [
+                forest_partition(T, [e for k, e in enumerate(edges) if E >> k & 1])
+                for E in range(1 << len(edges))]
+
+
+def test_boolean_check_rejects_swapped_images():
+    T = tr.RootedTree.from_parent_map(2, {1: 2, 3: 2, 4: 3})
+    table = ch.pi_subposet(T)
+    ch.check_boolean(4, table)
+    # two atoms swapped is an automorphism of the boolean lattice; an atom
+    # swapped with the top is not, nor is a repeated image
+    table[1], table[-1] = table[-1], table[1]
+    with pytest.raises(AssertionError, match="not boolean"):
+        ch.check_boolean(4, table)
+    table[1] = table[0]
+    with pytest.raises(AssertionError, match="not injective"):
+        ch.check_boolean(4, table)
 
 
 def test_maximal_chains_of_pi_t():
     T = tr.enumerate_rooted_trees(range(1, 4))[0]
     chains = ch.maximal_chains_of_pi_t(T)
     assert len(chains) == 2  # 2! edge orders
-    for c in chains:
+    assert sorted(sign for _c, sign in chains) == [-1, 1]
+    for c, _sign in chains:
         assert c[0] == pt.bottom(3)
         assert len(c[-1]) == 1
+    T = tr.RootedTree.from_parent_map(2, {1: 2, 3: 2, 4: 3})
+    chains = ch.maximal_chains_of_pi_t(T)
+    assert len({c for c, _sign in chains}) == 6
+    assert [sign for _c, sign in chains] == [1, -1, -1, 1, 1, -1]
+    for c, _sign in chains:
+        assert list(map(len, c)) == [4, 3, 2, 1]
+        assert all(pt.leq(a, b) for a, b in zip(c, c[1:]))
 
 
 def test_forest_partition_weights():
     T = tr.RootedTree.from_parent_map(3, {1: 3, 2: 3})
-    full = ch.forest_partition(T, [(1, 3), (2, 3)])
+    full = forest_partition(T, [(1, 3), (2, 3)])
     assert len(full) == 1
     assert full[0][1] == T.descent_count()
-    empty = ch.forest_partition(T, [])
+    empty = forest_partition(T, [])
     assert empty == pt.bottom(3)

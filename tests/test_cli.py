@@ -181,6 +181,21 @@ def test_nonpositive_n_is_bad_input(capsys, command):
     assert captured.err == "error: --n must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("n", [7, 9])
+def test_el_cap_fires_before_any_poset(capsys, monkeypatch, n):
+    from wpposet import partitions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a poset was built before the EL cap check")
+
+    monkeypatch.setattr(partitions, "Poset", refuse)
+    code, out = run(capsys, "el-verify", "--n", str(n))
+    assert code == 2
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": f"EL verification on {n} labels",
+                               "limit": 6}
+
+
 @pytest.mark.parametrize("argv, size", [
     (["el-verify", "--n", "7"], 6323),
     (["invariants", "--n", "7", "--variant", "pointed"], 6322),

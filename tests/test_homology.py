@@ -111,6 +111,29 @@ def test_fundamental_cycle_unimodular():
         assert all(abs(x) == 1 for x in rho.values())
 
 
+def _open_boolean_of_tree(T):
+    """The proper part of Pi_T as an OpenPoset, its order read from the
+    weighted poset on [n]."""
+    n = len(T.labels)
+    inner = [e for e in set(ch.pi_subposet(T)) if 0 < n - len(e) < n - 1]
+    return hm.OpenPoset(f"Pi_T proper ({T!r})", pt.build_poset(n, pt.WEIGHTED),
+                        inner)
+
+
+def _kernel_fundamental_cycle(T):
+    """The fundamental cycle of Pi_T as the integer kernel of the top
+    boundary map of its proper part, normalized at the chain of psi(T)."""
+    key = tuple(ch.chain_partitions_of_tree(tr.psi(T))[1:-1])
+    (rho,) = _open_boolean_of_tree(T).cycle_basis()
+    return {c: x * rho[key] for c, x in rho.items()}
+
+
+def test_fundamental_cycle_matches_kernel_route():
+    for n in range(1, 6):
+        for T in tr.enumerate_rooted_trees(range(1, n + 1)):
+            assert hm.fundamental_cycle(T) == _kernel_fundamental_cycle(T)
+
+
 def test_fundamental_cycle_is_a_cycle():
     for T in tr.enumerate_rooted_trees(range(1, 5), 1)[:6]:
         host = hm.open_interval(4, 1)
@@ -189,7 +212,7 @@ def _open_hosts():
             yield hm.open_interval(n, i)
         yield hm.proper_part(n)
     for T in tr.enumerate_rooted_trees(range(1, 5)):
-        yield hm.open_boolean_of_tree(T)
+        yield _open_boolean_of_tree(T)
 
 
 def test_open_posets_match_pairwise_leq_order():

@@ -171,6 +171,44 @@ def test_verify_bases_n3():
     assert rep["families"]["blue_rooted_comb"]["count"] == 4
 
 
+def _dense_pairing_flags(ordered):
+    M = [[hm.pairing(hm.fundamental_cycle(T),
+                     hm.chain_vector_of_tree(tr.psi(S))) for S in ordered]
+         for T in ordered]
+    return (all(M[j][k] == 0 for j in range(len(M)) for k in range(j)),
+            all(M[j][j] == 1 for j in range(len(M))))
+
+
+def test_liu_pairing_matches_dense_matrix():
+    for n in range(1, 5):
+        for i in range(n):
+            ordered = tr.liu_linear_extension(
+                tr.enumerate_rooted_trees(range(1, n + 1), i))
+            assert sn.liu_pairing(ordered) == _dense_pairing_flags(ordered) \
+                == (True, True)
+            backward = ordered[::-1]
+            assert sn.liu_pairing(backward) == _dense_pairing_flags(backward)
+
+
+def test_reversed_liu_order_is_not_upper_triangular(monkeypatch):
+    # at i = 0 the matrix is the identity, so only i >= 1 can catch this
+    monkeypatch.setattr(tr, "liu_linear_extension",
+                        lambda trees: sorted(trees, key=repr)[::-1])
+    rep = sn.verify_bases(4, 1)
+    assert rep["pairing"] == {"upper_triangular": False, "unit_diagonal": True}
+    assert not rep["passed"]
+
+
+def test_phi_memo_is_not_mutated():
+    t = (R, (B, 2, 1), 3)
+    first = sn.phi(t)
+    expected = dict(first)
+    assert sn.phi_of_sum({t: 3, (B, 1, (R, 2, 3)): -1})
+    second = sn.phi(t)
+    assert second is first
+    assert second == expected == {next(iter(expected)): -1}
+
+
 @given(st.integers(0, 3000))
 def test_straighten_linear_in_sign(seed):
     # straightening a swapped tree matches the swap sign times the original

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wpposet import ResourceCapError
+from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
@@ -359,7 +360,10 @@ def test_liu_reachability_matches_all_pairs_closure():
     for n in range(1, 5):
         labels = tuple(range(1, n + 1))
         for i in range(n):
-            assert tr._liu_reachability(labels, i) == \
+            trees, position, closure = tr._liu_reachability(labels, i)
+            assert position == {T: k for k, T in enumerate(trees)}
+            assert {T: frozenset(trees[j] for j in pt.bits(closure[k]))
+                    for k, T in enumerate(trees)} == \
                 _old_liu_reachability(labels, i)
 
 
