@@ -3,14 +3,17 @@
 A bicolored binary tree together with a linear extension of its internal
 nodes determines a maximal chain of [0-hat, [n]^i]: walk the extension
 and at each step u-merge the blocks carried by the two child subtrees,
-with u = 0 for a blue node and u = 1 for a red one.
+with u = 0 for a blue node and u = 1 for a red one.  The leaf masks of
+those blocks are carried up one postorder pass.
 
 A rooted tree T on [n] spans the boolean subposet Pi_T of the weighted
 partition poset: one element alpha(T_E) per subset E of its edges.
 ``pi_subposet`` builds it as a table indexed by edge bitmask, one block
 merge per entry, and checks that it embeds the boolean lattice;
 ``maximal_chains_of_pi_t`` reads one signed maximal chain per ordering
-of the edges off that table.
+of the edges off that table, and ``edge_orders_form_a_cycle`` checks,
+once per edge count and on the bitmasks, that their signed sum has zero
+boundary.
 """
 
 from __future__ import annotations
@@ -46,26 +49,41 @@ def u_merge(p, block_masks, u):
 
 def chain_partitions_of_tree(t, tau=None):
     """The chain of weighted partitions determined by (t, tau), bottom
-    included, as a tuple of partitions.  tau defaults to the identity."""
-    n = max(tr.leaves(t))
-    if set(tr.leaves(t)) != set(range(1, n + 1)):
+    included, as a tuple of partitions.  tau is a sequence of postorder
+    indices of the internal nodes and defaults to the identity.
+
+    One postorder pass records, per internal node, its u and the leaf
+    masks of its two children, each mask the union of the masks carried
+    up from below, and the postorder indices of its internal children."""
+    nodes = []  # (u, left mask, right mask, left index, right index)
+
+    def walk(s):
+        """(leaf mask of s, postorder index of s or -1 for a leaf)"""
+        if tr.is_leaf(s):
+            if s < 1:
+                raise ValueError("tree leaves must be exactly [n]")
+            return 1 << (s - 1), -1
+        lmask, lk = walk(s[1])
+        rmask, rk = walk(s[2])
+        nodes.append((u_of_color(s[0]), lmask, rmask, lk, rk))
+        return lmask | rmask, len(nodes) - 1
+
+    full = walk(t)[0]
+    n = full.bit_length()
+    if full != (1 << n) - 1:
         raise ValueError("tree leaves must be exactly [n]")
-    nodes = tr.postorder_internal(t)
     if tau is None:
-        tau = tr.identity_extension(t)
-    if sorted(tau) != list(range(len(nodes))):
+        tau = range(len(nodes))
+    elif sorted(tau) != list(range(len(nodes))):
         raise ValueError("tau must permute the internal nodes")
-    merged = set()
+    merged = [False] * len(nodes)
     chain = [pt.bottom(n)]
     for k in tau:
-        path, node = nodes[k]
-        if not all(tr.is_leaf(c) or (path + (s,)) in merged
-                   for s, c in (("L", node[1]), ("R", node[2]))):
+        u, lmask, rmask, lk, rk = nodes[k]
+        if (lk >= 0 and not merged[lk]) or (rk >= 0 and not merged[rk]):
             raise ValueError("tau is not a linear extension")
-        merged.add(path)
-        lmask = pt.members_mask(tr.leaves(node[1]))
-        rmask = pt.members_mask(tr.leaves(node[2]))
-        chain.append(u_merge(chain[-1], [lmask, rmask], u_of_color(node[0])))
+        merged[k] = True
+        chain.append(u_merge(chain[-1], [lmask, rmask], u))
     return tuple(chain)
 
 
@@ -132,6 +150,23 @@ def check_boolean(n, table):
         if down[k] & image != acc:
             raise AssertionError("Pi_T is not boolean under inclusion")
         below.append(acc)
+
+
+@lru_cache(maxsize=None)
+def edge_orders_form_a_cycle(m):
+    """Whether the signed sum of the mask chains of ``_edge_orders(m)``,
+    the empty and the full mask dropped, has zero boundary.  Checked once
+    per edge count m: the table of ``pi_subposet`` is injective
+    (``check_boolean``), so it maps this sum onto the signed sum of the
+    maximal chains of any Pi_T with m edges, and the boundary of one onto
+    the boundary of the other."""
+    out = {}
+    for masks, sign in _edge_orders(m):
+        inner = masks[1:-1]
+        for i in range(len(inner)):
+            face = inner[:i] + inner[i + 1:]
+            out[face] = out.get(face, 0) + (-sign if i & 1 else sign)
+    return not any(out.values())
 
 
 @lru_cache(maxsize=None)

@@ -12,13 +12,16 @@ generates the degree -1 part of the reduced complex.  A ChainVector is a
 sparse dict mapping chains to integers.  Everything is computed over the
 integers; one reduction per boundary map, top dimension first, gives its
 rank and, through its unit-pivot certificate, the torsion of the top two
-maps.  Each host keeps one form of its top cycle basis, the cycle index,
-from which quotient ranks and coboundary membership are read; membership
-is a yes/no answer, with no witness cochain.  The fundamental cycle of
-the boolean subposet Pi_T of a rooted tree needs no host and no kernel:
-it is a signed sum of the maximal chains of Pi_T, written down directly
-and checked to be a cycle.  The Whitney cohomology ranks are read off
-the Mobius function, in ``partitions``.
+maps.  The top map's one reduction is tracked: it also yields the host's
+one form of its top cycle basis, the cycle index, from which quotient
+ranks and coboundary membership are read, so Betti numbers and the index
+share it in either order.  Membership is a yes/no answer, with no
+witness cochain.  The fundamental cycle of the boolean subposet Pi_T of
+a rooted tree needs no host and no kernel: it is a signed sum of the
+maximal chains of Pi_T, written down directly; that such a sum is a
+cycle is checked once per edge count, on the edge bitmasks.  The
+Whitney cohomology ranks are read off the Mobius function, in
+``partitions``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ class OpenPoset:
     dimension as tuples of local indices, in lexicographic order; since
     local indices follow the sorted elements, a chain's position in its
     list orders it as its tuple of partitions would.  The host stores one
-    form of its top cycle basis, the cycle index (``cycle_index``).
+    form of its top cycle basis, the cycle index (``cycle_index``), and
+    the rank, certificate and pivots of the one reduction of its top
+    boundary map that fills it (``top_reduction``).
     """
 
     def __init__(self, name, P, keep):
@@ -68,6 +73,7 @@ class OpenPoset:
         self._index_chains = None
         self._chains = None
         self._cycles = None
+        self._top = None
 
     def index_chains(self):
         """dict r -> list of r-chains as tuples of local indices, in
@@ -126,13 +132,23 @@ class OpenPoset:
         cycles, stored by chain: index[c] is the flat tuple (j, z_j[c],
         j', z_j'[c], ...) over the z_j with the top index chain c in their
         support.  There is one per chain, so it is a tuple, not a dict,
-        and equal ones are one object.  Computed once."""
+        and equal ones are one object.  Computed once, by the tracked
+        reduction of the top boundary map, which is that map's only
+        reduction: its rank, unit-pivot certificate and pivot set are kept
+        for ``top_reduction``.  Tracking leaves all three as an untracked
+        reduction of the same rows would give them: while every pivot is
+        +-1 both take the same steps, and the pivots of a largest-key
+        reduction are fixed by the matrix."""
         if self._cycles is None:
             by_dim = self.index_chains()
             top = max(by_dim)
             chains = by_dim[top]
+            ech = linalg.Echelon(track=True)
             combos = linalg.kernel_basis(
-                _boundary_rows(chains, _positions(by_dim.get(top - 1, []))))
+                _boundary_rows(chains, _positions(by_dim.get(top - 1, []))),
+                ech)
+            self._top = ech.rank, ech.unimodular, set(ech.by_pivot)
+            del ech  # its stored vectors and trackers, before the index
             index = {}
             for j, combo in enumerate(combos):
                 for k, x in combo.items():
@@ -143,6 +159,12 @@ class OpenPoset:
                 index[c] = shared.setdefault(entries, entries)
             self._cycles = index, len(combos)
         return self._cycles
+
+    def top_reduction(self):
+        """(rank, unimodular, pivots) of the top boundary map, read from
+        the reduction that fills the cycle index."""
+        self.cycle_index()
+        return self._top
 
     def cycle_basis(self):
         """Integer basis of the top cycles as ChainVectors, read from the
@@ -172,7 +194,10 @@ def _boundary_rows(chains, faces):
 def _reductions(host):
     """(r, rank, unimodular, pivots) of the r-th boundary map's reduction
     (``linalg.Echelon``), top dimension first; pivots is the set of face
-    positions its stored vectors are pivoted at.
+    positions its stored vectors are pivoted at.  The top map's come from
+    the tracked reduction behind the cycle index (``top_reduction``), so
+    a host reduces it once whichever is asked for first; the maps below
+    are reduced untracked.
 
     Rows are streamed in chain order.  An r-chain installed as a pivot by
     the (r+1)-st reduction is skipped (clearing: Chen-Kerber, "Persistent
@@ -183,8 +208,10 @@ def _reductions(host):
     those of the whole map.
     """
     by_dim = host.index_chains()
-    cleared = set()
-    for r in sorted(by_dim, reverse=True):
+    top = max(by_dim)
+    rank, unimodular, cleared = host.top_reduction()
+    yield top, rank, unimodular, cleared
+    for r in range(top - 1, -2, -1):
         faces = _positions(by_dim.get(r - 1, []))
         ech = linalg.Echelon()
         for row in _boundary_rows(
@@ -291,9 +318,11 @@ def proper_part(n):
 def betti_numbers(host):
     """Reduced Betti numbers {r: betti_r} plus the nontrivial invariant
     factors of the top two boundary maps, top first.  Each map is reduced
-    once (``_reductions``) for its rank; where every installed pivot is a
-    unit its invariant factors are all 1, and only where one is not does
-    ``linalg.snf_invariant_factors`` compute them from the whole map."""
+    once (``_reductions``) for its rank, the top map by the tracked
+    reduction that also fills the host's cycle index; where every
+    installed pivot is a unit its invariant factors are all 1, and only
+    where one is not does ``linalg.snf_invariant_factors`` compute them
+    from the whole map."""
     by_dim = host.index_chains()
     top = max(by_dim)
     ranks, torsion = {}, {}
@@ -346,14 +375,16 @@ def fundamental_cycle(T):
     so the chain of psi(T) has coefficient +1: the sum of sgn(sigma)
     times the maximal chain of the boolean Pi_T adding T's edges in the
     order sigma, bottom and top dropped (Bjorner, "Topological methods",
-    1995).  Each call checks the chain of psi(T) and the zero boundary."""
+    1995).  Each call checks the chain of psi(T); the zero boundary is
+    checked once per edge count, on the edge bitmasks
+    (``chains.edge_orders_form_a_cycle``)."""
     rho = {chain[1:-1]: sign for chain, sign in ch.maximal_chains_of_pi_t(T)}
     coeff = rho.get(tuple(ch.chain_partitions_of_tree(tr.psi(T))[1:-1]))
     if coeff is None:
         raise AssertionError("c(psi(T)) is missing from the fundamental cycle")
     if coeff == -1:
         rho = {c: -x for c, x in rho.items()}
-    if boundary(rho):
+    if not ch.edge_orders_form_a_cycle(len(T.parent)):
         raise AssertionError("the fundamental cycle of Pi_T has a boundary")
     return rho
 

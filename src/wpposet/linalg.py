@@ -136,12 +136,16 @@ def rank_of(vectors):
     return ech.rank
 
 
-def kernel_basis(vectors):
+def kernel_basis(vectors, ech=None):
     """Integer basis of {x : sum_j x_j vectors[j] = 0}.
 
-    Returned vectors are primitive dicts keyed by the input index j.
+    Returned vectors are primitive dicts keyed by the input index j.  The
+    reduction runs in ``ech``, an empty ``Echelon(track=True)`` made here
+    when none is passed; a caller that passes one reads the rank, the
+    unit-pivot certificate and the pivots of the same reduction from it.
     """
-    ech = Echelon(track=True)
+    if ech is None:
+        ech = Echelon(track=True)
     out = []
     for j, v in enumerate(vectors):
         combo = ech.add(v, tag=j)
@@ -194,26 +198,3 @@ def snf_invariant_factors(vectors):
                     factors[a], factors[b] = g, factors[a] * factors[b] // g
                     changed = True
     return factors
-
-
-def bareiss_det(matrix):
-    """Exact determinant of a dense square integer matrix (list of lists)."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -274,8 +274,11 @@ def verify_bases(n, i=None, full=False):
     With full=False checks the comb / Lyndon / Liu-Lyndon cochain sets in
     the top cohomology of (0-hat, [n]^i); with full=True checks the
     blue-rooted combs and red-rooted Lyndon trees in the proper part.
-    Returns a report dict with a "passed" flag.
+    Returns a report dict with a "passed" flag.  The full side's claim is
+    about n >= 2; a smaller n is refused with ValueError before any work.
     """
+    if full and n < 2:
+        raise ValueError(f"the full side needs n >= 2, got {n}")
     report = {"n": n, "passed": True, "families": {}}
     if full:
         host = hm.proper_part(n)

@@ -17,7 +17,10 @@ The comb, Lyndon and Liu-Lyndon families are each built directly, never
 filtered from a larger pool: a memoized recursion over the splits of the
 sorted label set joins the trees on both sides under the family's local
 node rule, so the work is about the size of the family.
-:func:`enumerate_family` returns them in that construction's order.
+:func:`enumerate_family` returns them in that construction's order.  Each
+recursion keeps the red counts of its trees as bytes beside them, so the
+trees with i red nodes are grouped once per family and n, with no tree
+walked.
 
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
 from a parent map; :func:`enumerate_rooted_trees` orients each unrooted
@@ -171,15 +174,6 @@ def _recursive_valency(t):
     return min(a, b) if t[0] == BLUE else max(a, b)
 
 
-def _is_lyndon_node(node):
-    # Nodes whose left child is a leaf are Lyndon by convention: the second
-    # smallest label of the subtree then sits in the right subtree.
-    l = node[1]
-    if is_leaf(l):
-        return True
-    return min_leaf(l[2]) > min_leaf(node[2])
-
-
 def is_offending(node):
     """Whether the straightening relations rewrite an internal node: its
     right child is internal and the pair is not (red parent, blue right
@@ -191,17 +185,6 @@ def is_offending(node):
 def is_comb(t):
     return is_normalized(t) and not any(
         is_offending(node) for _p, node in postorder_internal(t))
-
-
-def is_lyndon(t):
-    if not is_normalized(t):
-        return False
-    for _p, node in postorder_internal(t):
-        if not _is_lyndon_node(node):
-            if not (node[0] == BLUE and not is_leaf(node[1])
-                    and node[1][0] == RED):
-                return False
-    return True
 
 
 def is_liu_lyndon(t):
@@ -351,30 +334,6 @@ def bicolored_at(labels, k, i=None):
     return _colorings(shape, iter(_colors_at(n - 1, color_k, i)))
 
 
-def enumerate_normalized(labels, i=None):
-    """Normalized labeled bicolored trees only (one per swap orbit)."""
-    A = tuple(sorted(labels)) if not isinstance(labels, int) else tuple(range(1, labels + 1))
-    out = []
-    for shape in _normalized_uncolored(A):
-        out.extend(_color_all(shape, i))
-    return out
-
-
-def _normalized_uncolored(A):
-    """Normalized uncolored labeled shapes on sorted label tuple ``A``."""
-    if len(A) == 1:
-        return [A[0]]
-    out = []
-    rest = A[1:]
-    for rbits in range(1, 1 << len(rest)):
-        right = tuple(x for k, x in enumerate(rest) if rbits >> k & 1)
-        left = (A[0],) + tuple(x for k, x in enumerate(rest) if not rbits >> k & 1)
-        for l in _normalized_uncolored(left):
-            for r in _normalized_uncolored(right):
-                out.append(("x", l, r))
-    return out
-
-
 def _splits(A, normalized):
     """Every split of the sorted label tuple ``A`` into a nonempty left
     and right part, as (left, right) sorted tuples; with ``normalized``
@@ -385,92 +344,142 @@ def _splits(A, normalized):
                tuple(x for k, x in enumerate(A) if rbits >> k & 1))
 
 
+# Red counts of a family's trees are kept as bytes beside its list;
+# krs.translate(_ADD[k]) adds k to each of them.
+_ADD = [bytes((b + k) & 255 for b in range(256))
+        for k in range(TREE_ENUM_CAP + 1)]
+
+
 def _combs_blue_rooted(A):
-    out = []
+    trees, reds = [], bytearray()
     for x in A[1:]:
-        left = tuple(y for y in A if y != x)
-        for l in enumerate_combs(left):
-            out.append((BLUE, l, x))
-    return out
+        lefts, kls = _combs_on(tuple(y for y in A if y != x))
+        for l in lefts:
+            trees.append((BLUE, l, x))
+        reds += kls
+    return trees, reds
 
 
 @lru_cache(maxsize=None)
-def enumerate_combs(labels):
-    """All bicolored combs on the sorted label tuple, by direct recursion."""
-    A = tuple(sorted(labels))
+def _combs_on(A):
+    """Bicolored combs on the sorted label tuple ``A`` as (trees, reds):
+    ``reds[j]`` is the red count of ``trees[j]``.  A comb's right child is
+    a leaf, or a blue-rooted comb under a red node."""
     if len(A) == 1:
-        return [A[0]]
-    out = list(_combs_blue_rooted(A))
+        return [A[0]], b"\0"
+    trees, reds = _combs_blue_rooted(A)
     for left, B in _splits(A, normalized=True):
-        rights = [B[0]] if len(B) == 1 else _combs_blue_rooted(B)
-        for rt in rights:
-            for l in enumerate_combs(left):
-                out.append((RED, l, rt))
-    return out
+        rights, krs = (([B[0]], b"\0") if len(B) == 1
+                       else _combs_blue_rooted(B))
+        lefts, kls = _combs_on(left)
+        for rt, kr in zip(rights, krs):
+            for l in lefts:
+                trees.append((RED, l, rt))
+            reds += kls.translate(_ADD[kr + 1])
+    return trees, bytes(reds)
+
+
+def enumerate_combs(labels):
+    """All bicolored combs on the label set, by direct recursion."""
+    return list(_combs_on(tuple(sorted(labels)))[0])
 
 
 @lru_cache(maxsize=None)
 def _lyndon_on(A):
-    """Lyndon trees on the sorted label tuple ``A`` as (tree, m) pairs:
-    ``m`` is the least leaf of the tree's right child (None for a leaf).
+    """Lyndon trees on the sorted label tuple ``A`` as (pairs, reds):
+    ``pairs`` lists (tree, m), ``m`` the least leaf of the tree's right
+    child (None for a leaf), and ``reds[j]`` is the red count of the j-th
+    tree.
 
     A normalized node (l, r) is Lyndon when l is a leaf or m(l) > min(r),
     and a node that is not must be blue with a red left child."""
     if len(A) == 1:
-        return [(A[0], None)]
-    out = []
+        return [(A[0], None)], b"\0"
+    out, reds = [], bytearray()
     for L, R in _splits(A, normalized=True):
         x = R[0]
-        rights = [r for r, _m in _lyndon_on(R)]
-        for l, m in _lyndon_on(L):
+        rpairs, krs = _lyndon_on(R)
+        rights = [r for r, _m in rpairs]
+        # over each right tree, a blue and then a red node
+        krs2 = bytes(k + c for k in krs for c in (0, 1))
+        lpairs, kls = _lyndon_on(L)
+        for (l, m), kl in zip(lpairs, kls):
             if m is None or m > x:
-                colors = (BLUE, RED)
+                for r in rights:
+                    out.append(((BLUE, l, r), x))
+                    out.append(((RED, l, r), x))
+                reds += krs2.translate(_ADD[kl])
             elif l[0] == RED:
-                colors = (BLUE,)
-            else:
-                continue
-            for r in rights:
-                for c in colors:
-                    out.append(((c, l, r), x))
-    return out
+                for r in rights:
+                    out.append(((BLUE, l, r), x))
+                reds += krs.translate(_ADD[kl])
+    return out, bytes(reds)
 
 
 def enumerate_lyndon(labels):
     """All bicolored Lyndon trees, by direct recursion over the normalized
     splits of the label set."""
-    return [t for t, _m in _lyndon_on(tuple(sorted(labels)))]
+    return [t for t, _m in _lyndon_on(tuple(sorted(labels)))[0]]
 
 
 @lru_cache(maxsize=None)
 def _liu_on(A):
     """Liu-Lyndon trees on the sorted label tuple ``A``, grouped by their
-    recursive valency, as {v: [(tree, w)]}: ``w`` is the recursive valency
-    of the tree's right child (None for a leaf).
+    recursive valency, as {v: (pairs, reds)}: ``pairs`` lists (tree, w),
+    ``w`` the recursive valency of the tree's right child (None for a
+    leaf), and ``reds[j]`` is the red count of the j-th tree.
 
     A blue node needs v(l) < v(r) and, over a blue left child, w(l) > v(r);
     a red node needs v(l) > v(r) and a leaf or red left child with
     w(l) < v(r).  Either way the node's valency is v(l)."""
     if len(A) == 1:
-        return {A[0]: [(A[0], None)]}
+        return {A[0]: ([(A[0], None)], b"\0")}
     out = {}
     for L, R in _splits(A, normalized=False):
         rights = _liu_on(R)
-        for vl, lefts in _liu_on(L).items():
-            acc = out.setdefault(vl, [])
-            for l, w in lefts:
-                for vr, rs in rights.items():
+        for vl, (lefts, kls) in _liu_on(L).items():
+            acc, reds = out.setdefault(vl, ([], bytearray()))
+            for (l, w), kl in zip(lefts, kls):
+                for vr, (rs, krs) in rights.items():
                     if vl < vr and (w is None or l[0] == RED or w > vr):
                         acc.extend(((BLUE, l, r), vr) for r, _w in rs)
+                        reds += krs.translate(_ADD[kl])
                     elif vl > vr and (w is None or (l[0] == RED and w < vr)):
                         acc.extend(((RED, l, r), vr) for r, _w in rs)
-    return out
+                        reds += krs.translate(_ADD[kl + 1])
+    return {v: (acc, bytes(reds)) for v, (acc, reds) in out.items()}
 
 
 def enumerate_liu(labels):
     """All Liu-Lyndon trees, by direct recursion over the ordered splits
     of the label set."""
-    return [t for group in _liu_on(tuple(sorted(labels))).values()
-            for t, _w in group]
+    return [t for pairs, _reds in _liu_on(tuple(sorted(labels))).values()
+            for t, _w in pairs]
+
+
+def _family_records(family, A):
+    """(tree, red count) of every tree of the family on the sorted label
+    tuple ``A``, in ``enumerate_family``'s order."""
+    if family == "comb":
+        return zip(*_combs_on(A))
+    if family == "lyndon":
+        pairs, reds = _lyndon_on(A)
+        return ((t, k) for (t, _m), k in zip(pairs, reds))
+    if family == "liu":
+        return ((t, k) for pairs, reds in _liu_on(A).values()
+                for (t, _w), k in zip(pairs, reds))
+    raise KeyError(family)
+
+
+@lru_cache(maxsize=None)
+def _by_red_count(family, n):
+    """{k: the family's trees on [n] with k red nodes}, each list in
+    ``enumerate_family``'s order; one pass over the family's records, no
+    tree walked."""
+    out = {}
+    for t, k in _family_records(family, tuple(range(1, n + 1))):
+        out.setdefault(k, []).append(t)
+    return out
 
 
 def enumerate_family(family, n, i=None):
@@ -480,17 +489,18 @@ def enumerate_family(family, n, i=None):
     Each family is a memoized recursion over the splits of the sorted
     label set that joins the trees on both sides under a local node rule:
     combs and Lyndon trees split with 1 on the left (normalized), Liu-Lyndon
-    trees over all ordered splits.  The list comes in that construction's
-    order, which is deterministic but otherwise unspecified.  ``n`` past
-    TREE_ENUM_CAP is refused before any work."""
+    trees over all ordered splits.  Each recursion keeps its trees' red
+    counts beside them, and the trees with ``i`` red nodes are grouped
+    once per (family, n).  The list comes in that construction's order, which is
+    deterministic but otherwise unspecified.  ``n`` past TREE_ENUM_CAP is
+    refused before any work."""
     if n > TREE_ENUM_CAP:
         raise ResourceCapError(f"{family} trees on {n} labels", TREE_ENUM_CAP)
+    if i is not None:
+        return list(_by_red_count(family, n).get(i, ()))
     fns = {"comb": enumerate_combs, "lyndon": enumerate_lyndon,
            "liu": enumerate_liu}
-    out = fns[family](tuple(range(1, n + 1)))
-    if i is not None:
-        return [t for t in out if red_count(t) == i]
-    return list(out)
+    return fns[family](tuple(range(1, n + 1)))
 
 
 # -- linear extensions -------------------------------------------------------
@@ -503,42 +513,6 @@ def _internal_parents(t):
     for path, _n in nodes:
         parents.append(pos[path[:-1]] if path else None)
     return parents
-
-
-def linear_extensions(t):
-    """All permutations tau (0-based tuples over postorder indices) listing
-    every internal node before its parent."""
-    parents = _internal_parents(t)
-    m = len(parents)
-    nchildren = [0] * m
-    for p in parents:
-        if p is not None:
-            nchildren[p] += 1
-    out = []
-
-    def rec(placed, pending, remaining):
-        if not remaining:
-            out.append(tuple(placed))
-            return
-        for k in sorted(remaining):
-            if pending[k] == 0:
-                placed.append(k)
-                remaining.remove(k)
-                p = parents[k]
-                if p is not None:
-                    pending[p] -= 1
-                rec(placed, pending, remaining)
-                if p is not None:
-                    pending[p] += 1
-                remaining.add(k)
-                placed.pop()
-
-    rec([], list(nchildren), set(range(m)))
-    return out
-
-
-def identity_extension(t):
-    return tuple(range(internal_count(t)))
 
 
 def valency_decreasing_tau(t):

@@ -4,6 +4,8 @@ from wpposet import chains as ch
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
+from tree_oracles import linear_extensions
+
 B, R = tr.BLUE, tr.RED
 
 
@@ -78,7 +80,7 @@ def tree_of_chain(parts):
 def test_tree_of_chain_roundtrip_exhaustive():
     seen = set()
     for t in tr.enumerate_bicolored(4):
-        for tau in tr.linear_extensions(t):
+        for tau in linear_extensions(t):
             parts = ch.chain_partitions_of_tree(t, tau)
             seen.add(parts)
             t2, tau2 = tree_of_chain(parts)

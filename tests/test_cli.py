@@ -181,6 +181,21 @@ def test_nonpositive_n_is_bad_input(capsys, command):
     assert captured.err == "error: --n must be >= 1, got 0\n"
 
 
+def test_full_side_at_n1_is_bad_input(capsys, monkeypatch):
+    from wpposet import homology, trees
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(homology, "proper_part", refuse)
+    monkeypatch.setattr(trees, "enumerate_family", refuse)
+    code = cli.main(["bases", "--n", "1", "--side", "full"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the full side needs n >= 2, got 1\n"
+
+
 @pytest.mark.parametrize("n", [7, 9])
 def test_el_cap_fires_before_any_poset(capsys, monkeypatch, n):
     from wpposet import partitions

@@ -28,11 +28,22 @@ def test_betti_of_proper_part_frozen():
     assert rep["betti"][rep["top_dim"]] == 27
 
 
+def _fresh_hosts(n):
+    """(0,[n]^i) for every i and the proper part, built anew rather than
+    taken from the cached hosts, so no boundary map is reduced yet."""
+    P = pt.build_poset(n, pt.WEIGHTED)
+    return [hm.OpenPoset(f"(0,[{n}]^{i})", P, hm.interval_elements(n, i))
+            for i in range(n)] + [hm.OpenPoset(f"Pi_{n}^w - 0", P,
+                                               P.elements[1:])]
+
+
 def test_betti_numbers_fallback_matches_certificate(monkeypatch):
     # every map below has unit pivots, so the report is read from the
-    # certificate; with it forced off the SNF must give the same report
-    hosts = [hm.open_interval(4, i) for i in range(4)] + [hm.proper_part(4)]
-    reports = [hm.betti_numbers(host) for host in hosts]
+    # certificate; with it forced off the SNF must give the same report.
+    # A host keeps its top map's certificate from the reduction that
+    # fills its cycle index, so the forced run reduces hosts of its own.
+    reports = [hm.betti_numbers(host) for host in _fresh_hosts(4)]
+    hosts = _fresh_hosts(4)
     calls = []
     snf = hm.linalg.snf_invariant_factors
 
@@ -47,6 +58,47 @@ def test_betti_numbers_fallback_matches_certificate(monkeypatch):
         assert list(rep["torsion_nontrivial"]) == [rep["top_dim"],
                                                    rep["top_dim"] - 1]
     assert len(calls) == 2 * len(hosts)
+
+
+def _count_top_rows(monkeypatch, host):
+    """The top chains whose boundary row host's reductions read, one
+    entry per row, as they are read."""
+    top = host.top_dim
+    seen = []
+    rows = hm._boundary_rows
+
+    def spy(chains, faces):
+        for c in chains:
+            if len(c) == top + 1:
+                seen.append(c)
+            yield from rows([c], faces)
+
+    monkeypatch.setattr(hm, "_boundary_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize("betti_first", [True, False],
+                         ids=["betti-first", "quotient-first"])
+def test_top_map_is_reduced_once(monkeypatch, betti_first):
+    # the comb cochains of each (0,[4]^i) and the blue-rooted combs of the
+    # proper part are bases of the top cohomology
+    bases = [[hm.chain_vector_of_tree(t)
+              for t in tr.enumerate_family("comb", 4, i)] for i in range(4)]
+    bases.append([hm.chain_vector_of_tree(t, omit_top=False)
+                  for t in tr.enumerate_family("comb", 4) if t[0] == B])
+    for host, vecs in zip(_fresh_hosts(4), bases):
+        seen = _count_top_rows(monkeypatch, host)
+        if betti_first:
+            rep = hm.betti_numbers(host)
+            rank, betti = hm.rank_in_top_quotient(host, vecs)
+        else:
+            rank, betti = hm.rank_in_top_quotient(host, vecs)
+            rep = hm.betti_numbers(host)
+        assert not hm.coboundary_member(host, vecs[0])
+        assert len(host.cycle_basis()) == betti
+        assert sorted(seen) == host.index_chains()[host.top_dim], host.name
+        assert rank == betti == len(vecs) == rep["betti"][rep["top_dim"]], \
+            host.name
 
 
 def test_degenerate_host():

@@ -6,6 +6,9 @@ from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
+from tree_oracles import (enumerate_normalized, is_lyndon, linear_extensions,
+                          normalized_uncolored, is_lyndon_node)
+
 B, R = tr.BLUE, tr.RED
 
 
@@ -21,7 +24,7 @@ def test_enumeration_counts_frozen():
     assert len(tr.enumerate_bicolored(2)) == 4
     assert len(tr.enumerate_bicolored(3)) == 48
     assert len(tr.enumerate_bicolored(4)) == 960
-    assert len(tr.enumerate_normalized(3)) == 12
+    assert len(enumerate_normalized(3)) == 12
 
 
 def test_family_totals_are_tree_counts():
@@ -40,14 +43,23 @@ def test_family_per_i_frozen():
 def test_family_direct_matches_filter():
     # brute force through the family predicates; Liu-Lyndon trees need not
     # be min-leaf normalized, so they are filtered from the full set
-    preds = {"comb": tr.is_comb, "lyndon": tr.is_lyndon,
+    preds = {"comb": tr.is_comb, "lyndon": is_lyndon,
              "liu": tr.is_liu_lyndon}
     for n in range(1, 5):
         for fam in ("comb", "lyndon", "liu"):
             pool = (tr.enumerate_bicolored(n) if fam == "liu"
-                    else tr.enumerate_normalized(n))
+                    else enumerate_normalized(n))
             filtered = {t for t in pool if preds[fam](t)}
             assert set(tr.enumerate_family(fam, n)) == filtered
+
+
+def test_family_by_red_count_matches_filter():
+    for n in range(1, 7):
+        for fam in ("comb", "lyndon", "liu"):
+            trees = tr.enumerate_family(fam, n)
+            for i in range(-1, n + 1):
+                assert tr.enumerate_family(fam, n, i) == \
+                    [t for t in trees if tr.red_count(t) == i], (fam, n, i)
 
 
 @given(bicolored())
@@ -169,13 +181,13 @@ def _old_enumerate_lyndon(labels):
     child, the other nodes colored freely."""
     A = tuple(sorted(labels))
     out = []
-    for shape in tr._normalized_uncolored(A):
+    for shape in normalized_uncolored(A):
         nodes = tr.postorder_internal(shape)
         pos = {path: k for k, (path, _n) in enumerate(nodes)}
         forced = {}
         ok = True
         for path, node in nodes:
-            if not tr._is_lyndon_node(node):
+            if not is_lyndon_node(node):
                 for key, val in ((pos[path], B), (pos[path + ("L",)], R)):
                     if forced.get(key, val) != val:
                         ok = False
@@ -383,7 +395,7 @@ def test_liu_linear_extension_matches_rescan():
 
 def test_linear_extensions_and_tau():
     t = (B, (B, 1, 2), (B, 3, 4))
-    exts = tr.linear_extensions(t)
+    exts = linear_extensions(t)
     # two incomparable internal nodes under the root: 2 extensions
     assert len(exts) == 2
     tau = tr.valency_decreasing_tau(t)
@@ -394,7 +406,7 @@ def test_linear_extensions_and_tau():
 def test_identity_extension_is_linear(t):
     if tr.is_leaf(t):
         return
-    assert tr.identity_extension(t) in tr.linear_extensions(t)
+    assert tuple(range(tr.internal_count(t))) in linear_extensions(t)
 
 
 def test_leaf_perm_sign():
