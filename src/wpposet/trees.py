@@ -14,13 +14,17 @@ for free:
 how one tree on [7] or [8] is drawn.
 
 The comb, Lyndon and Liu-Lyndon families are each built directly, never
-filtered from a larger pool: a memoized recursion over the splits of the
-sorted label set joins the trees on both sides under the family's local
-node rule, so the work is about the size of the family.
+filtered from a larger pool: a recursion over the splits of the sorted
+label set joins the trees on both sides under the family's local node
+rule, so the work is about the size of the family.
 :func:`enumerate_family` returns them in that construction's order.  Each
-recursion keeps the red counts of its trees as bytes beside them, so the
-trees with i red nodes are grouped once per family and n, with no tree
-walked.
+recursion keeps what its node rule reads of a tree in columns beside the
+tree list, not in a tuple per tree: the red counts as bytes, and the
+Lyndon m or Liu w label as a list of ints.  So the trees with i red nodes
+are grouped once per family and n, with no tree walked.  The memo keeps
+the families on proper subsets of the label set only, the ones the
+recursion reads again; the family a caller asks for is built fresh and
+is freed when the caller drops it.
 
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
 from a parent map; :func:`enumerate_rooted_trees` orients each unrooted
@@ -344,8 +348,10 @@ def _splits(A, normalized):
                tuple(x for k, x in enumerate(A) if rbits >> k & 1))
 
 
-# Red counts of a family's trees are kept as bytes beside its list;
-# krs.translate(_ADD[k]) adds k to each of them.
+# A family comes as columns, one entry per tree: the trees, the red
+# counts as bytes (each at most TREE_ENUM_CAP) and, for Lyndon and Liu,
+# the label the node rule reads as a list, which holds any int label.
+# krs.translate(_ADD[k]) adds k to each red count of krs.
 _ADD = [bytes((b + k) & 255 for b in range(256))
         for k in range(TREE_ENUM_CAP + 1)]
 
@@ -360,11 +366,11 @@ def _combs_blue_rooted(A):
     return trees, reds
 
 
-@lru_cache(maxsize=None)
-def _combs_on(A):
+def _combs(A):
     """Bicolored combs on the sorted label tuple ``A`` as (trees, reds):
     ``reds[j]`` is the red count of ``trees[j]``.  A comb's right child is
-    a leaf, or a blue-rooted comb under a red node."""
+    a leaf, or a blue-rooted comb under a red node.  The splits read
+    ``_combs_on``, this body memoized, on proper subsets of ``A`` only."""
     if len(A) == 1:
         return [A[0]], b"\0"
     trees, reds = _combs_blue_rooted(A)
@@ -379,95 +385,108 @@ def _combs_on(A):
     return trees, bytes(reds)
 
 
+_combs_on = lru_cache(maxsize=None)(_combs)
+
+
 def enumerate_combs(labels):
     """All bicolored combs on the label set, by direct recursion."""
-    return list(_combs_on(tuple(sorted(labels)))[0])
+    return _combs(tuple(sorted(labels)))[0]
 
 
-@lru_cache(maxsize=None)
-def _lyndon_on(A):
-    """Lyndon trees on the sorted label tuple ``A`` as (pairs, reds):
-    ``pairs`` lists (tree, m), ``m`` the least leaf of the tree's right
-    child (None for a leaf), and ``reds[j]`` is the red count of the j-th
-    tree.
+def _lyndon(A):
+    """Lyndon trees on the sorted label tuple ``A`` as three columns
+    (trees, ms, reds): ``ms[j]`` is the least leaf of the right child of
+    ``trees[j]`` (None for a leaf) and ``reds[j]`` its red count.
 
     A normalized node (l, r) is Lyndon when l is a leaf or m(l) > min(r),
-    and a node that is not must be blue with a red left child."""
+    and a node that is not must be blue with a red left child.  The
+    splits read ``_lyndon_on``, this body memoized, on proper subsets of
+    ``A`` only."""
     if len(A) == 1:
-        return [(A[0], None)], b"\0"
-    out, reds = [], bytearray()
+        return [A[0]], [None], b"\0"
+    trees, ms, reds = [], [], bytearray()
     for L, R in _splits(A, normalized=True):
         x = R[0]
-        rpairs, krs = _lyndon_on(R)
-        rights = [r for r, _m in rpairs]
+        rights, _rms, krs = _lyndon_on(R)
         # over each right tree, a blue and then a red node
         krs2 = bytes(k + c for k in krs for c in (0, 1))
-        lpairs, kls = _lyndon_on(L)
-        for (l, m), kl in zip(lpairs, kls):
+        lefts, lms, kls = _lyndon_on(L)
+        for l, m, kl in zip(lefts, lms, kls):
             if m is None or m > x:
                 for r in rights:
-                    out.append(((BLUE, l, r), x))
-                    out.append(((RED, l, r), x))
+                    trees.append((BLUE, l, r))
+                    trees.append((RED, l, r))
                 reds += krs2.translate(_ADD[kl])
             elif l[0] == RED:
                 for r in rights:
-                    out.append(((BLUE, l, r), x))
+                    trees.append((BLUE, l, r))
                 reds += krs.translate(_ADD[kl])
-    return out, bytes(reds)
+        # every tree of this split has R's least label as its m
+        ms += [x] * (len(trees) - len(ms))
+    return trees, ms, bytes(reds)
+
+
+_lyndon_on = lru_cache(maxsize=None)(_lyndon)
 
 
 def enumerate_lyndon(labels):
     """All bicolored Lyndon trees, by direct recursion over the normalized
     splits of the label set."""
-    return [t for t, _m in _lyndon_on(tuple(sorted(labels)))[0]]
+    return _lyndon(tuple(sorted(labels)))[0]
 
 
-@lru_cache(maxsize=None)
-def _liu_on(A):
+def _liu(A):
     """Liu-Lyndon trees on the sorted label tuple ``A``, grouped by their
-    recursive valency, as {v: (pairs, reds)}: ``pairs`` lists (tree, w),
-    ``w`` the recursive valency of the tree's right child (None for a
-    leaf), and ``reds[j]`` is the red count of the j-th tree.
+    recursive valency, as {v: (trees, ws, reds)}: ``ws[j]`` is the
+    recursive valency of the right child of ``trees[j]`` (None for a
+    leaf) and ``reds[j]`` its red count.
 
     A blue node needs v(l) < v(r) and, over a blue left child, w(l) > v(r);
     a red node needs v(l) > v(r) and a leaf or red left child with
-    w(l) < v(r).  Either way the node's valency is v(l)."""
+    w(l) < v(r).  Either way the node's valency is v(l).  The splits read
+    ``_liu_on``, this body memoized, on proper subsets of ``A`` only."""
     if len(A) == 1:
-        return {A[0]: ([(A[0], None)], b"\0")}
+        return {A[0]: ([A[0]], [None], b"\0")}
     out = {}
     for L, R in _splits(A, normalized=False):
         rights = _liu_on(R)
-        for vl, (lefts, kls) in _liu_on(L).items():
-            acc, reds = out.setdefault(vl, ([], bytearray()))
-            for (l, w), kl in zip(lefts, kls):
-                for vr, (rs, krs) in rights.items():
+        for vl, (lefts, lws, kls) in _liu_on(L).items():
+            trees, ws, reds = out.setdefault(vl, ([], [], bytearray()))
+            for l, w, kl in zip(lefts, lws, kls):
+                for vr, (rs, _rws, krs) in rights.items():
                     if vl < vr and (w is None or l[0] == RED or w > vr):
-                        acc.extend(((BLUE, l, r), vr) for r, _w in rs)
-                        reds += krs.translate(_ADD[kl])
+                        col, k = BLUE, kl
                     elif vl > vr and (w is None or (l[0] == RED and w < vr)):
-                        acc.extend(((RED, l, r), vr) for r, _w in rs)
-                        reds += krs.translate(_ADD[kl + 1])
-    return {v: (acc, bytes(reds)) for v, (acc, reds) in out.items()}
+                        col, k = RED, kl + 1
+                    else:
+                        continue
+                    trees.extend((col, l, r) for r in rs)
+                    ws += [vr] * len(rs)
+                    reds += krs.translate(_ADD[k])
+    return {v: (trees, ws, bytes(reds)) for v, (trees, ws, reds) in out.items()}
+
+
+_liu_on = lru_cache(maxsize=None)(_liu)
 
 
 def enumerate_liu(labels):
     """All Liu-Lyndon trees, by direct recursion over the ordered splits
     of the label set."""
-    return [t for pairs, _reds in _liu_on(tuple(sorted(labels))).values()
-            for t, _w in pairs]
+    return [t for trees, _ws, _reds in _liu(tuple(sorted(labels))).values()
+            for t in trees]
 
 
 def _family_records(family, A):
     """(tree, red count) of every tree of the family on the sorted label
     tuple ``A``, in ``enumerate_family``'s order."""
     if family == "comb":
-        return zip(*_combs_on(A))
+        return zip(*_combs(A))
     if family == "lyndon":
-        pairs, reds = _lyndon_on(A)
-        return ((t, k) for (t, _m), k in zip(pairs, reds))
+        trees, _ms, reds = _lyndon(A)
+        return zip(trees, reds)
     if family == "liu":
-        return ((t, k) for pairs, reds in _liu_on(A).values()
-                for (t, _w), k in zip(pairs, reds))
+        return ((t, k) for trees, _ws, reds in _liu(A).values()
+                for t, k in zip(trees, reds))
     raise KeyError(family)
 
 
@@ -475,7 +494,7 @@ def _family_records(family, A):
 def _by_red_count(family, n):
     """{k: the family's trees on [n] with k red nodes}, each list in
     ``enumerate_family``'s order; one pass over the family's records, no
-    tree walked."""
+    tree walked.  The one cache that keeps a whole family."""
     out = {}
     for t, k in _family_records(family, tuple(range(1, n + 1))):
         out.setdefault(k, []).append(t)
@@ -486,14 +505,16 @@ def enumerate_family(family, n, i=None):
     """Enumerate one of the three tree families on ``[n]``, optionally only
     the trees with ``i`` red nodes.
 
-    Each family is a memoized recursion over the splits of the sorted
-    label set that joins the trees on both sides under a local node rule:
-    combs and Lyndon trees split with 1 on the left (normalized), Liu-Lyndon
-    trees over all ordered splits.  Each recursion keeps its trees' red
-    counts beside them, and the trees with ``i`` red nodes are grouped
-    once per (family, n).  The list comes in that construction's order, which is
-    deterministic but otherwise unspecified.  ``n`` past TREE_ENUM_CAP is
-    refused before any work."""
+    Each family is a recursion over the splits of the sorted label set
+    that joins the trees on both sides under a local node rule: combs and
+    Lyndon trees split with 1 on the left (normalized), Liu-Lyndon trees
+    over all ordered splits.  Only the families on proper subsets of [n]
+    are memoized, so nothing else keeps the list returned.  Each recursion
+    keeps its trees' red counts (and the label its node rule reads) as
+    columns beside them, and the trees with ``i`` red nodes are grouped
+    and cached once per (family, n).  The list comes in that
+    construction's order, which is deterministic but otherwise
+    unspecified.  ``n`` past TREE_ENUM_CAP is refused before any work."""
     if n > TREE_ENUM_CAP:
         raise ResourceCapError(f"{family} trees on {n} labels", TREE_ENUM_CAP)
     if i is not None:
