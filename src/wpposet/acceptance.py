@@ -121,7 +121,7 @@ def criterion_10(nmax=None):
 
 def criterion_11(nmax=None):
     for n in range(1, _cap(7, nmax) + 1):
-        counts = tr.drake_product(n)
+        counts = pt.drake_product(n)
         for fam in ("comb", "lyndon", "liu"):
             trees = tr.enumerate_family(fam, n)
             if len(set(trees)) != len(trees):
@@ -224,7 +224,10 @@ def run_criterion(k, nmax=None):
 def run_all(nmax=None, emit=print, jobs=1):
     """Run every criterion, emitting one pass/fail line each; with jobs > 1
     the criteria run in a pool of that many processes and the lines come
-    in criterion order once all are done."""
+    in criterion order once all are done.  ``jobs`` below 1 is refused
+    with ValueError before any criterion runs."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     ids = range(1, len(ALL_CRITERIA) + 1)
     if jobs > 1:
         # loading the pool costs every process that imports this module

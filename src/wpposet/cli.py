@@ -130,6 +130,10 @@ def cmd_homology(args):
 
 def cmd_bases(args):
     if args.side == st.FULL:
+        # the full side reads neither flag, so neither is accepted
+        for flag, value in (("--i", args.i), ("--family", args.family)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to --side full")
         rep = st.verify_bases(args.n, full=True)
         if not rep["passed"]:
             print(f"basis verification failed: {_dumps(rep)}")
@@ -137,24 +141,25 @@ def cmd_bases(args):
         return _emit(args, lambda: print(_dumps(rep)), rep)
     if args.i is None:
         raise ValueError("bases needs --i (or --side full)")
-    if args.family == "tree":
+    family = args.family or "comb"
+    if family == "tree":
         rep = st.verify_bases(args.n, args.i)
         if not rep["passed"]:
             print(f"basis verification failed: {_dumps(rep)}")
             return 1
         return _emit(args, lambda: print(_dumps(rep)), rep)
-    fam = tr.enumerate_family(args.family, args.n, args.i)
+    fam = tr.enumerate_family(family, args.n, args.i)
     vectors = [hm.chain_vector_of_tree(t) for t in fam]
     rank, betti = hm.rank_in_top_quotient(hm.open_interval(args.n, args.i),
                                           vectors)
     out = {"count": len(fam), "full_rank": rank == betti == len(fam)}
     if not out["full_rank"]:
-        print(f"family {args.family} at n={args.n} i={args.i}: "
+        print(f"family {family} at n={args.n} i={args.i}: "
               f"rank {rank} of {len(fam)} vectors, Betti {betti}")
         return 1
 
     def text():
-        print(f"family {args.family}, n={args.n} i={args.i}: "
+        print(f"family {family}, n={args.n} i={args.i}: "
               f"{out['count']} cochains, full rank {rank} = Betti {betti}")
 
     return _emit(args, text, out)
@@ -280,7 +285,7 @@ def build_parser():
     add("bases", cmd_bases,
         "cardinality / full-rank verification of a cochain family",
         index,
-        ("--family", {"default": "comb",
+        ("--family", {"default": None,
                       "choices": ["comb", "lyndon", "liu", "tree"]}),
         ("--side", {"default": st.COHOMOLOGY,
                     "choices": [st.COHOMOLOGY, st.FULL]}))

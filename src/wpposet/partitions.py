@@ -165,7 +165,7 @@ def enumerate_partitions(n, variant=WEIGHTED):
     if n > POSET_CAP_N:
         raise ResourceCapError(f"partitions of [{n}]", POSET_CAP_N)
     out = []
-    for part in _set_partitions_masks(n):
+    for part in set_partitions_masks(n):
         if variant == WEIGHTED:
             choices = [range(bin(m).count("1")) for m in part]
         else:
@@ -176,7 +176,7 @@ def enumerate_partitions(n, variant=WEIGHTED):
     return out
 
 
-def _set_partitions_masks(n):
+def set_partitions_masks(n):
     """Set partitions of [n] as tuples of masks sorted by minimum."""
 
     def rec(remaining):
@@ -327,6 +327,16 @@ def rank_generating_function(n):
     return sizes
 
 
+def drake_product(n):
+    """Coefficients (in t) of prod_{j=1}^{n-1} ((n-j) + j t): up to sign
+    the Mobius values mu(0-hat, [n]^i), and the counts of rooted trees on
+    [n] by descents and of each tree family on [n] by red nodes."""
+    poly = [1]
+    for j in range(1, n):
+        poly = poly_mul(poly, [n - j, j])
+    return poly
+
+
 def mu_polynomial(n):
     """Coefficients (in t) of sum_i mu(0-hat, [n]^i) t^i, computed on the
     poset and checked against the product formula
@@ -334,10 +344,7 @@ def mu_polynomial(n):
     P = mobius_poset(n, WEIGHTED)
     mu0 = P.mu_from_bottom()
     got = [mu0[k] for k in P.maximal_indices()]
-    poly = [1]
-    for j in range(1, n):
-        poly = poly_mul(poly, [n - j, j])
-    expected = [c if n % 2 else -c for c in poly]
+    expected = [c if n % 2 else -c for c in drake_product(n)]
     if got != expected:
         raise AssertionError(f"mu polynomial {got} != {expected} at n={n}")
     return got

@@ -108,16 +108,6 @@ def rewrite_terms(node, side):
 _memo = {}
 
 
-@lru_cache(maxsize=1 << 14)
-def _comb_chain(comb):
-    """The chain of c-bar(comb) as a tuple of partitions.  Only combs
-    enter (``cochain_sum`` reads straightening results), and the bound
-    holds every comb on [n] for all n <= 6 (8,477 of them), so criterion
-    13 builds each comb's chain once, not once per straightened tree."""
-    (chain,) = hm.chain_vector_of_tree(comb)
-    return chain
-
-
 def _straighten_normalized(t, side, trace):
     key = (t, side)
     if trace is None and key in _memo:
@@ -246,7 +236,10 @@ def relation_instances(n, side=COHOMOLOGY):
 @lru_cache(maxsize=1 << 14)
 def phi(t):
     """The cochain image of a Lie generator: sgn(sigma) sgn(T) c-bar.
-    Memoized like ``_comb_chain``; callers only read the returned dict."""
+    The one memo of a tree's chain: ``cochain_sum`` reads its key too, and
+    the bound holds every comb on [n] for all n <= 6 (8,477 of them), so
+    criterion 13 builds each comb's chain once, not once per straightened
+    tree.  Callers only read the returned dict."""
     sign = tr.leaf_perm_sign(t) * tr.tree_sign(t)
     return {k: sign * v for k, v in hm.chain_vector_of_tree(t).items()}
 
@@ -264,7 +257,8 @@ def cochain_sum(s):
     ``{comb: coeff}`` sum."""
     out = {}
     for t, coeff in s.items():
-        linalg.vec_add(out, {_comb_chain(t): 1}, coeff)
+        (chain,) = phi(t)
+        linalg.vec_add(out, {chain: 1}, coeff)
     return out
 
 

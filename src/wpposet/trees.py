@@ -27,8 +27,15 @@ recursion reads again; the family a caller asks for is built fresh and
 is freed when the caller drops it.
 
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
-from a parent map; :func:`enumerate_rooted_trees` orients each unrooted
-tree once and reroots it by one pointer flip per edge.
+from a parent map.  One rerooting sweep, ``_rerootings``, stands behind
+rooted trees, descent counts and forests: it orients each unrooted tree
+once, from its least label, and gives the descent count of every root,
+since moving the root across an edge flips that edge only.
+:func:`descent_counts` tallies those counts;
+:func:`enumerate_rooted_trees` writes the parent tuple of a root that
+passes its filter by flipping the edges on the path to the least label;
+:func:`enumerate_rooted_forests` reads the set partitions of
+``partitions`` and lists each block's rooted trees once per call.
 :func:`psi` costs O(n) per tree on [n].  Liu's order on
 the trees of one T_{A,i} is computed once per (A, i), as one closure
 bitset per tree; :func:`liu_leq` is one bit test in it, and
@@ -44,6 +51,7 @@ from math import comb, factorial
 
 from .errors import ResourceCapError
 from .frozen import Frozen
+from .partitions import bits, drake_product, mask_members, set_partitions_masks
 
 BLUE = "b"
 RED = "r"
@@ -643,70 +651,63 @@ def _orient(adj, root):
     return pmap
 
 
+def _rerootings(A):
+    """Every labeled tree on the sorted tuple ``A``, in Prufer order, as
+    (pmap, descents): ``pmap`` is the child -> parent map of the tree
+    rooted at ``A[0]``, a parent always entered before its children, and
+    ``descents`` maps each label to the descent count of the tree rooted
+    there.
+
+    Each tree is oriented once.  Moving the root from p across an edge to
+    its child c flips that edge only, so the count of c is the count of p
+    plus one if p < c and minus one if not."""
+    for adj in _unrooted_trees(A):
+        pmap = _orient(adj, A[0])
+        descents = {A[0]: sum(1 for c, p in pmap.items() if c < p)}
+        for c, p in pmap.items():
+            descents[c] = descents[p] + (1 if p < c else -1)
+        yield pmap, descents
+
+
 def enumerate_rooted_trees(labels, i=None):
     """All rooted trees on the label set, optionally with exactly ``i``
     descents.  Deterministic order (Prufer sequence, then root).
 
-    Each unrooted tree is oriented once, from its least label; moving the
-    root across an edge flips that edge's parent pointer only, so every
-    other root costs one pointer flip and one pass to write its parent
-    tuple.
+    Reads ``_rerootings``: the parent tuple is written only for a root
+    that passes the ``i`` filter, from the tree rooted at the least label
+    with the edges on the path to that root flipped.
     """
     A = tuple(sorted(labels))
     if len(A) > TREE_ENUM_CAP:
         raise ResourceCapError(f"rooted trees on {len(A)} labels", TREE_ENUM_CAP)
     pos = {x: k for k, x in enumerate(A)}
     out = []
-    for adj in _unrooted_trees(A):
-        pmap = _orient(adj, A[0])
-        # (child, parent) pairs in label order, None at the root
+    for pmap, descents in _rerootings(A):
+        # (child, parent) pairs in label order, None at the least label,
+        # and each edge's flipped pair, shared by every root below it
         pairs = [None] + [(x, pmap[x]) for x in A[1:]]
-        rooted = {A[0]: (pairs, sum(1 for c, p in pmap.items() if c < p))}
-        stack = [A[0]]
-        while stack:
-            u = stack.pop()
-            pu, du = rooted[u]
-            for v in adj[u]:
-                if v not in rooted:
-                    pv = pu.copy()
-                    pv[pos[u]], pv[pos[v]] = (u, v), None
-                    rooted[v] = (pv, du - (v < u) + (u < v))
-                    stack.append(v)
+        flipped = {c: (p, c) for c, p in pmap.items()}
         for k, root in enumerate(A):
-            pv, d = rooted[root]
-            if i is None or d == i:
+            if i is None or descents[root] == i:
+                pv = pairs.copy()
+                c = root
+                while c != A[0]:
+                    p = pmap[c]
+                    pv[pos[p]] = flipped[c]
+                    c = p
                 out.append(RootedTree(root, tuple(pv[:k] + pv[k + 1:])))
     return out
 
 
 def descent_counts(n):
-    """Counts of rooted trees on [n] by number of descents, by enumeration.
-
-    Uses an O(n) rerooting sweep per unrooted tree: moving the root across
-    an edge flips that edge's orientation only.
-    """
+    """Counts of rooted trees on [n] by number of descents: a tally of
+    the descent count of every root in ``_rerootings``."""
     if n > TREE_ENUM_CAP:
         raise ResourceCapError(f"rooted trees on {n} labels", TREE_ENUM_CAP)
-    A = tuple(range(1, n + 1))
     counts = [0] * n
-    if n == 1:
-        counts[0] = 1
-        return counts
-    for adj in _unrooted_trees(A):
-        # descents with root A[0]
-        pmap = _orient(adj, A[0])
-        d0 = sum(1 for c, p in pmap.items() if c < p)
-        dcount = {A[0]: d0}
-        stack = [A[0]]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in dcount:
-                    # edge u-v flips: child v (of u) becomes parent of u
-                    dcount[v] = dcount[u] - (1 if v < u else 0) + (1 if u < v else 0)
-                    stack.append(v)
-        for x in A:
-            counts[dcount[x]] += 1
+    for _pmap, descents in _rerootings(tuple(range(1, n + 1))):
+        for d in descents.values():
+            counts[d] += 1
     return counts
 
 
@@ -717,18 +718,6 @@ def descent_polynomial(n):
     if counts != drake_product(n):
         raise AssertionError(f"descent counts {counts} disagree with the product formula")
     return counts
-
-
-def drake_product(n):
-    """Coefficients of prod_{j=1}^{n-1} ((n-j) + j t)."""
-    poly = [1]
-    for j in range(1, n):
-        new = [0] * (len(poly) + 1)
-        for k, c in enumerate(poly):
-            new[k] += c * (n - j)
-            new[k + 1] += c * j
-        poly = new
-    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -834,13 +823,6 @@ def _edge_splits(T):
     return out
 
 
-def _bit_positions(x):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 @lru_cache(maxsize=None)
 def _liu_reachability(labels, i):
     """(trees, position, closure) for Liu's partial order on T_{labels,i}:
@@ -889,7 +871,7 @@ def _liu_reachability(labels, i):
         if state[k] == 0:
             state[k] = 1
             acc = 1 << k | succ[k]
-            for j in _bit_positions(succ[k]):
+            for j in bits(succ[k]):
                 acc |= close(j)
             closure[k] = acc
             state[k] = 2
@@ -936,7 +918,7 @@ def liu_linear_extension(trees):
         back = {k: a for a, k in enumerate(at)}
         inputs = sum(1 << k for k in back)
         for a, k in enumerate(at):
-            for j in _bit_positions(closure[k] & inputs & ~(1 << k)):
+            for j in bits(closure[k] & inputs & ~(1 << k)):
                 b = back[j]
                 above[a].append(b)
                 indegree[b] += 1
@@ -958,26 +940,18 @@ def liu_linear_extension(trees):
 # rooted forests
 # ---------------------------------------------------------------------------
 
-def _set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for k in range(len(part)):
-            yield part[:k] + [[first] + part[k]] + part[k + 1:]
-        yield [[first]] + part
-
-
 def enumerate_rooted_forests(n):
-    """All rooted forests on [n] (lists of RootedTree)."""
+    """All rooted forests on [n] (lists of RootedTree, one per block of a
+    set partition, by least label).  Each block's rooted trees are
+    enumerated once per call, however many set partitions hold it."""
     if n > TREE_ENUM_CAP:
         raise ResourceCapError(f"rooted forests on {n} labels", TREE_ENUM_CAP)
-    for part in _set_partitions(range(1, n + 1)):
-        blocks = [sorted(b) for b in part]
-        choices = [enumerate_rooted_trees(b) for b in blocks]
-        for combo in itertools.product(*choices):
+    on_block = {}
+    for part in set_partitions_masks(n):
+        for m in part:
+            if m not in on_block:
+                on_block[m] = enumerate_rooted_trees(mask_members(m))
+        for combo in itertools.product(*(on_block[m] for m in part)):
             yield list(combo)
 
 

@@ -196,6 +196,43 @@ def test_full_side_at_n1_is_bad_input(capsys, monkeypatch):
     assert captured.err == "error: the full side needs n >= 2, got 1\n"
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the input was checked")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["bases", "--n", "3", "--side", "full", "--i", "1"],
+     "error: --i does not apply to --side full\n"),
+    (["bases", "--n", "3", "--side", "full", "--family", "liu"],
+     "error: --family does not apply to --side full\n"),
+    (["bases", "--n", "3", "--side", "full", "--family", "comb"],
+     "error: --family does not apply to --side full\n"),
+    (["report-all", "--n", "2", "--jobs", "0"],
+     "error: --jobs must be >= 1, got 0\n"),
+    (["report-all", "--n", "2", "--jobs", "-3"],
+     "error: --jobs must be >= 1, got -3\n"),
+], ids=["full-i", "full-family", "full-default-family", "jobs-0", "jobs-neg"])
+def test_ignored_flag_is_bad_input(capsys, monkeypatch, argv, err):
+    from wpposet import acceptance, homology, straighten, trees
+
+    monkeypatch.setattr(homology, "proper_part", _refuse)
+    monkeypatch.setattr(straighten, "verify_bases", _refuse)
+    monkeypatch.setattr(trees, "enumerate_family", _refuse)
+    monkeypatch.setattr(acceptance, "run_criterion", _refuse)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_bases_family_defaults_to_comb(capsys):
+    _, default = run(capsys, "bases", "--n", "4", "--i", "1")
+    _, comb = run(capsys, "bases", "--n", "4", "--i", "1", "--family", "comb")
+    assert default == comb == \
+        "family comb, n=4 i=1: 26 cochains, full rank 26 = Betti 26\n"
+
+
 @pytest.mark.parametrize("n", [7, 9])
 def test_el_cap_fires_before_any_poset(capsys, monkeypatch, n):
     from wpposet import partitions

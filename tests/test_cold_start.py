@@ -17,7 +17,8 @@ from wpposet.frozen import Frozen
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = ("acceptance", "chains", "cli", "homology", "labeling", "linalg",
            "partitions", "straighten", "trees")
-# loaded only by the paths that use them: the --jobs pool, a witness solve
+# not loaded by importing the package: only the --jobs pool loads the
+# first two, and no path loads the others
 NOT_AT_IMPORT = ("multiprocessing", "concurrent.futures", "dataclasses",
                  "inspect", "fractions")
 

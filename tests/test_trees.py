@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -232,8 +233,15 @@ def test_descent_polynomial_frozen():
 
 def test_drake_product_matches_enumeration():
     for n in range(1, 7):
-        assert tr.drake_product(n) == tr.descent_polynomial(n) \
-            if n <= 6 else True
+        assert tr.drake_product(n) == tr.descent_polynomial(n)
+
+
+def test_descent_counts_tally_the_listed_trees():
+    # both readers of the one rerooting sweep, without the product formula
+    for n in range(1, 8):
+        per_d = Counter(T.descent_count()
+                        for T in tr.enumerate_rooted_trees(range(1, n + 1)))
+        assert tr.descent_counts(n) == [per_d[d] for d in range(n)]
 
 
 def test_forest_counts_one_pass():
@@ -242,6 +250,15 @@ def test_forest_counts_one_pass():
     assert tr.forest_counts(5) == [625, 500, 150, 20, 1]
     for n in range(1, 6):
         assert sum(tr.forest_counts(n)) == (n + 1) ** (n - 1)
+
+
+def test_rooted_forests_are_distinct_and_cover_n():
+    for n in range(1, 6):
+        forests = [frozenset(F) for F in tr.enumerate_rooted_forests(n)]
+        assert len(set(forests)) == len(forests) == (n + 1) ** (n - 1)
+        for F in forests:
+            labels = [x for T in F for x in T.labels]
+            assert sorted(labels) == list(range(1, n + 1))
 
 
 def test_psi_roundtrip_small():
