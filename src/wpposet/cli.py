@@ -2,10 +2,12 @@
 
 Every subcommand is a reproducible run: output depends only on the
 arguments (and the seed, where sampling is involved), so identical
-configurations produce byte-identical JSON.  Exit codes: 0 on success,
-1 on an assertion failure (the failing witness is printed), 2 on bad
-input (a message on stderr) or when a resource cap is exceeded (a
-structured record is printed).
+configurations produce byte-identical JSON.  ``build_parser`` alone says
+what a subcommand accepts: its flags, its formats and its size cap, all
+checked before any work.  Exit codes: 0 on success, 1 on an assertion
+failure (the failing witness is printed), 2 on bad input (a message on
+stderr), 3 when a resource cap is exceeded (a structured record is
+printed), 141 when the reader closed stdout early (as for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 
@@ -32,24 +35,13 @@ def _dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _check_max_elements(n, variant, cap):
-    """Refuse a poset larger than ``cap`` from its closed-form size,
-    before anything is built."""
-    size = pt.poset_size(n, variant)
-    if cap is not None and size > cap:
-        raise ResourceCapError(f"poset with {size} elements", cap)
-
-
 def _emit(args, text_fn, json_obj, csv_fn=None, dot_fn=None):
+    # args.format is one of the formats the command declares
     if args.format == "json":
         print(_dumps(json_obj))
     elif args.format == "csv":
-        if csv_fn is None:
-            raise ValueError(f"csv output is not defined for this command")
         print(csv_fn(), end="")
     elif args.format == "dot":
-        if dot_fn is None:
-            raise ValueError(f"dot output is not defined for this command")
         print(dot_fn())
     else:
         text_fn()
@@ -61,7 +53,6 @@ def _emit(args, text_fn, json_obj, csv_fn=None, dot_fn=None):
 # ---------------------------------------------------------------------------
 
 def cmd_invariants(args):
-    _check_max_elements(args.n, args.variant, args.max_elements)
     rep = pt.json_report(args.n, args.variant)
     P = pt.build_poset(args.n, args.variant)
 
@@ -79,7 +70,6 @@ def cmd_invariants(args):
 
 
 def cmd_el_verify(args):
-    _check_max_elements(args.n, pt.AUGMENTED, args.max_elements)
     rep = lb.verify_el(args.n)
     if not rep["passed"]:
         print(f"EL verification failed at n={args.n}; first violations:")
@@ -98,14 +88,6 @@ def cmd_el_verify(args):
 
 
 def cmd_homology(args):
-    # the cap is checked on the element count alone, before the open
-    # poset and its order complex are built
-    if args.max_elements is not None:
-        size = (hm.interval_size(args.n, args.i) if args.i is not None
-                else pt.poset_size(args.n) - 1)
-        if size > args.max_elements:
-            raise ResourceCapError(f"open poset with {size} elements",
-                                   args.max_elements)
     host = (hm.open_interval(args.n, args.i) if args.i is not None
             else hm.proper_part(args.n))
     rep = hm.homology_report(host)
@@ -129,21 +111,17 @@ def cmd_homology(args):
 
 
 def cmd_bases(args):
+    family = args.family or "comb"
     if args.side == st.FULL:
         # the full side reads neither flag, so neither is accepted
         for flag, value in (("--i", args.i), ("--family", args.family)):
             if value is not None:
                 raise ValueError(f"{flag} does not apply to --side full")
-        rep = st.verify_bases(args.n, full=True)
-        if not rep["passed"]:
-            print(f"basis verification failed: {_dumps(rep)}")
-            return 1
-        return _emit(args, lambda: print(_dumps(rep)), rep)
-    if args.i is None:
+        family = "tree"
+    elif args.i is None:
         raise ValueError("bases needs --i (or --side full)")
-    family = args.family or "comb"
     if family == "tree":
-        rep = st.verify_bases(args.n, args.i)
+        rep = st.verify_bases(args.n, args.i, full=args.side == st.FULL)
         if not rep["passed"]:
             print(f"basis verification failed: {_dumps(rep)}")
             return 1
@@ -239,14 +217,12 @@ def cmd_whitney(args):
 
 
 def cmd_report_all(args):
-    emit = (lambda line: None) if args.format == "json" else print
+    # the text rows are printed as each criterion finishes
+    emit = print if args.format == "text" else (lambda line: None)
     ok_all, results = acceptance.run_all(args.n, emit=emit, jobs=args.jobs)
-    if args.format == "json":
-        print(_dumps({"n": args.n, "passed": ok_all, "criteria": results}))
-    elif not ok_all:
-        print("FAILED")
-    else:
-        print(f"all {len(results)} criteria passed at n <= {args.n}")
+    _emit(args, lambda: print(f"all {len(results)} criteria passed at "
+                              f"n <= {args.n}" if ok_all else "FAILED"),
+          {"n": args.n, "passed": ok_all, "criteria": results})
     return 0 if ok_all else 1
 
 
@@ -261,70 +237,90 @@ def build_parser():
                     "partition poset.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, *flags):
+    def add(name, fn, help_, formats, cap, *flags):
+        # cap: (what, size of args), checked against --max-elements
         p = sub.add_parser(name, help=help_)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--format", default="text",
-                       choices=["text", "json", "csv", "dot"])
+        p.add_argument("--format", default="text", choices=formats)
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
+        if cap:
+            p.add_argument("--max-elements", type=int, default=None)
+        p.set_defaults(fn=fn, cap=cap)
 
     index = ("--i", {"type": int, "default": None})
-    max_elements = ("--max-elements", {"type": int, "default": None})
+    text_json = ["text", "json"]
     add("invariants", cmd_invariants,
         "rank sizes, Mobius, characteristic and Whitney invariants",
+        ["text", "json", "dot"],
+        ("poset", lambda args: pt.poset_size(args.n, args.variant)),
         ("--variant", {"default": pt.WEIGHTED,
-                       "choices": [pt.WEIGHTED, pt.POINTED, pt.AUGMENTED]}),
-        max_elements)
+                       "choices": [pt.WEIGHTED, pt.POINTED, pt.AUGMENTED]}))
     add("el-verify", cmd_el_verify,
-        "verify the edge labeling is an EL-labeling", max_elements)
+        "verify the edge labeling is an EL-labeling",
+        ["text", "json", "csv", "dot"],
+        ("poset", lambda args: pt.poset_size(args.n, pt.AUGMENTED)))
     add("homology", cmd_homology,
         "integral homology of (0,[n]^i), or of the proper part without --i",
-        index, max_elements)
+        ["text", "json", "csv"],
+        ("open poset", lambda args: pt.poset_size(args.n) - 1
+         if args.i is None else hm.interval_size(args.n, args.i)), index)
     add("bases", cmd_bases,
         "cardinality / full-rank verification of a cochain family",
-        index,
+        text_json, None, index,
         ("--family", {"default": None,
                       "choices": ["comb", "lyndon", "liu", "tree"]}),
         ("--side", {"default": st.COHOMOLOGY,
                     "choices": [st.COHOMOLOGY, st.FULL]}))
     add("straighten", cmd_straighten,
         "straighten a seeded random tree onto the comb basis",
-        index,
+        text_json, None, index,
         ("--side", {"default": st.COHOMOLOGY,
                     "choices": [st.COHOMOLOGY, st.LIE2, st.FULL]}),
         ("--seed", {"type": int, "default": DEFAULT_SEED}))
     add("psi", cmd_psi,
         "the bijection from rooted trees to bicolored Lyndon-type trees",
-        index)
+        ["text", "json", "csv"], None, index)
     add("whitney", cmd_whitney,
-        "Whitney numbers and Whitney cohomology ranks")
+        "Whitney numbers and Whitney cohomology ranks", text_json, None)
     add("report-all", cmd_report_all,
         "run the full acceptance suite with every size capped at n",
-        ("--jobs", {"type": int, "default": 1}))
+        text_json, None, ("--jobs", {"type": int, "default": 1}))
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.n < 1:
-            raise ValueError(f"--n must be >= 1, got {args.n}")
-        i = getattr(args, "i", None)
-        if i is not None and not 0 <= i < args.n:
-            raise ValueError(f"--i must be in 0..{args.n - 1}, got {i}")
-        return args.fn(args)
-    except ResourceCapError as exc:
-        print(_dumps({"error": "resource-cap", "what": exc.what,
-                      "limit": exc.limit}))
-        return 2
-    except AssertionError as exc:
-        print(f"assertion failed: {exc}")
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            if args.n < 1:
+                raise ValueError(f"--n must be >= 1, got {args.n}")
+            i = getattr(args, "i", None)
+            if i is not None and not 0 <= i < args.n:
+                raise ValueError(f"--i must be in 0..{args.n - 1}, got {i}")
+            if args.cap and args.max_elements is not None:
+                what, size = args.cap[0], args.cap[1](args)
+                if size > args.max_elements:
+                    raise ResourceCapError(f"{what} with {size} elements",
+                                           args.max_elements)
+            code = args.fn(args)
+        except ResourceCapError as exc:
+            print(_dumps({"error": "resource-cap", "what": exc.what,
+                          "limit": exc.limit}))
+            code = 3
+        except AssertionError as exc:
+            print(f"assertion failed: {exc}")
+            code = 1
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

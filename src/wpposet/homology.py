@@ -5,9 +5,10 @@ order is read from that poset's down-set bitsets
 (``partitions.Poset.down_sets``).  Inside this module a chain of the
 order complex is a tuple of the open poset's local indices, strictly
 increasing in the poset order, and a boundary map is reduced over the
-positions of the chains in their dimension's list; at the module's API
-(``OpenPoset.chains_by_dim``, ``cycle_basis``, ChainVectors) a chain is
-the tuple of partitions those indices stand for.  The empty chain
+positions of the chains in their dimension's list; in the ChainVectors
+the module takes (``coboundary_member``, ``rank_in_top_quotient``) and
+gives (``chain_vector_of_tree``, ``fundamental_cycle``) a chain is the
+tuple of partitions those indices stand for.  The empty chain
 generates the degree -1 part of the reduced complex.  A ChainVector is a
 sparse dict mapping chains to integers.  Everything is computed over the
 integers; one reduction per boundary map, top dimension first, gives its
@@ -71,7 +72,6 @@ class OpenPoset:
                 self.down[k] |= 1 << j
                 self.up[j] |= 1 << k
         self._index_chains = None
-        self._chains = None
         self._cycles = None
         self._top = None
 
@@ -101,16 +101,6 @@ class OpenPoset:
                 r += 1
             self._index_chains = by_dim
         return self._index_chains
-
-    def chains_by_dim(self):
-        """dict r -> list of r-chains as tuples of elements, in the order
-        of ``index_chains``; converted on the first request."""
-        if self._chains is None:
-            elements = self.elements
-            self._chains = {
-                r: [tuple(elements[k] for k in c) for c in cs]
-                for r, cs in self.index_chains().items()}
-        return self._chains
 
     @property
     def top_dim(self):
@@ -166,18 +156,6 @@ class OpenPoset:
         self.cycle_index()
         return self._top
 
-    def cycle_basis(self):
-        """Integer basis of the top cycles as ChainVectors, read from the
-        cycle index."""
-        index, count = self.cycle_index()
-        basis = [{} for _ in range(count)]
-        elements = self.elements
-        for c, entries in index.items():
-            chain = tuple(elements[k] for k in c)
-            for j, x in zip(entries[::2], entries[1::2]):
-                basis[j][chain] = x
-        return basis
-
 
 def _positions(chains):
     return {c: k for k, c in enumerate(chains)}
@@ -220,44 +198,6 @@ def _reductions(host):
             ech.add(row)
         cleared = set(ech.by_pivot)
         yield r, ech.rank, ech.unimodular, cleared
-
-
-def boundary_of_chain(c):
-    return {c[:i] + c[i + 1:]: -1 if i & 1 else 1 for i in range(len(c))}
-
-
-def boundary(v):
-    """The boundary of a homogeneous ChainVector."""
-    out = {}
-    for c, coeff in v.items():
-        linalg.vec_add(out, boundary_of_chain(c), coeff)
-    return out
-
-
-def coboundary(host, v):
-    """The coboundary: insert every admissible element into every gap,
-    with the gaps at the ends open toward the (virtual) bottom and top."""
-    out = {}
-    for c, coeff in v.items():
-        linalg.vec_add(out, _coboundary_of_chain(host, c), coeff)
-    return out
-
-
-def _coboundary_of_chain(host, c):
-    everything = (1 << len(host.elements)) - 1
-    idx = [host.index[e] for e in c]
-    out = {}
-    for i in range(len(c) + 1):
-        lower = host.up[idx[i - 1]] if i > 0 else everything
-        upper = host.down[idx[i]] if i < len(c) else everything
-        for j in pt.bits(lower & upper):
-            out[c[:i] + (host.elements[j],) + c[i:]] = (-1) ** i
-    return out
-
-
-def pairing(u, v):
-    """<u, v> with the chains orthonormal."""
-    return linalg.vec_dot(u, v)
 
 
 # ---------------------------------------------------------------------------

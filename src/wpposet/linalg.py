@@ -30,12 +30,6 @@ def vec_combine(a, ca, b, cb):
     return out
 
 
-def vec_dot(a, b):
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(x * b[k] for k, x in a.items() if k in b)
-
-
 def vec_content(v):
     g = 0
     for x in v.values():

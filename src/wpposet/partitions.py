@@ -134,32 +134,6 @@ def upper_covers(p, variant=WEIGHTED):
     return out
 
 
-def leq(a, b, variant=WEIGHTED):
-    """Order relation: b coarsens a, blockwise weight window / point origin."""
-    if b is TOP:
-        return True
-    if a is TOP:
-        return False
-    if ground_size(a) != ground_size(b):
-        raise ValueError("partitions over different ground sets")
-    for m, v in b:
-        total, count, points = 0, 0, ()
-        for ma, va in a:
-            if ma & m == ma:
-                total += va
-                count += 1
-                points += (va,)
-            elif ma & m:
-                return False
-        if variant == WEIGHTED:
-            if not total <= v <= total + count - 1:
-                return False
-        else:
-            if v not in points:
-                return False
-    return True
-
-
 def enumerate_partitions(n, variant=WEIGHTED):
     """All weighted (or pointed) partitions of [n], in deterministic order."""
     if n > POSET_CAP_N:

@@ -38,8 +38,8 @@ passes its filter by flipping the edges on the path to the least label;
 ``partitions`` and lists each block's rooted trees once per call.
 :func:`psi` costs O(n) per tree on [n].  Liu's order on
 the trees of one T_{A,i} is computed once per (A, i), as one closure
-bitset per tree; :func:`liu_leq` is one bit test in it, and
-:func:`liu_linear_extension` masks the bitsets to its inputs.
+bitset per tree; :func:`liu_linear_extension` masks the bitsets to its
+inputs.
 """
 
 from __future__ import annotations
@@ -887,16 +887,8 @@ def _liu_class(trees):
     labels, i = trees[0].labels, trees[0].descent_count()
     for T in trees:
         if T.labels != labels or T.descent_count() != i:
-            raise ValueError("liu_leq compares trees in the same T_{A,i}")
+            raise ValueError("the Liu order compares trees in one T_{A,i}")
     return labels, i
-
-
-def liu_leq(T1, T2):
-    """Liu's partial order on rooted trees with the same label set and
-    descent count: one bit test in the class's closure."""
-    labels, i = _liu_class([T1, T2])
-    _trees, position, closure = _liu_reachability(tuple(sorted(labels)), i)
-    return bool(closure[position[T1]] >> position[T2] & 1)
 
 
 def liu_linear_extension(trees):

@@ -4,6 +4,7 @@ from wpposet import chains as ch
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
+from poset_oracles import leq
 from tree_oracles import linear_extensions
 
 B, R = tr.BLUE, tr.RED
@@ -98,7 +99,7 @@ def test_tree_of_chain_roundtrip_exhaustive():
                 assert tuple(P.elements[k] for k in c) in seen
                 continue
             for j in P.covers[c[-1]]:
-                if pt.leq(P.elements[j], top):
+                if leq(P.elements[j], top):
                     stack.append(c + (j,))
     assert count == 144
 
@@ -186,7 +187,7 @@ def test_maximal_chains_of_pi_t():
     assert [sign for _c, sign in chains] == [1, -1, -1, 1, 1, -1]
     for c, _sign in chains:
         assert list(map(len, c)) == [4, 3, 2, 1]
-        assert all(pt.leq(a, b) for a, b in zip(c, c[1:]))
+        assert all(leq(a, b) for a, b in zip(c, c[1:]))
 
 
 def test_forest_partition_weights():

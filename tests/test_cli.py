@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +122,7 @@ def test_whitney(capsys):
 
 def test_resource_cap_exit_code(capsys):
     code, out = run(capsys, "invariants", "--n", "4", "--max-elements", "10")
-    assert code == 2
+    assert code == 3
     rep = json.loads(out)
     assert rep["error"] == "resource-cap"
     assert rep["limit"] == 10
@@ -242,7 +246,7 @@ def test_el_cap_fires_before_any_poset(capsys, monkeypatch, n):
 
     monkeypatch.setattr(partitions, "Poset", refuse)
     code, out = run(capsys, "el-verify", "--n", str(n))
-    assert code == 2
+    assert code == 3
     assert json.loads(out) == {"error": "resource-cap",
                                "what": f"EL verification on {n} labels",
                                "limit": 6}
@@ -260,7 +264,7 @@ def test_cap_fires_before_construction(capsys, monkeypatch, argv, size):
 
     monkeypatch.setattr(partitions, "build_poset", refuse)
     code, out = run(capsys, *argv, "--max-elements", "10")
-    assert code == 2
+    assert code == 3
     assert json.loads(out) == {"error": "resource-cap",
                                "what": f"poset with {size} elements",
                                "limit": 10}
@@ -309,7 +313,7 @@ def test_straighten_never_lists_trees(capsys, monkeypatch, n, seed):
 
 def test_straighten_past_the_cap_is_refused(capsys):
     code, out = run(capsys, "straighten", "--n", "9")
-    assert code == 2
+    assert code == 3
     assert json.loads(out) == {"error": "resource-cap",
                                "what": "bicolored trees on 9 labels",
                                "limit": 8}
@@ -327,7 +331,7 @@ def test_bases_past_the_tree_cap_is_refused(capsys, monkeypatch, family):
         monkeypatch.setattr(tr, name, refuse)
     code, out = run(capsys, "bases", "--n", "9", "--i", "0",
                     "--family", family)
-    assert code == 2
+    assert code == 3
     assert json.loads(out) == {"error": "resource-cap",
                                "what": f"{family} trees on 9 labels",
                                "limit": 8}
@@ -346,7 +350,7 @@ def test_homology_cap_fires_before_the_host(capsys, monkeypatch, argv, size):
     monkeypatch.setattr(homology.OpenPoset, "__init__", refuse)
     monkeypatch.setattr(partitions, "build_poset", refuse)
     code, out = run(capsys, *argv, "--max-elements", "10")
-    assert code == 2
+    assert code == 3
     assert json.loads(out) == {"error": "resource-cap",
                                "what": f"open poset with {size} elements",
                                "limit": 10}
@@ -388,7 +392,7 @@ def test_mobius_cap_fires_before_any_poset(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(partitions, "Poset", refuse)
     code, out = run(capsys, *argv)
-    assert code == 2
+    assert code == 3
     assert json.loads(out) == {"error": "resource-cap",
                                "what": "all-pairs Mobius at n=8",
                                "limit": 6}
@@ -454,3 +458,90 @@ def test_invariants_and_whitney_json_bytes_pinned(capsys):
         code, out = run(capsys, *command.split(), "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+# the formats each subcommand declares, and a small run of each command
+FORMATS = {
+    "invariants": ["text", "json", "dot"],
+    "el-verify": ["text", "json", "csv", "dot"],
+    "homology": ["text", "json", "csv"],
+    "psi": ["text", "json", "csv"],
+    "bases": ["text", "json"],
+    "straighten": ["text", "json"],
+    "whitney": ["text", "json"],
+    "report-all": ["text", "json"],
+}
+SMALL = {
+    "invariants": ["--n", "3"],
+    "el-verify": ["--n", "3"],
+    "homology": ["--n", "3", "--i", "1"],
+    "psi": ["--n", "3"],
+    "bases": ["--n", "3", "--i", "1"],
+    "straighten": ["--n", "3", "--seed", "0"],
+    "whitney": ["--n", "3"],
+    "report-all": ["--n", "2"],
+}
+ALL_FORMATS = ["text", "json", "csv", "dot"]
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (c, f) for c, fs in FORMATS.items() for f in fs])
+def test_declared_format_renders(capsys, command, fmt):
+    code, out = run(capsys, command, *SMALL[command], "--format", fmt)
+    assert code == 0
+    assert out
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (c, f) for c, fs in FORMATS.items() for f in ALL_FORMATS if f not in fs])
+def test_undeclared_format_is_refused_before_any_work(capsys, monkeypatch,
+                                                      command, fmt):
+    from wpposet import (acceptance, homology, labeling, partitions,
+                         straighten, trees)
+
+    for module, names in [
+            (partitions, ["build_poset", "json_report", "whitney_numbers"]),
+            (labeling, ["verify_el"]),
+            (homology, ["open_interval", "proper_part"]),
+            (trees, ["enumerate_rooted_trees", "enumerate_family",
+                     "bicolored_count"]),
+            (straighten, ["verify_bases", "straighten"]),
+            (acceptance, ["run_all", "run_criterion"])]:
+        for name in names:
+            monkeypatch.setattr(module, name, _refuse)
+    # n = 7 costs seconds wherever the work starts (psi: every rooted tree
+    # on [7] round-tripped)
+    argv = [command, "--n", "7"] + (["--i", "1"] if "--i" in SMALL[command]
+                                    else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"invalid choice: '{fmt}'" in captured.err
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["psi", "--n", "6"], 1),
+    (["whitney", "--n", "3"], 0),
+], ids=["closed-after-a-line", "closed-at-once"])
+def test_closed_pipe_exits_without_a_traceback(argv, lines):
+    # psi fails in a write, far more than a pipe buffer still unwritten;
+    # whitney's few lines sit in the stdout buffer until the last flush
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    read, write = os.pipe()
+    if not lines:
+        os.close(read)
+    proc = subprocess.Popen([sys.executable, "-m", "wpposet.cli", *argv],
+                            env=env, stdout=write, stderr=subprocess.PIPE,
+                            text=True)
+    os.close(write)
+    if lines:
+        with os.fdopen(read) as out:
+            assert out.readline().startswith("root ")
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
+    assert err == ""

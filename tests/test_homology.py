@@ -11,6 +11,9 @@ from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
+from poset_oracles import (boundary, boundary_of_chain, chains_by_dim,
+                           coboundary, cycle_basis, leq, pairing)
+
 B, R = tr.BLUE, tr.RED
 
 
@@ -95,7 +98,7 @@ def test_top_map_is_reduced_once(monkeypatch, betti_first):
             rank, betti = hm.rank_in_top_quotient(host, vecs)
             rep = hm.betti_numbers(host)
         assert not hm.coboundary_member(host, vecs[0])
-        assert len(host.cycle_basis()) == betti
+        assert len(cycle_basis(host)) == betti
         assert sorted(seen) == host.index_chains()[host.top_dim], host.name
         assert rank == betti == len(vecs) == rep["betti"][rep["top_dim"]], \
             host.name
@@ -110,49 +113,48 @@ def test_degenerate_host():
 
 def test_boundary_squares_to_zero():
     host = hm.open_interval(4, 2)
-    for c in host.chains_by_dim()[1]:
-        assert hm.boundary(hm.boundary_of_chain(c)) == {}
+    for c in chains_by_dim(host)[1]:
+        assert boundary(boundary_of_chain(c)) == {}
 
 
 def test_coboundary_squares_to_zero():
     host = hm.open_interval(4, 2)
-    for c in host.chains_by_dim()[0][:40]:
-        once = hm.coboundary(host, {c: 1})
-        assert hm.coboundary(host, once) == {}
+    for c in chains_by_dim(host)[0][:40]:
+        once = coboundary(host, {c: 1})
+        assert coboundary(host, once) == {}
 
 
 @given(st.integers(0, 5000))
 def test_boundary_coboundary_adjoint(seed):
     rng = random.Random(seed)
     host = hm.open_interval(4, rng.randint(0, 3))
-    by_dim = host.chains_by_dim()
+    by_dim = chains_by_dim(host)
     r = rng.choice([r for r in by_dim if r + 1 in by_dim])
     c = {rng.choice(by_dim[r]): rng.randint(-3, 3)}
     cp = {rng.choice(by_dim[r + 1]): rng.randint(-3, 3)}
-    assert hm.pairing(hm.coboundary(host, c), cp) == \
-        hm.pairing(c, hm.boundary(cp))
+    assert pairing(coboundary(host, c), cp) == pairing(c, boundary(cp))
 
 
 def test_cycle_basis_is_kernel():
     host = hm.open_interval(4, 1)
-    basis = host.cycle_basis()
+    basis = cycle_basis(host)
     assert len(basis) == 26
     for z in basis:
-        assert hm.boundary(z) == {}
+        assert boundary(z) == {}
 
 
 def test_coboundary_member_with_witness():
     host = hm.open_interval(4, 1)
-    c = host.chains_by_dim()[0][0]
-    v = hm.coboundary(host, {c: 2})
+    c = chains_by_dim(host)[0][0]
+    v = coboundary(host, {c: 2})
     assert v
     assert hm.coboundary_member(host, v)
 
 
 def test_non_member_detected():
     host = hm.open_interval(3, 1)
-    z = host.cycle_basis()[0]
-    assert not hm.coboundary_member(host, z) or hm.pairing(z, z) == 0
+    z = cycle_basis(host)[0]
+    assert not hm.coboundary_member(host, z) or pairing(z, z) == 0
 
 
 def test_fundamental_cycle_unimodular():
@@ -176,7 +178,7 @@ def _kernel_fundamental_cycle(T):
     """The fundamental cycle of Pi_T as the integer kernel of the top
     boundary map of its proper part, normalized at the chain of psi(T)."""
     key = tuple(ch.chain_partitions_of_tree(tr.psi(T))[1:-1])
-    (rho,) = _open_boolean_of_tree(T).cycle_basis()
+    (rho,) = cycle_basis(_open_boolean_of_tree(T))
     return {c: x * rho[key] for c, x in rho.items()}
 
 
@@ -190,14 +192,14 @@ def test_fundamental_cycle_is_a_cycle():
     for T in tr.enumerate_rooted_trees(range(1, 5), 1)[:6]:
         host = hm.open_interval(4, 1)
         rho = hm.fundamental_cycle(T)
-        assert hm.boundary(rho) == {}
+        assert boundary(rho) == {}
 
 
 def test_pairing_matrix_n3():
     ordered = tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, 4), 1))
     cycles = [hm.fundamental_cycle(T) for T in ordered]
     cochains = [hm.chain_vector_of_tree(tr.psi(T)) for T in ordered]
-    M = [[hm.pairing(rho, c) for c in cochains] for rho in cycles]
+    M = [[pairing(rho, c) for c in cochains] for rho in cycles]
     assert all(M[j][j] == 1 for j in range(len(M)))
     assert all(M[j][k] == 0 for j in range(len(M)) for k in range(j))
 
@@ -221,7 +223,7 @@ def test_homology_report():
 
 
 class _PairwiseOrder:
-    """The open-poset construction that read the order by calling pt.leq on
+    """The open-poset construction that read the order by calling leq on
     every ordered pair: above[k] lists the local indices strictly above k
     in ascending order, below_set[k] the set strictly below."""
 
@@ -233,7 +235,7 @@ class _PairwiseOrder:
         self.below_set = [set() for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                if i != j and pt.leq(self.elements[i], self.elements[j]):
+                if i != j and leq(self.elements[i], self.elements[j]):
                     self.above[i].append(j)
                     self.below_set[j].add(i)
 
@@ -271,9 +273,9 @@ def test_open_posets_match_pairwise_leq_order():
     for host in _open_hosts():
         oracle = _PairwiseOrder(host.elements)
         assert host.elements == oracle.elements, host.name
-        assert host.chains_by_dim() == oracle.chains_by_dim(), host.name
-        for (e,) in host.chains_by_dim().get(0, []):
-            assert hm.coboundary(host, {(e,): 1}) == \
+        assert chains_by_dim(host) == oracle.chains_by_dim(), host.name
+        for (e,) in chains_by_dim(host).get(0, []):
+            assert coboundary(host, {(e,): 1}) == \
                 oracle.coboundary_of_point(e), host.name
 
 
@@ -284,7 +286,7 @@ def test_interval_elements_match_leq_filter():
         for i in range(n):
             top = pt.sort_blocks((((1 << n) - 1, i),))
             assert hm.interval_elements(n, i) == [
-                e for e in P.elements if e not in (top, bot) and pt.leq(e, top)]
+                e for e in P.elements if e not in (top, bot) and leq(e, top)]
 
 
 def test_interval_size_matches_elements():
@@ -296,13 +298,13 @@ def test_interval_size_matches_elements():
 
 def test_chain_cap_is_checked_before_the_frontier(monkeypatch):
     P = pt.build_poset(4, pt.WEIGHTED)
-    total = sum(len(cs) for cs in hm.proper_part(4).chains_by_dim().values())
+    total = sum(len(cs) for cs in chains_by_dim(hm.proper_part(4)).values())
     monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total)
-    assert sum(len(cs) for cs in hm.OpenPoset(
-        "at cap", P, P.elements[1:]).chains_by_dim().values()) == total
+    assert sum(len(cs) for cs in chains_by_dim(hm.OpenPoset(
+        "at cap", P, P.elements[1:])).values()) == total
     monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total - 1)
     with pytest.raises(ResourceCapError) as err:
-        hm.OpenPoset("past cap", P, P.elements[1:]).chains_by_dim()
+        chains_by_dim(hm.OpenPoset("past cap", P, P.elements[1:]))
     assert (err.value.what, err.value.limit) == ("chains of past cap", total - 1)
 
 
@@ -314,17 +316,17 @@ def test_chain_cap_is_checked_before_the_frontier(monkeypatch):
 def _oracle_reductions(host):
     """dim r -> Echelon of the boundary rows of the r-chains of elements."""
     out = {}
-    for r, chains_r in host.chains_by_dim().items():
+    for r, chains_r in chains_by_dim(host).items():
         ech = linalg.Echelon()
         for c in chains_r:
-            ech.add(hm.boundary_of_chain(c))
+            ech.add(boundary_of_chain(c))
         out[r] = ech
     return out
 
 
 def _oracle_cycle_basis(host):
-    chains_top = host.chains_by_dim()[host.top_dim]
-    combos = linalg.kernel_basis([hm.boundary_of_chain(c) for c in chains_top])
+    chains_top = chains_by_dim(host)[host.top_dim]
+    combos = linalg.kernel_basis([boundary_of_chain(c) for c in chains_top])
     return [{chains_top[j]: x for j, x in combo.items()} for combo in combos]
 
 
@@ -334,7 +336,7 @@ def _as_set(vectors):
 
 def test_index_chain_reduction_matches_partition_oracle():
     for host in _open_hosts():
-        idx, chains = host.index_chains(), host.chains_by_dim()
+        idx, chains = host.index_chains(), chains_by_dim(host)
         oracle = _oracle_reductions(host)
         for r, cs in idx.items():
             assert cs == sorted(cs), (host.name, r)
@@ -353,7 +355,7 @@ def test_index_chain_reduction_matches_partition_oracle():
         top = rep["top_dim"]
         assert rep["torsion_free_top"] == all(
             oracle[r].unimodular for r in (top, top - 1) if r >= 0), host.name
-        assert _as_set(host.cycle_basis()) == \
+        assert _as_set(cycle_basis(host)) == \
             _as_set(_oracle_cycle_basis(host)), host.name
 
 
@@ -382,7 +384,7 @@ def _quotient_cases():
 def test_quotient_rank_and_membership_match_pairing_oracle():
     for host, vecs in _quotient_cases():
         basis = _oracle_cycle_basis(host)
-        rows = [{j: hm.pairing(v, z) for j, z in enumerate(basis)}
+        rows = [{j: pairing(v, z) for j, z in enumerate(basis)}
                 for v in vecs]
         rows = [{j: x for j, x in row.items() if x} for row in rows]
         assert hm.rank_in_top_quotient(host, vecs) == \
@@ -393,7 +395,7 @@ def test_quotient_rank_and_membership_match_pairing_oracle():
 
 def test_chain_outside_the_host_is_refused():
     host1, host2 = hm.open_interval(4, 1), hm.open_interval(4, 2)
-    c = next(c for c in host2.chains_by_dim()[host2.top_dim]
+    c = next(c for c in chains_by_dim(host2)[host2.top_dim]
              if any(e not in host1.index for e in c))
     with pytest.raises(ValueError, match=r"not a top chain of \(0,\[4\]\^1\)"):
         hm.coboundary_member(host1, {c: 1})
@@ -401,8 +403,8 @@ def test_chain_outside_the_host_is_refused():
         hm.rank_in_top_quotient(host1, [{c: 1}])
     # a chain of host1 that is not top-dimensional, and one that is not
     # a chain, are refused too
-    low = host1.chains_by_dim()[host1.top_dim - 1][0]
-    top = host1.chains_by_dim()[host1.top_dim][0]
+    low = chains_by_dim(host1)[host1.top_dim - 1][0]
+    top = chains_by_dim(host1)[host1.top_dim][0]
     for bad in (low, top[::-1]):
         with pytest.raises(ValueError, match="not a top chain"):
             hm.coboundary_member(host1, {bad: 1})

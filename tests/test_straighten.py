@@ -7,6 +7,8 @@ from wpposet import homology as hm
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
+from poset_oracles import pairing
+
 B, R = tr.BLUE, tr.RED
 
 
@@ -172,8 +174,8 @@ def test_verify_bases_n3():
 
 
 def _dense_pairing_flags(ordered):
-    M = [[hm.pairing(hm.fundamental_cycle(T),
-                     hm.chain_vector_of_tree(tr.psi(S))) for S in ordered]
+    M = [[pairing(hm.fundamental_cycle(T),
+                  hm.chain_vector_of_tree(tr.psi(S))) for S in ordered]
          for T in ordered]
     return (all(M[j][k] == 0 for j in range(len(M)) for k in range(j)),
             all(M[j][j] == 1 for j in range(len(M))))

@@ -15,7 +15,7 @@ from wpposet import straighten as sn
 from wpposet import trees as tr
 
 from tree_oracles import (enumerate_normalized, is_lyndon, linear_extensions,
-                          normalized_uncolored, is_lyndon_node)
+                          liu_leq, normalized_uncolored, is_lyndon_node)
 
 B, R = tr.BLUE, tr.RED
 
@@ -361,12 +361,12 @@ def test_liu_order_reflexive_and_acyclic():
     trees5 = tr.enumerate_rooted_trees(range(1, 4), 1)
     assert len(trees5) == 5
     for T in trees5:
-        assert tr.liu_leq(T, T)
+        assert liu_leq(T, T)
     ordered = tr.liu_linear_extension(trees5)
     pos = {T: k for k, T in enumerate(ordered)}
     for T1 in trees5:
         for T2 in trees5:
-            if tr.liu_leq(T1, T2):
+            if liu_leq(T1, T2):
                 assert pos[T1] <= pos[T2]
 
 
@@ -473,7 +473,7 @@ def _old_liu_linear_extension(trees):
     out = []
     while remaining:
         for T in remaining:
-            if not any(tr.liu_leq(S, T) for S in remaining if S != T):
+            if not any(liu_leq(S, T) for S in remaining if S != T):
                 out.append(T)
                 remaining.remove(T)
                 break

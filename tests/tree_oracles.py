@@ -1,7 +1,8 @@
 """Brute-force tree helpers the tests use as oracles: family membership
-by predicate, the normalized trees by shape, and every linear extension
-of a tree's internal nodes.  The package builds each family directly and
-reads one extension at a time, so none of these is needed there."""
+by predicate, the normalized trees by shape, every linear extension of a
+tree's internal nodes, and one comparison in Liu's order.  The package
+builds each family directly, reads one extension at a time and orders
+whole classes at once, so none of these is needed there."""
 
 from wpposet import trees as tr
 
@@ -82,3 +83,11 @@ def linear_extensions(t):
 
     rec([], list(nchildren), set(range(m)))
     return out
+
+
+def liu_leq(T1, T2):
+    """Liu's partial order on rooted trees with the same label set and
+    descent count: one bit test in the class's closure."""
+    labels, i = tr._liu_class([T1, T2])
+    _trees, position, closure = tr._liu_reachability(tuple(sorted(labels)), i)
+    return bool(closure[position[T1]] >> position[T2] & 1)
