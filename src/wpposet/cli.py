@@ -290,9 +290,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
         try:
+            args = build_parser().parse_args(argv)
             if args.n < 1:
                 raise ValueError(f"--n must be >= 1, got {args.n}")
             i = getattr(args, "i", None)
@@ -304,6 +304,10 @@ def main(argv=None):
                     raise ResourceCapError(f"{what} with {size} elements",
                                            args.max_elements)
             code = args.fn(args)
+        except SystemExit:
+            # argparse exits after --help with the text still buffered
+            sys.stdout.flush()
+            raise
         except ResourceCapError as exc:
             print(_dumps({"error": "resource-cap", "what": exc.what,
                           "limit": exc.limit}))

@@ -49,16 +49,23 @@ def swap_sign(side, left, right):
 
 def normalize_signed(t, side):
     """(sign, normalized tree) under the side's swap relation."""
+    sign, t, _least, _size = _normalize(t, side)
+    return sign, t
+
+
+def _normalize(t, side):
+    # (sign, normalized tree, least leaf, internal count): each subtree's
+    # least leaf and size come up with it, so no subtree is walked again
     if tr.is_leaf(t):
-        return 1, t
+        return 1, t, t, 0
     col, l, r = t
-    sl, l = normalize_signed(l, side)
-    sr, r = normalize_signed(r, side)
+    sl, l, ml, kl = _normalize(l, side)
+    sr, r, mr, kr = _normalize(r, side)
     sign = sl * sr
-    if tr.min_leaf(l) > tr.min_leaf(r):
-        sign *= swap_sign(side, l, r)
-        l, r = r, l
-    return sign, (col, l, r)
+    if ml > mr:
+        sign *= _sign(side, kl * kr)
+        l, r, ml = r, l, mr
+    return sign, (col, l, r), ml, kl + kr + 1
 
 
 def measure(t):

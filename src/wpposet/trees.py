@@ -179,13 +179,6 @@ def minleaf_valencies(t):
     return {k: min_leaf(node) for k, (_p, node) in enumerate(postorder_internal(t))}
 
 
-def _recursive_valency(t):
-    if is_leaf(t):
-        return t
-    a, b = _recursive_valency(t[1]), _recursive_valency(t[2])
-    return min(a, b) if t[0] == BLUE else max(a, b)
-
-
 def is_offending(node):
     """Whether the straightening relations rewrite an internal node: its
     right child is internal and the pair is not (red parent, blue right
@@ -197,30 +190,6 @@ def is_offending(node):
 def is_comb(t):
     return is_normalized(t) and not any(
         is_offending(node) for _p, node in postorder_internal(t))
-
-
-def is_liu_lyndon(t):
-    if is_leaf(t):
-        return True
-    col, l, r = t
-    if not (is_liu_lyndon(l) and is_liu_lyndon(r)):
-        return False
-    vl, vr = _recursive_valency(l), _recursive_valency(r)
-    if col == BLUE:
-        if not vl < vr:
-            return False
-        if not is_leaf(l) and l[0] == BLUE:
-            if not _recursive_valency(l[2]) > vr:
-                return False
-    else:
-        if not vl > vr:
-            return False
-        if not is_leaf(l):
-            if l[0] != RED:
-                return False
-            if not _recursive_valency(l[2]) < vr:
-                return False
-    return True
 
 
 # -- enumeration -------------------------------------------------------------
@@ -589,10 +558,6 @@ class RootedTree(Frozen):
     def descent_count(self):
         return sum(1 for c, p in self.parent if c < p)
 
-    def edges(self):
-        """Edges as (child, parent, color) with descent edges red."""
-        return [(c, p, RED if c < p else BLUE) for c, p in self.parent]
-
     @staticmethod
     def from_parent_map(root, pmap):
         return RootedTree(root, tuple(sorted(pmap.items())))
@@ -762,18 +727,12 @@ def _psi_at(r, kids):
 
 
 def psi_inverse(t):
-    """Inverse of :func:`psi`; raises ValueError off the Liu-Lyndon family."""
-    if not is_liu_lyndon(t):
-        raise ValueError("psi_inverse requires a Liu-Lyndon tree")
-    T = _psi_inverse_unchecked(t)
-    if psi(T) != t:
-        raise ValueError("psi_inverse: input is not in the image of psi")
-    return T
+    """Inverse of :func:`psi`; raises ValueError off the Liu-Lyndon family.
 
-
-def _psi_inverse_unchecked(t):
-    # each node (col, l, r) hangs the root of r, its leftmost leaf, below
-    # the root of l; one pass collects the whole parent map
+    Every bicolored tree reads as a rooted tree T: each node (col, l, r)
+    hangs the root of r, its leftmost leaf, below the root of l.  The
+    Liu-Lyndon trees are exactly the image of psi, so t is one iff
+    psi(T) == t."""
     pmap = {}
 
     def root_of(s):
@@ -783,7 +742,10 @@ def _psi_inverse_unchecked(t):
         pmap[root_of(s[2])] = top
         return top
 
-    return RootedTree.from_parent_map(root_of(t), pmap)
+    T = RootedTree.from_parent_map(root_of(t), pmap)
+    if psi(T) != t:
+        raise ValueError("psi_inverse requires a Liu-Lyndon tree")
+    return T
 
 
 def _subtree(x, kids):

@@ -8,9 +8,15 @@ asserts the criterion's verdict.  The same checks back the CLI's
 
 from wpposet import acceptance
 
+import pytest
+
+# the native sizes at which each claim has been verified; they may only go up
+NATIVE_FLOORS = {1: 7, 2: 6, 3: 6, 4: 6, 5: 6, 6: 6, 7: 5, 8: 5, 9: 6, 10: 8,
+                 11: 7, 12: 6, 13: 5, 14: 5, 15: 5, 16: 4}
+
 
 def _run(k):
-    name, ok, detail = acceptance.ALL_CRITERIA[k - 1]()
+    name, ok, detail = acceptance.run_criterion(k)
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {k:2d}: {name} ({detail})")
     assert ok, f"criterion {k} ({name}): {detail}"
 
@@ -79,7 +85,7 @@ def test_criterion_11_catches_a_repeated_tree(monkeypatch):
     assert Counter(map(tr.red_count, fam)) == \
         Counter(map(tr.red_count, real("lyndon", 3)))
     assert acceptance.run_criterion(11, 3) == \
-        ("family counts", False, "lyndon n=3: repeated trees")
+        ("family counts n^(n-1), per-i", False, "lyndon n=3: repeated trees")
 
 
 def test_criterion_12_psi_bijection():
@@ -127,3 +133,43 @@ def test_criterion_15_whitney_cohomology():
 
 def test_criterion_16_phi_images():
     _run(16)
+
+
+def test_native_sizes_only_go_up():
+    native = {k: row.native for k, row in enumerate(acceptance.CRITERIA, 1)}
+    assert native.keys() == NATIVE_FLOORS.keys()
+    assert all(native[k] >= NATIVE_FLOORS[k] for k in native), native
+
+
+def _refuted(n):
+    raise AssertionError("witness: injected for the test")
+
+
+def _crashing(n):
+    raise ZeroDivisionError("injected for the test")
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_a_row_keeps_its_name_however_it_ends(monkeypatch, k):
+    name, ok, detail = acceptance.run_criterion(k, 1)
+    assert ok and detail.endswith("1]" if k == 12 else "n <= 1")
+    row = acceptance.CRITERIA[k - 1]
+    for check, want in [(_refuted, "witness: injected for the test"),
+                        (_crashing,
+                         "raised ZeroDivisionError: injected for the test")]:
+        rows = list(acceptance.CRITERIA)
+        rows[k - 1] = row._replace(first=1, check=check)
+        monkeypatch.setattr(acceptance, "CRITERIA", rows)
+        assert acceptance.run_criterion(k, 1) == (name, False, want)
+
+
+def test_a_refuted_library_claim_is_a_witness(monkeypatch):
+    # criterion 2's check is partitions.mu_polynomial, which compares the
+    # Mobius values with the product formula and raises on a mismatch
+    from wpposet import partitions as pt
+    real = pt.drake_product
+    monkeypatch.setattr(pt, "drake_product",
+                        lambda n: [c + (n == 3) for c in real(n)])
+    assert acceptance.run_criterion(2, 4) == (
+        "Mobius product formula", False,
+        "mu polynomial [2, 5, 2] != [3, 6, 3] at n=3")

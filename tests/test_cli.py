@@ -142,17 +142,46 @@ def test_report_all_json_deterministic(capsys):
     assert rep["passed"] and len(rep["criteria"]) == 16
 
 
-def test_report_all_failure_exit(capsys, monkeypatch):
+def _replace_check(monkeypatch, k, check):
     from wpposet import acceptance
 
-    def broken(nmax=None):
-        return "forced failure", False, "witness: injected for the test"
+    rows = list(acceptance.CRITERIA)
+    rows[k - 1] = rows[k - 1]._replace(check=check)
+    monkeypatch.setattr(acceptance, "CRITERIA", rows)
 
-    monkeypatch.setitem(acceptance.__dict__, "ALL_CRITERIA",
-                        [broken] + acceptance.ALL_CRITERIA[1:])
+
+def test_report_all_failure_exit(capsys, monkeypatch):
+    def refuted(n):
+        raise AssertionError("witness: injected for the test")
+
+    _replace_check(monkeypatch, 1, refuted)
     code, out = run(capsys, "report-all", "--n", "2")
     assert code == 1
-    assert "[FAIL]" in out
+    assert out.splitlines()[0] == ("[FAIL] criterion  1: rank generating "
+                                   "function (witness: injected for the test)")
+    assert out.count("[PASS]") == 15
+
+
+# sha256 of `report-all --n N` stdout, text and json: every passing row's
+# name and detail, byte for byte
+REPORT_ALL_SHA256 = {
+    (1, "text"): "ad3bc6505986b677eef04da7ec937139661e079a37b460ff46f25b8ea614026f",
+    (1, "json"): "eea63b97be72be22982dea3edb9a0a2292d58a841a02402080d2c8556ded64a6",
+    (2, "text"): "dde2ee179d0a9912ef74ab586ed857a3cc0eb50016111948b107aa3c36f8b232",
+    (2, "json"): "b29f096422d9e7a9469dd9d3229e7d9b3749daf19dd4f5bf5a64e53eb67ed596",
+    (3, "text"): "66bc640ade0c569a6fd07cb35376a58fa386a29c69f93ff50f6bea80b9a02655",
+    (3, "json"): "ad6f54da42d2e98d9d0012753c5e708dce7e8ac6e5949baec73d19f8e0e1d6a8",
+    (4, "text"): "0440d66f5467516e08f20997cbae1d2a52174d8626c5366b99a307453d9aa566",
+    (4, "json"): "43676f1effe58054725c74f74d1c7f1827e0cc05d3f1992ac4e84c233312ec3b",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(REPORT_ALL_SHA256))
+def test_report_all_bytes_pinned(capsys, n, fmt):
+    code, out = run(capsys, "report-all", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        REPORT_ALL_SHA256[n, fmt]
 
 
 @pytest.mark.parametrize("argv", [
@@ -359,14 +388,10 @@ def test_homology_cap_fires_before_the_host(capsys, monkeypatch, argv, size):
 @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "jobs"])
 def test_report_all_crashing_criterion_is_a_fail_row(capsys, monkeypatch,
                                                      jobs):
-    from wpposet import acceptance
-
-    def crashing(nmax=None):
+    def crashing(n):
         raise ZeroDivisionError("injected for the test")
 
-    monkeypatch.setitem(acceptance.__dict__, "ALL_CRITERIA",
-                        acceptance.ALL_CRITERIA[:2] + [crashing]
-                        + acceptance.ALL_CRITERIA[3:])
+    _replace_check(monkeypatch, 3, crashing)
     code, out = run(capsys, "report-all", "--n", "2", "--jobs", jobs,
                     "--format", "json")
     assert code == 1
@@ -374,6 +399,7 @@ def test_report_all_crashing_criterion_is_a_fail_row(capsys, monkeypatch,
     assert not rep["passed"] and len(rep["criteria"]) == 16
     row = rep["criteria"][2]
     assert row["criterion"] == 3 and not row["ok"]
+    assert row["name"] == "augmented Mobius value"
     assert row["detail"] == "raised ZeroDivisionError: injected for the test"
     assert all(r["ok"] for r in rep["criteria"] if r is not row)
 
@@ -524,10 +550,13 @@ def test_undeclared_format_is_refused_before_any_work(capsys, monkeypatch,
 @pytest.mark.parametrize("argv, lines", [
     (["psi", "--n", "6"], 1),
     (["whitney", "--n", "3"], 0),
-], ids=["closed-after-a-line", "closed-at-once"])
+    (["--help"], 0),
+    (["psi", "--help"], 0),
+], ids=["closed-after-a-line", "closed-at-once", "help", "subcommand-help"])
 def test_closed_pipe_exits_without_a_traceback(argv, lines):
     # psi fails in a write, far more than a pipe buffer still unwritten;
-    # whitney's few lines sit in the stdout buffer until the last flush
+    # whitney's few lines and the help texts sit in the stdout buffer until
+    # the last flush
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(src)

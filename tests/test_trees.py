@@ -14,8 +14,10 @@ from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
-from tree_oracles import (enumerate_normalized, is_lyndon, linear_extensions,
-                          liu_leq, normalized_uncolored, is_lyndon_node)
+from tree_oracles import (enumerate_normalized, is_liu_lyndon, is_lyndon,
+                          is_lyndon_node, linear_extensions, liu_leq,
+                          normalized_uncolored, recursive_valency)
+from tree_oracles import normalize_signed as normalize_by_definition
 
 B, R = tr.BLUE, tr.RED
 
@@ -52,7 +54,7 @@ def test_family_direct_matches_filter():
     # brute force through the family predicates; Liu-Lyndon trees need not
     # be min-leaf normalized, so they are filtered from the full set
     preds = {"comb": tr.is_comb, "lyndon": is_lyndon,
-             "liu": tr.is_liu_lyndon}
+             "liu": is_liu_lyndon}
     for n in range(1, 5):
         for fam in ("comb", "lyndon", "liu"):
             pool = (tr.enumerate_bicolored(n) if fam == "liu"
@@ -92,7 +94,7 @@ def test_family_columns_match_their_trees():
         return None if tr.is_leaf(t) else tr.min_leaf(t[2])
 
     def right_valency(t):
-        return None if tr.is_leaf(t) else tr._recursive_valency(t[2])
+        return None if tr.is_leaf(t) else recursive_valency(t[2])
 
     for size in range(1, 7):
         for A in itertools.combinations(range(1, 7), size):
@@ -102,7 +104,7 @@ def test_family_columns_match_their_trees():
             assert list(reds) == [tr.red_count(t) for t in trees], A
             assert ms == [right_min(t) for t in trees], A
             for v, (trees, ws, reds) in tr._liu(A).items():
-                assert {tr._recursive_valency(t) for t in trees} == {v}, A
+                assert {recursive_valency(t) for t in trees} == {v}, A
                 assert list(reds) == [tr.red_count(t) for t in trees], A
                 assert ws == [right_valency(t) for t in trees], A
 
@@ -170,6 +172,14 @@ def test_normalize_idempotent(t):
     assert sn.normalize_signed(canon, sn.COHOMOLOGY) == (1, canon)
     assert sorted(tr.leaves(canon)) == sorted(tr.leaves(t))
     assert tr.red_count(canon) == tr.red_count(t)
+
+
+@pytest.mark.parametrize("side", [sn.COHOMOLOGY, sn.LIE2])
+def test_normalize_matches_the_recursive_definition(side):
+    for n in range(1, 6):
+        for t in tr.enumerate_bicolored(n):
+            assert sn.normalize_signed(t, side) == \
+                normalize_by_definition(t, side)
 
 
 @given(bicolored(), st.sampled_from([sn.COHOMOLOGY, sn.LIE2]))
@@ -267,6 +277,16 @@ def test_psi_roundtrip_small():
             t = tr.psi(T)
             assert tr.red_count(t) == T.descent_count()
             assert tr.psi_inverse(t) == T
+
+
+def test_psi_inverse_refuses_exactly_the_non_liu_lyndon_trees():
+    for n in range(1, 6):
+        for t in tr.enumerate_bicolored(n):
+            if is_liu_lyndon(t):
+                assert tr.psi(tr.psi_inverse(t)) == t
+            else:
+                with pytest.raises(ValueError, match="Liu-Lyndon"):
+                    tr.psi_inverse(t)
 
 
 def test_psi_image_is_liu():

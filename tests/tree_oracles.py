@@ -1,9 +1,12 @@
 """Brute-force tree helpers the tests use as oracles: family membership
 by predicate, the normalized trees by shape, every linear extension of a
-tree's internal nodes, and one comparison in Liu's order.  The package
-builds each family directly, reads one extension at a time and orders
-whole classes at once, so none of these is needed there."""
+tree's internal nodes, one comparison in Liu's order, and the swap
+normal form by its recursive definition.  The package builds each family
+directly, decides Liu-Lyndon membership by the psi round trip, reads one
+extension at a time, orders whole classes at once and carries subtree
+facts up while it normalizes, so none of these is needed there."""
 
+from wpposet import straighten as sn
 from wpposet import trees as tr
 
 
@@ -91,3 +94,50 @@ def liu_leq(T1, T2):
     labels, i = tr._liu_class([T1, T2])
     _trees, position, closure = tr._liu_reachability(tuple(sorted(labels)), i)
     return bool(closure[position[T1]] >> position[T2] & 1)
+
+
+def recursive_valency(t):
+    if tr.is_leaf(t):
+        return t
+    a, b = recursive_valency(t[1]), recursive_valency(t[2])
+    return min(a, b) if t[0] == tr.BLUE else max(a, b)
+
+
+def is_liu_lyndon(t):
+    if tr.is_leaf(t):
+        return True
+    col, l, r = t
+    if not (is_liu_lyndon(l) and is_liu_lyndon(r)):
+        return False
+    vl, vr = recursive_valency(l), recursive_valency(r)
+    if col == tr.BLUE:
+        if not vl < vr:
+            return False
+        if not tr.is_leaf(l) and l[0] == tr.BLUE:
+            if not recursive_valency(l[2]) > vr:
+                return False
+    else:
+        if not vl > vr:
+            return False
+        if not tr.is_leaf(l):
+            if l[0] != tr.RED:
+                return False
+            if not recursive_valency(l[2]) < vr:
+                return False
+    return True
+
+
+def normalize_signed(t, side):
+    """(sign, normalized tree) by the recursive definition: normalize both
+    children, then swap them, with the side's swap sign, when the least
+    leaf is on the right."""
+    if tr.is_leaf(t):
+        return 1, t
+    col, l, r = t
+    sl, l = normalize_signed(l, side)
+    sr, r = normalize_signed(r, side)
+    sign = sl * sr
+    if tr.min_leaf(l) > tr.min_leaf(r):
+        sign *= sn.swap_sign(side, l, r)
+        l, r = r, l
+    return sign, (col, l, r)
