@@ -92,7 +92,8 @@ def _psi_bijection(n):
             image = set()
             for T in tr.enumerate_rooted_trees(A):
                 t = tr.psi(T)
-                if tr.red_count(t) != T.descent_count() or tr.psi_inverse(t) != T:
+                if (tr.red_count(t) != T.descent_count()
+                        or tr._rooted_tree_of(t) != T):
                     raise AssertionError(f"A={A}, T={T!r}")
                 image.add(t)
             if image != set(tr.enumerate_liu(A)):
@@ -100,12 +101,13 @@ def _psi_bijection(n):
 
 
 def _straightening(n):
+    hosts = [hm.open_interval(n, i) for i in range(n)]
     for t in tr.enumerate_bicolored(n):
         out = st.straighten(t)
         diff = linalg.vec_combine(hm.chain_vector_of_tree(t), 1,
                                   st.cochain_sum(out), -1)
         if not (all(tr.is_comb(c) for c in out) and hm.coboundary_member(
-                hm.open_interval(n, tr.red_count(t)), diff)):
+                hosts[tr.red_count(t)], diff)):
             raise AssertionError(f"tree {t!r}")
     for side in (st.COHOMOLOGY, st.LIE2):
         for inst, rel in st.relation_instances(n, side=side):
@@ -122,13 +124,14 @@ def _bases(n):
 
 
 def _phi(n):
-    for i in range(n):
+    hosts = [hm.open_interval(n, i) for i in range(n)]
+    for i, host in enumerate(hosts):
         vecs = [st.phi(t) for t in tr.enumerate_family("comb", n, i)]
-        rank, betti = hm.rank_in_top_quotient(hm.open_interval(n, i), vecs)
+        rank, betti = hm.rank_in_top_quotient(host, vecs)
         if not rank == betti == len(vecs):
             raise AssertionError(f"rank {rank} != {len(vecs)}")
     for inst, rel in st.relation_instances(n, side=st.LIE2):
-        host = hm.open_interval(n, tr.red_count(inst.host))
+        host = hosts[tr.red_count(inst.host)]
         if not hm.coboundary_member(host, st.phi_of_sum(rel)):
             raise AssertionError(f"relation image {inst!r}")
 

@@ -16,18 +16,18 @@ rank and, through its unit-pivot certificate, the torsion of the top two
 maps.  The top map's one reduction is tracked: it also yields the host's
 one form of its top cycle basis, the cycle index, from which quotient
 ranks and coboundary membership are read, so Betti numbers and the index
-share it in either order.  Membership is a yes/no answer, with no
-witness cochain.  The fundamental cycle of the boolean subposet Pi_T of
-a rooted tree needs no host and no kernel: it is a signed sum of the
-maximal chains of Pi_T, written down directly; that such a sum is a
-cycle is checked once per edge count, on the edge bitmasks.  The
-Whitney cohomology ranks are read off the Mobius function, in
-``partitions``.
+share it in either order.  Nothing here keeps a host: it lives, with its
+chains, cycle index and pivots, as long as its caller holds it.
+Membership is a yes/no answer, with no witness cochain.  The
+fundamental cycle of the boolean subposet Pi_T of a rooted tree needs no
+host and no kernel: it is a signed sum of the maximal chains of Pi_T,
+written down directly; that such a sum is a cycle is checked once per
+edge count, on the edge bitmasks.  The Whitney cohomology ranks are read
+off the Mobius function, in ``partitions``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from . import chains as ch
@@ -42,11 +42,11 @@ class OpenPoset:
     """The subposet of a built poset P induced on the elements keep, with
     its order complex.
 
-    Elements are listed sorted and indexed locally; up[k] and down[k] are
-    bitsets over those indices of the elements strictly above and below
-    element k, restricted from P's down-sets, so building them costs one
-    step per comparable pair.  Chains of the order complex are listed per
-    dimension as tuples of local indices, in lexicographic order; since
+    Elements are listed sorted and indexed locally; up[k] is the bitset
+    over those indices of the elements strictly above element k, read
+    from P's down-sets, so building it costs one step per comparable
+    pair.  Chains of the order complex are listed per dimension as
+    tuples of local indices, in lexicographic order; since
     local indices follow the sorted elements, a chain's position in its
     list orders it as its tuple of partitions would.  The host stores one
     form of its top cycle basis, the cycle index (``cycle_index``), and
@@ -65,12 +65,9 @@ class OpenPoset:
             keep_mask |= 1 << h
         down_sets = P.down_sets()
         self.up = [0] * len(hosts)
-        self.down = [0] * len(hosts)
         for k, h in enumerate(hosts):
             for g in pt.bits(down_sets[h] & keep_mask & ~(1 << h)):
-                j = local[g]
-                self.down[k] |= 1 << j
-                self.up[j] |= 1 << k
+                self.up[local[g]] |= 1 << k
         self._index_chains = None
         self._cycles = None
         self._top = None
@@ -128,26 +125,32 @@ class OpenPoset:
         for ``top_reduction``.  Tracking leaves all three as an untracked
         reduction of the same rows would give them: while every pivot is
         +-1 both take the same steps, and the pivots of a largest-key
-        reduction are fixed by the matrix."""
+        reduction are fixed by the matrix.
+
+        The rows are added one at a time; a row that reduces to zero
+        yields a kernel combination, which is made primitive, numbered
+        z_j in the order found and folded into the index at once, so no
+        list of kernel vectors is ever held."""
         if self._cycles is None:
             by_dim = self.index_chains()
             top = max(by_dim)
             chains = by_dim[top]
             ech = linalg.Echelon(track=True)
-            combos = linalg.kernel_basis(
-                _boundary_rows(chains, _positions(by_dim.get(top - 1, []))),
-                ech)
+            by_pos, count = {}, 0  # keyed by chain position: no tuple hash
+            rows = _boundary_rows(chains, _positions(by_dim.get(top - 1, [])))
+            for pos, row in enumerate(rows):
+                combo = ech.add(row, tag=pos)
+                if combo is not None:
+                    for k, x in linalg.vec_primitive(combo).items():
+                        by_pos.setdefault(k, []).extend((count, x))
+                    count += 1
             self._top = ech.rank, ech.unimodular, set(ech.by_pivot)
-            del ech  # its stored vectors and trackers, before the index
-            index = {}
-            for j, combo in enumerate(combos):
-                for k, x in combo.items():
-                    index.setdefault(chains[k], []).extend((j, x))
-            shared = {}
-            for c, entries in index.items():
+            del ech  # its stored vectors and trackers, before the tuples
+            index, shared = {}, {}
+            for k, entries in by_pos.items():
                 entries = tuple(entries)
-                index[c] = shared.setdefault(entries, entries)
-            self._cycles = index, len(combos)
+                index[chains[k]] = shared.setdefault(entries, entries)
+            self._cycles = index, count
         return self._cycles
 
     def top_reduction(self):
@@ -237,16 +240,16 @@ def interval_size(n, i):
     return below - (1 if n == 1 else 2)
 
 
-@lru_cache(maxsize=None)
 def open_interval(n, i):
-    """(0-hat, [n]^i) as an OpenPoset."""
+    """(0-hat, [n]^i) as a new OpenPoset; a caller that needs it more than
+    once holds on to it."""
     return OpenPoset(f"(0,[{n}]^{i})", pt.build_poset(n, pt.WEIGHTED),
                      interval_elements(n, i))
 
 
-@lru_cache(maxsize=None)
 def proper_part(n):
-    """Pi_n^w minus its bottom, as an OpenPoset."""
+    """Pi_n^w minus its bottom, as a new OpenPoset; a caller that needs it
+    more than once holds on to it."""
     P = pt.build_poset(n, pt.WEIGHTED)
     return OpenPoset(f"Pi_{n}^w - 0", P, P.elements[1:])
 

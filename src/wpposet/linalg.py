@@ -1,10 +1,10 @@
 """Exact sparse integer linear algebra.
 
 Vectors are dicts mapping hashable, sortable keys to nonzero ints.  Rank,
-kernel and the torsion certificate share one fraction-free column
-reduction (:class:`Echelon`); a step whose stored pivot divides the entry
-it clears is a plain subtraction, made in place on the vector being
-reduced, and :func:`snf_invariant_factors` runs only where the
+kernel combinations and the torsion certificate share one fraction-free
+column reduction (:class:`Echelon`); a step whose stored pivot divides
+the entry it clears is a plain subtraction, made in place on the vector
+being reduced, and :func:`snf_invariant_factors` runs only where the
 certificate fails.  Every value is an integer.
 """
 
@@ -128,24 +128,6 @@ def rank_of(vectors):
     for v in vectors:
         ech.add(v)
     return ech.rank
-
-
-def kernel_basis(vectors, ech=None):
-    """Integer basis of {x : sum_j x_j vectors[j] = 0}.
-
-    Returned vectors are primitive dicts keyed by the input index j.  The
-    reduction runs in ``ech``, an empty ``Echelon(track=True)`` made here
-    when none is passed; a caller that passes one reads the rank, the
-    unit-pivot certificate and the pivots of the same reduction from it.
-    """
-    if ech is None:
-        ech = Echelon(track=True)
-    out = []
-    for j, v in enumerate(vectors):
-        combo = ech.add(v, tag=j)
-        if combo is not None:
-            out.append(vec_primitive(combo))
-    return out
 
 
 def snf_invariant_factors(vectors):

@@ -726,13 +726,12 @@ def _psi_at(r, kids):
     return t
 
 
-def psi_inverse(t):
-    """Inverse of :func:`psi`; raises ValueError off the Liu-Lyndon family.
-
-    Every bicolored tree reads as a rooted tree T: each node (col, l, r)
-    hangs the root of r, its leftmost leaf, below the root of l.  The
-    Liu-Lyndon trees are exactly the image of psi, so t is one iff
-    psi(T) == t."""
+def _rooted_tree_of(t):
+    """The rooted tree a bicolored tree reads as: each node (col, l, r)
+    hangs the root of r, its leftmost leaf, below the root of l.  On the
+    image of psi this inverts psi, so a round trip that already holds T
+    checks _rooted_tree_of(psi(T)) == T: if that holds, psi_inverse's
+    membership test would pass, and the second psi it costs is saved."""
     pmap = {}
 
     def root_of(s):
@@ -742,7 +741,15 @@ def psi_inverse(t):
         pmap[root_of(s[2])] = top
         return top
 
-    T = RootedTree.from_parent_map(root_of(t), pmap)
+    return RootedTree.from_parent_map(root_of(t), pmap)
+
+
+def psi_inverse(t):
+    """Inverse of :func:`psi`; raises ValueError off the Liu-Lyndon family.
+
+    The Liu-Lyndon trees are exactly the image of psi, so t is one iff
+    psi(T) == t for the rooted tree T it reads as (``_rooted_tree_of``)."""
+    T = _rooted_tree_of(t)
     if psi(T) != t:
         raise ValueError("psi_inverse requires a Liu-Lyndon tree")
     return T

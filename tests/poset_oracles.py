@@ -1,9 +1,10 @@
 """Direct definitions the tests use as oracles: the order relation read
 blockwise from two partitions, an open poset's chains as tuples of
-partitions, its top cycles as ChainVectors, the boundary and coboundary
-of ChainVectors, and the pairing that makes chains orthonormal.  The
-package reads the order from down-set bitsets and reduces boundary maps
-over index chains, so none of these is needed there."""
+partitions, its top cycles as ChainVectors, a whole integer kernel, the
+boundary and coboundary of ChainVectors, and the pairing that makes
+chains orthonormal.  The package reads the order from down-set bitsets,
+reduces boundary maps over index chains and folds each kernel vector
+into the cycle index as it is found, so none of these is needed there."""
 
 from wpposet import linalg
 from wpposet import partitions as pt
@@ -56,6 +57,24 @@ def cycle_basis(host):
     return basis
 
 
+def kernel_basis(vectors, ech=None):
+    """Integer basis of {x : sum_j x_j vectors[j] = 0}, all at once.
+
+    Returned vectors are primitive dicts keyed by the input index j.  The
+    reduction runs in ``ech``, an empty ``Echelon(track=True)`` made here
+    when none is passed; a caller that passes one reads the rank, the
+    unit-pivot certificate and the pivots of the same reduction from it.
+    """
+    if ech is None:
+        ech = linalg.Echelon(track=True)
+    out = []
+    for j, v in enumerate(vectors):
+        combo = ech.add(v, tag=j)
+        if combo is not None:
+            out.append(linalg.vec_primitive(combo))
+    return out
+
+
 def boundary_of_chain(c):
     return {c[:i] + c[i + 1:]: -1 if i & 1 else 1 for i in range(len(c))}
 
@@ -71,19 +90,24 @@ def boundary(v):
 def coboundary(host, v):
     """The coboundary: insert every admissible element into every gap,
     with the gaps at the ends open toward the (virtual) bottom and top."""
+    # down[k], the elements strictly below k, transposes host.up
+    down = [0] * len(host.elements)
+    for j, above in enumerate(host.up):
+        for k in pt.bits(above):
+            down[k] |= 1 << j
     out = {}
     for c, coeff in v.items():
-        linalg.vec_add(out, _coboundary_of_chain(host, c), coeff)
+        linalg.vec_add(out, _coboundary_of_chain(host, down, c), coeff)
     return out
 
 
-def _coboundary_of_chain(host, c):
+def _coboundary_of_chain(host, down, c):
     everything = (1 << len(host.elements)) - 1
     idx = [host.index[e] for e in c]
     out = {}
     for i in range(len(c) + 1):
         lower = host.up[idx[i - 1]] if i > 0 else everything
-        upper = host.down[idx[i]] if i < len(c) else everything
+        upper = down[idx[i]] if i < len(c) else everything
         for j in pt.bits(lower & upper):
             out[c[:i] + (host.elements[j],) + c[i:]] = (-1) ** i
     return out

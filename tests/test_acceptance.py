@@ -123,6 +123,24 @@ def test_criterion_13_catches_a_term_outside_its_interval(monkeypatch):
                       "of (0,[3]^0)")
 
 
+def test_criteria_13_and_16_build_each_interval_host_once(monkeypatch):
+    # a host is looked up for every tree and relation instance, so each
+    # check holds the hosts of its n rather than building one per lookup
+    from wpposet import homology as hm
+    built = []
+    real = hm.OpenPoset
+
+    def counted(name, *args):
+        built.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(hm, "OpenPoset", counted)
+    for k in (13, 16):
+        built.clear()
+        acceptance.CRITERIA[k - 1].check(3)
+        assert sorted(built) == ["(0,[3]^0)", "(0,[3]^1)", "(0,[3]^2)"], k
+
+
 def test_criterion_14_basis_verifications():
     _run(14)
 

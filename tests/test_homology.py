@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,8 @@ from wpposet import straighten as sn
 from wpposet import trees as tr
 
 from poset_oracles import (boundary, boundary_of_chain, chains_by_dim,
-                           coboundary, cycle_basis, leq, pairing)
+                           coboundary, cycle_basis, kernel_basis, leq,
+                           pairing)
 
 B, R = tr.BLUE, tr.RED
 
@@ -32,8 +35,8 @@ def test_betti_of_proper_part_frozen():
 
 
 def _fresh_hosts(n):
-    """(0,[n]^i) for every i and the proper part, built anew rather than
-    taken from the cached hosts, so no boundary map is reduced yet."""
+    """(0,[n]^i) for every i and the proper part, built directly, so no
+    boundary map is reduced yet."""
     P = pt.build_poset(n, pt.WEIGHTED)
     return [hm.OpenPoset(f"(0,[{n}]^{i})", P, hm.interval_elements(n, i))
             for i in range(n)] + [hm.OpenPoset(f"Pi_{n}^w - 0", P,
@@ -102,6 +105,15 @@ def test_top_map_is_reduced_once(monkeypatch, betti_first):
         assert sorted(seen) == host.index_chains()[host.top_dim], host.name
         assert rank == betti == len(vecs) == rep["betti"][rep["top_dim"]], \
             host.name
+
+
+def test_a_host_is_freed_when_its_caller_drops_it():
+    host = hm.open_interval(4, 1)
+    hm.betti_numbers(host)  # fills its chains, cycle index and pivots
+    ref = weakref.ref(host)
+    del host
+    gc.collect()
+    assert ref() is None
 
 
 def test_degenerate_host():
@@ -326,8 +338,40 @@ def _oracle_reductions(host):
 
 def _oracle_cycle_basis(host):
     chains_top = chains_by_dim(host)[host.top_dim]
-    combos = linalg.kernel_basis([boundary_of_chain(c) for c in chains_top])
+    combos = kernel_basis([boundary_of_chain(c) for c in chains_top])
     return [{chains_top[j]: x for j, x in combo.items()} for combo in combos]
+
+
+def _kernel_cycle_index(host):
+    """(index, count, top reduction) from the whole kernel list: every
+    kernel vector of the top map first, from the same rows in one
+    Echelon, then the index from the list."""
+    by_dim = host.index_chains()
+    top = max(by_dim)
+    chains = by_dim[top]
+    ech = linalg.Echelon(track=True)
+    combos = kernel_basis(hm._boundary_rows(
+        chains, hm._positions(by_dim.get(top - 1, []))), ech)
+    index = {}
+    for j, combo in enumerate(combos):
+        for k, x in combo.items():
+            index.setdefault(chains[k], []).extend((j, x))
+    return ({c: tuple(entries) for c, entries in index.items()}, len(combos),
+            (ech.rank, ech.unimodular, set(ech.by_pivot)))
+
+
+def test_streamed_cycle_index_matches_kernel_list():
+    hosts = [hm.open_interval(6, 0)]
+    for n in range(1, 6):
+        hosts += [hm.open_interval(n, i) for i in range(n)]
+        hosts.append(hm.proper_part(n))
+    for host in hosts:
+        index, count, top = _kernel_cycle_index(host)
+        streamed, streamed_count = host.cycle_index()
+        # entries and their order, chain by chain and within each chain
+        assert list(streamed.items()) == list(index.items()), host.name
+        assert (streamed_count, host.top_reduction()) == (count, top), \
+            host.name
 
 
 def _as_set(vectors):

@@ -279,6 +279,16 @@ def test_psi_roundtrip_small():
             assert tr.psi_inverse(t) == T
 
 
+def test_round_trip_without_a_second_psi_agrees_with_psi_inverse():
+    # criterion 12 compares the decoded tree with T, where psi_inverse
+    # also computes psi of it to test membership
+    for n in range(1, 6):
+        for T in tr.enumerate_rooted_trees(range(1, n + 1)):
+            t = tr.psi(T)
+            assert tr._rooted_tree_of(t) == T
+            assert tr.psi_inverse(t) == T
+
+
 def test_psi_inverse_refuses_exactly_the_non_liu_lyndon_trees():
     for n in range(1, 6):
         for t in tr.enumerate_bicolored(n):
