@@ -126,10 +126,14 @@ def cmd_bases(args):
             print(f"basis verification failed: {_dumps(rep)}")
             return 1
         return _emit(args, lambda: print(_dumps(rep)), rep)
+    # each cap fires before what it bounds is paid for: the tree cap
+    # before the host is built, the chain cap before any tree is built
+    tr.refuse_past_cap(f"{family} trees", args.n)
+    host = hm.open_interval(args.n, args.i)
+    host.index_chains()
     fam = tr.enumerate_family(family, args.n, args.i)
     vectors = [hm.chain_vector_of_tree(t) for t in fam]
-    rank, betti = hm.rank_in_top_quotient(hm.open_interval(args.n, args.i),
-                                          vectors)
+    rank, betti = hm.rank_in_top_quotient(host, vectors)
     out = {"count": len(fam), "full_rank": rank == betti == len(fam)}
     if not out["full_rank"]:
         print(f"family {family} at n={args.n} i={args.i}: "

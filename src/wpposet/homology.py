@@ -74,27 +74,24 @@ class OpenPoset:
 
     def index_chains(self):
         """dict r -> list of r-chains as tuples of local indices, in
-        lexicographic order; r = -1 is the empty chain.  Each chain is
-        extended by the elements above its last one, in index order; the
-        size of the next dimension is counted from those before it is
-        built, and the run is refused once the total, the empty chain
-        included, would pass CHAIN_COUNT_CAP."""
+        lexicographic order; r = -1 is the empty chain.  The chains are
+        counted first (``_chain_count``), and a host with more than
+        CHAIN_COUNT_CAP of them, the empty chain included, is refused
+        before any is listed.  Each chain is then extended by the
+        elements above its last one, in index order."""
         if self._index_chains is None:
             above = [list(pt.bits(u)) for u in self.up]
-            everything = list(range(len(self.elements)))
+            if _chain_count(above) > CHAIN_COUNT_CAP:
+                raise pt.ResourceCapError(
+                    f"chains of {self.name}", CHAIN_COUNT_CAP)
+            everything = range(len(above))
             by_dim = {}
             frontier = [()]
-            total = 1
             r = -1
             while frontier:
                 by_dim[r] = frontier
-                nexts = [above[c[-1]] if c else everything for c in frontier]
-                total += sum(map(len, nexts))
-                if total > CHAIN_COUNT_CAP:
-                    raise pt.ResourceCapError(
-                        f"chains of {self.name}", CHAIN_COUNT_CAP)
-                frontier = [c + (j,) for c, js in zip(frontier, nexts)
-                            for j in js]
+                frontier = [c + (j,) for c in frontier
+                            for j in (above[c[-1]] if c else everything)]
                 r += 1
             self._index_chains = by_dim
         return self._index_chains
@@ -158,6 +155,19 @@ class OpenPoset:
         the reduction that fills the cycle index."""
         self.cycle_index()
         return self._top
+
+
+def _chain_count(above):
+    """The number of chains, the empty one included, of an order whose
+    element k lies below exactly the elements in the list above[k], with
+    no chain listed: count[k] = 1 + the sum of count[j] over j in above[k]
+    is the number of chains whose least element is k.  An element above k
+    has fewer elements above it than k has, so filling count in order of
+    len(above[k]) takes the top rank down."""
+    count = [0] * len(above)
+    for k in sorted(range(len(above)), key=lambda k: len(above[k])):
+        count[k] = 1 + sum(count[j] for j in above[k])
+    return 1 + sum(count)
 
 
 def _positions(chains):

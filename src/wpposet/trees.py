@@ -21,10 +21,12 @@ rule, so the work is about the size of the family.
 recursion keeps what its node rule reads of a tree in columns beside the
 tree list, not in a tuple per tree: the red counts as bytes, and the
 Lyndon m or Liu w label as a list of ints.  So the trees with i red nodes
-are grouped once per family and n, with no tree walked.  The memo keeps
-the families on proper subsets of the label set only, the ones the
-recursion reads again; the family a caller asks for is built fresh and
-is freed when the caller drops it.
+are grouped once per family and n, with no tree walked.  Each
+enumeration keeps the families on proper subsets of the label set, the
+ones its recursion reads again, in a memo of its own that is dropped
+when the family is returned; the family a caller asks for is built
+fresh and is freed when the caller drops it.  Of the families, only the
+i-buckets of :func:`enumerate_family` are kept past one call.
 
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
 from a parent map.  One rerooting sweep, ``_rerootings``, stands behind
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial
 
 from .errors import ResourceCapError
@@ -57,6 +59,13 @@ BLUE = "b"
 RED = "r"
 
 TREE_ENUM_CAP = 8
+
+
+def refuse_past_cap(what, n):
+    """Raise ResourceCapError for ``what`` on ``n`` labels past
+    TREE_ENUM_CAP; every enumeration here calls it before any work."""
+    if n > TREE_ENUM_CAP:
+        raise ResourceCapError(f"{what} on {n} labels", TREE_ENUM_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +242,7 @@ def _bicolored_labels(labels):
     """Sorted label list of ``labels`` (an int n stands for [n]), refused
     past TREE_ENUM_CAP."""
     A = sorted(labels) if not isinstance(labels, int) else list(range(1, labels + 1))
-    if len(A) > TREE_ENUM_CAP:
-        raise ResourceCapError(f"bicolored trees on {len(A)} labels", TREE_ENUM_CAP)
+    refuse_past_cap("bicolored trees", len(A))
     return A
 
 
@@ -333,28 +341,57 @@ _ADD = [bytes((b + k) & 255 for b in range(256))
         for k in range(TREE_ENUM_CAP + 1)]
 
 
-def _combs_blue_rooted(A):
+class _SubFamilies(dict):
+    """The families on proper subsets of one enumeration's label set,
+    keyed by sorted label tuple.  A miss builds the family by the
+    recursion's ``body``, which reads its own sub-families here.  Nothing
+    in the values refers back to the dict, so it is freed with the last
+    reference to it, when the enumeration returns."""
+
+    def __init__(self, body):
+        super().__init__()
+        self.body = body
+
+    def __missing__(self, B):
+        got = self[B] = self.body(B, self)
+        return got
+
+
+def _one_memo_per_call(body):
+    """The family on a sorted label tuple by ``body(A, sub)``, where
+    ``sub[B]`` is the family on a proper subset B: each call makes its own
+    ``_SubFamilies`` and drops it with the family on A returned."""
+
+    @wraps(body)
+    def family(A):
+        return body(A, _SubFamilies(body))
+
+    return family
+
+
+def _combs_blue_rooted(A, sub):
     trees, reds = [], bytearray()
     for x in A[1:]:
-        lefts, kls = _combs_on(tuple(y for y in A if y != x))
+        lefts, kls = sub[tuple(y for y in A if y != x)]
         for l in lefts:
             trees.append((BLUE, l, x))
         reds += kls
     return trees, reds
 
 
-def _combs(A):
+@_one_memo_per_call
+def _combs(A, sub):
     """Bicolored combs on the sorted label tuple ``A`` as (trees, reds):
     ``reds[j]`` is the red count of ``trees[j]``.  A comb's right child is
-    a leaf, or a blue-rooted comb under a red node.  The splits read
-    ``_combs_on``, this body memoized, on proper subsets of ``A`` only."""
+    a leaf, or a blue-rooted comb under a red node.  The splits read the
+    combs on proper subsets of ``A`` from ``sub``."""
     if len(A) == 1:
         return [A[0]], b"\0"
-    trees, reds = _combs_blue_rooted(A)
+    trees, reds = _combs_blue_rooted(A, sub)
     for left, B in _splits(A, normalized=True):
         rights, krs = (([B[0]], b"\0") if len(B) == 1
-                       else _combs_blue_rooted(B))
-        lefts, kls = _combs_on(left)
+                       else _combs_blue_rooted(B, sub))
+        lefts, kls = sub[left]
         for rt, kr in zip(rights, krs):
             for l in lefts:
                 trees.append((RED, l, rt))
@@ -362,32 +399,30 @@ def _combs(A):
     return trees, bytes(reds)
 
 
-_combs_on = lru_cache(maxsize=None)(_combs)
-
-
 def enumerate_combs(labels):
     """All bicolored combs on the label set, by direct recursion."""
     return _combs(tuple(sorted(labels)))[0]
 
 
-def _lyndon(A):
+@_one_memo_per_call
+def _lyndon(A, sub):
     """Lyndon trees on the sorted label tuple ``A`` as three columns
     (trees, ms, reds): ``ms[j]`` is the least leaf of the right child of
     ``trees[j]`` (None for a leaf) and ``reds[j]`` its red count.
 
     A normalized node (l, r) is Lyndon when l is a leaf or m(l) > min(r),
     and a node that is not must be blue with a red left child.  The
-    splits read ``_lyndon_on``, this body memoized, on proper subsets of
-    ``A`` only."""
+    splits read the Lyndon trees on proper subsets of ``A`` from
+    ``sub``."""
     if len(A) == 1:
         return [A[0]], [None], b"\0"
     trees, ms, reds = [], [], bytearray()
     for L, R in _splits(A, normalized=True):
         x = R[0]
-        rights, _rms, krs = _lyndon_on(R)
+        rights, _rms, krs = sub[R]
         # over each right tree, a blue and then a red node
         krs2 = bytes(k + c for k in krs for c in (0, 1))
-        lefts, lms, kls = _lyndon_on(L)
+        lefts, lms, kls = sub[L]
         for l, m, kl in zip(lefts, lms, kls):
             if m is None or m > x:
                 for r in rights:
@@ -403,16 +438,14 @@ def _lyndon(A):
     return trees, ms, bytes(reds)
 
 
-_lyndon_on = lru_cache(maxsize=None)(_lyndon)
-
-
 def enumerate_lyndon(labels):
     """All bicolored Lyndon trees, by direct recursion over the normalized
     splits of the label set."""
     return _lyndon(tuple(sorted(labels)))[0]
 
 
-def _liu(A):
+@_one_memo_per_call
+def _liu(A, sub):
     """Liu-Lyndon trees on the sorted label tuple ``A``, grouped by their
     recursive valency, as {v: (trees, ws, reds)}: ``ws[j]`` is the
     recursive valency of the right child of ``trees[j]`` (None for a
@@ -421,13 +454,13 @@ def _liu(A):
     A blue node needs v(l) < v(r) and, over a blue left child, w(l) > v(r);
     a red node needs v(l) > v(r) and a leaf or red left child with
     w(l) < v(r).  Either way the node's valency is v(l).  The splits read
-    ``_liu_on``, this body memoized, on proper subsets of ``A`` only."""
+    the Liu-Lyndon trees on proper subsets of ``A`` from ``sub``."""
     if len(A) == 1:
         return {A[0]: ([A[0]], [None], b"\0")}
     out = {}
     for L, R in _splits(A, normalized=False):
-        rights = _liu_on(R)
-        for vl, (lefts, lws, kls) in _liu_on(L).items():
+        rights = sub[R]
+        for vl, (lefts, lws, kls) in sub[L].items():
             trees, ws, reds = out.setdefault(vl, ([], [], bytearray()))
             for l, w, kl in zip(lefts, lws, kls):
                 for vr, (rs, _rws, krs) in rights.items():
@@ -441,9 +474,6 @@ def _liu(A):
                     ws += [vr] * len(rs)
                     reds += krs.translate(_ADD[k])
     return {v: (trees, ws, bytes(reds)) for v, (trees, ws, reds) in out.items()}
-
-
-_liu_on = lru_cache(maxsize=None)(_liu)
 
 
 def enumerate_liu(labels):
@@ -471,7 +501,8 @@ def _family_records(family, A):
 def _by_red_count(family, n):
     """{k: the family's trees on [n] with k red nodes}, each list in
     ``enumerate_family``'s order; one pass over the family's records, no
-    tree walked.  The one cache that keeps a whole family."""
+    tree walked.  The one cache that keeps a whole family: the records'
+    sub-families are freed when the pass ends."""
     out = {}
     for t, k in _family_records(family, tuple(range(1, n + 1))):
         out.setdefault(k, []).append(t)
@@ -485,15 +516,15 @@ def enumerate_family(family, n, i=None):
     Each family is a recursion over the splits of the sorted label set
     that joins the trees on both sides under a local node rule: combs and
     Lyndon trees split with 1 on the left (normalized), Liu-Lyndon trees
-    over all ordered splits.  Only the families on proper subsets of [n]
-    are memoized, so nothing else keeps the list returned.  Each recursion
-    keeps its trees' red counts (and the label its node rule reads) as
-    columns beside them, and the trees with ``i`` red nodes are grouped
-    and cached once per (family, n).  The list comes in that
-    construction's order, which is deterministic but otherwise
+    over all ordered splits.  The families on proper subsets of [n] are
+    memoized for this call only, and nothing keeps the list returned, so
+    a family and its sub-families are freed when the caller drops it.
+    Each recursion keeps its trees' red counts (and the label its node
+    rule reads) as columns beside them, and the trees with ``i`` red
+    nodes are grouped and cached once per (family, n).  The list comes
+    in that construction's order, which is deterministic but otherwise
     unspecified.  ``n`` past TREE_ENUM_CAP is refused before any work."""
-    if n > TREE_ENUM_CAP:
-        raise ResourceCapError(f"{family} trees on {n} labels", TREE_ENUM_CAP)
+    refuse_past_cap(f"{family} trees", n)
     if i is not None:
         return list(_by_red_count(family, n).get(i, ()))
     fns = {"comb": enumerate_combs, "lyndon": enumerate_lyndon,
@@ -643,8 +674,7 @@ def enumerate_rooted_trees(labels, i=None):
     with the edges on the path to that root flipped.
     """
     A = tuple(sorted(labels))
-    if len(A) > TREE_ENUM_CAP:
-        raise ResourceCapError(f"rooted trees on {len(A)} labels", TREE_ENUM_CAP)
+    refuse_past_cap("rooted trees", len(A))
     pos = {x: k for k, x in enumerate(A)}
     out = []
     for pmap, descents in _rerootings(A):
@@ -667,8 +697,7 @@ def enumerate_rooted_trees(labels, i=None):
 def descent_counts(n):
     """Counts of rooted trees on [n] by number of descents: a tally of
     the descent count of every root in ``_rerootings``."""
-    if n > TREE_ENUM_CAP:
-        raise ResourceCapError(f"rooted trees on {n} labels", TREE_ENUM_CAP)
+    refuse_past_cap("rooted trees", n)
     counts = [0] * n
     for _pmap, descents in _rerootings(tuple(range(1, n + 1))):
         for d in descents.values():
@@ -905,8 +934,7 @@ def enumerate_rooted_forests(n):
     """All rooted forests on [n] (lists of RootedTree, one per block of a
     set partition, by least label).  Each block's rooted trees are
     enumerated once per call, however many set partitions hold it."""
-    if n > TREE_ENUM_CAP:
-        raise ResourceCapError(f"rooted forests on {n} labels", TREE_ENUM_CAP)
+    refuse_past_cap("rooted forests", n)
     on_block = {}
     for part in set_partitions_masks(n):
         for m in part:

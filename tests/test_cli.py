@@ -348,22 +348,49 @@ def test_straighten_past_the_cap_is_refused(capsys):
                                "limit": 8}
 
 
-@pytest.mark.parametrize("family", ["comb", "lyndon", "liu"])
+@pytest.mark.parametrize("family", ["comb", "lyndon", "liu", "tree"])
 def test_bases_past_the_tree_cap_is_refused(capsys, monkeypatch, family):
+    from wpposet import homology as hm
     from wpposet import trees as tr
 
     def refuse(*args, **kwargs):
-        raise AssertionError("trees were enumerated before the cap check")
+        raise AssertionError("trees or a host were built before the cap check")
 
     for name in ("enumerate_combs", "enumerate_lyndon", "enumerate_liu",
                  "enumerate_rooted_trees"):
         monkeypatch.setattr(tr, name, refuse)
+    # the poset on [9] alone would cost more than the trees refused
+    for name in ("open_interval", "proper_part"):
+        monkeypatch.setattr(hm, name, refuse)
     code, out = run(capsys, "bases", "--n", "9", "--i", "0",
                     "--family", family)
     assert code == 3
+    # the tree family's first family is the combs
+    what = "comb" if family == "tree" else family
     assert json.loads(out) == {"error": "resource-cap",
-                               "what": f"{family} trees on 9 labels",
+                               "what": f"{what} trees on 9 labels",
                                "limit": 8}
+
+
+@pytest.mark.parametrize("argv, host", [
+    (["--i", "1", "--family", "comb"], "(0,[4]^1)"),
+    (["--i", "1", "--family", "lyndon"], "(0,[4]^1)"),
+    (["--i", "1", "--family", "liu"], "(0,[4]^1)"),
+    (["--i", "1", "--family", "tree"], "(0,[4]^1)"),
+    (["--side", "full"], "Pi_4^w - 0"),
+], ids=["comb", "lyndon", "liu", "tree", "full"])
+def test_bases_chain_cap_fires_before_any_tree(capsys, monkeypatch, argv,
+                                               host):
+    from wpposet import homology as hm
+    from wpposet import trees as tr
+
+    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", 10)
+    monkeypatch.setattr(tr, "enumerate_family", _refuse)
+    monkeypatch.setattr(hm, "chain_vector_of_tree", _refuse)
+    code, out = run(capsys, "bases", "--n", "4", *argv)
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": f"chains of {host}", "limit": 10}
 
 
 @pytest.mark.parametrize("argv, size", [

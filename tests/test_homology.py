@@ -308,6 +308,13 @@ def test_interval_size_matches_elements():
     assert hm.interval_size(8, 3) == 34_274
 
 
+def test_chain_count_matches_the_listing():
+    for host in _open_hosts():
+        above = [list(pt.bits(u)) for u in host.up]
+        assert hm._chain_count(above) == \
+            sum(map(len, host.index_chains().values())), host.name
+
+
 def test_chain_cap_is_checked_before_the_frontier(monkeypatch):
     P = pt.build_poset(4, pt.WEIGHTED)
     total = sum(len(cs) for cs in chains_by_dim(hm.proper_part(4)).values())

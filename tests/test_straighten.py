@@ -233,3 +233,19 @@ def test_non_comb_output_is_refused(monkeypatch):
     with pytest.raises(AssertionError, match="straightened output is not a comb"):
         sn.straighten((B, 1, (B, 2, 3)))
     assert sn._memo == {}
+
+
+def test_a_bounded_memo_straightens_alike(monkeypatch):
+    # with a bound far below the trees on [4], entries are evicted while
+    # a straightening that reads them runs; every result is unchanged and
+    # the memo never holds more than the bound
+    trees = [t for t in tr.enumerate_bicolored(4) if not tr.is_leaf(t)]
+    monkeypatch.setattr(sn, "_memo", {})
+    want = {side: [sn.straighten(t, side) for t in trees]
+            for side in (sn.COHOMOLOGY, sn.LIE2, sn.FULL)}
+    monkeypatch.setattr(sn, "_memo", {})
+    monkeypatch.setattr(sn, "_MEMO_BOUND", 5)
+    for side, results in want.items():
+        for t, result in zip(trees, results):
+            assert sn.straighten(t, side) == result, (side, t)
+            assert len(sn._memo) <= 5

@@ -131,15 +131,14 @@ def test_family_order_is_pinned():
 
 
 # What the trees module still holds after the three families on [6] are
-# built from empty memos and dropped (tracemalloc, Python 3.11): 4.1 MiB
-# while each memo kept its (tree, label) pairs and the families on [6]
-# themselves, 1.2 MiB with columns and proper sub-label-sets only.
-RETAINED_BOUND_MIB = 2.5
+# built and dropped (tracemalloc, Python 3.11): 4.1 MiB while each
+# process-lifetime memo kept its (tree, label) pairs and the families on
+# [6] themselves, 1.2 MiB with columns and proper sub-label-sets only,
+# and nothing once each enumeration drops its own memo.
+RETAINED_BOUND_MIB = 0.25
 
 
 def test_families_free_what_the_caller_drops():
-    for memo in (tr._combs_on, tr._lyndon_on, tr._liu_on):
-        memo.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -153,6 +152,21 @@ def test_families_free_what_the_caller_drops():
     finally:
         tracemalloc.stop()
     assert held < RETAINED_BOUND_MIB * 2 ** 20, held / 2 ** 20
+
+
+# The caches that keep a family past one enumeration call on purpose: the
+# i-buckets of a (family, n) and Liu's order on one T_{A,i}.
+KEPT_CACHES = {"_by_red_count", "_liu_reachability"}
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_no_cache_keeps_a_sub_family(fam):
+    tr.enumerate_family(fam, 6)
+    held = {name: value.cache_info().currsize
+            for name, value in vars(tr).items()
+            if hasattr(value, "cache_info") and name not in KEPT_CACHES}
+    assert not any(held.values()), held
+
 
 @given(bicolored())
 def test_per_i_palindromic_families(t):
