@@ -118,7 +118,7 @@ def _straightening(n):
 def _bases(n):
     # each interval, then the proper part; a report names its n and i
     for i in [*range(n), None]:
-        rep = st.verify_bases(n, i, full=i is None)
+        rep = st.verify_bases(n, i)
         if not rep["passed"]:
             raise AssertionError(str(rep))
 

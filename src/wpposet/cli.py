@@ -83,7 +83,7 @@ def cmd_el_verify(args):
               f"{rep['intervals']} intervals checked")
 
     return _emit(args, text, summary,
-                 csv_fn=lambda: lb.report_csv(args.n),
+                 csv_fn=lambda: lb.report_csv(rep),
                  dot_fn=lambda: lb.labeled_dot(args.n))
 
 
@@ -121,23 +121,17 @@ def cmd_bases(args):
     elif args.i is None:
         raise ValueError("bases needs --i (or --side full)")
     if family == "tree":
-        rep = st.verify_bases(args.n, args.i, full=args.side == st.FULL)
+        # args.i is None exactly on the full side
+        rep = st.verify_bases(args.n, args.i)
         if not rep["passed"]:
             print(f"basis verification failed: {_dumps(rep)}")
             return 1
         return _emit(args, lambda: print(_dumps(rep)), rep)
-    # each cap fires before what it bounds is paid for: the tree cap
-    # before the host is built, the chain cap before any tree is built
-    tr.refuse_past_cap(f"{family} trees", args.n)
-    host = hm.open_interval(args.n, args.i)
-    host.index_chains()
-    fam = tr.enumerate_family(family, args.n, args.i)
-    vectors = [hm.chain_vector_of_tree(t) for t in fam]
-    rank, betti = hm.rank_in_top_quotient(host, vectors)
-    out = {"count": len(fam), "full_rank": rank == betti == len(fam)}
+    ((count, rank, betti),) = st.family_ranks(args.n, args.i, [(family, None)])
+    out = {"count": count, "full_rank": rank == betti == count}
     if not out["full_rank"]:
         print(f"family {family} at n={args.n} i={args.i}: "
-              f"rank {rank} of {len(fam)} vectors, Betti {betti}")
+              f"rank {rank} of {count} vectors, Betti {betti}")
         return 1
 
     def text():

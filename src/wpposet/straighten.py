@@ -276,49 +276,56 @@ def cochain_sum(s):
     return out
 
 
-def verify_bases(n, i=None, full=False):
+def family_ranks(n, i, families):
+    """(count, rank, betti) of each family's cochains in the top quotient
+    of (0-hat, [n]^i), or of the proper part when i is None.  A family is
+    (name, root): the trees ``trees.enumerate_family`` lists by that name,
+    kept only where the root has that colour unless root is None.  On the
+    proper part a cochain keeps the top of its chain.  Each cap fires
+    before what it bounds is paid for: the first family's tree cap before
+    the host is built, the host's chain cap before any tree is listed."""
+    tr.refuse_past_cap(f"{families[0][0]} trees", n)
+    host = hm.proper_part(n) if i is None else hm.open_interval(n, i)
+    host.index_chains()
+    out = []
+    for name, root in families:
+        fam = [t for t in tr.enumerate_family(name, n, i)
+               if root is None or t[0] == root]
+        vectors = [hm.chain_vector_of_tree(t, omit_top=i is not None)
+                   for t in fam]
+        out.append((len(fam), *hm.rank_in_top_quotient(host, vectors)))
+    return out
+
+
+def verify_bases(n, i=None):
     """Cardinality and full-rank verification of the claimed bases.
 
-    With full=False checks the comb / Lyndon / Liu-Lyndon cochain sets in
-    the top cohomology of (0-hat, [n]^i); with full=True checks the
-    blue-rooted combs and red-rooted Lyndon trees in the proper part.
-    Returns a report dict with a "passed" flag.  The full side's claim is
-    about n >= 2; a smaller n is refused with ValueError before any work.
-    Each cap fires before what it bounds is paid for: the tree cap before
-    the host is built, the host's chain cap before any tree is enumerated.
+    With i, checks the comb / Lyndon / Liu-Lyndon cochain sets in the top
+    cohomology of (0-hat, [n]^i) and the Liu pairing; with i None, checks
+    the blue-rooted combs and red-rooted Lyndon trees in the proper part.
+    Returns a report dict with a "passed" flag.  The proper part's claim
+    is about n >= 2; a smaller n is refused with ValueError before any
+    work.
     """
-    if full and n < 2:
-        raise ValueError(f"the full side needs n >= 2, got {n}")
-    tr.refuse_past_cap("comb trees", n)
-    host = hm.proper_part(n) if full else hm.open_interval(n, i)
-    host.index_chains()
+    if i is None:
+        if n < 2:
+            raise ValueError(f"the full side needs n >= 2, got {n}")
+        families = {"blue_rooted_comb": ("comb", tr.BLUE),
+                    "red_rooted_lyndon": ("lyndon", tr.RED)}
+    else:
+        families = {name: (name, None) for name in ("comb", "lyndon", "liu")}
+    ranks = family_ranks(n, i, list(families.values()))
     report = {"n": n, "passed": True, "families": {}}
-    if full:
-        expected = (n - 1) ** (n - 1)
-        fams = {
-            "blue_rooted_comb": [t for t in tr.enumerate_family("comb", n)
-                                 if tr.is_leaf(t) or t[0] == tr.BLUE],
-            "red_rooted_lyndon": [t for t in tr.enumerate_family("lyndon", n)
-                                  if not tr.is_leaf(t) and t[0] == tr.RED],
-        }
-        for name, fam in fams.items():
-            vectors = [hm.chain_vector_of_tree(t, omit_top=False) for t in fam]
-            rank, betti = hm.rank_in_top_quotient(host, vectors)
-            ok = len(fam) == expected and rank == betti == expected
-            report["families"][name] = {
-                "count": len(fam), "rank": rank, "betti": betti, "ok": ok}
-            report["passed"] &= ok
+    for key, (count, rank, betti) in zip(families, ranks):
+        ok = rank == betti == count and (
+            i is not None or count == (n - 1) ** (n - 1))
+        report["families"][key] = {
+            "count": count, "rank": rank, "betti": betti, "ok": ok}
+        report["passed"] &= ok
+    if i is None:
         report["i"] = "full"
         return report
     report["i"] = i
-    for name in ("comb", "lyndon", "liu"):
-        fam = tr.enumerate_family(name, n, i)
-        vectors = [hm.chain_vector_of_tree(t) for t in fam]
-        rank, betti = hm.rank_in_top_quotient(host, vectors)
-        ok = rank == betti == len(fam)
-        report["families"][name] = {
-            "count": len(fam), "rank": rank, "betti": betti, "ok": ok}
-        report["passed"] &= ok
     ordered = tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, n + 1), i))
     upper, diag = liu_pairing(ordered)
     report["pairing"] = {"upper_triangular": upper, "unit_diagonal": diag}

@@ -1,11 +1,14 @@
 """Direct definitions the tests use as oracles: the order relation read
 blockwise from two partitions, an open poset's chains as tuples of
 partitions, its top cycles as ChainVectors, a whole integer kernel, the
-boundary and coboundary of ChainVectors, and the pairing that makes
-chains orthonormal.  The package reads the order from down-set bitsets,
-reduces boundary maps over index chains and folds each kernel vector
-into the cycle index as it is found, so none of these is needed there."""
+boundary and coboundary of ChainVectors, the pairing that makes chains
+orthonormal, and the EL check over every listed saturated chain.  The
+package reads the order from down-set bitsets, reduces boundary maps
+over index chains, folds each kernel vector into the cycle index as it
+is found and counts chains over covers, so none of these is needed
+there."""
 
+from wpposet import labeling as lb
 from wpposet import linalg
 from wpposet import partitions as pt
 
@@ -118,3 +121,84 @@ def pairing(u, v):
     if len(v) < len(u):
         u, v = v, u
     return sum(x * v[k] for k, x in u.items() if k in v)
+
+
+def saturated_chains_by_interval(P):
+    """{(x_index, y_index): the saturated chains of [x, y] as index
+    tuples}, each interval's chains in the order they are grown down from
+    y through the lower covers."""
+    down = {}
+
+    def descend(y):
+        # every saturated chain that ends at y
+        if y not in down:
+            down[y] = [(y,)] + [c + (y,) for x in P.lower_covers[y]
+                                for c in descend(x)]
+        return down[y]
+
+    by_interval = {}
+    for y in range(len(P.elements)):
+        for c in descend(y):
+            by_interval.setdefault((c[0], c[-1]), []).append(c)
+    return by_interval
+
+
+def label_word(labels, chain):
+    return tuple(labels[step] for step in zip(chain, chain[1:]))
+
+
+def is_increasing(word):
+    return all(lb.label_less(p, q) for p, q in zip(word, word[1:]))
+
+
+def is_ascent_free(word):
+    return not any(lb.label_less(p, q) for p, q in zip(word, word[1:]))
+
+
+def lex_precedes(word, other):
+    """True iff word lexicographically precedes other: at the first
+    differing position, word's label is strictly less in Lambda_n."""
+    for p, q in zip(word, other):
+        if p != q:
+            return lb.label_less(p, q)
+    return len(word) <= len(other)
+
+
+def el_report_by_listing(P, labels):
+    """The report of ``labeling.verify_el`` from the definition: every
+    saturated chain of every interval listed with its label word, and the
+    words compared pairwise."""
+    violations, rows = [], []
+    by_interval = saturated_chains_by_interval(P)
+    for (x, y), chainlist in sorted(by_interval.items()):
+        if x == y:
+            continue
+        words = [label_word(labels, c) for c in chainlist]
+        increasing = [k for k, w in enumerate(words) if is_increasing(w)]
+        lex_ok = (len(increasing) == 1 and all(
+            lex_precedes(words[increasing[0]], w)
+            for k, w in enumerate(words) if k != increasing[0]))
+        if not lex_ok:
+            violations.append({
+                "interval": (pt.partition_str(P.elements[x]),
+                             pt.partition_str(P.elements[y])),
+                "increasing": len(increasing),
+                "lex_first_ok": lex_ok,
+            })
+        rows.append({
+            "x": pt.partition_str(P.elements[x]),
+            "y": pt.partition_str(P.elements[y]),
+            "max_chains": len(words),
+            "increasing": len(increasing),
+            "lex_first_ok": lex_ok,
+            "ascent_free": sum(1 for w in words if is_ascent_free(w)),
+        })
+    return {"n": P.n, "intervals": len(rows), "violations": violations,
+            "passed": not violations, "rows": rows}
+
+
+def ascent_free_chains_by_listing(P, labels, top):
+    """The ascent-free maximal chains of [0-hat, top], filtered from the
+    listing in its order."""
+    chains = saturated_chains_by_interval(P)[P.bottom_index, P.index[top]]
+    return [c for c in chains if is_ascent_free(label_word(labels, c))]

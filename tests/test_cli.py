@@ -184,6 +184,41 @@ def test_report_all_bytes_pinned(capsys, n, fmt):
         REPORT_ALL_SHA256[n, fmt]
 
 
+# sha256 of `el-verify --n N --format F` stdout, as printed when every
+# saturated chain of every interval was listed and compared; counting
+# chains over covers must keep these bytes and the exit code
+EL_VERIFY_SHA256 = {
+    (1, "text"): "f3339714208dc53ac8c1b3dce36adbd156070acc568b584d61102247bee0203e",
+    (1, "json"): "58718c436bfbdd1b43f144dcf4dcb6a6bd7854de17fe2fb99f23e5ae48ceb624",
+    (1, "csv"): "aa823a7284964c7c026e516ad0d085ef4623718474b4b08150d48005e4a238e3",
+    (1, "dot"): "04d3b8b10b79945fe6db149e3efd26de4da3819b18f604b2435d02e45b9d79f5",
+    (2, "text"): "bf1d3f50f3285432fab38e29c0ecaab5f1e31086575c0644db59f5f9a311b552",
+    (2, "json"): "40debd6e5888683e5b180a685bcbc20bf023f3585fb74044e1d3e0d0a327b0f6",
+    (2, "csv"): "97721fe2c910559ede2722e6fa0eea93a3b47d464b1b4e934e45d7acdd270030",
+    (2, "dot"): "4d4052afe2bb7817faa9d56a237c2f4124eb78a54dcdc033d017b23cda124236",
+    (3, "text"): "40f0970ba84c6f09cbb337656c7169e0d6a0d982e9f03e7cd85361a365210c99",
+    (3, "json"): "919926e9723fd3ce1b9e88323bdefe7f0ead24ad7d118e4b47e6489ecd83c1cf",
+    (3, "csv"): "abf1c3418061981e640fadfcbd10aeeab5775b63bf8d6571080cbe50f8c95229",
+    (3, "dot"): "73a9313e7845bbccdb8009b1c4d2b1eb32ff7887c3df36a87fbe636f26401eae",
+    (4, "text"): "5403e93fa76eef1bcacce6ee4caf7e1723c9d783f19c605a04921b300bbda738",
+    (4, "json"): "057aaabdccbf3f74a5c9007474b08ffa67447459194f77d852991168a4f8aa2f",
+    (4, "csv"): "c1e97954b0f4d9a585d921515e12a6d5949a715b90043dd897e9284a531eec62",
+    (4, "dot"): "670719160bd8cb6672fb07c21768721ae4f38ce6491bdbcc2134f5dc93720ec8",
+    (5, "text"): "ae94465833a6cf50980eb51de9594f1b01646952797043aac97dac0440c93460",
+    (5, "json"): "c0d962391d92b44d699f95fb6a9a7cd277ca226772d612d4be331fc19d5eea3f",
+    (5, "csv"): "6116ab50b13f86fd26cbe2c72d3d2cf89f47d42051bc0a1b1435f8f7cf28e651",
+    (5, "dot"): "d62d9622d02d3b62480332ae7fa400b7b47cecd4c79f42ec7426377b99390735",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(EL_VERIFY_SHA256))
+def test_el_verify_bytes_pinned(capsys, n, fmt):
+    code, out = run(capsys, "el-verify", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        EL_VERIFY_SHA256[n, fmt]
+
+
 @pytest.mark.parametrize("argv", [
     ["homology", "--n", "3", "--i", "5"],
     ["straighten", "--n", "3", "--i", "9"],

@@ -1,7 +1,12 @@
+import pytest
+
 from wpposet import chains as ch
 from wpposet import labeling as lb
 from wpposet import partitions as pt
 from wpposet import trees as tr
+
+from poset_oracles import (ascent_free_chains_by_listing,
+                           el_report_by_listing)
 
 
 def test_edge_label_basic():
@@ -22,14 +27,16 @@ def test_label_order_is_componentwise_within_a():
     l1 = lb.EdgeLabel(1, 2, 0)
     l2 = lb.EdgeLabel(1, 2, 1)
     l3 = lb.EdgeLabel(1, 3, 0)
-    assert lb.label_less(l1, l2) == lb.LESS
-    assert lb.label_less(l1, l3) == lb.LESS
+    assert lb.label_less(l1, l2) and not lb.label_less(l2, l1)
+    assert lb.label_less(l1, l3)
     # (1,3)^0 vs (1,2)^1: incomparable (componentwise)
-    assert lb.label_less(l3, l2) == lb.INCOMPARABLE
+    assert not lb.label_less(l3, l2) and not lb.label_less(l2, l3)
+    # strictly: a label is not below itself
+    assert not lb.label_less(l1, lb.EdgeLabel(1, 2, 0))
     # different a: ordinal sum, all of a=1 below all of a=2
     l4 = lb.EdgeLabel(2, 3, 0)
-    assert lb.label_less(l2, l4) == lb.LESS
-    assert lb.label_less(l3, l4) == lb.LESS
+    assert lb.label_less(l2, l4) and not lb.label_less(l4, l2)
+    assert lb.label_less(l3, l4)
 
 
 def test_verify_el_small():
@@ -59,7 +66,7 @@ def test_ascent_free_chains_are_lyndon_chains():
 
 
 def test_report_csv_has_rows():
-    csv_text = lb.report_csv(3)
+    csv_text = lb.report_csv(lb.verify_el(3))
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("x,y,")
     assert len(lines) > 10
@@ -73,57 +80,72 @@ def test_labeled_dot_renders():
 
 def test_cover_label_table_matches_edge_label():
     for n in range(1, 6):
-        P, _by_interval, labels = lb._saturated_chains_by_interval(n)
+        P, labels = lb.cover_labels(n)
         assert set(labels) == {(x, y) for x, ups in enumerate(P.covers)
                                for y in ups}
         for (x, y), lab in labels.items():
             assert lab == lb.edge_label(P.elements[x], P.elements[y], n)
 
 
-# verify_el as it was before the cover table: every edge of every chain
-# labelled afresh by edge_label
-def _label_word_per_edge(P, chain):
-    return tuple(lb.edge_label(P.elements[i], P.elements[j], P.n)
-                 for i, j in zip(chain, chain[1:]))
-
-
-def _verify_el_per_edge(n):
-    P, by_interval, _labels = lb._saturated_chains_by_interval(n)
-    violations, rows = [], []
-    for (x, y), chainlist in sorted(by_interval.items()):
-        if x == y:
-            continue
-        words = [_label_word_per_edge(P, c) for c in chainlist]
-        increasing = [k for k, w in enumerate(words) if lb.is_increasing(w)]
-        lex_ok = (len(increasing) == 1 and all(
-            lb.lex_precedes(words[increasing[0]], w)
-            for k, w in enumerate(words) if k != increasing[0]))
-        if len(increasing) != 1 or not lex_ok:
-            violations.append({
-                "interval": (pt.partition_str(P.elements[x]),
-                             pt.partition_str(P.elements[y])),
-                "increasing": len(increasing),
-                "lex_first_ok": lex_ok,
-            })
-        rows.append({
-            "x": pt.partition_str(P.elements[x]),
-            "y": pt.partition_str(P.elements[y]),
-            "max_chains": len(words),
-            "increasing": len(increasing),
-            "lex_first_ok": lex_ok,
-            "ascent_free": sum(1 for w in words if lb.is_ascent_free(w)),
-        })
-    return {"n": n, "intervals": sum(1 for x, y in by_interval if x != y),
-            "violations": violations, "passed": not violations, "rows": rows}
-
-
 def test_verify_el_matches_per_edge_labels():
-    for n in range(1, 5):
-        assert lb.verify_el(n, collect_rows=True) == _verify_el_per_edge(n)
-        for i in range(n):
-            top = pt.sort_blocks((((1 << n) - 1, i),))
-            P, af = lb.ascent_free_chains(n, top)
-            by_interval = lb._saturated_chains_by_interval(n)[1]
-            assert af == [
-                c for c in by_interval[(P.bottom_index, P.index[top])]
-                if lb.is_ascent_free(_label_word_per_edge(P, c))]
+    # the count over covers against the listing of every saturated chain,
+    # its label words read edge by edge from the cover table
+    for n in range(1, 6):
+        P, labels = lb.cover_labels(n)
+        assert lb.verify_el(n) == el_report_by_listing(P, labels)
+        tops = [pt.sort_blocks((((1 << n) - 1, i),)) for i in range(n)]
+        for top in tops + [pt.TOP]:
+            _P, af = lb.ascent_free_chains(n, top)
+            assert af == ascent_free_chains_by_listing(P, labels, top)
+
+
+def _swapped(labels, z, w1, w2):
+    bad = dict(labels)
+    bad[z, w1], bad[z, w2] = labels[z, w2], labels[z, w1]
+    return bad
+
+
+def test_swapped_labels_fail_both_routes():
+    # every swap of two upper-cover labels of one element at n = 3, the
+    # first two included: the count and the listing agree, and some swaps
+    # break EL, one of them with a single increasing chain that is not
+    # lexicographically first
+    P, labels = lb.cover_labels(3)
+    failing = []
+    for z, ups in enumerate(P.covers):
+        for k, w1 in enumerate(ups):
+            for w2 in ups[k + 1:]:
+                bad = _swapped(labels, z, w1, w2)
+                rep = lb._el_report(P, bad)
+                assert rep == el_report_by_listing(P, bad)
+                failing += rep["violations"]
+    assert any(v["increasing"] != 1 for v in failing)
+    assert any(v["increasing"] == 1 for v in failing)
+
+
+def test_first_two_labels_swapped_at_n5():
+    # the labels of the two covers of {1^0|2^0|34^1|5^0} that merge 34
+    # and 5 swapped: one of those covers gets two increasing chains from
+    # the bottom, the other none
+    P, labels = lb.cover_labels(5)
+    z = P.index[pt.sort_blocks(((0b1, 0), (0b10, 0), (0b1100, 1),
+                                (0b10000, 0)))]
+    bad = _swapped(labels, z, *P.covers[z][:2])
+    rep = lb._el_report(P, bad)
+    assert rep == el_report_by_listing(P, bad)
+    assert rep["violations"] == [
+        {"interval": ("{1^0|2^0|3^0|4^0|5^0}", "{1^0|2^0|345^1}"),
+         "increasing": 2, "lex_first_ok": False},
+        {"interval": ("{1^0|2^0|3^0|4^0|5^0}", "{1^0|2^0|345^2}"),
+         "increasing": 0, "lex_first_ok": False},
+    ]
+
+
+def test_repeated_upper_cover_label_is_refused():
+    P, labels = lb.cover_labels(3)
+    z = P.bottom_index
+    w1, w2 = P.covers[z][:2]
+    bad = dict(labels)
+    bad[z, w2] = labels[z, w1]
+    with pytest.raises(AssertionError, match=r"\{1\^0\|2\^0\|3\^0\}"):
+        lb._el_report(P, bad)

@@ -168,9 +168,11 @@ def test_verify_bases_n3():
         assert rep["passed"], rep
         for fam in ("comb", "lyndon", "liu"):
             assert rep["families"][fam]["ok"]
-    rep = sn.verify_bases(3, full=True)
-    assert rep["passed"], rep
-    assert rep["families"]["blue_rooted_comb"]["count"] == 4
+    # without i, the proper part: the report the full side has always given
+    family = {"count": 4, "rank": 4, "betti": 4, "ok": True}
+    assert sn.verify_bases(3) == {
+        "n": 3, "passed": True, "i": "full",
+        "families": {"blue_rooted_comb": family, "red_rooted_lyndon": family}}
 
 
 def _dense_pairing_flags(ordered):
