@@ -36,16 +36,17 @@ def _forests_vs_mobius(n):
 
 
 def _el_labeling(n):
-    rep = lb.verify_el(n)
+    rep = lb.verify_el(*lb.cover_labels(n))
     if not rep["passed"]:
         raise AssertionError(str(rep["violations"][:3]))
 
 
 def _ascent_free_chains(n):
     counts = tr.descent_counts(n)
+    P, labels = lb.cover_labels(n)
     for i in range(n):
         top = pt.sort_blocks((((1 << n) - 1, i),))
-        P, af = lb.ascent_free_chains(n, top)
+        af = lb.ascent_free_chains(P, labels, top)
         if len(af) != counts[i]:
             raise AssertionError(f"n={n} i={i}: {len(af)} ascent-free chains")
         got = {tuple(P.elements[k] for k in c) for c in af}

@@ -70,7 +70,8 @@ def cmd_invariants(args):
 
 
 def cmd_el_verify(args):
-    rep = lb.verify_el(args.n)
+    P, labels = lb.cover_labels(args.n)
+    rep = lb.verify_el(P, labels)
     if not rep["passed"]:
         print(f"EL verification failed at n={args.n}; first violations:")
         for v in rep["violations"][:5]:
@@ -84,7 +85,7 @@ def cmd_el_verify(args):
 
     return _emit(args, text, summary,
                  csv_fn=lambda: lb.report_csv(rep),
-                 dot_fn=lambda: lb.labeled_dot(args.n))
+                 dot_fn=lambda: lb.labeled_dot(P, labels))
 
 
 def cmd_homology(args):

@@ -80,7 +80,7 @@ class OpenPoset:
         before any is listed.  Each chain is then extended by the
         elements above its last one, in index order."""
         if self._index_chains is None:
-            above = [list(pt.bits(u)) for u in self.up]
+            above = [pt.bits(u) for u in self.up]
             if _chain_count(above) > CHAIN_COUNT_CAP:
                 raise pt.ResourceCapError(
                     f"chains of {self.name}", CHAIN_COUNT_CAP)

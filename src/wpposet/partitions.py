@@ -69,22 +69,20 @@ def members_mask(members):
 
 
 def bits(x):
-    """The positions of the set bits of x, in ascending order."""
+    """The positions of the set bits of x, as an ascending list.  The high
+    bit is taken first, so x shrinks at each step (isolating the low bit,
+    ``x & -x``, costs the whole width of x per bit)."""
+    out = []
     while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+        k = x.bit_length() - 1
+        out.append(k)
+        x ^= 1 << k
+    out.reverse()
+    return out
 
 
 def sort_blocks(blocks):
     return tuple(sorted(blocks, key=lambda b: b[0] & -b[0]))
-
-
-def ground_size(p):
-    union = 0
-    for m, _v in p:
-        union |= m
-    return union.bit_length()
 
 
 def bottom(n):
@@ -100,28 +98,10 @@ def partition_str(p):
     return "{" + "|".join(parts) + "}"
 
 
-def covers(a, b, variant=WEIGHTED):
-    """True iff b covers a (merge of exactly two blocks of a)."""
-    if a is TOP:
-        return False
-    if b is TOP:
-        return len(a) == 1
-    if ground_size(a) != ground_size(b):
-        raise ValueError("partitions over different ground sets")
-    new = set(b) - set(a)
-    gone = set(a) - set(b)
-    if len(new) != 1 or len(gone) != 2:
-        return False
-    ((m, v),) = new
-    (m1, v1), (m2, v2) = gone
-    if m1 | m2 != m or m1 & m2:
-        return False
-    if variant == WEIGHTED:
-        return v - (v1 + v2) in (0, 1)
-    return v in (v1, v2)
-
-
 def upper_covers(p, variant=WEIGHTED):
+    """The partitions covering p: every merge of two of its blocks, with
+    each weight (or point) the merge allows.  The one place the cover
+    relation is decided."""
     out = []
     for i in range(len(p)):
         for j in range(i + 1, len(p)):

@@ -1,16 +1,59 @@
-"""Direct definitions the tests use as oracles: the order relation read
-blockwise from two partitions, an open poset's chains as tuples of
-partitions, its top cycles as ChainVectors, a whole integer kernel, the
-boundary and coboundary of ChainVectors, the pairing that makes chains
-orthonormal, and the EL check over every listed saturated chain.  The
-package reads the order from down-set bitsets, reduces boundary maps
-over index chains, folds each kernel vector into the cycle index as it
-is found and counts chains over covers, so none of these is needed
-there."""
+"""Direct definitions the tests use as oracles: the cover and order
+relations read blockwise from two partitions, the edge label of a cover
+pair, an open poset's chains as tuples of partitions, its top cycles as
+ChainVectors, a whole integer kernel, the boundary and coboundary of
+ChainVectors, the pairing that makes chains orthonormal, and the EL
+check over every listed saturated chain.  The package decides covers
+only by generating them, reads the order from down-set bitsets and each
+label off a pair the poset's covers hold, reduces boundary maps over
+index chains, folds each kernel vector into the cycle index as it is
+found and counts chains over covers, so none of these is needed there."""
 
 from wpposet import labeling as lb
 from wpposet import linalg
 from wpposet import partitions as pt
+
+
+def ground_size(p):
+    union = 0
+    for m, _v in p:
+        union |= m
+    return union.bit_length()
+
+
+def covers(a, b, variant=pt.WEIGHTED):
+    """True iff b covers a (merge of exactly two blocks of a)."""
+    if a is pt.TOP:
+        return False
+    if b is pt.TOP:
+        return len(a) == 1
+    if ground_size(a) != ground_size(b):
+        raise ValueError("partitions over different ground sets")
+    new = set(b) - set(a)
+    gone = set(a) - set(b)
+    if len(new) != 1 or len(gone) != 2:
+        return False
+    ((m, v),) = new
+    (m1, v1), (m2, v2) = gone
+    if m1 | m2 != m or m1 & m2:
+        return False
+    if variant == pt.WEIGHTED:
+        return v - (v1 + v2) in (0, 1)
+    return v in (v1, v2)
+
+
+def edge_label(x, y, n):
+    """Label of the cover x < y in the augmented poset on [n]."""
+    if y is pt.TOP:
+        if x is pt.TOP or len(x) != 1:
+            raise ValueError("Top covers only the one-block partitions")
+        return lb.EdgeLabel(1, n + 1, 0)
+    if not covers(x, y, pt.WEIGHTED):
+        raise ValueError("edge_label requires a cover pair")
+    gone = sorted(set(x) - set(y), key=lambda blk: pt.mask_min(blk[0]))
+    (m1, v1), (m2, v2) = gone
+    ((_m, v),) = set(y) - set(x)
+    return lb.EdgeLabel(pt.mask_min(m1), pt.mask_min(m2), v - (v1 + v2))
 
 
 def leq(a, b, variant=pt.WEIGHTED):
@@ -19,7 +62,7 @@ def leq(a, b, variant=pt.WEIGHTED):
         return True
     if a is pt.TOP:
         return False
-    if pt.ground_size(a) != pt.ground_size(b):
+    if ground_size(a) != ground_size(b):
         raise ValueError("partitions over different ground sets")
     for m, v in b:
         total, count, points = 0, 0, ()

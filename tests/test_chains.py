@@ -4,7 +4,7 @@ from wpposet import chains as ch
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
-from poset_oracles import leq
+from poset_oracles import ground_size, leq
 from tree_oracles import linear_extensions
 
 B, R = tr.BLUE, tr.RED
@@ -49,7 +49,7 @@ def tree_of_chain(parts):
     chain_partitions_of_tree(t, tau) reproduces the input exactly.
     """
     parts = tuple(parts)
-    n = pt.ground_size(parts[0])
+    n = ground_size(parts[0])
     if parts[0] != pt.bottom(n) or len(parts) != n or len(parts[-1]) != 1:
         raise ValueError("not a maximal chain of [0-hat, [n]^i]")
     subtree = {1 << (a - 1): a for a in range(1, n + 1)}

@@ -316,6 +316,25 @@ def test_el_cap_fires_before_any_poset(capsys, monkeypatch, n):
                                "limit": 6}
 
 
+def test_one_label_table_per_command(capsys, monkeypatch):
+    # el-verify's DOT rendering and criterion 8's every i read their
+    # labels from the one table the command built
+    from wpposet import acceptance, labeling
+    build, calls = labeling.cover_labels, []
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setattr(labeling, "cover_labels", counted)
+    code, out = run(capsys, "el-verify", "--n", "3", "--format", "dot")
+    assert code == 0 and out.startswith("digraph")
+    assert calls == [3]
+    calls.clear()
+    acceptance._ascent_free_chains(4)
+    assert calls == [4]
+
+
 @pytest.mark.parametrize("argv, size", [
     (["el-verify", "--n", "7"], 6323),
     (["invariants", "--n", "7", "--variant", "pointed"], 6322),
@@ -391,8 +410,7 @@ def test_bases_past_the_tree_cap_is_refused(capsys, monkeypatch, family):
     def refuse(*args, **kwargs):
         raise AssertionError("trees or a host were built before the cap check")
 
-    for name in ("enumerate_combs", "enumerate_lyndon", "enumerate_liu",
-                 "enumerate_rooted_trees"):
+    for name in ("enumerate_family", "enumerate_rooted_trees"):
         monkeypatch.setattr(tr, name, refuse)
     # the poset on [9] alone would cost more than the trees refused
     for name in ("open_interval", "proper_part"):
@@ -589,7 +607,7 @@ def test_undeclared_format_is_refused_before_any_work(capsys, monkeypatch,
 
     for module, names in [
             (partitions, ["build_poset", "json_report", "whitney_numbers"]),
-            (labeling, ["verify_el"]),
+            (labeling, ["cover_labels", "verify_el"]),
             (homology, ["open_interval", "proper_part"]),
             (trees, ["enumerate_rooted_trees", "enumerate_family",
                      "bicolored_count"]),

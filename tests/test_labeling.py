@@ -5,22 +5,27 @@ from wpposet import labeling as lb
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
-from poset_oracles import (ascent_free_chains_by_listing,
+from poset_oracles import (ascent_free_chains_by_listing, edge_label,
                            el_report_by_listing)
+
+
+def _label(n, x, y):
+    P, labels = lb.cover_labels(n)
+    return labels[P.index[x], P.index[y]]
 
 
 def test_edge_label_basic():
     a = pt.bottom(2)
     b0 = pt.sort_blocks(((0b11, 0),))
     b1 = pt.sort_blocks(((0b11, 1),))
-    assert lb.edge_label(a, b0, 2) == lb.EdgeLabel(1, 2, 0)
-    assert lb.edge_label(a, b1, 2) == lb.EdgeLabel(1, 2, 1)
-    assert str(lb.edge_label(a, b1, 2)) == "(1,2)^1"
+    assert _label(2, a, b0) == lb.EdgeLabel(1, 2, 0)
+    assert _label(2, a, b1) == lb.EdgeLabel(1, 2, 1)
+    assert str(_label(2, a, b1)) == "(1,2)^1"
 
 
 def test_edge_label_to_top():
     b0 = pt.sort_blocks(((0b111, 0),))
-    assert lb.edge_label(b0, pt.TOP, 3) == lb.EdgeLabel(1, 4, 0)
+    assert _label(3, b0, pt.TOP) == lb.EdgeLabel(1, 4, 0)
 
 
 def test_label_order_is_componentwise_within_a():
@@ -41,24 +46,26 @@ def test_label_order_is_componentwise_within_a():
 
 def test_verify_el_small():
     for n in range(1, 5):
-        rep = lb.verify_el(n)
+        rep = lb.verify_el(*lb.cover_labels(n))
         assert rep["passed"], rep["violations"][:3]
 
 
 def test_ascent_free_counts_match_mu():
     for n in (3, 4):
         expected = [abs(m) for m in pt.mu_polynomial(n)]
+        P, labels = lb.cover_labels(n)
         for i in range(n):
             top = pt.sort_blocks((((1 << n) - 1, i),))
-            _P, af = lb.ascent_free_chains(n, top)
+            af = lb.ascent_free_chains(P, labels, top)
             assert len(af) == expected[i]
 
 
 def test_ascent_free_chains_are_lyndon_chains():
     n = 4
+    P, labels = lb.cover_labels(n)
     for i in range(n):
         top = pt.sort_blocks((((1 << n) - 1, i),))
-        P, af = lb.ascent_free_chains(n, top)
+        af = lb.ascent_free_chains(P, labels, top)
         got = {tuple(P.elements[k] for k in c) for c in af}
         want = {ch.chain_partitions_of_tree(t, tr.valency_decreasing_tau(t))
                 for t in tr.enumerate_family("lyndon", n, i)}
@@ -66,25 +73,25 @@ def test_ascent_free_chains_are_lyndon_chains():
 
 
 def test_report_csv_has_rows():
-    csv_text = lb.report_csv(lb.verify_el(3))
+    csv_text = lb.report_csv(lb.verify_el(*lb.cover_labels(3)))
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("x,y,")
     assert len(lines) > 10
 
 
 def test_labeled_dot_renders():
-    dot = lb.labeled_dot(3)
+    dot = lb.labeled_dot(*lb.cover_labels(3))
     assert dot.startswith("digraph")
     assert "(1,4)^0" in dot  # the label to the top
 
 
 def test_cover_label_table_matches_edge_label():
-    for n in range(1, 6):
+    for n in range(1, 7):
         P, labels = lb.cover_labels(n)
         assert set(labels) == {(x, y) for x, ups in enumerate(P.covers)
                                for y in ups}
         for (x, y), lab in labels.items():
-            assert lab == lb.edge_label(P.elements[x], P.elements[y], n)
+            assert lab == edge_label(P.elements[x], P.elements[y], n)
 
 
 def test_verify_el_matches_per_edge_labels():
@@ -92,10 +99,10 @@ def test_verify_el_matches_per_edge_labels():
     # its label words read edge by edge from the cover table
     for n in range(1, 6):
         P, labels = lb.cover_labels(n)
-        assert lb.verify_el(n) == el_report_by_listing(P, labels)
+        assert lb.verify_el(P, labels) == el_report_by_listing(P, labels)
         tops = [pt.sort_blocks((((1 << n) - 1, i),)) for i in range(n)]
         for top in tops + [pt.TOP]:
-            _P, af = lb.ascent_free_chains(n, top)
+            af = lb.ascent_free_chains(P, labels, top)
             assert af == ascent_free_chains_by_listing(P, labels, top)
 
 
@@ -116,7 +123,7 @@ def test_swapped_labels_fail_both_routes():
         for k, w1 in enumerate(ups):
             for w2 in ups[k + 1:]:
                 bad = _swapped(labels, z, w1, w2)
-                rep = lb._el_report(P, bad)
+                rep = lb.verify_el(P, bad)
                 assert rep == el_report_by_listing(P, bad)
                 failing += rep["violations"]
     assert any(v["increasing"] != 1 for v in failing)
@@ -131,7 +138,7 @@ def test_first_two_labels_swapped_at_n5():
     z = P.index[pt.sort_blocks(((0b1, 0), (0b10, 0), (0b1100, 1),
                                 (0b10000, 0)))]
     bad = _swapped(labels, z, *P.covers[z][:2])
-    rep = lb._el_report(P, bad)
+    rep = lb.verify_el(P, bad)
     assert rep == el_report_by_listing(P, bad)
     assert rep["violations"] == [
         {"interval": ("{1^0|2^0|3^0|4^0|5^0}", "{1^0|2^0|345^1}"),
@@ -148,4 +155,4 @@ def test_repeated_upper_cover_label_is_refused():
     bad = dict(labels)
     bad[z, w2] = labels[z, w1]
     with pytest.raises(AssertionError, match=r"\{1\^0\|2\^0\|3\^0\}"):
-        lb._el_report(P, bad)
+        lb.verify_el(P, bad)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,7 @@ from wpposet import ResourceCapError
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
-from poset_oracles import leq
+from poset_oracles import covers, leq
 
 
 def blocks(p):
@@ -87,6 +88,36 @@ def test_augmented_adds_one_top(n):
     top = A.index[pt.TOP]
     assert A.covers[top] == []
     assert all(top in A.covers[A.index[e]] for e in W.elements if len(e) == 1)
+
+
+def _bits_by_low_bit(x):
+    # the oracle: isolate the low bit, clear it, repeat
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def test_bits_match_the_low_bit_loop():
+    rng = random.Random(20261018)
+    wide = [rng.getrandbits(34_274) & rng.getrandbits(34_274)
+            & rng.getrandbits(34_274) for _ in range(3)]
+    powers = [1 << k for k in (0, 1, 62, 63, 64, 65, 34_273)]
+    for x in [0, *powers, (1 << 200) - 1, *wide,
+              *(rng.getrandbits(w) for w in range(1, 300))]:
+        assert pt.bits(x) == _bits_by_low_bit(x)
+
+
+@pytest.mark.parametrize("variant", [pt.WEIGHTED, pt.POINTED, pt.AUGMENTED])
+def test_generated_covers_match_the_blockwise_relation(variant):
+    for n in range(1, 5):
+        P = pt.build_poset(n, variant)
+        for k, x in enumerate(P.elements):
+            ups = set(P.covers[k])
+            for j, y in enumerate(P.elements):
+                assert covers(x, y, P.variant) == (j in ups), (x, y)
 
 
 def test_leq_respects_covers():
