@@ -51,14 +51,7 @@ def mask_min(mask):
 
 
 def mask_members(mask):
-    out = []
-    a = 1
-    while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return out
+    return [k + 1 for k in bits(mask)]
 
 
 def members_mask(members):

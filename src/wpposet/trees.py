@@ -11,7 +11,9 @@ for free:
 :func:`enumerate_bicolored` lists every bicolored tree on a label set;
 :func:`bicolored_count` gives its length in closed form and
 :func:`bicolored_at` its k-th entry without building the list, which is
-how one tree on [7] or [8] is drawn.
+how one tree on [7] or [8] is drawn.  :func:`valency_decreasing_tau` is
+a stable sort of a normalized tree's internal nodes, listed in
+postorder, by decreasing least leaf; nothing is searched.
 
 The comb, Lyndon and Liu-Lyndon families are each built directly, never
 filtered from a larger pool: a recursion over the splits of the sorted
@@ -30,12 +32,14 @@ i-buckets of :func:`enumerate_family` are kept past one call.
 
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
 from a parent map.  One rerooting sweep, ``_rerootings``, stands behind
-rooted trees, descent counts and forests: it orients each unrooted tree
-once, from its least label, and gives the descent count of every root,
-since moving the root across an edge flips that edge only.
+rooted trees, descent counts and forests: it decodes each Prufer
+sequence straight into the tree rooted at the greatest label, the one
+label the decode never removes, and gives the descent count of every
+root, since moving the root across an edge flips that edge only.
 :func:`descent_counts` tallies those counts;
 :func:`enumerate_rooted_trees` writes the parent tuple of a root that
-passes its filter by flipping the edges on the path to the least label;
+passes its filter by flipping the edges on the path to the greatest
+label;
 :func:`enumerate_rooted_forests` reads the set partitions of
 ``partitions`` and lists each block's rooted trees once per call.
 :func:`psi` costs O(n) per tree on [n].  Liu's order on
@@ -181,12 +185,7 @@ def is_normalized(t):
             and is_normalized(t[1]) and is_normalized(t[2]))
 
 
-# -- valencies and family membership ----------------------------------------
-
-def minleaf_valencies(t):
-    """Postorder-indexed table of min-leaf valencies of the internal nodes."""
-    return {k: min_leaf(node) for k, (_p, node) in enumerate(postorder_internal(t))}
-
+# -- family membership ------------------------------------------------------
 
 def is_offending(node):
     """Whether the straightening relations rewrite an internal node: its
@@ -534,42 +533,29 @@ def enumerate_family(family, n, i=None):
 
 # -- linear extensions -------------------------------------------------------
 
-def _internal_parents(t):
-    """Postorder parent pointers among internal nodes (root -> None)."""
-    nodes = postorder_internal(t)
-    pos = {path: k for k, (path, _n) in enumerate(nodes)}
-    parents = []
-    for path, _n in nodes:
-        parents.append(pos[path[:-1]] if path else None)
-    return parents
-
-
 def valency_decreasing_tau(t):
-    """The unique linear extension with weakly decreasing min-leaf valencies."""
-    if not is_normalized(t):
-        raise ValueError("valency_decreasing_tau expects a normalized tree")
-    parents = _internal_parents(t)
-    val = minleaf_valencies(t)
-    m = len(parents)
-    pending = [0] * m
-    for p in parents:
-        if p is not None:
-            pending[p] += 1
-    remaining = set(range(m))
-    order = []
-    while remaining:
-        vmax = max(val[k] for k in remaining)
-        cands = [k for k in remaining if val[k] == vmax and pending[k] == 0]
-        if not cands:
-            raise RuntimeError("no weakly decreasing extension exists")
-        if len(cands) > 1:
-            raise RuntimeError("valency-decreasing extension is not unique")
-        k = cands[0]
-        order.append(k)
-        remaining.remove(k)
-        if parents[k] is not None:
-            pending[parents[k]] -= 1
-    return tuple(order)
+    """The unique linear extension with weakly decreasing min-leaf
+    valencies, as postorder indices of the internal nodes.
+
+    One postorder walk collects each node's least leaf; the extension is
+    the postorder indices stably sorted by decreasing valency.  A child's
+    valency is at least its parent's, and in a normalized tree it is
+    equal only along a left spine, whose lower nodes come earlier in
+    postorder, so the sort puts every node before its parent, and no
+    other order of equal valencies would."""
+    val = []
+
+    def least(s):
+        if is_leaf(s):
+            return s
+        a, b = least(s[1]), least(s[2])
+        if not a < b:
+            raise ValueError("valency_decreasing_tau expects a normalized tree")
+        val.append(a)
+        return a
+
+    least(t)
+    return tuple(sorted(range(len(val)), key=val.__getitem__, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -597,69 +583,39 @@ class RootedTree(Frozen):
         return f"RootedTree(root={self.root}, parent={dict(self.parent)})"
 
 
-def _prufer_decode(A, seq):
-    """Edges of the labeled (unrooted) tree on sorted tuple A with Prufer
-    sequence ``seq``."""
-    degree = {x: 1 for x in A}
-    for x in seq:
-        degree[x] += 1
-    leaves_heap = [x for x in A if degree[x] == 1]
-    heapq.heapify(leaves_heap)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves_heap)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves_heap, x)
-    u = heapq.heappop(leaves_heap)
-    v = heapq.heappop(leaves_heap)
-    edges.append((u, v))
-    return edges
-
-
-def _unrooted_trees(A):
-    """All labeled trees on sorted tuple A, as adjacency dicts."""
-    n = len(A)
-    if n == 1:
-        yield {A[0]: []}
-        return
-    for seq in itertools.product(A, repeat=n - 2):
-        edges = _prufer_decode(A, seq)
-        adj = {x: [] for x in A}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        yield adj
-
-
-def _orient(adj, root):
-    pmap = {}
-    stack = [root]
-    seen = {root}
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                pmap[v] = u
-                stack.append(v)
-    return pmap
-
-
 def _rerootings(A):
     """Every labeled tree on the sorted tuple ``A``, in Prufer order, as
     (pmap, descents): ``pmap`` is the child -> parent map of the tree
-    rooted at ``A[0]``, a parent always entered before its children, and
+    rooted at ``A[-1]``, a parent always entered before its children, and
     ``descents`` maps each label to the descent count of the tree rooted
     there.
 
-    Each tree is oriented once.  Moving the root from p across an edge to
-    its child c flips that edge only, so the count of c is the count of p
-    plus one if p < c and minus one if not."""
-    for adj in _unrooted_trees(A):
-        pmap = _orient(adj, A[0])
-        descents = {A[0]: sum(1 for c, p in pmap.items() if c < p)}
+    Decoding a Prufer sequence removes the least leaf and hangs it below
+    the sequence's next label.  The greatest label is never the least of
+    two or more leaves, so it is the last one left, every edge points
+    towards it, and the edges read backwards enter each parent before its
+    children.  Moving the root from p across an edge to its child c flips
+    that edge only, so the count of c is the count of p plus one if p < c
+    and minus one if not."""
+    top = A[-1]
+    if len(A) == 1:
+        yield {}, {top: 0}
+        return
+    for seq in itertools.product(A, repeat=len(A) - 2):
+        degree = dict.fromkeys(A, 1)
+        for x in seq:
+            degree[x] += 1
+        # A is sorted, so its leaves already form a heap
+        leaves_heap = [x for x in A if degree[x] == 1]
+        edges = []
+        for x in seq:
+            edges.append((heapq.heappop(leaves_heap), x))
+            degree[x] -= 1
+            if degree[x] == 1:
+                heapq.heappush(leaves_heap, x)
+        edges.append((leaves_heap[0], top))
+        pmap = dict(reversed(edges))
+        descents = {top: sum(1 for c, p in edges if c < p)}
         for c, p in pmap.items():
             descents[c] = descents[p] + (1 if p < c else -1)
         yield pmap, descents
@@ -670,23 +626,23 @@ def enumerate_rooted_trees(labels, i=None):
     descents.  Deterministic order (Prufer sequence, then root).
 
     Reads ``_rerootings``: the parent tuple is written only for a root
-    that passes the ``i`` filter, from the tree rooted at the least label
-    with the edges on the path to that root flipped.
+    that passes the ``i`` filter, from the tree rooted at the greatest
+    label with the edges on the path to that root flipped.
     """
     A = tuple(sorted(labels))
     refuse_past_cap("rooted trees", len(A))
     pos = {x: k for k, x in enumerate(A)}
     out = []
     for pmap, descents in _rerootings(A):
-        # (child, parent) pairs in label order, None at the least label,
-        # and each edge's flipped pair, shared by every root below it
-        pairs = [None] + [(x, pmap[x]) for x in A[1:]]
+        # (child, parent) pairs in label order, None at the greatest
+        # label, and each edge's flipped pair, shared by every root below it
+        pairs = [(x, pmap[x]) for x in A[:-1]] + [None]
         flipped = {c: (p, c) for c, p in pmap.items()}
         for k, root in enumerate(A):
             if i is None or descents[root] == i:
                 pv = pairs.copy()
                 c = root
-                while c != A[0]:
+                while c != A[-1]:
                     p = pmap[c]
                     pv[pos[p]] = flipped[c]
                     c = p

@@ -16,7 +16,8 @@ from wpposet import trees as tr
 
 from tree_oracles import (enumerate_normalized, is_liu_lyndon, is_lyndon,
                           is_lyndon_node, linear_extensions, liu_leq,
-                          normalized_uncolored, recursive_valency)
+                          normalized_uncolored, orient, recursive_valency,
+                          unrooted_trees)
 from tree_oracles import normalize_signed as normalize_by_definition
 
 B, R = tr.BLUE, tr.RED
@@ -381,9 +382,9 @@ def test_families_hold_labels_past_a_byte():
 def _old_enumerate_rooted_trees(labels, i=None):
     A = tuple(sorted(labels))
     out = []
-    for adj in tr._unrooted_trees(A):
+    for adj in unrooted_trees(A):
         for root in A:
-            T = tr.RootedTree.from_parent_map(root, tr._orient(adj, root))
+            T = tr.RootedTree.from_parent_map(root, orient(adj, root))
             if i is None or T.descent_count() == i:
                 out.append(T)
     return out
@@ -399,6 +400,26 @@ def test_rerooting_matches_orienting_every_root():
                 _old_enumerate_rooted_trees(labels, i)
     assert tr.enumerate_rooted_trees((2, 5, 7, 9), 1) == \
         _old_enumerate_rooted_trees((2, 5, 7, 9), 1)
+
+
+def test_rerootings_come_rooted_at_the_greatest_label():
+    # each decoded tree is the oracle's tree in the same Prufer order,
+    # rooted at A[-1] with every parent entered before its children, and
+    # each root's descent count is that of the tree oriented from it
+    for A in [tuple(range(1, n + 1)) for n in range(1, 7)] + [(2, 5, 7, 9)]:
+        pairs = list(itertools.zip_longest(tr._rerootings(A),
+                                           unrooted_trees(A)))
+        assert len(pairs) == max(1, len(A) ** (len(A) - 2))
+        for (pmap, descents), adj in pairs:
+            assert pmap == orient(adj, A[-1])
+            entered = {A[-1]}
+            for c, p in pmap.items():
+                assert p in entered
+                entered.add(c)
+            assert entered == set(A)
+            assert descents == {
+                r: tr.RootedTree.from_parent_map(r, orient(adj, r))
+                .descent_count() for r in A}
 
 
 def test_liu_order_reflexive_and_acyclic():
@@ -564,6 +585,23 @@ def test_linear_extensions_and_tau():
     assert len(exts) == 2
     tau = tr.valency_decreasing_tau(t)
     assert tau in exts
+
+
+def test_tau_is_the_only_weakly_decreasing_extension():
+    for n in range(1, 6):
+        for t in enumerate_normalized(n):
+            val = [tr.min_leaf(node) for _p, node in tr.postorder_internal(t)]
+            weakly = [e for e in linear_extensions(t)
+                      if all(val[a] >= val[b] for a, b in zip(e, e[1:]))]
+            assert weakly == [tr.valency_decreasing_tau(t)]
+
+
+def test_tau_refuses_every_tree_that_is_not_normalized():
+    off = [t for t in tr.enumerate_bicolored(4) if not tr.is_normalized(t)]
+    assert len(off) == 840
+    for t in off:
+        with pytest.raises(ValueError):
+            tr.valency_decreasing_tau(t)
 
 
 @given(bicolored(max_n=4))

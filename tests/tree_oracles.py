@@ -1,10 +1,15 @@
 """Brute-force tree helpers the tests use as oracles: family membership
 by predicate, the normalized trees by shape, every linear extension of a
-tree's internal nodes, one comparison in Liu's order, and the swap
-normal form by its recursive definition.  The package builds each family
-directly, decides Liu-Lyndon membership by the psi round trip, reads one
-extension at a time, orders whole classes at once and carries subtree
-facts up while it normalizes, so none of these is needed there."""
+tree's internal nodes, the labeled trees as adjacency dicts oriented
+from any root, one comparison in Liu's order, and the swap normal form
+by its recursive definition.  The package builds each family directly,
+decides Liu-Lyndon membership by the psi round trip, sorts the one
+extension it reads, decodes each tree already rooted, orders whole
+classes at once and carries subtree facts up while it normalizes, so
+none of these is needed there."""
+
+import heapq
+import itertools
 
 from wpposet import straighten as sn
 from wpposet import trees as tr
@@ -56,10 +61,17 @@ def normalized_uncolored(A):
     return out
 
 
+def internal_parents(t):
+    """Postorder parent pointers among internal nodes (root -> None)."""
+    nodes = tr.postorder_internal(t)
+    pos = {path: k for k, (path, _n) in enumerate(nodes)}
+    return [pos[path[:-1]] if path else None for path, _n in nodes]
+
+
 def linear_extensions(t):
     """All permutations tau (0-based tuples over postorder indices) listing
     every internal node before its parent."""
-    parents = tr._internal_parents(t)
+    parents = internal_parents(t)
     m = len(parents)
     nchildren = [0] * m
     for p in parents:
@@ -86,6 +98,57 @@ def linear_extensions(t):
 
     rec([], list(nchildren), set(range(m)))
     return out
+
+
+def prufer_decode(A, seq):
+    """Edges of the labeled (unrooted) tree on sorted tuple A with Prufer
+    sequence ``seq``."""
+    degree = {x: 1 for x in A}
+    for x in seq:
+        degree[x] += 1
+    leaves_heap = [x for x in A if degree[x] == 1]
+    heapq.heapify(leaves_heap)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves_heap)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves_heap, x)
+    u = heapq.heappop(leaves_heap)
+    v = heapq.heappop(leaves_heap)
+    edges.append((u, v))
+    return edges
+
+
+def unrooted_trees(A):
+    """All labeled trees on sorted tuple A, as adjacency dicts, in Prufer
+    order."""
+    n = len(A)
+    if n == 1:
+        yield {A[0]: []}
+        return
+    for seq in itertools.product(A, repeat=n - 2):
+        adj = {x: [] for x in A}
+        for u, v in prufer_decode(A, seq):
+            adj[u].append(v)
+            adj[v].append(u)
+        yield adj
+
+
+def orient(adj, root):
+    """child -> parent map of the tree ``adj`` rooted at ``root``, by DFS."""
+    pmap = {}
+    stack = [root]
+    seen = {root}
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                pmap[v] = u
+                stack.append(v)
+    return pmap
 
 
 def liu_leq(T1, T2):
