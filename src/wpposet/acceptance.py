@@ -103,17 +103,24 @@ def _psi_bijection(n):
 
 def _straightening(n):
     hosts = [hm.open_interval(n, i) for i in range(n)]
+    # every output term, each checked once after the loop; a dict, so the
+    # comb a failure names does not depend on the hash seed
+    outputs = {}
     for t in tr.enumerate_bicolored(n):
         out = st.straighten(t)
+        outputs.update(out)
         diff = linalg.vec_combine(hm.chain_vector_of_tree(t), 1,
                                   st.cochain_sum(out), -1)
-        if not (all(tr.is_comb(c) for c in out) and hm.coboundary_member(
-                hosts[tr.red_count(t)], diff)):
+        if not hm.coboundary_member(hosts[tr.red_count(t)], diff):
             raise AssertionError(f"tree {t!r}")
+    for c in outputs:
+        if not tr.is_comb(c):
+            raise AssertionError(f"output {c!r} is not a comb")
     for side in (st.COHOMOLOGY, st.LIE2):
-        for inst, rel in st.relation_instances(n, side=side):
+        for kind, position, t, rel in st.relation_instances(n, side=side):
             if st.straighten_sum(rel, side):
-                raise AssertionError(f"relation {inst!r}")
+                raise AssertionError(
+                    f"{side} {kind} relation at {position} of {t!r}")
 
 
 def _bases(n):
@@ -131,10 +138,11 @@ def _phi(n):
         rank, betti = hm.rank_in_top_quotient(host, vecs)
         if not rank == betti == len(vecs):
             raise AssertionError(f"rank {rank} != {len(vecs)}")
-    for inst, rel in st.relation_instances(n, side=st.LIE2):
-        host = hosts[tr.red_count(inst.host)]
-        if not hm.coboundary_member(host, st.phi_of_sum(rel)):
-            raise AssertionError(f"relation image {inst!r}")
+    for kind, position, t, rel in st.relation_instances(n, side=st.LIE2):
+        if not hm.coboundary_member(hosts[tr.red_count(t)],
+                                    st.phi_of_sum(rel)):
+            raise AssertionError(
+                f"image of the {kind} relation at {position} of {t!r}")
 
 
 Criterion = namedtuple("Criterion", "name first native check detail",

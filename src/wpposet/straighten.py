@@ -30,7 +30,6 @@ from functools import lru_cache
 from . import homology as hm
 from . import linalg
 from . import trees as tr
-from .frozen import Frozen
 
 COHOMOLOGY = "cohomology"
 LIE2 = "lie2"
@@ -72,15 +71,10 @@ def measure(t):
     return (tr.tree_weight(t), tr.tree_inversions(t))
 
 
-def find_offender(t, _path=()):
-    """Path of the first offending node in postorder, or None."""
-    if tr.is_leaf(t):
-        return None
-    for step, child in (("L", t[1]), ("R", t[2])):
-        got = find_offender(child, _path + (step,))
-        if got is not None:
-            return got
-    return _path if tr.is_offending(t) else None
+def find_offender(t):
+    """(path, node) of the first offending node in postorder, or None."""
+    return next(((path, node) for path, node in tr.postorder_internal(t)
+                 if tr.is_offending(node)), None)
 
 
 def _kind(node):
@@ -124,15 +118,15 @@ def _straighten_normalized(t, side, trace):
     key = (t, side)
     if trace is None and key in _memo:
         return _memo[key]
-    path = find_offender(t)
-    if path is None:
+    found = find_offender(t)
+    if found is None:
         # every output comb is produced here, so one check per memo entry
         # covers every later read of it
         if not tr.is_comb(t):
             raise AssertionError("straightened output is not a comb")
         out = {t: 1}
     else:
-        node = tr.subtree_at(t, path)
+        path, node = found
         m0 = measure(t)
         out = {}
         for sub, coeff in rewrite_terms(node, side):
@@ -215,32 +209,24 @@ def straighten_sum(s, side):
 # relation instances
 # ---------------------------------------------------------------------------
 
-class RelationInstance(Frozen):
-    """Where a relation is instantiated: its kind (swap, assoc or mixed),
-    the path from the root to the node it acts on, and the anchor tree."""
-
-    __slots__ = ("kind", "position", "host")
-
-
 def relation_instances(n, side=COHOMOLOGY):
-    """All instantiations of the relations on bicolored trees over [n], as
-    (RelationInstance, {tree: coeff}) pairs; every sum straightens to zero
-    on ``side``.
+    """Every instantiation of the relations on bicolored trees over [n],
+    yielded as it is built: (kind, position, host, {tree: coeff}), with the
+    relation's kind (swap, assoc or mixed), the tuple of 'L'/'R' steps from
+    the root to the node it acts on, the anchor tree, and the relation's
+    sum, which straightens to zero on ``side``.
     """
-    out = []
     for t in tr.enumerate_bicolored(n):
         for path, node in tr.postorder_internal(t):
             col, l, r = node
             swapped = tr.replace_at(t, path, (col, r, l))
-            out.append((RelationInstance("swap", path, t),
-                        {t: 1, swapped: -swap_sign(side, l, r)}))
+            yield "swap", path, t, {t: 1, swapped: -swap_sign(side, l, r)}
             if tr.is_offending(node):
                 rel = {t: 1}
                 for sub, coeff in rewrite_terms(node, side):
                     linalg.vec_add(rel, {tr.replace_at(t, path, sub): 1},
                                    -coeff)
-                out.append((RelationInstance(_kind(node), path, t), rel))
-    return out
+                yield _kind(node), path, t, rel
 
 
 # ---------------------------------------------------------------------------

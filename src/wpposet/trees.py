@@ -114,12 +114,6 @@ def postorder_internal(t, _path=()):
     return out
 
 
-def subtree_at(t, path):
-    for step in path:
-        t = t[1] if step == "L" else t[2]
-    return t
-
-
 def replace_at(t, path, new):
     if not path:
         return new

@@ -123,6 +123,29 @@ def test_criterion_13_catches_a_term_outside_its_interval(monkeypatch):
                       "of (0,[3]^0)")
 
 
+def test_criterion_13_catches_an_output_that_is_not_a_comb(monkeypatch):
+    from wpposet import straighten as st
+    from wpposet import trees as tr
+    real = st.straighten
+    comb = (tr.BLUE, (tr.BLUE, 1, 2), 3)
+    swapped = (tr.BLUE, 3, (tr.BLUE, 1, 2))
+
+    def one_comb_swapped(t, *args, **kwargs):
+        # the children of one comb swap wherever it is an output; its chain
+        # and unsigned cochain stay the same, so only the comb check fails
+        out = real(t, *args, **kwargs)
+        if comb not in out:
+            return out
+        out = dict(out)
+        out[swapped] = out.pop(comb)
+        return out
+
+    monkeypatch.setattr(st, "straighten", one_comb_swapped)
+    name, ok, detail = acceptance.run_criterion(13, 3)
+    assert not ok
+    assert detail == f"output {swapped!r} is not a comb"
+
+
 def test_criteria_13_and_16_build_each_interval_host_once(monkeypatch):
     # a host is looked up for every tree and relation instance, so each
     # check holds the hosts of its n rather than building one per lookup

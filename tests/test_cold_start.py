@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from wpposet import labeling as lb
-from wpposet import straighten as sn
 from wpposet import trees as tr
 from wpposet.frozen import Frozen
 
@@ -35,17 +34,13 @@ def test_import_loads_no_pool_and_no_dataclasses():
 # (value, field tuple, repr) of each class
 CASES = [
     (lb.EdgeLabel(1, 3, 0), (1, 3, 0), "EdgeLabel(a=1, b=3, u=0)"),
-    (sn.RelationInstance("assoc", ("L", "R"), ("b", 1, ("r", 2, 3))),
-     ("assoc", ("L", "R"), ("b", 1, ("r", 2, 3))),
-     "RelationInstance(kind='assoc', position=('L', 'R'), "
-     "host=('b', 1, ('r', 2, 3)))"),
     (tr.RootedTree(2, ((1, 2), (3, 2))), (2, ((1, 2), (3, 2))),
      "RootedTree(root=2, parent={1: 2, 3: 2})"),
 ]
 
 
 @pytest.mark.parametrize("value, fields, text", CASES,
-                         ids=["EdgeLabel", "RelationInstance", "RootedTree"])
+                         ids=["EdgeLabel", "RootedTree"])
 def test_frozen_class_contract(value, fields, text):
     cls = type(value)
     assert value == cls(*fields) and not value != cls(*fields)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -132,8 +133,30 @@ def test_straighten_difference_is_coboundary():
 
 def test_relation_instances_straighten_to_zero():
     for side in (sn.COHOMOLOGY, sn.LIE2):
-        for _inst, rel in sn.relation_instances(3, side=side):
+        for _kind, _position, _host, rel in sn.relation_instances(3, side):
             assert sn.straighten_sum(rel, side) == {}
+
+
+# sha256 of the instances on [1]..[4] in stream order, one repr line each:
+# the content and order criteria 13 and 16 check
+INSTANCE_DIGESTS = {
+    sn.COHOMOLOGY:
+        "2f73775ff31db0da59311cf147a7ae935d10564c85735fb7b8911282dae0274d",
+    sn.LIE2:
+        "1a07cb151c21cf9546598e773efdcde486f1489dacf07a5c100650c3beed6901",
+}
+
+
+def test_relation_instances_stream_in_the_listed_order():
+    for side, want in INSTANCE_DIGESTS.items():
+        it = sn.relation_instances(4, side)
+        assert iter(it) is it
+        digest = hashlib.sha256()
+        for n in range(1, 5):
+            for kind, position, host, rel in sn.relation_instances(n, side):
+                line = repr((kind, position, host, list(rel.items()))) + "\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == want, side
 
 
 def test_full_poset_straighten_red_root_flip():
@@ -152,13 +175,13 @@ def test_full_poset_output_blue_rooted():
 
 
 def test_full_poset_relations_vanish():
-    for _inst, rel in sn.relation_instances(3, side=sn.COHOMOLOGY):
+    for _kind, _position, _host, rel in sn.relation_instances(3):
         assert sn.straighten_sum(rel, sn.FULL) == {}
 
 
 def test_phi_relation_images_are_coboundaries():
-    for inst, rel in sn.relation_instances(3, side=sn.LIE2):
-        host = hm.open_interval(3, tr.red_count(inst.host))
+    for _kind, _position, t, rel in sn.relation_instances(3, sn.LIE2):
+        host = hm.open_interval(3, tr.red_count(t))
         assert hm.coboundary_member(host, sn.phi_of_sum(rel))
 
 
