@@ -17,15 +17,16 @@ ascent-free maximal chains that start with it.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from . import partitions as pt
 from .errors import ResourceCapError
-from .frozen import Frozen
 
 
-class EdgeLabel(Frozen):
+class EdgeLabel(namedtuple("EdgeLabel", "a b u")):
     """The label (a, b)^u."""
 
-    __slots__ = ("a", "b", "u")
+    __slots__ = ()
 
     def __str__(self):
         return f"({self.a},{self.b})^{self.u}"

@@ -148,24 +148,10 @@ def _straighten_normalized(t, side, trace):
 
 
 def straighten(t, side=COHOMOLOGY, trace=None):
-    """Express the generator of ``t`` in the comb basis of ``side``.
-
-    Returns a ``{comb: coeff}`` dict; on the full side every comb is
-    blue-rooted.  With a list passed as ``trace``, appends one line per
-    rewriting step.
-    """
-    if side not in (COHOMOLOGY, LIE2, FULL):
-        raise ValueError("side must be cohomology, lie2 or full")
-    base = COHOMOLOGY if side == FULL else side
-    sign, t0 = normalize_signed(t, base)
-    out = {comb: sign * c
-           for comb, c in _straighten_normalized(t0, base, trace).items()}
-    if side != FULL:
-        return out
-    full = {}
-    for comb, coeff in out.items():
-        _full_into(full, comb, coeff, trace)
-    return full
+    """Express the generator of ``t`` in the comb basis of ``side``: the
+    engine :func:`straighten_sum` on the one-term sum ``{t: 1}``, with
+    ``trace`` passed through."""
+    return straighten_sum({t: 1}, side, trace)
 
 
 def _full_into(out, comb, coeff, trace):
@@ -190,19 +176,36 @@ def _full_into(out, comb, coeff, trace):
         if trace is not None:
             trace.append(f"root assoc: r {r_size} -> "
                          f"{tr.internal_count(t3[2])} coeff {coeff * c2 * s3}")
-        for comb2, c4 in straighten(t3, COHOMOLOGY).items():
+        for comb2, c4 in _straighten_normalized(t3, COHOMOLOGY, None).items():
             if not (tr.is_leaf(comb2) or tr.internal_count(comb2[2]) < r_size):
                 raise AssertionError("full-poset measure failed to decrease")
             _full_into(out, comb2, coeff * c2 * s3 * c4, trace)
 
 
-def straighten_sum(s, side):
-    """Straighten every term of a ``{tree: coeff}`` sum on ``side`` and
-    combine."""
+def straighten_sum(s, side, trace=None):
+    """Straighten a ``{tree: coeff}`` sum onto the comb basis of ``side``:
+    the engine :func:`straighten` calls with one term.
+
+    Each term is normalized and its memoized straightening added in, with
+    no dict per term; on the full side the combined cohomology sum is then
+    rewritten onto the blue-rooted combs once.  Returns a ``{comb: coeff}``
+    dict; on the full side every comb is blue-rooted.  With a list passed
+    as ``trace``, appends one line per rewriting step.
+    """
+    if side not in (COHOMOLOGY, LIE2, FULL):
+        raise ValueError("side must be cohomology, lie2 or full")
+    base = COHOMOLOGY if side == FULL else side
     out = {}
     for t, coeff in s.items():
-        linalg.vec_add(out, straighten(t, side), coeff)
-    return out
+        sign, t0 = normalize_signed(t, base)
+        linalg.vec_add(out, _straighten_normalized(t0, base, trace),
+                       coeff * sign)
+    if side != FULL:
+        return out
+    full = {}
+    for comb, coeff in out.items():
+        _full_into(full, comb, coeff, trace)
+    return full
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import namedtuple
 from functools import lru_cache, wraps
 from math import comb, factorial
 
 from .errors import ResourceCapError
-from .frozen import Frozen
 from .partitions import bits, drake_product, mask_members, set_partitions_masks
 
 BLUE = "b"
@@ -196,18 +196,6 @@ def is_comb(t):
 
 # -- enumeration -------------------------------------------------------------
 
-def _uncolored_on_word(word):
-    """All binary tree shapes whose left-to-right leaf word is ``word``."""
-    if len(word) == 1:
-        return [word[0]]
-    out = []
-    for k in range(1, len(word)):
-        for l in _uncolored_on_word(word[:k]):
-            for r in _uncolored_on_word(word[k:]):
-                out.append(("x", l, r))
-    return out
-
-
 def _colorings(t, colors_iter):
     # colors are consumed in postorder, matching postorder_internal indexing
     if is_leaf(t):
@@ -216,19 +204,6 @@ def _colorings(t, colors_iter):
     left = _colorings(l, colors_iter)
     right = _colorings(r, colors_iter)
     return (next(colors_iter), left, right)
-
-
-def _color_all(shape, i=None):
-    m = internal_count(shape)
-    out = []
-    if i is None:
-        choices = itertools.product((BLUE, RED), repeat=m)
-    else:
-        choices = (tuple(RED if k in reds else BLUE for k in range(m))
-                   for reds in itertools.combinations(range(m), i))
-    for colors in choices:
-        out.append(_colorings(shape, iter(colors)))
-    return out
 
 
 def _bicolored_labels(labels):
@@ -249,10 +224,14 @@ def enumerate_bicolored(labels, i=None):
     (permutations in lexicographic order), then shape (split point, left
     shape major), then coloring (in postorder, blue before red)."""
     A = _bicolored_labels(labels)
+    n = len(A)
+    shapes = range(_catalan(n - 1))
+    colorings = [_colors_at(n - 1, k, i) for k in range(_colorings_count(n, i))]
     out = []
     for word in itertools.permutations(A):
-        for shape in _uncolored_on_word(word):
-            out.extend(_color_all(shape, i))
+        for s in shapes:
+            shape = _shape_at(word, s)
+            out.extend(_colorings(shape, iter(colors)) for colors in colorings)
     return out
 
 
@@ -268,7 +247,9 @@ def bicolored_count(labels, i=None):
 
 
 def _shape_at(word, k):
-    """``_uncolored_on_word(word)[k]`` without the list."""
+    """The ``k``-th binary tree shape whose left-to-right leaf word is
+    ``word``: shapes split at the first position first, left shape
+    major."""
     m = len(word)
     if m == 1:
         return word[0]
@@ -282,7 +263,9 @@ def _shape_at(word, k):
 
 
 def _colors_at(m, k, i):
-    """``k``-th color tuple of ``m`` internal nodes in ``_color_all`` order."""
+    """The ``k``-th color tuple of ``m`` internal nodes, in postorder: of
+    all tuples in lexicographic order, blue before red, or with ``i``, of
+    those whose ``i`` red positions come ``k``-th as a combination."""
     if i is None:
         return tuple(RED if k >> (m - 1 - j) & 1 else BLUE for j in range(m))
     colors = []
@@ -556,11 +539,11 @@ def valency_decreasing_tau(t):
 # rooted trees with descents
 # ---------------------------------------------------------------------------
 
-class RootedTree(Frozen):
+class RootedTree(namedtuple("RootedTree", "root parent")):
     """Rooted tree on a finite label set, stored as a sorted parent map:
     ``parent`` is the tuple of (child, parent) pairs, sorted by child."""
 
-    __slots__ = ("root", "parent")
+    __slots__ = ()
 
     @property
     def labels(self):

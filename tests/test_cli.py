@@ -354,11 +354,12 @@ def test_cap_fires_before_construction(capsys, monkeypatch, argv, size):
 
 
 def _old_straighten_draw(n, i, seed, _pools={}):
-    # the draw straighten made before it unranked: choose from the list
+    # the draw straighten made before it unranked: choose from the list,
+    # as the oracle lists it
     import random
-    from wpposet import trees as tr
+    from tree_oracles import enumerate_bicolored
     if (n, i) not in _pools:
-        _pools[n, i] = tr.enumerate_bicolored(n, i)
+        _pools[n, i] = enumerate_bicolored(n, i)
     return random.Random(seed).choice(_pools[n, i])
 
 

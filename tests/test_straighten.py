@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wpposet import homology as hm
+from wpposet import linalg
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
@@ -135,6 +136,29 @@ def test_relation_instances_straighten_to_zero():
     for side in (sn.COHOMOLOGY, sn.LIE2):
         for _kind, _position, _host, rel in sn.relation_instances(3, side):
             assert sn.straighten_sum(rel, side) == {}
+
+
+@pytest.mark.parametrize("side", [sn.COHOMOLOGY, sn.LIE2, sn.FULL])
+def test_straighten_sum_is_the_sum_of_its_terms(side, monkeypatch):
+    # the engine straightens a whole sum at once; term by term it agrees
+    count = tr.bicolored_count(4)
+    for seed in range(24):
+        rng = random.Random(seed)
+        s = {tr.bicolored_at(4, rng.randrange(count)): rng.randint(-3, 3)
+             for _ in range(rng.randint(1, 6))}
+        want = {}
+        for t, coeff in s.items():
+            linalg.vec_add(want, sn.straighten(t, side), coeff)
+        assert sn.straighten_sum(s, side) == want, (side, seed)
+    # a tree and its child-swapped twin cancel; on the full side the sum
+    # is zero before any comb is rewritten onto the blue-rooted ones
+    t = tr.bicolored_at(4, 100)
+    col, l, r = t
+    base = sn.COHOMOLOGY if side == sn.FULL else side
+    s = {t: 1, (col, r, l): -sn.swap_sign(base, l, r)}
+    assert sn.straighten(t, side)
+    monkeypatch.setattr(sn, "_full_into", None)
+    assert sn.straighten_sum(s, side) == {}
 
 
 # sha256 of the instances on [1]..[4] in stream order, one repr line each:

@@ -18,6 +18,7 @@ from tree_oracles import (enumerate_normalized, is_liu_lyndon, is_lyndon,
                           is_lyndon_node, linear_extensions, liu_leq,
                           normalized_uncolored, orient, recursive_valency,
                           unrooted_trees)
+from tree_oracles import enumerate_bicolored as bicolored_by_shape
 from tree_oracles import normalize_signed as normalize_by_definition
 
 B, R = tr.BLUE, tr.RED
@@ -632,6 +633,8 @@ def test_bicolored_at_matches_enumeration():
     for n in range(1, 6):
         for i in [None] + list(range(n)):
             pool = tr.enumerate_bicolored(n, i)
+            # the listing decodes each shape once; the oracle lists them
+            assert pool == bicolored_by_shape(n, i)
             assert len(pool) == tr.bicolored_count(n, i)
             assert [tr.bicolored_at(n, k, i) for k in range(len(pool))] == pool
             with pytest.raises(IndexError):
@@ -639,6 +642,7 @@ def test_bicolored_at_matches_enumeration():
     # any label set, not only [n]
     labels = (2, 5, 7, 9)
     pool = tr.enumerate_bicolored(labels, 1)
+    assert pool == bicolored_by_shape(labels, 1)
     assert [tr.bicolored_at(labels, k, 1) for k in range(len(pool))] == pool
 
 

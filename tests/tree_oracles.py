@@ -1,12 +1,13 @@
 """Brute-force tree helpers the tests use as oracles: family membership
-by predicate, the normalized trees by shape, every linear extension of a
-tree's internal nodes, the labeled trees as adjacency dicts oriented
-from any root, one comparison in Liu's order, and the swap normal form
-by its recursive definition.  The package builds each family directly,
-decides Liu-Lyndon membership by the psi round trip, sorts the one
-extension it reads, decodes each tree already rooted, orders whole
-classes at once and carries subtree facts up while it normalizes, so
-none of these is needed there."""
+by predicate, the bicolored and normalized trees listed shape by shape,
+every linear extension of a tree's internal nodes, the labeled trees as
+adjacency dicts oriented from any root, one comparison in Liu's order,
+and the swap normal form by its recursive definition.  The package
+builds each family directly, decodes each bicolored tree from its
+index, decides Liu-Lyndon membership by the psi round trip, sorts the
+one extension it reads, decodes each rooted tree already rooted, orders
+whole classes at once and carries subtree facts up while it normalizes,
+so none of these is needed there."""
 
 import heapq
 import itertools
@@ -35,13 +36,50 @@ def is_lyndon(t):
     return True
 
 
+def uncolored_on_word(word):
+    """All binary tree shapes whose left-to-right leaf word is ``word``."""
+    if len(word) == 1:
+        return [word[0]]
+    out = []
+    for k in range(1, len(word)):
+        for l in uncolored_on_word(word[:k]):
+            for r in uncolored_on_word(word[k:]):
+                out.append(("x", l, r))
+    return out
+
+
+def color_all(shape, i=None):
+    """Every coloring of ``shape``'s internal nodes, in postorder: the
+    product order, blue before red, or with ``i`` the combinations of
+    ``i`` red positions in order."""
+    m = tr.internal_count(shape)
+    if i is None:
+        choices = itertools.product((tr.BLUE, tr.RED), repeat=m)
+    else:
+        choices = (tuple(tr.RED if k in reds else tr.BLUE for k in range(m))
+                   for reds in itertools.combinations(range(m), i))
+    return [tr._colorings(shape, iter(colors)) for colors in choices]
+
+
+def enumerate_bicolored(labels, i=None):
+    """Every labeled bicolored tree, listed shape by shape: leaf word, then
+    shape, then coloring, the order ``trees.enumerate_bicolored`` keeps."""
+    A = (sorted(labels) if not isinstance(labels, int)
+         else range(1, labels + 1))
+    out = []
+    for word in itertools.permutations(A):
+        for shape in uncolored_on_word(word):
+            out.extend(color_all(shape, i))
+    return out
+
+
 def enumerate_normalized(labels, i=None):
     """Normalized labeled bicolored trees only (one per swap orbit)."""
     A = (tuple(sorted(labels)) if not isinstance(labels, int)
          else tuple(range(1, labels + 1)))
     out = []
     for shape in normalized_uncolored(A):
-        out.extend(tr._color_all(shape, i))
+        out.extend(color_all(shape, i))
     return out
 
 
