@@ -97,7 +97,7 @@ def _psi_bijection(n):
                         or tr._rooted_tree_of(t) != T):
                     raise AssertionError(f"A={A}, T={T!r}")
                 image.add(t)
-            if image != set(tr.enumerate_liu(A)):
+            if image != set(tr.enumerate_family("liu", A)):
                 raise AssertionError(f"image mismatch on A={A}")
 
 

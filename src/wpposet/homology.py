@@ -28,7 +28,7 @@ off the Mobius function, in ``partitions``.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 from . import chains as ch
 from . import linalg
@@ -250,18 +250,36 @@ def interval_size(n, i):
     return below - (1 if n == 1 else 2)
 
 
+def _refuse_past_chain_cap(name, top_chains):
+    """Refuse the host ``name`` before its poset is built when its top
+    chains alone reach CHAIN_COUNT_CAP, which ``index_chains`` would.  The
+    callers take the count only on a host that ``build_poset`` accepts, so
+    past POSET_CAP_N its cap still fires first, with no count paid for."""
+    if top_chains >= CHAIN_COUNT_CAP:
+        raise pt.ResourceCapError(f"chains of {name}", CHAIN_COUNT_CAP)
+
+
 def open_interval(n, i):
     """(0-hat, [n]^i) as a new OpenPoset; a caller that needs it more than
-    once holds on to it."""
-    return OpenPoset(f"(0,[{n}]^{i})", pt.build_poset(n, pt.WEIGHTED),
+    once holds on to it.  Its top chains are the C(n-1, i) n! (n-1)! /
+    2^(n-1) maximal chains of the closed interval."""
+    name = f"(0,[{n}]^{i})"
+    if 0 <= i < n <= pt.POSET_CAP_N:
+        _refuse_past_chain_cap(name, comb(n - 1, i) * factorial(n)
+                               * factorial(n - 1) // 2 ** (n - 1))
+    return OpenPoset(name, pt.build_poset(n, pt.WEIGHTED),
                      interval_elements(n, i))
 
 
 def proper_part(n):
     """Pi_n^w minus its bottom, as a new OpenPoset; a caller that needs it
-    more than once holds on to it."""
+    more than once holds on to it.  Its n! (n-1)! top chains are those of
+    the intervals (0-hat, [n]^i) over every i."""
+    name = f"Pi_{n}^w - 0"
+    if 1 <= n <= pt.POSET_CAP_N:
+        _refuse_past_chain_cap(name, factorial(n) * factorial(n - 1))
     P = pt.build_poset(n, pt.WEIGHTED)
-    return OpenPoset(f"Pi_{n}^w - 0", P, P.elements[1:])
+    return OpenPoset(name, P, P.elements[1:])
 
 
 # ---------------------------------------------------------------------------

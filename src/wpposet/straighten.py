@@ -6,7 +6,9 @@ bicolored trees: an internal node is offending (``trees.is_offending``)
 when its right child is internal and the pair is not (red parent, blue
 right child).  The associativity and mixed relations, solved for the
 offending node (:func:`rewrite_terms`), eliminate it and strictly
-decrease the lexicographic (weight, inversions) measure.  The sides share
+decrease the lexicographic (weight, inversions) measure.  A step
+rewrites the first offending node in postorder (``trees.sites``) and
+normalizes only each replacement, never the whole tree.  The sides share
 these rules and differ only in one sign table, :func:`_sign`, read by the
 swap and the rewriting rules alike:
 
@@ -71,12 +73,6 @@ def measure(t):
     return (tr.tree_weight(t), tr.tree_inversions(t))
 
 
-def find_offender(t):
-    """(path, node) of the first offending node in postorder, or None."""
-    return next(((path, node) for path, node in tr.postorder_internal(t)
-                 if tr.is_offending(node)), None)
-
-
 def _kind(node):
     """The relation that rewrites an offending node."""
     return "assoc" if node[0] == node[2][0] else "mixed"
@@ -118,7 +114,8 @@ def _straighten_normalized(t, side, trace):
     key = (t, side)
     if trace is None and key in _memo:
         return _memo[key]
-    found = find_offender(t)
+    found = next((site for site in tr.sites(t) if tr.is_offending(site[1])),
+                 None)
     if found is None:
         # every output comb is produced here, so one check per memo entry
         # covers every later read of it
@@ -126,11 +123,14 @@ def _straighten_normalized(t, side, trace):
             raise AssertionError("straightened output is not a comb")
         out = {t: 1}
     else:
-        path, node = found
+        path, node, wrap = found
         m0 = measure(t)
         out = {}
         for sub, coeff in rewrite_terms(node, side):
-            s2, t2 = normalize_signed(tr.replace_at(t, path, sub), side)
+            # a replacement spans its node's leaves, so in a normalized t
+            # normalizing it alone normalizes the whole tree
+            s2, sub = normalize_signed(sub, side)
+            t2 = wrap(sub)
             m2 = measure(t2)
             if not m2 < m0:
                 raise AssertionError(
@@ -186,20 +186,26 @@ def straighten_sum(s, side, trace=None):
     """Straighten a ``{tree: coeff}`` sum onto the comb basis of ``side``:
     the engine :func:`straighten` calls with one term.
 
-    Each term is normalized and its memoized straightening added in, with
-    no dict per term; on the full side the combined cohomology sum is then
-    rewritten onto the blue-rooted combs once.  Returns a ``{comb: coeff}``
-    dict; on the full side every comb is blue-rooted.  With a list passed
-    as ``trace``, appends one line per rewriting step.
+    The terms are normalized and combined first, with no dict per term,
+    and only a normal form whose coefficient survives is straightened, so
+    a sum that cancels on normalizing, as a swap relation does, reads no
+    memo entry.  On the full side the combined cohomology sum is then
+    rewritten onto the blue-rooted combs once.  Returns a ``{comb:
+    coeff}`` dict; on the full side every comb is blue-rooted.  With a
+    list passed as ``trace``, appends one line per rewriting step.
     """
     if side not in (COHOMOLOGY, LIE2, FULL):
         raise ValueError("side must be cohomology, lie2 or full")
     base = COHOMOLOGY if side == FULL else side
-    out = {}
+    normal = {}
     for t, coeff in s.items():
         sign, t0 = normalize_signed(t, base)
-        linalg.vec_add(out, _straighten_normalized(t0, base, trace),
-                       coeff * sign)
+        normal[t0] = normal.get(t0, 0) + coeff * sign
+    out = {}
+    for t0, coeff in normal.items():
+        if coeff:
+            linalg.vec_add(out, _straighten_normalized(t0, base, trace),
+                           coeff)
     if side != FULL:
         return out
     full = {}
@@ -220,15 +226,14 @@ def relation_instances(n, side=COHOMOLOGY):
     sum, which straightens to zero on ``side``.
     """
     for t in tr.enumerate_bicolored(n):
-        for path, node in tr.postorder_internal(t):
+        for path, node, wrap in tr.sites(t):
             col, l, r = node
-            swapped = tr.replace_at(t, path, (col, r, l))
+            swapped = wrap((col, r, l))
             yield "swap", path, t, {t: 1, swapped: -swap_sign(side, l, r)}
             if tr.is_offending(node):
                 rel = {t: 1}
                 for sub, coeff in rewrite_terms(node, side):
-                    linalg.vec_add(rel, {tr.replace_at(t, path, sub): 1},
-                                   -coeff)
+                    linalg.vec_add(rel, {wrap(sub): 1}, -coeff)
                 yield _kind(node), path, t, rel
 
 
@@ -243,7 +248,7 @@ def phi(t):
     the bound holds every comb on [n] for all n <= 6 (8,477 of them), so
     criterion 13 builds each comb's chain once, not once per straightened
     tree.  Callers only read the returned dict."""
-    sign = tr.leaf_perm_sign(t) * tr.tree_sign(t)
+    sign = tr.leaf_perm_sign(t) * (-1) ** tr.tree_weight(t)
     return {k: sign * v for k, v in hm.chain_vector_of_tree(t).items()}
 
 

@@ -8,6 +8,9 @@ for free:
 * an internal node is ``(color, left, right)`` with ``color`` in
   ``{"b", "r"}``.
 
+:func:`sites` is the one walk over a tree's internal nodes, each with
+its path and the function that puts a new subtree in its place.
+
 :func:`enumerate_bicolored` lists every bicolored tree on a label set;
 :func:`bicolored_count` gives its length in closed form and
 :func:`bicolored_at` its k-th entry without building the list, which is
@@ -23,7 +26,7 @@ rule, so the work is about the size of the family.
 recursion keeps what its node rule reads of a tree in columns beside the
 tree list, not in a tuple per tree: the red counts as bytes, and the
 Lyndon m or Liu w label as a list of ints.  So the trees with i red nodes
-are grouped once per family and n, with no tree walked.  Each
+are grouped once per family and label set, with no tree walked.  Each
 enumeration keeps the families on proper subsets of the label set, the
 ones its recursion reads again, in a memo of its own that is dropped
 when the family is returned; the family a caller asks for is built
@@ -101,26 +104,18 @@ def min_leaf(t):
     return t if is_leaf(t) else min(min_leaf(t[1]), min_leaf(t[2]))
 
 
-def postorder_internal(t, _path=()):
-    """Internal nodes in postorder as (path, subtree) pairs.
-
-    A path is a tuple of 'L'/'R' steps from the root.
-    """
+def sites(t, _path=(), _wrap=lambda s: s):
+    """Every internal node of ``t`` in postorder as (path, node, wrap):
+    ``path`` is the tuple of 'L'/'R' steps from the root, ``node`` the
+    subtree there, and ``wrap(s)`` is ``t`` with ``s`` in the node's
+    place."""
     if is_leaf(t):
         return []
-    out = postorder_internal(t[1], _path + ("L",))
-    out += postorder_internal(t[2], _path + ("R",))
-    out.append((_path, t))
-    return out
-
-
-def replace_at(t, path, new):
-    if not path:
-        return new
     col, l, r = t
-    if path[0] == "L":
-        return (col, replace_at(l, path[1:], new), r)
-    return (col, l, replace_at(r, path[1:], new))
+    out = sites(l, _path + ("L",), lambda s: _wrap((col, s, r)))
+    out += sites(r, _path + ("R",), lambda s: _wrap((col, l, s)))
+    out.append((_path, t, _wrap))
+    return out
 
 
 def tree_to_bracket(t):
@@ -133,18 +128,9 @@ def tree_to_bracket(t):
 
 # -- signs, weights and inversions ------------------------------------------
 
-def tree_sign(t):
-    """Recursive sign of the underlying (uncolored) binary tree."""
-    if is_leaf(t):
-        return 1
-    sign = tree_sign(t[1]) * tree_sign(t[2])
-    if internal_count(t[2]) % 2:
-        sign = -sign
-    return sign
-
-
 def tree_weight(t):
-    """Sum over internal nodes of the internal-node count of the right subtree."""
+    """Sum over internal nodes of the internal-node count of the right
+    subtree; (-1)^weight is the sign of the underlying binary tree."""
     if is_leaf(t):
         return 0
     return internal_count(t[2]) + tree_weight(t[1]) + tree_weight(t[2])
@@ -153,7 +139,7 @@ def tree_weight(t):
 def tree_inversions(t):
     """Pairs (x, y): x blue, y a red node on the right-edge path below x."""
     total = 0
-    for _path, node in postorder_internal(t):
+    for _path, node, _wrap in sites(t):
         if node[0] != BLUE:
             continue
         y = node[2]
@@ -191,13 +177,13 @@ def is_offending(node):
 
 def is_comb(t):
     return is_normalized(t) and not any(
-        is_offending(node) for _p, node in postorder_internal(t))
+        is_offending(node) for _p, node, _w in sites(t))
 
 
 # -- enumeration -------------------------------------------------------------
 
 def _colorings(t, colors_iter):
-    # colors are consumed in postorder, matching postorder_internal indexing
+    # colors are consumed in postorder, the order of sites(t)
     if is_leaf(t):
         return t
     _x, l, r = t
@@ -206,11 +192,11 @@ def _colorings(t, colors_iter):
     return (next(colors_iter), left, right)
 
 
-def _bicolored_labels(labels):
+def _sorted_labels(labels, what):
     """Sorted label list of ``labels`` (an int n stands for [n]), refused
-    past TREE_ENUM_CAP."""
+    past TREE_ENUM_CAP as ``what``."""
     A = sorted(labels) if not isinstance(labels, int) else list(range(1, labels + 1))
-    refuse_past_cap("bicolored trees", len(A))
+    refuse_past_cap(what, len(A))
     return A
 
 
@@ -223,7 +209,7 @@ def enumerate_bicolored(labels, i=None):
     restricted to ``i`` red internal nodes.  Deterministic order: leaf word
     (permutations in lexicographic order), then shape (split point, left
     shape major), then coloring (in postorder, blue before red)."""
-    A = _bicolored_labels(labels)
+    A = _sorted_labels(labels, "bicolored trees")
     n = len(A)
     shapes = range(_catalan(n - 1))
     colorings = [_colors_at(n - 1, k, i) for k in range(_colorings_count(n, i))]
@@ -242,7 +228,7 @@ def _colorings_count(n, i):
 def bicolored_count(labels, i=None):
     """``len(enumerate_bicolored(labels, i))`` in closed form:
     n! Cat(n-1) 2^(n-1), or n! Cat(n-1) C(n-1, i) red-count ``i`` trees."""
-    n = len(_bicolored_labels(labels))
+    n = len(_sorted_labels(labels, "bicolored trees"))
     return factorial(n) * _catalan(n - 1) * _colorings_count(n, i)
 
 
@@ -285,7 +271,7 @@ def bicolored_at(labels, k, i=None):
     """``enumerate_bicolored(labels, i)[k]`` without building the list:
     the leaf word, the shape and the coloring are decoded from ``k`` in
     turn, in the enumeration's order."""
-    A = _bicolored_labels(labels)
+    A = _sorted_labels(labels, "bicolored trees")
     n = len(A)
     if not 0 <= k < bicolored_count(A, i):
         raise IndexError(f"no bicolored tree at index {k}")
@@ -375,11 +361,6 @@ def _combs(A, sub):
     return trees, bytes(reds)
 
 
-def enumerate_combs(labels):
-    """All bicolored combs on the label set, by direct recursion."""
-    return _combs(tuple(sorted(labels)))[0]
-
-
 @_one_memo_per_call
 def _lyndon(A, sub):
     """Lyndon trees on the sorted label tuple ``A`` as three columns
@@ -414,12 +395,6 @@ def _lyndon(A, sub):
     return trees, ms, bytes(reds)
 
 
-def enumerate_lyndon(labels):
-    """All bicolored Lyndon trees, by direct recursion over the normalized
-    splits of the label set."""
-    return _lyndon(tuple(sorted(labels)))[0]
-
-
 @_one_memo_per_call
 def _liu(A, sub):
     """Liu-Lyndon trees on the sorted label tuple ``A``, grouped by their
@@ -452,60 +427,54 @@ def _liu(A, sub):
     return {v: (trees, ws, bytes(reds)) for v, (trees, ws, reds) in out.items()}
 
 
-def enumerate_liu(labels):
-    """All Liu-Lyndon trees, by direct recursion over the ordered splits
-    of the label set."""
-    return [t for trees, _ws, _reds in _liu(tuple(sorted(labels))).values()
-            for t in trees]
-
-
-def _family_records(family, A):
-    """(tree, red count) of every tree of the family on the sorted label
-    tuple ``A``, in ``enumerate_family``'s order."""
+def _family_columns(family, A):
+    """(trees, reds) of the family on the sorted label tuple ``A``:
+    ``reds[j]`` is the red count of ``trees[j]``, in
+    ``enumerate_family``'s order."""
     if family == "comb":
-        return zip(*_combs(A))
+        return _combs(A)
     if family == "lyndon":
         trees, _ms, reds = _lyndon(A)
-        return zip(trees, reds)
+        return trees, reds
     if family == "liu":
-        return ((t, k) for trees, _ws, reds in _liu(A).values()
-                for t, k in zip(trees, reds))
+        groups = _liu(A).values()
+        return ([t for trees, _ws, _reds in groups for t in trees],
+                b"".join(reds for _trees, _ws, reds in groups))
     raise KeyError(family)
 
 
 @lru_cache(maxsize=None)
-def _by_red_count(family, n):
-    """{k: the family's trees on [n] with k red nodes}, each list in
-    ``enumerate_family``'s order; one pass over the family's records, no
-    tree walked.  The one cache that keeps a whole family: the records'
-    sub-families are freed when the pass ends."""
+def _by_red_count(family, A):
+    """{k: the family's trees on the sorted label tuple ``A`` with k red
+    nodes}, each list in ``enumerate_family``'s order; one pass over the
+    family's columns, no tree walked.  The one cache that keeps a whole
+    family: the columns' sub-families are freed when the pass ends."""
     out = {}
-    for t, k in _family_records(family, tuple(range(1, n + 1))):
+    for t, k in zip(*_family_columns(family, A)):
         out.setdefault(k, []).append(t)
     return out
 
 
-def enumerate_family(family, n, i=None):
-    """Enumerate one of the three tree families on ``[n]``, optionally only
-    the trees with ``i`` red nodes.
+def enumerate_family(family, labels, i=None):
+    """Enumerate one of the three tree families on ``labels`` (an int n
+    stands for [n]), optionally only the trees with ``i`` red nodes.
 
     Each family is a recursion over the splits of the sorted label set
     that joins the trees on both sides under a local node rule: combs and
-    Lyndon trees split with 1 on the left (normalized), Liu-Lyndon trees
-    over all ordered splits.  The families on proper subsets of [n] are
-    memoized for this call only, and nothing keeps the list returned, so
-    a family and its sub-families are freed when the caller drops it.
-    Each recursion keeps its trees' red counts (and the label its node
-    rule reads) as columns beside them, and the trees with ``i`` red
-    nodes are grouped and cached once per (family, n).  The list comes
-    in that construction's order, which is deterministic but otherwise
-    unspecified.  ``n`` past TREE_ENUM_CAP is refused before any work."""
-    refuse_past_cap(f"{family} trees", n)
+    Lyndon trees split with the least label on the left (normalized),
+    Liu-Lyndon trees over all ordered splits.  The families on proper
+    subsets are memoized for this call only, and nothing keeps the list
+    returned, so a family and its sub-families are freed when the caller
+    drops it.  Each recursion keeps its trees' red counts (and the label
+    its node rule reads) as columns beside them, and the trees with ``i``
+    red nodes are grouped and cached once per (family, label set).  The
+    list comes in that construction's order, which is deterministic but
+    otherwise unspecified.  More than TREE_ENUM_CAP labels are refused
+    before any work."""
+    A = tuple(_sorted_labels(labels, f"{family} trees"))
     if i is not None:
-        return list(_by_red_count(family, n).get(i, ()))
-    fns = {"comb": enumerate_combs, "lyndon": enumerate_lyndon,
-           "liu": enumerate_liu}
-    return fns[family](tuple(range(1, n + 1)))
+        return list(_by_red_count(family, A).get(i, ()))
+    return _family_columns(family, A)[0]
 
 
 # -- linear extensions -------------------------------------------------------

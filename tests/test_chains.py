@@ -5,7 +5,7 @@ from wpposet import partitions as pt
 from wpposet import trees as tr
 
 from poset_oracles import ground_size, leq
-from tree_oracles import linear_extensions
+from tree_oracles import linear_extensions, postorder_internal
 
 B, R = tr.BLUE, tr.RED
 
@@ -73,7 +73,7 @@ def tree_of_chain(parts):
         creation.append(m)
     (t,) = subtree.values()
     pos = {pt.members_mask(tr.leaves(node)): k
-           for k, (_p, node) in enumerate(tr.postorder_internal(t))}
+           for k, (_p, node) in enumerate(postorder_internal(t))}
     tau = tuple(pos[m] for m in creation)
     return t, tau
 

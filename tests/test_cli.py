@@ -447,6 +447,46 @@ def test_bases_chain_cap_fires_before_any_tree(capsys, monkeypatch, argv,
                                "what": f"chains of {host}", "limit": 10}
 
 
+@pytest.mark.parametrize("argv, host", [
+    (["homology", "--n", "9", "--i", "0"], "(0,[9]^0)"),
+    (["homology", "--n", "9"], "Pi_9^w - 0"),
+    (["bases", "--n", "8", "--i", "3", "--family", "comb"], "(0,[8]^3)"),
+], ids=["interval", "proper-part", "bases"])
+def test_chain_cap_fires_before_the_poset(capsys, monkeypatch, argv, host):
+    # the top chains alone pass the chain cap, so no poset is built
+    from wpposet import partitions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the poset was built before the chain cap")
+
+    monkeypatch.setattr(partitions, "build_poset", refuse)
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": f"chains of {host}",
+                               "limit": 2_000_000}
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--n", "10", "--i", "0"],
+    ["homology", "--n", "10"],
+    ["homology", "--n", "1000000"],
+], ids=["interval", "proper-part", "huge"])
+def test_partition_cap_fires_before_the_chain_count(capsys, monkeypatch,
+                                                    argv):
+    # past the partition cap no top-chain count is taken: the host is
+    # refused by the partition cap, with its record, as it always was
+    from wpposet import homology as hm
+
+    monkeypatch.setattr(hm, "factorial", _refuse)
+    monkeypatch.setattr(hm, "comb", _refuse)
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": f"partitions of [{argv[2]}]",
+                               "limit": 9}
+
+
 @pytest.mark.parametrize("argv, size", [
     (["homology", "--n", "6"], 1056),
     (["homology", "--n", "6", "--i", "2"], 842),

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 
@@ -313,6 +314,19 @@ def test_chain_count_matches_the_listing():
         above = [list(pt.bits(u)) for u in host.up]
         assert hm._chain_count(above) == \
             sum(map(len, host.index_chains().values())), host.name
+
+
+def test_top_chain_counts_match_the_listing():
+    # the closed forms the hosts are refused by before any poset is built
+    hosts = [(n, i) for n in range(1, 6) for i in range(n)] + [(6, 0), (6, 5)]
+    for n, i in hosts:
+        chains = hm.open_interval(n, i).index_chains()
+        assert len(chains[max(chains)]) == math.comb(n - 1, i) * \
+            math.factorial(n) * math.factorial(n - 1) // 2 ** (n - 1), (n, i)
+    for n in range(1, 7):
+        chains = hm.proper_part(n).index_chains()
+        assert len(chains[max(chains)]) == \
+            math.factorial(n) * math.factorial(n - 1), n
 
 
 def test_chain_cap_is_checked_before_the_frontier(monkeypatch):

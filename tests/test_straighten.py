@@ -1,5 +1,6 @@
 import hashlib
 import random
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from wpposet import straighten as sn
 from wpposet import trees as tr
 
 from poset_oracles import pairing
+from tree_oracles import enumerate_normalized
 
 B, R = tr.BLUE, tr.RED
 
@@ -275,13 +277,34 @@ def test_straighten_linear_in_sign(seed):
 
 
 def test_non_comb_output_is_refused(monkeypatch):
-    # the comb check sits where results enter the memo; a rewriting that
-    # stopped early must be caught there
+    # the comb check sits where results enter the memo.  (B, 2, 1) has no
+    # offending node but is not normalized.  (B, 1, (B, 2, 3)) is
+    # normalized but offends at its root, as a rewriting that stopped early
+    # would leave: the walk the rewriting step reads is blinded to it, and
+    # the check, which walks the tree itself, must still catch it
     monkeypatch.setattr(sn, "_memo", {})
-    monkeypatch.setattr(sn, "find_offender", lambda t: None)
     with pytest.raises(AssertionError, match="straightened output is not a comb"):
-        sn.straighten((B, 1, (B, 2, 3)))
+        sn._straighten_normalized((B, 2, 1), sn.COHOMOLOGY, None)
+    monkeypatch.setattr(sn, "tr", types.SimpleNamespace(
+        **{**vars(tr), "sites": lambda t: []}))
+    with pytest.raises(AssertionError, match="straightened output is not a comb"):
+        sn._straighten_normalized((B, 1, (B, 2, 3)), sn.COHOMOLOGY, None)
     assert sn._memo == {}
+
+
+@pytest.mark.parametrize("side", [sn.COHOMOLOGY, sn.LIE2])
+def test_a_normalized_tree_normalizes_at_its_replacement(side):
+    # a rewrite term spans its node's leaves, so in a normalized tree the
+    # step may normalize the replacement alone
+    for n in range(1, 6):
+        for t in enumerate_normalized(n):
+            for _path, node, wrap in tr.sites(t):
+                if not tr.is_offending(node):
+                    continue
+                for sub, _coeff in sn.rewrite_terms(node, side):
+                    sign, sub0 = sn.normalize_signed(sub, side)
+                    assert sn.normalize_signed(wrap(sub), side) == \
+                        (sign, wrap(sub0)), (t, sub)
 
 
 def test_a_bounded_memo_straightens_alike(monkeypatch):

@@ -16,7 +16,8 @@ from wpposet import trees as tr
 
 from tree_oracles import (enumerate_normalized, is_liu_lyndon, is_lyndon,
                           is_lyndon_node, linear_extensions, liu_leq,
-                          normalized_uncolored, orient, recursive_valency,
+                          normalized_uncolored, orient, postorder_internal,
+                          recursive_valency, replace_at, tree_sign,
                           unrooted_trees)
 from tree_oracles import enumerate_bicolored as bicolored_by_shape
 from tree_oracles import normalize_signed as normalize_by_definition
@@ -75,18 +76,17 @@ def test_family_by_red_count_matches_filter():
 
 
 FAMILIES = ("comb", "lyndon", "liu")
-ENUMERATE = {"comb": tr.enumerate_combs, "lyndon": tr.enumerate_lyndon,
-             "liu": tr.enumerate_liu}
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_family_edge_cases(fam):
     assert tr.enumerate_family(fam, 0) == []
     assert tr.enumerate_family(fam, 0, 0) == []
-    assert ENUMERATE[fam](()) == []
+    assert tr.enumerate_family(fam, ()) == []
     assert tr.enumerate_family(fam, 1) == [1]
     assert tr.enumerate_family(fam, 1, 0) == [1]
-    assert ENUMERATE[fam]((300,)) == [300]
+    assert tr.enumerate_family(fam, (300,)) == [300]
+    assert tr.enumerate_family(fam, (300,), 0) == [300]
 
 
 def test_family_columns_match_their_trees():
@@ -215,9 +215,29 @@ def test_child_swap_changes_sign(t, side):
 
 
 def test_tree_sign_examples():
-    assert tr.tree_sign((B, 1, 2)) == 1
-    assert tr.tree_sign((B, (B, 1, 2), 3)) == 1
-    assert tr.tree_sign((B, 1, (B, 2, 3))) == -1
+    assert tree_sign((B, 1, 2)) == 1
+    assert tree_sign((B, (B, 1, 2), 3)) == 1
+    assert tree_sign((B, 1, (B, 2, 3))) == -1
+
+
+def test_tree_weight_parity_is_the_recursive_tree_sign():
+    # phi reads the sign of a tree as (-1)^weight
+    for n in range(1, 6):
+        for t in tr.enumerate_bicolored(n):
+            assert (-1) ** tr.tree_weight(t) == tree_sign(t), t
+
+
+def test_sites_walk_every_node_with_its_replacement():
+    # the one node walk lists what the path walk lists, in its order, and
+    # each wrap puts a subtree where replace_at puts it
+    for n in range(1, 6):
+        for t in tr.enumerate_bicolored(n):
+            found = tr.sites(t)
+            assert [(p, node) for p, node, _w in found] == \
+                postorder_internal(t)
+            for path, node, wrap in found:
+                assert wrap(node) == t
+                assert wrap(-1) == replace_at(t, path, -1)
 
 
 def test_weight_and_inversions():
@@ -322,7 +342,7 @@ def test_psi_image_is_liu():
         fam = tr.enumerate_family("liu", n)
         assert len(set(fam)) == len(fam) == len(image)
         assert image == set(fam)
-    assert set(tr.enumerate_liu((2, 5, 7))) == \
+    assert set(tr.enumerate_family("liu", (2, 5, 7))) == \
         {tr.psi(T) for T in tr.enumerate_rooted_trees((2, 5, 7))}
 
 
@@ -334,7 +354,7 @@ def _old_enumerate_lyndon(labels):
     A = tuple(sorted(labels))
     out = []
     for shape in normalized_uncolored(A):
-        nodes = tr.postorder_internal(shape)
+        nodes = postorder_internal(shape)
         pos = {path: k for k, (path, _n) in enumerate(nodes)}
         forced = {}
         ok = True
@@ -360,22 +380,26 @@ def test_lyndon_recursion_matches_forced_colorings():
         fam = tr.enumerate_family("lyndon", n)
         assert len(set(fam)) == len(fam)
         assert set(fam) == set(_old_enumerate_lyndon(range(1, n + 1)))
-    assert set(tr.enumerate_lyndon((2, 5, 7, 9))) == \
+    assert set(tr.enumerate_family("lyndon", (2, 5, 7, 9))) == \
         set(_old_enumerate_lyndon((2, 5, 7, 9)))
 
 
 def test_families_hold_labels_past_a_byte():
     # the m and w columns hold any int label, not only those below 256
     A = (2, 5, 300, 301, 302)
-    lyndon = tr.enumerate_lyndon(A)
+    lyndon = tr.enumerate_family("lyndon", A)
     assert len(set(lyndon)) == len(lyndon) == 625
     assert set(lyndon) == set(_old_enumerate_lyndon(A))
-    liu = tr.enumerate_liu(A)
+    liu = tr.enumerate_family("liu", A)
     assert len(set(liu)) == len(liu) == 625
     assert set(liu) == {tr.psi(T) for T in tr.enumerate_rooted_trees(A)}
-    combs = tr.enumerate_combs(A)
+    combs = tr.enumerate_family("comb", A)
     assert len(set(combs)) == len(combs) == 625
     assert all(tr.is_comb(t) for t in combs)
+    for fam, trees in (("comb", combs), ("lyndon", lyndon), ("liu", liu)):
+        for i in range(len(A)):
+            assert tr.enumerate_family(fam, A, i) == \
+                [t for t in trees if tr.red_count(t) == i], (fam, i)
 
 
 # -- the per-root orientation the rerooting sweep replaced -------------------
@@ -591,7 +615,7 @@ def test_linear_extensions_and_tau():
 def test_tau_is_the_only_weakly_decreasing_extension():
     for n in range(1, 6):
         for t in enumerate_normalized(n):
-            val = [tr.min_leaf(node) for _p, node in tr.postorder_internal(t)]
+            val = [tr.min_leaf(node) for _p, node in postorder_internal(t)]
             weakly = [e for e in linear_extensions(t)
                       if all(val[a] >= val[b] for a, b in zip(e, e[1:]))]
             assert weakly == [tr.valency_decreasing_tau(t)]

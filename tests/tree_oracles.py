@@ -1,19 +1,52 @@
-"""Brute-force tree helpers the tests use as oracles: family membership
-by predicate, the bicolored and normalized trees listed shape by shape,
-every linear extension of a tree's internal nodes, the labeled trees as
-adjacency dicts oriented from any root, one comparison in Liu's order,
-and the swap normal form by its recursive definition.  The package
-builds each family directly, decodes each bicolored tree from its
-index, decides Liu-Lyndon membership by the psi round trip, sorts the
-one extension it reads, decodes each rooted tree already rooted, orders
-whole classes at once and carries subtree facts up while it normalizes,
-so none of these is needed there."""
+"""Brute-force tree helpers the tests use as oracles: the internal nodes
+by path with a replacement by path, the recursive tree sign, family
+membership by predicate, the bicolored and normalized trees listed
+shape by shape, every linear extension of a tree's internal nodes, the
+labeled trees as adjacency dicts oriented from any root, one comparison
+in Liu's order, and the swap normal form by its recursive definition.
+The package walks a tree once with each node's own replacement, reads
+the sign off the tree weight, builds each family directly, decodes each
+bicolored tree from its index, decides Liu-Lyndon membership by the psi
+round trip, sorts the one extension it reads, decodes each rooted tree
+already rooted, orders whole classes at once and carries subtree facts
+up while it normalizes, so none of these is needed there."""
 
 import heapq
 import itertools
 
 from wpposet import straighten as sn
 from wpposet import trees as tr
+
+
+def postorder_internal(t, _path=()):
+    """Internal nodes in postorder as (path, subtree) pairs; a path is a
+    tuple of 'L'/'R' steps from the root."""
+    if tr.is_leaf(t):
+        return []
+    out = postorder_internal(t[1], _path + ("L",))
+    out += postorder_internal(t[2], _path + ("R",))
+    out.append((_path, t))
+    return out
+
+
+def replace_at(t, path, new):
+    """``t`` with the subtree at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    col, l, r = t
+    if path[0] == "L":
+        return (col, replace_at(l, path[1:], new), r)
+    return (col, l, replace_at(r, path[1:], new))
+
+
+def tree_sign(t):
+    """Recursive sign of the underlying (uncolored) binary tree."""
+    if tr.is_leaf(t):
+        return 1
+    sign = tree_sign(t[1]) * tree_sign(t[2])
+    if tr.internal_count(t[2]) % 2:
+        sign = -sign
+    return sign
 
 
 def is_lyndon_node(node):
@@ -28,7 +61,7 @@ def is_lyndon_node(node):
 def is_lyndon(t):
     if not tr.is_normalized(t):
         return False
-    for _p, node in tr.postorder_internal(t):
+    for _p, node in postorder_internal(t):
         if not is_lyndon_node(node):
             if not (node[0] == tr.BLUE and not tr.is_leaf(node[1])
                     and node[1][0] == tr.RED):
@@ -101,7 +134,7 @@ def normalized_uncolored(A):
 
 def internal_parents(t):
     """Postorder parent pointers among internal nodes (root -> None)."""
-    nodes = tr.postorder_internal(t)
+    nodes = postorder_internal(t)
     pos = {path: k for k, (path, _n) in enumerate(nodes)}
     return [pos[path[:-1]] if path else None for path, _n in nodes]
 
