@@ -1,23 +1,24 @@
 """Exact (co)homology of order complexes of open subposets.
 
 An open poset is a subset of the weighted partition poset on [n]; its
-order is read from that poset's down-set bitsets
-(``partitions.Poset.down_sets``).  Inside this module a chain of the
-order complex is a tuple of the open poset's local indices, strictly
-increasing in the poset order, and a boundary map is reduced over the
+order is read from that poset's covers.  Inside this module a chain of
+the order complex is a tuple of the open poset's local indices, strictly
+increasing in the poset order, and a coboundary map is reduced over the
 positions of the chains in their dimension's list; in the ChainVectors
 the module takes (``coboundary_member``, ``rank_in_top_quotient``) and
 gives (``chain_vector_of_tree``, ``fundamental_cycle``) a chain is the
 tuple of partitions those indices stand for.  The empty chain
 generates the degree -1 part of the reduced complex.  A ChainVector is a
 sparse dict mapping chains to integers.  Everything is computed over the
-integers; one reduction per boundary map, top dimension first, gives its
-rank and, through its unit-pivot certificate, the torsion of the top two
-maps.  The top map's one reduction is tracked: it also yields the host's
-one form of its top cycle basis, the cycle index, from which quotient
-ranks and coboundary membership are read, so Betti numbers and the index
-share it in either order.  Nothing here keeps a host: it lives, with its
-chains, cycle index and pivots, as long as its caller holds it.
+integers.  One pass over the coboundary maps, bottom dimension first,
+reduces each once, untracked and with clearing; each is the transpose of
+a boundary map, so it gives that map's rank and, through its unit-pivot
+certificate, its torsion.  The host's one form of its top cycle basis,
+the cycle index, from which quotient ranks and coboundary membership are
+read, is solved off the top map's stored rows in the same pass, so
+Betti numbers and the index share it in either order.  Nothing here
+keeps a host: it lives, with its chains, ranks and cycle index, as long
+as its caller holds it.
 Membership is a yes/no answer, with no witness cochain.  The
 fundamental cycle of the boolean subposet Pi_T of a rooted tree needs no
 host and no kernel: it is a signed sum of the maximal chains of Pi_T,
@@ -43,34 +44,37 @@ class OpenPoset:
     its order complex.
 
     Elements are listed sorted and indexed locally; up[k] is the bitset
-    over those indices of the elements strictly above element k, read
-    from P's down-sets, so building it costs one step per comparable
-    pair.  Chains of the order complex are listed per dimension as
-    tuples of local indices, in lexicographic order; since
+    over those indices of the elements strictly above element k.  It is
+    filled from P's covers, from the top rank down, so building it costs
+    one step per cover inside keep.  That reads the induced order only if
+    any two comparable elements of keep are joined by covers of P inside
+    keep, as they are when keep is order-convex in P: every open interval
+    and proper part is.  Chains of the order complex are listed per
+    dimension as tuples of local indices, in lexicographic order; since
     local indices follow the sorted elements, a chain's position in its
-    list orders it as its tuple of partitions would.  The host stores one
-    form of its top cycle basis, the cycle index (``cycle_index``), and
-    the rank, certificate and pivots of the one reduction of its top
-    boundary map that fills it (``top_reduction``).
+    list orders it as its tuple of partitions would.  The host stores the
+    rank and certificate of each boundary map (``reductions``) and one
+    form of its top cycle basis, the cycle index (``cycle_index``), both
+    from one pass over its coboundary maps.
     """
 
     def __init__(self, name, P, keep):
         self.name = name
         self.elements = sorted(keep)
         self.index = {e: k for k, e in enumerate(self.elements)}
-        hosts = [P.index[e] for e in self.elements]
-        local = {h: k for k, h in enumerate(hosts)}
-        keep_mask = 0
-        for h in hosts:
-            keep_mask |= 1 << h
-        down_sets = P.down_sets()
-        self.up = [0] * len(hosts)
-        for k, h in enumerate(hosts):
-            for g in pt.bits(down_sets[h] & keep_mask & ~(1 << h)):
-                self.up[local[g]] |= 1 << k
+        local = {P.index[e]: k for k, e in enumerate(self.elements)}
+        self.up = [0] * len(local)
+        # P lists its elements in rank order, so each upper cover of h
+        # has a larger index and its up set is complete before h's
+        for h in sorted(local, reverse=True):
+            k = local[h]
+            for g in P.covers[h]:
+                j = local.get(g)
+                if j is not None:
+                    self.up[k] |= 1 << j | self.up[j]
         self._index_chains = None
+        self._reductions = None
         self._cycles = None
-        self._top = None
 
     def index_chains(self):
         """dict r -> list of r-chains as tuples of local indices, in
@@ -111,50 +115,84 @@ class OpenPoset:
                 f" is not a top chain of {self.name}")
         return key
 
+    def reductions(self):
+        """{r: (rank, unimodular)} of each boundary map d_r: C_r -> C_{r-1},
+        r >= 0, from one bottom-up pass over the coboundary maps, computed
+        once; the pass also fills the cycle index.
+
+        The coboundary map from the r-chains to the (r+1)-chains is the
+        transpose of d_{r+1}, so the reduction (``linalg.Echelon``) of its
+        rows (``_coboundary_rows``), added in chain order, gives that
+        map's rank and unit-pivot certificate.  The row of an r-chain
+        installed as a pivot by the map below is skipped (cohomology with
+        clearing: de Silva-Morozov-Vejdemo-Johansson, "Dualities in
+        persistent (co)homology", 2011): the reduced coboundary pivoted
+        there is a cocycle whose largest chain is that one, so its row
+        lies in the span of the rows of the chains before it, would reduce
+        to zero and install nothing.  The stored vectors, so the rank and
+        the certificate, are those of the whole map.
+        """
+        if self._reductions is None:
+            by_dim = self.index_chains()
+            top = max(by_dim)
+            self._reductions, cleared = {}, {}
+            for r in range(-1, top):
+                ech = linalg.Echelon()
+                for row in _coboundary_rows(by_dim, r, cleared):
+                    ech.add(row)
+                    row.clear()  # ech keeps its own copy
+                self._reductions[r + 1] = ech.rank, ech.unimodular
+                cleared = ech.by_pivot
+            self._cycles = _cycle_index(by_dim[top], cleared)
+        return self._reductions
+
     def cycle_index(self):
         """(index, count): an integer basis z_0 .. z_{count-1} of the top
         cycles, stored by chain: index[c] is the flat tuple (j, z_j[c],
         j', z_j'[c], ...) over the z_j with the top index chain c in their
         support.  There is one per chain, so it is a tuple, not a dict,
-        and equal ones are one object.  Computed once, by the tracked
-        reduction of the top boundary map, which is that map's only
-        reduction: its rank, unit-pivot certificate and pivot set are kept
-        for ``top_reduction``.  Tracking leaves all three as an untracked
-        reduction of the same rows would give them: while every pivot is
-        +-1 both take the same steps, and the pivots of a largest-key
-        reduction are fixed by the matrix.
-
-        The rows are added one at a time; a row that reduces to zero
-        yields a kernel combination, which is made primitive, numbered
-        z_j in the order found and folded into the index at once, so no
-        list of kernel vectors is ever held."""
-        if self._cycles is None:
-            by_dim = self.index_chains()
-            top = max(by_dim)
-            chains = by_dim[top]
-            ech = linalg.Echelon(track=True)
-            by_pos, count = {}, 0  # keyed by chain position: no tuple hash
-            rows = _boundary_rows(chains, _positions(by_dim.get(top - 1, [])))
-            for pos, row in enumerate(rows):
-                combo = ech.add(row, tag=pos)
-                if combo is not None:
-                    for k, x in linalg.vec_primitive(combo).items():
-                        by_pos.setdefault(k, []).extend((count, x))
-                    count += 1
-            self._top = ech.rank, ech.unimodular, set(ech.by_pivot)
-            del ech  # its stored vectors and trackers, before the tuples
-            index, shared = {}, {}
-            for k, entries in by_pos.items():
-                entries = tuple(entries)
-                index[chains[k]] = shared.setdefault(entries, entries)
-            self._cycles = index, count
+        and equal ones are one object.  Filled by the pass of
+        ``reductions`` (``_cycle_index``)."""
+        self.reductions()
         return self._cycles
 
-    def top_reduction(self):
-        """(rank, unimodular, pivots) of the top boundary map, read from
-        the reduction that fills the cycle index."""
-        self.cycle_index()
-        return self._top
+
+def _cycle_index(chains, rows):
+    """(index, count) of ``OpenPoset.cycle_index`` for the top chains,
+    read off rows, the stored vectors of the top coboundary map's
+    reduction by pivot position.  A top cycle is orthogonal to every
+    coboundary row, and the stored rows span them all.
+
+    One pass in chain order: a chain no row is pivoted at is free, and
+    the j-th free chain gets z_j = 1 there.  At the pivot c of a row s,
+    z[c] = -(1/s[c]) * sum of s[k] z[k] over its other keys k, each an
+    earlier chain.  Where s[c] is not a unit, every entry so far is first
+    multiplied by |s[c]|; one factor for every z_j keeps them a basis of
+    the same span.  Each z_j is 0 on every other free chain, so they are
+    independent."""
+    z, count = [], 0
+    for p in range(len(chains)):
+        s = rows.get(p)
+        if s is None:
+            z.append((count, 1))
+            count += 1
+            continue
+        d = s[p]
+        if d not in (1, -1):
+            g = abs(d)
+            z = [tuple(x * g if t & 1 else x for t, x in enumerate(e))
+                 for e in z]
+        acc = {}
+        for k, x in s.items():
+            e = z[k] if k != p else ()
+            for j, y in zip(e[::2], e[1::2]):
+                acc[j] = acc.get(j, 0) + x * y
+        z.append(tuple(v for j, x in acc.items() if x for v in (j, -x // d)))
+    index, shared = {}, {}
+    for c, e in zip(chains, z):
+        if e:
+            index[c] = shared.setdefault(e, e)
+    return index, count
 
 
 def _chain_count(above):
@@ -170,47 +208,18 @@ def _chain_count(above):
     return 1 + sum(count)
 
 
-def _positions(chains):
-    return {c: k for k, c in enumerate(chains)}
-
-
-def _boundary_rows(chains, faces):
-    """The boundary of each index chain, one row at a time, keyed by the
-    position of each face in ``faces`` (its dimension's list)."""
-    for c in chains:
-        yield {faces[c[:i] + c[i + 1:]]: -1 if i & 1 else 1
-               for i in range(len(c))}
-
-
-def _reductions(host):
-    """(r, rank, unimodular, pivots) of the r-th boundary map's reduction
-    (``linalg.Echelon``), top dimension first; pivots is the set of face
-    positions its stored vectors are pivoted at.  The top map's come from
-    the tracked reduction behind the cycle index (``top_reduction``), so
-    a host reduces it once whichever is asked for first; the maps below
-    are reduced untracked.
-
-    Rows are streamed in chain order.  An r-chain installed as a pivot by
-    the (r+1)-st reduction is skipped (clearing: Chen-Kerber, "Persistent
-    homology computation with a twist", 2011): the reduced cycle pivoted
-    there shows its boundary to lie in the span of the boundaries of the
-    r-chains before it, so it would reduce to zero and install nothing.
-    The stored vectors, so the rank and the unit-pivot certificate, are
-    those of the whole map.
-    """
-    by_dim = host.index_chains()
-    top = max(by_dim)
-    rank, unimodular, cleared = host.top_reduction()
-    yield top, rank, unimodular, cleared
-    for r in range(top - 1, -2, -1):
-        faces = _positions(by_dim.get(r - 1, []))
-        ech = linalg.Echelon()
-        for row in _boundary_rows(
-                (c for k, c in enumerate(by_dim[r]) if k not in cleared),
-                faces):
-            ech.add(row)
-        cleared = set(ech.by_pivot)
-        yield r, ech.rank, ech.unimodular, cleared
+def _coboundary_rows(by_dim, r, cleared=()):
+    """The coboundary of each r-chain not in cleared (a collection of
+    positions), in chain order, keyed by the positions of the (r+1)-chains
+    it is a face of: one scan of those chains' faces builds them all."""
+    faces = {c: k for k, c in enumerate(by_dim[r])}
+    rows = {k: {} for k in range(len(faces)) if k not in cleared}
+    for p, c in enumerate(by_dim[r + 1]):
+        for i in range(len(c)):
+            row = rows.get(faces[c[:i] + c[i + 1:]])
+            if row is not None:
+                row[p] = -1 if i & 1 else 1
+    return rows.values()
 
 
 # ---------------------------------------------------------------------------
@@ -288,29 +297,31 @@ def proper_part(n):
 
 def betti_numbers(host):
     """Reduced Betti numbers {r: betti_r} plus the nontrivial invariant
-    factors of the top two boundary maps, top first.  Each map is reduced
-    once (``_reductions``) for its rank, the top map by the tracked
-    reduction that also fills the host's cycle index; where every
-    installed pivot is a unit its invariant factors are all 1, and only
-    where one is not does ``linalg.snf_invariant_factors`` compute them
-    from the whole map."""
+    factors of every boundary map d_r, r >= 0, top first: all of them in
+    "torsion_every_map", those of the top two in "torsion_nontrivial".
+    Each map's rank and unit-pivot certificate come from the host's one
+    pass (``OpenPoset.reductions``); where every installed pivot is a
+    unit the map's invariant factors are all 1, and only where one is not
+    does ``linalg.snf_invariant_factors`` compute them from the whole
+    map's transpose, which has the same ones."""
     by_dim = host.index_chains()
     top = max(by_dim)
-    ranks, torsion = {}, {}
-    for r, rank, unimodular, _pivots in _reductions(host):
-        ranks[r] = rank
-        if r >= 0 and r >= top - 1:
-            torsion[r] = [] if unimodular else [
-                f for f in linalg.snf_invariant_factors(list(_boundary_rows(
-                    by_dim[r], _positions(by_dim.get(r - 1, [])))))
-                if f != 1]
-    betti = {r: len(by_dim[r]) - ranks[r] - ranks.get(r + 1, 0)
+    maps = host.reductions()
+    torsion = {}
+    for r in range(top, -1, -1):
+        torsion[r] = [] if maps[r][1] else [
+            f for f in linalg.snf_invariant_factors(
+                list(_coboundary_rows(by_dim, r - 1))) if f != 1]
+    rank = {r: m[0] for r, m in maps.items()}
+    betti = {r: len(by_dim[r]) - rank.get(r, 0) - rank.get(r + 1, 0)
              for r in sorted(by_dim)}
+    top_two = {r: v for r, v in torsion.items() if r >= top - 1}
     return {
         "betti": betti,
         "top_dim": top,
-        "torsion_nontrivial": torsion,
-        "torsion_free_top": all(not v for v in torsion.values()),
+        "torsion_nontrivial": top_two,
+        "torsion_free_top": all(not v for v in top_two.values()),
+        "torsion_every_map": torsion,
     }
 
 

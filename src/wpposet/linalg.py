@@ -1,11 +1,14 @@
 """Exact sparse integer linear algebra.
 
-Vectors are dicts mapping hashable, sortable keys to nonzero ints.  Rank,
-kernel combinations and the torsion certificate share one fraction-free
-column reduction (:class:`Echelon`); a step whose stored pivot divides
-the entry it clears is a plain subtraction, made in place on the vector
+Vectors are dicts mapping hashable, sortable keys to nonzero ints.  Rank
+and the torsion certificate share one fraction-free, untracked column
+reduction (:class:`Echelon`); a step whose stored pivot divides the
+entry it clears is a plain subtraction, made in place on the vector
 being reduced, and :func:`snf_invariant_factors` runs only where the
-certificate fails.  Every value is an integer.
+certificate fails.  No reduction records which inputs a stored vector
+combines: the one kernel the package reads, the top cycles of an open
+poset, is solved off the stored vectors in ``homology``.  Every value is
+an integer.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ class Echelon:
     Each stored vector is filed under its largest key, its pivot, and no
     two stored vectors share a pivot, so the rank is the number stored
     (persistence-style reduction: Edelsbrunner-Harer, *Computational
-    Topology*, ch. VII).  With ``track`` on, each vector carries the
-    integer combination of the added inputs it equals.
+    Topology*, ch. VII).
 
     ``unimodular`` stays True while every vector installed has pivot entry
     +-1.  Then every reduction step is a unit subtraction, so the stored
@@ -64,63 +66,37 @@ class Echelon:
 
     unimodular = True  # the class default; add() clears it per instance
 
-    def __init__(self, track=False):
-        self.by_pivot = {}   # pivot key -> (vector, tracker or None)
-        self.track = track
+    def __init__(self):
+        self.by_pivot = {}   # pivot key -> stored vector
 
     @property
     def rank(self):
         return len(self.by_pivot)
 
-    def _reduce(self, v, t):
-        """Clear v's largest key against the stored vector pivoted there
-        until no stored vector has that pivot; t follows every step, so
-        v == sum_j t[j] * input_j keeps holding.  v and t belong to the
-        caller's reduction alone: where the stored pivot divides v's
-        entry the step subtracts in place, without a copy."""
+    def add(self, v):
+        """Insert ``v``; True when the rank grew.  Its largest key is
+        cleared against the stored vector pivoted there until no stored
+        vector has that pivot; where the stored pivot divides v's entry
+        the step subtracts in place, on a copy of v made once."""
+        v = dict(v)
         while v:
             low = max(v)
-            stored = self.by_pivot.get(low)
-            if stored is None:
+            prow = self.by_pivot.get(low)
+            if prow is None:
                 break
-            prow, ptrack = stored
             c, p = v[low], prow[low]
             if c % p == 0:
-                # p divides c: a plain subtraction, made in place
-                b = c // p
-                vec_add(v, prow, -b)
-                if t is not None:
-                    vec_add(t, ptrack, -b)
-                continue
-            g = gcd(c, p)
-            a, b = p // g, c // g
-            v = vec_combine(v, a, prow, -b)
-            if t is not None:
-                t = vec_combine(t, a, ptrack, -b)
-            g = vec_content(v)
-            if t is not None:
-                g = gcd(g, vec_content(t))
-            if g > 1:
-                v = {k: x // g for k, x in v.items()}
-                if t is not None:
-                    t = {k: x // g for k, x in t.items()}
-        return v, t
-
-    def add(self, v, tag=None):
-        """Insert ``v``; returns the tracker combination when the vector is
-        dependent (and tracking is on), ``None`` when rank grew, or ``()``
-        when dependent without tracking."""
-        t = {tag: 1} if self.track else None
-        v, t = self._reduce(dict(v), t)
+                vec_add(v, prow, -(c // p))
+            else:
+                g = gcd(c, p)
+                v = vec_primitive(vec_combine(v, p // g, prow, -(c // g)))
         if not v:
-            return t if self.track else ()
+            return False
         low = max(v)
         if v[low] not in (1, -1):
             self.unimodular = False
-        if t is None:
-            v = vec_primitive(v)
-        self.by_pivot[low] = (v, t)
-        return None
+        self.by_pivot[low] = v
+        return True
 
 
 def rank_of(vectors):

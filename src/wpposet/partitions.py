@@ -185,8 +185,8 @@ class Poset:
 
     def down_sets(self):
         """Bitset of the elements <= k, for every k: the one stored form
-        of the order relation, read by the Mobius sweep and by the open
-        posets of ``homology``.
+        of the order relation, read by the Mobius sweep, the EL check,
+        ``chains`` and ``homology.interval_elements``.
 
         Elements are listed in rank order, so every lower cover of k has
         a smaller index and one pass over lower_covers builds them all.

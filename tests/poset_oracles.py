@@ -1,13 +1,16 @@
 """Direct definitions the tests use as oracles: the cover and order
 relations read blockwise from two partitions, the edge label of a cover
-pair, an open poset's chains as tuples of partitions, its top cycles as
-ChainVectors, a whole integer kernel, the boundary and coboundary of
+pair, an open poset's order transposed from down-sets, its chains as
+tuples of partitions, its top cycles as ChainVectors, a whole integer
+kernel by tracked elimination, the boundary and coboundary of
 ChainVectors, the pairing that makes chains orthonormal, and the EL
 check over every listed saturated chain.  The package decides covers
-only by generating them, reads the order from down-set bitsets and each
-label off a pair the poset's covers hold, reduces boundary maps over
-index chains, folds each kernel vector into the cycle index as it is
-found and counts chains over covers, so none of these is needed there."""
+only by generating them, reads each host's order and each label off a
+pair the poset's covers hold, reduces coboundary maps over index chains
+without tracking, solves the cycle index off the top map's stored rows
+and counts chains over covers, so none of these is needed there."""
+
+from math import gcd
 
 from wpposet import labeling as lb
 from wpposet import linalg
@@ -103,22 +106,47 @@ def cycle_basis(host):
     return basis
 
 
-def kernel_basis(vectors, ech=None):
+def kernel_basis(vectors):
     """Integer basis of {x : sum_j x_j vectors[j] = 0}, all at once.
 
-    Returned vectors are primitive dicts keyed by the input index j.  The
-    reduction runs in ``ech``, an empty ``Echelon(track=True)`` made here
-    when none is passed; a caller that passes one reads the rank, the
-    unit-pivot certificate and the pivots of the same reduction from it.
+    A tracked elimination: each stored vector carries the combination of
+    the inputs it equals, and an input that reduces to zero yields its
+    combination, made primitive.  Returned vectors are keyed by the input
+    index j.
     """
-    if ech is None:
-        ech = linalg.Echelon(track=True)
+    stored = {}  # pivot key -> (vector, combination)
     out = []
     for j, v in enumerate(vectors):
-        combo = ech.add(v, tag=j)
-        if combo is not None:
-            out.append(linalg.vec_primitive(combo))
+        v, t = dict(v), {j: 1}
+        while v and max(v) in stored:
+            low = max(v)
+            pv, pt_ = stored[low]
+            g = gcd(v[low], pv[low])
+            a, b = pv[low] // g, v[low] // g
+            v = linalg.vec_combine(v, a, pv, -b)
+            t = linalg.vec_combine(t, a, pt_, -b)
+        if v:
+            stored[max(v)] = v, t
+        else:
+            out.append(linalg.vec_primitive(t))
     return out
+
+
+def up_by_transposition(P, elements):
+    """The up bitsets of ``homology.OpenPoset(name, P, elements)``, read
+    by transposing P's down-sets one bit at a time: up[k] is the bitset
+    of the local indices of the elements strictly above element k."""
+    hosts = [P.index[e] for e in sorted(elements)]
+    local = {h: k for k, h in enumerate(hosts)}
+    keep_mask = 0
+    for h in hosts:
+        keep_mask |= 1 << h
+    down_sets = P.down_sets()
+    up = [0] * len(hosts)
+    for k, h in enumerate(hosts):
+        for g in pt.bits(down_sets[h] & keep_mask & ~(1 << h)):
+            up[local[g]] |= 1 << k
+    return up
 
 
 def boundary_of_chain(c):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wpposet import ResourceCapError
+from wpposet import acceptance
 from wpposet import chains as ch
 from wpposet import homology as hm
 from wpposet import linalg
@@ -15,8 +17,8 @@ from wpposet import straighten as sn
 from wpposet import trees as tr
 
 from poset_oracles import (boundary, boundary_of_chain, chains_by_dim,
-                           coboundary, cycle_basis, kernel_basis, leq,
-                           pairing)
+                           coboundary, cycle_basis, ground_size, kernel_basis,
+                           leq, pairing, up_by_transposition)
 
 B, R = tr.BLUE, tr.RED
 
@@ -47,8 +49,8 @@ def _fresh_hosts(n):
 def test_betti_numbers_fallback_matches_certificate(monkeypatch):
     # every map below has unit pivots, so the report is read from the
     # certificate; with it forced off the SNF must give the same report.
-    # A host keeps its top map's certificate from the reduction that
-    # fills its cycle index, so the forced run reduces hosts of its own.
+    # A host keeps its certificates from its one pass, so the forced run
+    # reduces hosts of its own.
     reports = [hm.betti_numbers(host) for host in _fresh_hosts(4)]
     hosts = _fresh_hosts(4)
     calls = []
@@ -62,26 +64,54 @@ def test_betti_numbers_fallback_matches_certificate(monkeypatch):
     monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
     for host, rep in zip(hosts, reports):
         assert hm.betti_numbers(host) == rep, host.name
-        assert list(rep["torsion_nontrivial"]) == [rep["top_dim"],
-                                                   rep["top_dim"] - 1]
-    assert len(calls) == 2 * len(hosts)
+        top = rep["top_dim"]
+        assert list(rep["torsion_nontrivial"]) == [top, top - 1]
+        assert list(rep["torsion_every_map"]) == list(range(top, -1, -1))
+    # every boundary map d_0 .. d_top of every host
+    assert len(calls) == sum(rep["top_dim"] + 1 for rep in reports)
 
 
-def _count_top_rows(monkeypatch, host):
-    """The top chains whose boundary row host's reductions read, one
-    entry per row, as they are read."""
-    top = host.top_dim
-    seen = []
-    rows = hm._boundary_rows
+def test_criterion_9_reads_the_certificate_of_every_map(monkeypatch):
+    # every certificate of a map below a host's top two is patched off, so
+    # betti_numbers must send those maps, and only those, to the SNF
+    real = hm.OpenPoset.reductions
 
-    def spy(chains, faces):
-        for c in chains:
-            if len(c) == top + 1:
-                seen.append(c)
-            yield from rows([c], faces)
+    def off(self):
+        top = self.top_dim
+        return {r: (rank, unimodular and r >= top - 1)
+                for r, (rank, unimodular) in real(self).items()}
 
-    monkeypatch.setattr(hm, "_boundary_rows", spy)
-    return seen
+    monkeypatch.setattr(hm.OpenPoset, "reductions", off)
+    snf = hm.linalg.snf_invariant_factors
+    sizes = []
+
+    def counted_snf(vectors):
+        sizes.append(len(vectors))
+        return snf(vectors)
+
+    monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
+    # n <= 4: the proper part of [4] is the one host with a map below its
+    # top two, d_0, whose transpose is the one row of the empty chain
+    assert acceptance.run_criterion(9, 4)[1]
+    assert sizes == [1]
+    monkeypatch.setattr(hm.linalg, "snf_invariant_factors", lambda v: [2])
+    name, ok, detail = acceptance.run_criterion(9, 4)
+    assert not ok
+    assert detail.startswith("proper part n=4: {")
+    assert detail.endswith(", torsion {2: [], 1: [], 0: [2]}")
+
+
+def _count_echelons(monkeypatch):
+    """Every linalg.Echelon made from here on, in the order made."""
+    made = []
+
+    class Counted(linalg.Echelon):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(hm.linalg, "Echelon", Counted)
+    return made
 
 
 @pytest.mark.parametrize("betti_first", [True, False],
@@ -94,7 +124,7 @@ def test_top_map_is_reduced_once(monkeypatch, betti_first):
     bases.append([hm.chain_vector_of_tree(t, omit_top=False)
                   for t in tr.enumerate_family("comb", 4) if t[0] == B])
     for host, vecs in zip(_fresh_hosts(4), bases):
-        seen = _count_top_rows(monkeypatch, host)
+        made = _count_echelons(monkeypatch)
         if betti_first:
             rep = hm.betti_numbers(host)
             rank, betti = hm.rank_in_top_quotient(host, vecs)
@@ -103,7 +133,12 @@ def test_top_map_is_reduced_once(monkeypatch, betti_first):
             rep = hm.betti_numbers(host)
         assert not hm.coboundary_member(host, vecs[0])
         assert len(cycle_basis(host)) == betti
-        assert sorted(seen) == host.index_chains()[host.top_dim], host.name
+        # one reduction per coboundary map, bottom first, then the one
+        # of the quotient rank
+        top = host.top_dim
+        assert len(made) == top + 2, host.name
+        assert [(e.rank, e.unimodular) for e in made[:top + 1]] == \
+            [host.reductions()[r] for r in range(top + 1)], host.name
         assert rank == betti == len(vecs) == rep["betti"][rep["top_dim"]], \
             host.name
 
@@ -363,40 +398,38 @@ def _oracle_cycle_basis(host):
     return [{chains_top[j]: x for j, x in combo.items()} for combo in combos]
 
 
-def _kernel_cycle_index(host):
-    """(index, count, top reduction) from the whole kernel list: every
-    kernel vector of the top map first, from the same rows in one
-    Echelon, then the index from the list."""
-    by_dim = host.index_chains()
-    top = max(by_dim)
-    chains = by_dim[top]
-    ech = linalg.Echelon(track=True)
-    combos = kernel_basis(hm._boundary_rows(
-        chains, hm._positions(by_dim.get(top - 1, []))), ech)
-    index = {}
-    for j, combo in enumerate(combos):
-        for k, x in combo.items():
-            index.setdefault(chains[k], []).extend((j, x))
-    return ({c: tuple(entries) for c, entries in index.items()}, len(combos),
-            (ech.rank, ech.unimodular, set(ech.by_pivot)))
+def _index_hosts():
+    yield hm.open_interval(6, 0)
+    for n in range(1, 6):
+        yield from (hm.open_interval(n, i) for i in range(n))
+        yield hm.proper_part(n)
 
 
 def test_streamed_cycle_index_matches_kernel_list():
-    hosts = [hm.open_interval(6, 0)]
-    for n in range(1, 6):
-        hosts += [hm.open_interval(n, i) for i in range(n)]
-        hosts.append(hm.proper_part(n))
-    for host in hosts:
-        index, count, top = _kernel_cycle_index(host)
-        streamed, streamed_count = host.cycle_index()
-        # entries and their order, chain by chain and within each chain
-        assert list(streamed.items()) == list(index.items()), host.name
-        assert (streamed_count, host.top_reduction()) == (count, top), \
-            host.name
-
-
-def _as_set(vectors):
-    return {frozenset(v.items()) for v in vectors}
+    # over chain positions: the top boundary rows, the index's z_j and the
+    # oracle's kernel vectors
+    for host in _index_hosts():
+        by_dim = host.index_chains()
+        top = max(by_dim)
+        faces = {c: k for k, c in enumerate(by_dim.get(top - 1, []))}
+        rows = [{faces[f]: x for f, x in boundary_of_chain(c).items()}
+                for c in by_dim[top]]
+        position = {c: k for k, c in enumerate(by_dim[top])}
+        index, count = host.cycle_index()
+        basis = [{} for _ in range(count)]
+        for c, entries in index.items():
+            for j, x in zip(entries[::2], entries[1::2]):
+                basis[j][position[c]] = x
+        for z in basis:
+            image = {}
+            for k, x in z.items():
+                linalg.vec_add(image, rows[k], x)
+            assert image == {}, host.name
+        # as many as the oracle's kernel vectors, independent, and with
+        # them no more: the same span
+        oracle = kernel_basis(rows)
+        assert count == len(oracle) == linalg.rank_of(basis) == \
+            linalg.rank_of(basis + oracle), host.name
 
 
 def test_index_chain_reduction_matches_partition_oracle():
@@ -405,13 +438,11 @@ def test_index_chain_reduction_matches_partition_oracle():
         oracle = _oracle_reductions(host)
         for r, cs in idx.items():
             assert cs == sorted(cs), (host.name, r)
-        for r, rank, unimodular, pivots in hm._reductions(host):
-            old = oracle[r]
-            assert (rank, unimodular) == (old.rank, old.unimodular), \
-                (host.name, r)
-            # the same faces become pivots: positions keep the order
-            assert {chains[r - 1][k] for k in pivots} == set(old.by_pivot), \
-                (host.name, r)
+        # each coboundary map reduces to the rank and certificate of the
+        # boundary map it transposes
+        assert host.reductions() == {
+            r: (ech.rank, ech.unimodular)
+            for r, ech in oracle.items() if r >= 0}, host.name
         rep = hm.betti_numbers(host)
         assert rep["betti"] == {
             r: len(cs) - oracle[r].rank - (oracle[r + 1].rank
@@ -420,14 +451,21 @@ def test_index_chain_reduction_matches_partition_oracle():
         top = rep["top_dim"]
         assert rep["torsion_free_top"] == all(
             oracle[r].unimodular for r in (top, top - 1) if r >= 0), host.name
-        assert _as_set(cycle_basis(host)) == \
-            _as_set(_oracle_cycle_basis(host)), host.name
+        assert not any(rep["torsion_every_map"].values()), host.name
+
+
+def _bicolored_sample(n, i, count, seed):
+    """count bicolored trees on [n] with i red nodes, drawn by index."""
+    rng = random.Random(seed)
+    total = tr.bicolored_count(n, i)
+    return [tr.bicolored_at(n, rng.randrange(total), i) for _ in range(count)]
 
 
 def _quotient_cases():
     """(host, vectors): family cochains, phi images and straightening
     differences of each (0,[n]^i), and the full families of the proper
-    part, n <= 4."""
+    part, n <= 4; then the comb cochains and the straightening
+    differences of 30 drawn trees of each (0,[5]^i) and of (0,[6]^0)."""
     for n in range(2, 5):
         for i in range(n):
             host = hm.open_interval(n, i)
@@ -444,6 +482,13 @@ def _quotient_cases():
         vecs = [hm.chain_vector_of_tree(t, omit_top=False)
                 for fam in ("comb", "lyndon") for t in tr.enumerate_family(fam, n)]
         yield hm.proper_part(n), vecs
+    for n, i in [(5, i) for i in range(5)] + [(6, 0)]:
+        vecs = [hm.chain_vector_of_tree(t)
+                for t in tr.enumerate_family("comb", n, i)]
+        vecs += [linalg.vec_combine(hm.chain_vector_of_tree(t), 1,
+                                    sn.cochain_sum(sn.straighten(t)), -1)
+                 for t in _bicolored_sample(n, i, 30, 10 * n + i)]
+        yield hm.open_interval(n, i), vecs
 
 
 def test_quotient_rank_and_membership_match_pairing_oracle():
@@ -456,6 +501,88 @@ def test_quotient_rank_and_membership_match_pairing_oracle():
             (linalg.rank_of(rows), len(basis)), host.name
         for v, row in zip(vecs, rows):
             assert hm.coboundary_member(host, v) == (not row), (host.name, v)
+
+
+def test_a_non_unit_top_pivot_keeps_the_quotient(monkeypatch):
+    # the first row of each host's top coboundary map is doubled as it is
+    # added, so its stored pivot is 2: the top certificate turns off, the
+    # SNF of the whole map gives the torsion, and the cycle index is
+    # rescaled to a basis of the same span
+    plain = [(hm.rank_in_top_quotient(host, vecs),
+              [hm.coboundary_member(host, v) for v in vecs],
+              hm.betti_numbers(host), host.reductions())
+             for host, vecs in itertools.islice(_quotient_cases(), 12)]
+    made, calls, top = [], [], None
+
+    class DoubleFirstTopRow(linalg.Echelon):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def add(self, v):
+            if len(made) == top + 1 and not self.by_pivot:
+                v = {k: 2 * x for k, x in v.items()}
+            return super().add(v)
+
+    snf = hm.linalg.snf_invariant_factors
+
+    def counted_snf(vectors):
+        calls.append(len(vectors))
+        return snf(vectors)
+
+    monkeypatch.setattr(hm.linalg, "Echelon", DoubleFirstTopRow)
+    monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
+    checked = 0
+    for (host, vecs), (quotient, members, rep, maps) in zip(
+            itertools.islice(_quotient_cases(), 12), plain):
+        made.clear()
+        calls.clear()
+        top = host.top_dim
+        if top < 0:
+            continue  # no map to double
+        assert host.reductions() == {**maps, top: (maps[top][0], False)}, \
+            host.name
+        assert hm.rank_in_top_quotient(host, vecs) == quotient, host.name
+        assert [hm.coboundary_member(host, v) for v in vecs] == members, \
+            host.name
+        assert all(boundary(z) == {} for z in cycle_basis(host)), host.name
+        assert hm.betti_numbers(host) == rep, host.name
+        # the transpose of the top map: one row per (top-1)-chain
+        assert calls == [len(host.index_chains()[top - 1])], host.name
+        checked += 1
+    assert checked == 10  # every host with n <= 4 but the two empty ones
+
+
+@given(st.integers(0, 10_000))
+def test_cycle_index_solves_any_stored_rows(seed):
+    # random integer rows, non-unit pivots among them: the index must be a
+    # basis of everything orthogonal to the rows, rescaled where a pivot
+    # does not divide
+    rng = random.Random(seed)
+    m = rng.randint(1, 7)
+    rows = [{k: x for k in range(m)
+             if (x := rng.choice([0, 0, 0, 1, -1, 2, -2, 3]))}
+            for _ in range(rng.randint(0, 6))]
+    ech = linalg.Echelon()
+    for v in rows:
+        ech.add(v)
+    index, count = hm._cycle_index([(k,) for k in range(m)], ech.by_pivot)
+    basis = [{} for _ in range(count)]
+    for (k,), entries in index.items():
+        for j, x in zip(entries[::2], entries[1::2]):
+            basis[j][k] = x
+    assert count == m - ech.rank == linalg.rank_of(basis)
+    assert all(pairing(z, v) == 0 for z in basis for v in rows)
+
+
+def test_up_from_covers_matches_transposed_down_sets():
+    # every interval and proper part with n <= 5, and the proper parts of
+    # Pi_T on [4]: not order-convex, but joined by covers inside
+    for host in _open_hosts():
+        if host.elements:
+            P = pt.build_poset(ground_size(host.elements[0]), pt.WEIGHTED)
+            assert host.up == up_by_transposition(P, host.elements), \
+                host.name
 
 
 def test_chain_outside_the_host_is_refused():

@@ -72,7 +72,7 @@ def echelon_of(vecs):
 
 def test_unimodular_certificate():
     assert echelon_of(dense_to_vecs([[1, 1, 0], [0, -1, 1], [1, 0, 1]])).unimodular
-    # a content of 2: the pivot is checked before the vector is made primitive
+    # a content of 2 is stored as it is, with pivot 2
     assert not echelon_of([{0: 2}]).unimodular
     assert linalg.snf_invariant_factors([{0: 2}]) == [2]
     # a non-unit pivot without torsion: the fallback finds the factor 1
