@@ -226,24 +226,30 @@ def _coboundary_rows(by_dim, r, cleared=()):
 # hosts
 # ---------------------------------------------------------------------------
 
+def _below_top(k, s, i):
+    """Whether a weighted partition with k blocks and weight sum s lies
+    below [n]^i: exactly when s <= i <= s + k - 1."""
+    return s <= i <= s + k - 1
+
+
 def interval_elements(n, i):
-    """The elements of (0-hat, [n]^i): the down-set of [n]^i in the
-    weighted poset on [n], minus [n]^i and the bottom (index 0); no
-    order complex is built."""
+    """The elements of (0-hat, [n]^i), in the order of the weighted poset
+    on [n]: those below [n]^i (``_below_top``), without the bottom and
+    [n]^i; no order relation is read and no order complex is built."""
     P = pt.build_poset(n, pt.WEIGHTED)
-    top = P.index[pt.sort_blocks((((1 << n) - 1, i),))]
-    return [P.elements[k]
-            for k in pt.bits(P.down_sets()[top] & ~(1 << top | 1))]
+    ends = {pt.bottom(n), pt.sort_blocks((((1 << n) - 1, i),))}
+    return [e for e in P.elements if e not in ends
+            and _below_top(len(e), sum(w for _m, w in e), i)]
 
 
 def interval_size(n, i):
     """len(interval_elements(n, i)) without building the poset.
 
-    A weighted partition with k blocks and weight sum s lies below [n]^i
-    exactly when s <= i <= s + k - 1.  counts[m][(k, s)] counts them on an
-    m-set: the block holding the least element has some size b (C(m-1,
-    b-1) choices of the rest of it) and weight 0..b-1.  The bottom and
-    [n]^i are left out; at n = 1 they are one element.
+    counts[m][(k, s)] counts the weighted partitions of an m-set with k
+    blocks and weight sum s: the block holding the least element has
+    some size b (C(m-1, b-1) choices of the rest of it) and weight
+    0..b-1.  Those below [n]^i are summed (``_below_top``); the bottom
+    and [n]^i are left out, and at n = 1 they are one element.
     """
     counts = [{(0, 0): 1}]
     for m in range(1, n + 1):
@@ -255,7 +261,7 @@ def interval_size(n, i):
                     key = (k + 1, s + w)
                     here[key] = here.get(key, 0) + ways * c
         counts.append(here)
-    below = sum(c for (k, s), c in counts[n].items() if s <= i <= s + k - 1)
+    below = sum(c for (k, s), c in counts[n].items() if _below_top(k, s, i))
     return below - (1 if n == 1 else 2)
 
 

@@ -295,8 +295,10 @@ def verify_bases(n, i=None):
     """Cardinality and full-rank verification of the claimed bases.
 
     With i, checks the comb / Lyndon / Liu-Lyndon cochain sets in the top
-    cohomology of (0-hat, [n]^i) and the Liu pairing; with i None, checks
-    the blue-rooted combs and red-rooted Lyndon trees in the proper part.
+    cohomology of (0-hat, [n]^i) and that the Liu pairing is upper
+    triangular in the order of ``liu_linear_extension``, with a unit
+    diagonal; with i None, checks the blue-rooted combs and red-rooted
+    Lyndon trees in the proper part.
     Returns a report dict with a "passed" flag.  The proper part's claim
     is about n >= 2; a smaller n is refused with ValueError before any
     work.

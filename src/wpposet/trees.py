@@ -45,10 +45,10 @@ passes its filter by flipping the edges on the path to the greatest
 label;
 :func:`enumerate_rooted_forests` reads the set partitions of
 ``partitions`` and lists each block's rooted trees once per call.
-:func:`psi` costs O(n) per tree on [n].  Liu's order on
-the trees of one T_{A,i} is computed once per (A, i), as one closure
-bitset per tree; :func:`liu_linear_extension` masks the bitsets to its
-inputs.
+:func:`psi` costs O(n) per tree on [n].  :func:`liu_linear_extension`
+orders the trees of one T_{A,i} for the Liu pairing by one local rule,
+with no closure of Liu's order kept: for each tree it lists the trees
+whose Pi_T holds the chain of its psi (``_fitting``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from functools import lru_cache, wraps
 from math import comb, factorial
 
 from .errors import ResourceCapError
-from .partitions import bits, drake_product, mask_members, set_partitions_masks
+from .partitions import drake_product, mask_members, set_partitions_masks
 
 BLUE = "b"
 RED = "r"
@@ -617,7 +617,7 @@ def descent_polynomial(n):
 
 
 # ---------------------------------------------------------------------------
-# the bijection psi and the Liu partial order
+# the bijection psi and the order of the Liu pairing
 # ---------------------------------------------------------------------------
 
 def _children_map(T):
@@ -686,135 +686,56 @@ def psi_inverse(t):
     return T
 
 
-def _subtree(x, kids):
-    """Labels of the subtree below ``x``, ``x`` included."""
-    nodes = [x]
-    for u in nodes:
-        nodes.extend(kids.get(u, ()))
-    return frozenset(nodes)
+def _fitting(t):
+    """The rooted trees T on the leaves of the bicolored tree t whose
+    Pi_T holds the chain of t.
 
-
-def _liu_place(T, labels, i):
-    """(position, closure bitset) of T in its class T_{labels,i}."""
-    _trees, position, closure = _liu_reachability(tuple(sorted(labels)), i)
-    k = position[T]
-    return k, closure[k]
-
-
-def _edge_splits(T):
-    """One entry per edge (c, p) of T, in ``T.parent`` order: the edge's
-    color, the labels below it, then for the tree below it (rooted at c)
-    and for the tree left above it, its descent count followed by its
-    position and closure bitset in its own class (``_liu_place``)."""
-    kids = _children_map(T)
-    total = T.descent_count()
-    labels = T.labels
-    out = []
-    for c, p in T.parent:
-        nodes = _subtree(c, kids)
-        inner = tuple(e for e in T.parent if e[0] in nodes and e[0] != c)
-        outer = tuple(e for e in T.parent if e[0] not in nodes)
-        d_inner = sum(1 for x, y in inner if x < y)
-        d_outer = total - d_inner - (c < p)
-        out.append((RED if c < p else BLUE, nodes,
-                    d_inner, *_liu_place(RootedTree(c, inner), nodes, d_inner),
-                    d_outer, *_liu_place(RootedTree(T.root, outer),
-                                         labels - nodes, d_outer)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _liu_reachability(labels, i):
-    """(trees, position, closure) for Liu's partial order on T_{labels,i}:
-    the class's trees in enumeration order, the dict tree -> position, and
-    per position the bitset of the positions of the trees >= it, itself
-    included: the transitive closure of the one-step relation.
-
-    T steps to T' when cutting some edge of T and some root edge of T',
-    both of one color, leaves two forests whose components pair up by
-    label set and are <= pairwise.  Every edge split is computed once,
-    with its two parts placed in their own smaller classes, and indexed
-    by (color, labels below the edge); each root edge of T' then looks up
-    the splits of T whose lower labels match its lower or its upper side,
-    and each comparison of parts is one bit test.
+    Each block of an element alpha(T_E) of Pi_T is a subtree of T,
+    weighted by the descents inside it, so the u-merge of blocks L and R
+    stays in Pi_T exactly when T joins L and R by an edge that is a
+    descent (child < parent) exactly when u = 1.  So each internal node
+    of t picks one edge between its two leaf sets, oriented by its
+    colour, and a choice that gives some label two parents is dropped:
+    at most the product of |L| |R| candidates, each a different tree.
     """
-    trees = enumerate_rooted_trees(list(labels), i)
-    m = len(trees)
-    splits = [_edge_splits(T) for T in trees]
-    index = {}
-    for k, tree_splits in enumerate(splits):
-        for color, nodes, *parts in tree_splits:
-            index.setdefault((color, nodes), []).append((k, *parts))
-    everything = frozenset(labels)
-    succ = [0] * m
-    for kp, Tp in enumerate(trees):
-        for (_c, p), split in zip(Tp.parent, splits[kp]):
-            if p != Tp.root:
-                continue
-            color, low, d_low, at_low, _r, d_high, at_high, _r = split
-            for k, d1, _at, r1, d2, _at, r2 in index.get((color, low), ()):
-                if (k != kp and d1 == d_low and d2 == d_high
-                        and r1 >> at_low & 1 and r2 >> at_high & 1):
-                    succ[k] |= 1 << kp
-            for k, d1, _at, r1, d2, _at, r2 in index.get(
-                    (color, everything - low), ()):
-                if (k != kp and d1 == d_high and d2 == d_low
-                        and r1 >> at_high & 1 and r2 >> at_low & 1):
-                    succ[k] |= 1 << kp
-    # transitive closure; a cycle would contradict antisymmetry
-    closure = [0] * m
-    state = [0] * m  # 0 unvisited, 1 on stack, 2 done
-
-    def close(k):
-        if state[k] == 1:
-            raise RuntimeError("cycle detected in the Liu relation")
-        if state[k] == 0:
-            state[k] = 1
-            acc = 1 << k | succ[k]
-            for j in bits(succ[k]):
-                acc |= close(j)
-            closure[k] = acc
-            state[k] = 2
-        return closure[k]
-
-    for k in range(m):
-        close(k)
-    return trees, {T: k for k, T in enumerate(trees)}, closure
-
-
-def _liu_class(trees):
-    """(labels, descent count) shared by all the trees, else ValueError."""
-    labels, i = trees[0].labels, trees[0].descent_count()
-    for T in trees:
-        if T.labels != labels or T.descent_count() != i:
-            raise ValueError("the Liu order compares trees in one T_{A,i}")
-    return labels, i
+    partial = [{}]
+    for _path, (col, l, r), _wrap in sites(t):
+        # (child, parent): a descent exactly at a red node
+        edges = [(a, b) if (a < b) == (col == RED) else (b, a)
+                 for a in leaves(l) for b in leaves(r)]
+        partial = [{**pmap, c: p} for pmap in partial
+                   for c, p in edges if c not in pmap]
+    labels = set(leaves(t))
+    return [RootedTree.from_parent_map((labels - pmap.keys()).pop(), pmap)
+            for pmap in partial]
 
 
 def liu_linear_extension(trees):
-    """A linear extension of the Liu order (deterministic tie-break).
+    """The trees of one T_{A,i} in an order that makes the pairing
+    <rho_{T_j}, c_{psi(T_k)}> upper unitriangular; ValueError on trees
+    from more than one class.
 
-    Kahn's algorithm over the order among the inputs, read once from the
-    closure: it always takes the minimal tree that comes first by
-    ``repr``.  Each input's closure bitset is masked to the inputs, so
-    the cost is the size of the closure among them.
+    Kahn's algorithm over the support digraph of that pairing: j -> k
+    whenever T_j != T_k and Pi_{T_j} holds the chain of psi(T_k)
+    (``_fitting``).  Of the trees free to come next it always takes the
+    one that comes first by ``repr``.  Liu's order contains this
+    relation, but the order returned is not always a linear extension of
+    Liu's order.  The function keeps its name only because the benchmark
+    calls it by that name.
     """
     order = sorted(trees, key=repr)
-    m = len(order)
-    above = [[] for _ in range(m)]
-    indegree = [0] * m
-    if m > 1:
-        labels, i = _liu_class(order)
-        _trees, position, closure = _liu_reachability(tuple(sorted(labels)), i)
-        at = [position[T] for T in order]
-        back = {k: a for a, k in enumerate(at)}
-        inputs = sum(1 << k for k in back)
-        for a, k in enumerate(at):
-            for j in bits(closure[k] & inputs & ~(1 << k)):
-                b = back[j]
-                above[a].append(b)
-                indegree[b] += 1
-    heap = [k for k in range(m) if indegree[k] == 0]
+    if len({(T.labels, T.descent_count()) for T in order}) > 1:
+        raise ValueError("the Liu pairing compares trees in one T_{A,i}")
+    at = {T: k for k, T in enumerate(order)}
+    above = [[] for _ in order]
+    indegree = [0] * len(order)
+    for k, T in enumerate(order):
+        for S in _fitting(psi(T)):
+            j = at.get(S, k)
+            if j != k:
+                above[j].append(k)
+                indegree[k] += 1
+    heap = [k for k, d in enumerate(indegree) if d == 0]
     out = []
     while heap:
         k = heapq.heappop(heap)
@@ -823,8 +744,8 @@ def liu_linear_extension(trees):
             indegree[b] -= 1
             if indegree[b] == 0:
                 heapq.heappush(heap, b)
-    if len(out) < m:
-        raise RuntimeError("cycle detected in the Liu relation")
+    if len(out) < len(order):
+        raise RuntimeError("cycle detected in the support of the Liu pairing")
     return out
 
 

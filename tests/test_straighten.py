@@ -252,6 +252,23 @@ def test_reversed_liu_order_is_not_upper_triangular(monkeypatch):
     assert not rep["passed"]
 
 
+def test_an_entry_below_the_diagonal_fails_the_pairing(monkeypatch):
+    # the order never reads the cycles, so a rho_j that also holds the
+    # chain of an earlier c_k puts an entry below the diagonal
+    ordered = tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, 5), 1))
+    chain = next(iter(hm.chain_vector_of_tree(tr.psi(ordered[0]))))
+    cycle = hm.fundamental_cycle
+
+    def patched(T):
+        rho = cycle(T)
+        return {**rho, chain: 1} if T == ordered[-1] else rho
+
+    monkeypatch.setattr(hm, "fundamental_cycle", patched)
+    rep = sn.verify_bases(4, 1)
+    assert rep["pairing"] == {"upper_triangular": False, "unit_diagonal": True}
+    assert not rep["passed"]
+
+
 def test_phi_memo_is_not_mutated():
     t = (R, (B, 2, 1), 3)
     first = sn.phi(t)

@@ -10,15 +10,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wpposet import ResourceCapError
+from wpposet import homology as hm
 from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
 from tree_oracles import (enumerate_normalized, is_liu_lyndon, is_lyndon,
                           is_lyndon_node, linear_extensions, liu_leq,
-                          normalized_uncolored, orient, postorder_internal,
-                          recursive_valency, replace_at, tree_sign,
-                          unrooted_trees)
+                          liu_reachability, normalized_uncolored, orient,
+                          postorder_internal, recursive_valency, replace_at,
+                          tree_sign, unrooted_trees)
+from tree_oracles import liu_linear_extension as liu_order
 from tree_oracles import enumerate_bicolored as bicolored_by_shape
 from tree_oracles import normalize_signed as normalize_by_definition
 
@@ -157,8 +159,8 @@ def test_families_free_what_the_caller_drops():
 
 
 # The caches that keep a family past one enumeration call on purpose: the
-# i-buckets of a (family, n) and Liu's order on one T_{A,i}.
-KEPT_CACHES = {"_by_red_count", "_liu_reachability"}
+# i-buckets of a (family, n).
+KEPT_CACHES = {"_by_red_count"}
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
@@ -452,15 +454,67 @@ def test_liu_order_reflexive_and_acyclic():
     assert len(trees5) == 5
     for T in trees5:
         assert liu_leq(T, T)
-    ordered = tr.liu_linear_extension(trees5)
-    pos = {T: k for k, T in enumerate(ordered)}
-    for T1 in trees5:
-        for T2 in trees5:
-            if liu_leq(T1, T2):
-                assert pos[T1] <= pos[T2]
+    for T1, T2 in itertools.permutations(trees5, 2):
+        assert not (liu_leq(T1, T2) and liu_leq(T2, T1))
 
 
-# -- the edge-rescanning implementations psi and the Liu order replaced ------
+def _classes(nmax=5):
+    """Every T_{[n],i} with n <= nmax, as a list of trees."""
+    return [tr.enumerate_rooted_trees(range(1, n + 1), i)
+            for n in range(1, nmax + 1) for i in range(n)]
+
+
+def test_fitting_trees_are_the_support_of_the_pairing():
+    # Pi_S holds the chain of psi(T) exactly when that chain is in the
+    # support of rho_S: the fundamental cycle lists the maximal chains
+    # of Pi_S, each with coefficient +-1.  So T itself is listed, and
+    # every tree listed has T's labels and descent count.
+    for trees in _classes():
+        cycles = [hm.fundamental_cycle(S) for S in trees]
+        for T in trees:
+            t = tr.psi(T)
+            chain = next(iter(hm.chain_vector_of_tree(t)))
+            fitting = tr._fitting(t)
+            assert T in fitting
+            assert len(set(fitting)) == len(fitting)
+            assert set(fitting) == {S for S, rho in zip(trees, cycles)
+                                    if chain in rho}
+
+
+def test_pairing_arcs_are_liu_pairs():
+    # every arc S -> T of the pairing's support is a Liu pair, so the
+    # oracle's linear extension of Liu's order is a topological order of
+    # the support too: the pairing is unitriangular in Liu's order
+    for trees in _classes():
+        ordered = tr.liu_linear_extension(trees)
+        assert sorted(ordered, key=repr) == sorted(trees, key=repr)
+        at = {T: k for k, T in enumerate(ordered)}
+        liu_at = {T: k for k, T in enumerate(liu_order(trees))}
+        for T in trees:
+            for S in tr._fitting(tr.psi(T)):
+                if S != T:
+                    assert liu_leq(S, T)
+                    assert liu_at[S] < liu_at[T]
+                    assert at[S] < at[T]
+
+
+def test_pairing_order_is_not_always_liu_order():
+    # from n = 3 on the arcs' closure is strictly smaller than Liu's
+    # order, and the order returned is not a linear extension of it
+    trees = tr.enumerate_rooted_trees(range(1, 4), 0)
+    S, T = tr.liu_linear_extension(trees)
+    assert liu_leq(T, S) and not liu_leq(S, T)
+
+
+def test_pairing_order_reads_no_input_order():
+    trees = tr.enumerate_rooted_trees(range(1, 5), 1)
+    assert tr.liu_linear_extension(trees[::-1]) == \
+        tr.liu_linear_extension(trees)
+    with pytest.raises(ValueError):
+        tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, 4)))
+
+
+# -- the edge-rescanning psi the package replaced, and an all-pairs Liu order -
 
 def _old_children(T, x):
     return sorted(c for c, p in T.parent if p == x)
@@ -558,20 +612,6 @@ def _old_liu_reachability(labels, i):
     return _OLD_REACH[(labels, i)]
 
 
-def _old_liu_linear_extension(trees):
-    remaining = sorted(trees, key=repr)
-    out = []
-    while remaining:
-        for T in remaining:
-            if not any(liu_leq(S, T) for S in remaining if S != T):
-                out.append(T)
-                remaining.remove(T)
-                break
-        else:
-            raise RuntimeError("cycle detected in the Liu relation")
-    return out
-
-
 def test_psi_matches_edge_rescanning_psi():
     for n in range(1, 7):
         for T in tr.enumerate_rooted_trees(range(1, n + 1)):
@@ -582,25 +622,11 @@ def test_liu_reachability_matches_all_pairs_closure():
     for n in range(1, 5):
         labels = tuple(range(1, n + 1))
         for i in range(n):
-            trees, position, closure = tr._liu_reachability(labels, i)
+            trees, position, closure = liu_reachability(labels, i)
             assert position == {T: k for k, T in enumerate(trees)}
             assert {T: frozenset(trees[j] for j in pt.bits(closure[k]))
                     for k, T in enumerate(trees)} == \
                 _old_liu_reachability(labels, i)
-
-
-def test_liu_linear_extension_matches_rescan():
-    for n in range(1, 6):
-        for i in range(n):
-            trees = tr.enumerate_rooted_trees(range(1, n + 1), i)
-            assert tr.liu_linear_extension(trees) == \
-                _old_liu_linear_extension(trees)
-    # order of the input does not matter; mixed classes are refused
-    trees = tr.enumerate_rooted_trees(range(1, 5), 1)
-    assert tr.liu_linear_extension(trees[::-1]) == \
-        _old_liu_linear_extension(trees)
-    with pytest.raises(ValueError):
-        tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, 4)))
 
 
 def test_linear_extensions_and_tau():

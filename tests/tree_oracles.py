@@ -2,18 +2,22 @@
 by path with a replacement by path, the recursive tree sign, family
 membership by predicate, the bicolored and normalized trees listed
 shape by shape, every linear extension of a tree's internal nodes, the
-labeled trees as adjacency dicts oriented from any root, one comparison
-in Liu's order, and the swap normal form by its recursive definition.
+labeled trees as adjacency dicts oriented from any root, Liu's order on
+a class as a closure with one comparison and one linear extension, and
+the swap normal form by its recursive definition.
 The package walks a tree once with each node's own replacement, reads
 the sign off the tree weight, builds each family directly, decodes each
 bicolored tree from its index, decides Liu-Lyndon membership by the psi
 round trip, sorts the one extension it reads, decodes each rooted tree
-already rooted, orders whole classes at once and carries subtree facts
-up while it normalizes, so none of these is needed there."""
+already rooted, orders the Liu pairing by the trees whose Pi_T holds
+each chain and carries subtree facts up while it normalizes, so none of
+these is needed there."""
 
 import heapq
 import itertools
+from functools import lru_cache
 
+from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
@@ -222,12 +226,127 @@ def orient(adj, root):
     return pmap
 
 
+def _subtree(x, kids):
+    """Labels of the subtree below ``x``, ``x`` included."""
+    nodes = [x]
+    for u in nodes:
+        nodes.extend(kids.get(u, ()))
+    return frozenset(nodes)
+
+
+def _liu_place(T, labels, i):
+    """(position, closure bitset) of T in its class T_{labels,i}."""
+    _trees, position, closure = liu_reachability(tuple(sorted(labels)), i)
+    k = position[T]
+    return k, closure[k]
+
+
+def _edge_splits(T):
+    """One entry per edge (c, p) of T, in ``T.parent`` order: the edge's
+    color, the labels below it, then for the tree below it (rooted at c)
+    and for the tree left above it, its descent count followed by its
+    position and closure bitset in its own class (``_liu_place``)."""
+    kids = tr._children_map(T)
+    total = T.descent_count()
+    labels = T.labels
+    out = []
+    for c, p in T.parent:
+        nodes = _subtree(c, kids)
+        inner = tuple(e for e in T.parent if e[0] in nodes and e[0] != c)
+        outer = tuple(e for e in T.parent if e[0] not in nodes)
+        d_inner = sum(1 for x, y in inner if x < y)
+        d_outer = total - d_inner - (c < p)
+        out.append((tr.RED if c < p else tr.BLUE, nodes,
+                    d_inner, *_liu_place(tr.RootedTree(c, inner), nodes, d_inner),
+                    d_outer, *_liu_place(tr.RootedTree(T.root, outer),
+                                         labels - nodes, d_outer)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def liu_reachability(labels, i):
+    """(trees, position, closure) for Liu's partial order on T_{labels,i}:
+    the class's trees in enumeration order, the dict tree -> position, and
+    per position the bitset of the positions of the trees >= it, itself
+    included: the transitive closure of the one-step relation.
+
+    T steps to T' when cutting some edge of T and some root edge of T',
+    both of one color, leaves two forests whose components pair up by
+    label set and are <= pairwise.  Every edge split is computed once,
+    with its two parts placed in their own smaller classes, and indexed
+    by (color, labels below the edge); each root edge of T' then looks up
+    the splits of T whose lower labels match its lower or its upper side,
+    and each comparison of parts is one bit test.
+    """
+    trees = tr.enumerate_rooted_trees(list(labels), i)
+    m = len(trees)
+    splits = [_edge_splits(T) for T in trees]
+    index = {}
+    for k, tree_splits in enumerate(splits):
+        for color, nodes, *parts in tree_splits:
+            index.setdefault((color, nodes), []).append((k, *parts))
+    everything = frozenset(labels)
+    succ = [0] * m
+    for kp, Tp in enumerate(trees):
+        for (_c, p), split in zip(Tp.parent, splits[kp]):
+            if p != Tp.root:
+                continue
+            color, low, d_low, at_low, _r, d_high, at_high, _r = split
+            for k, d1, _at, r1, d2, _at, r2 in index.get((color, low), ()):
+                if (k != kp and d1 == d_low and d2 == d_high
+                        and r1 >> at_low & 1 and r2 >> at_high & 1):
+                    succ[k] |= 1 << kp
+            for k, d1, _at, r1, d2, _at, r2 in index.get(
+                    (color, everything - low), ()):
+                if (k != kp and d1 == d_high and d2 == d_low
+                        and r1 >> at_high & 1 and r2 >> at_low & 1):
+                    succ[k] |= 1 << kp
+    # transitive closure; a cycle would contradict antisymmetry
+    closure = [0] * m
+    state = [0] * m  # 0 unvisited, 1 on stack, 2 done
+
+    def close(k):
+        if state[k] == 1:
+            raise RuntimeError("cycle detected in the Liu relation")
+        if state[k] == 0:
+            state[k] = 1
+            acc = 1 << k | succ[k]
+            for j in pt.bits(succ[k]):
+                acc |= close(j)
+            closure[k] = acc
+            state[k] = 2
+        return closure[k]
+
+    for k in range(m):
+        close(k)
+    return trees, {T: k for k, T in enumerate(trees)}, closure
+
+
+def _liu_class(trees):
+    """(closure, position) of the class shared by all the trees, else
+    ValueError."""
+    labels, i = trees[0].labels, trees[0].descent_count()
+    for T in trees:
+        if T.labels != labels or T.descent_count() != i:
+            raise ValueError("the Liu order compares trees in one T_{A,i}")
+    _trees, position, closure = liu_reachability(tuple(sorted(labels)), i)
+    return closure, position
+
+
 def liu_leq(T1, T2):
     """Liu's partial order on rooted trees with the same label set and
     descent count: one bit test in the class's closure."""
-    labels, i = tr._liu_class([T1, T2])
-    _trees, position, closure = tr._liu_reachability(tuple(sorted(labels)), i)
+    closure, position = _liu_class([T1, T2])
     return bool(closure[position[T1]] >> position[T2] & 1)
+
+
+def liu_linear_extension(trees):
+    """The trees of one class in a linear extension of Liu's order: by
+    decreasing number of trees >= them in the class, since a tree below
+    another has strictly more, then by ``repr``."""
+    closure, position = _liu_class(trees)
+    return sorted(trees, key=lambda T: (-closure[position[T]].bit_count(),
+                                        repr(T)))
 
 
 def recursive_valency(t):
