@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
+from math import comb
 
 from . import chains as ch
 from . import homology as hm
@@ -26,10 +27,16 @@ def _characteristic_polynomials(n):
 
 
 def _forests_vs_mobius(n):
-    tr.forest_counts(n)
     P = pt.mobius_poset(n, pt.WEIGHTED)
     per_alpha = Counter(ch.alpha_of_forest(F)
                         for F in tr.enumerate_rooted_forests(n))
+    # alpha has one block per tree: C(n-1, k-1) n^(n-k) forests of k trees
+    per_k = Counter()
+    for alpha, count in per_alpha.items():
+        per_k[len(alpha)] += count
+    for k in range(1, n + 1):
+        if per_k[k] != comb(n - 1, k - 1) * n ** (n - k):
+            raise AssertionError(f"{per_k[k]} forests of {k} trees on [{n}]")
     for e, mu in zip(P.elements, P.mu_from_bottom()):
         if abs(mu) != per_alpha.get(e, 0):
             raise AssertionError(f"mismatch at {pt.partition_str(e)}")

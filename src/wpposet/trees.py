@@ -18,20 +18,16 @@ how one tree on [7] or [8] is drawn.  :func:`valency_decreasing_tau` is
 a stable sort of a normalized tree's internal nodes, listed in
 postorder, by decreasing least leaf; nothing is searched.
 
-The comb, Lyndon and Liu-Lyndon families are each built directly, never
-filtered from a larger pool: a recursion over the splits of the sorted
-label set joins the trees on both sides under the family's local node
-rule, so the work is about the size of the family.
-:func:`enumerate_family` returns them in that construction's order.  Each
-recursion keeps what its node rule reads of a tree in columns beside the
-tree list, not in a tuple per tree: the red counts as bytes, and the
-Lyndon m or Liu w label as a list of ints.  So the trees with i red nodes
-are grouped once per family and label set, with no tree walked.  Each
-enumeration keeps the families on proper subsets of the label set, the
-ones its recursion reads again, in a memo of its own that is dropped
-when the family is returned; the family a caller asks for is built
-fresh and is freed when the caller drops it.  Of the families, only the
-i-buckets of :func:`enumerate_family` are kept past one call.
+The comb, Lyndon and Liu-Lyndon families are built directly, never
+filtered from a larger pool, by one builder, ``_family``, under three
+local node rules: every subset of the label set, in order of size, joins
+the trees of each split (L, R) that the family's rule allows, so the
+work is about the size of the family.  A family on a subset is a dict
+{(sig, k): trees}, ``sig`` what the rule reads of a tree and ``k`` its
+red count, so the trees with i red nodes come grouped, and with i given
+only the groups that can still reach i red nodes are built.  Nothing is
+kept past one call: the families on the subsets are freed when
+:func:`enumerate_family` returns.
 
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
 from a parent map.  One rerooting sweep, ``_rerootings``, stands behind
@@ -56,7 +52,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import namedtuple
-from functools import lru_cache, wraps
 from math import comb, factorial
 
 from .errors import ResourceCapError
@@ -295,186 +290,99 @@ def _splits(A, normalized):
                tuple(x for k, x in enumerate(A) if rbits >> k & 1))
 
 
-# A family comes as columns, one entry per tree: the trees, the red
-# counts as bytes (each at most TREE_ENUM_CAP) and, for Lyndon and Liu,
-# the label the node rule reads as a list, which holds any int label.
-# krs.translate(_ADD[k]) adds k to each red count of krs.
-_ADD = [bytes((b + k) & 255 for b in range(256))
-        for k in range(TREE_ENUM_CAP + 1)]
+# A family on a label set B is a dict {(sig, k): trees}: ``k`` is the
+# trees' red count and ``sig`` what a parent's node rule reads of them.
+# A rule takes (sig of l, sig of r, min(R)) and gives (colour, sig of the
+# node) for each colour it allows over l and r.
+
+def _comb_rule(_sl, sr, _x):
+    """sig is the root's colour (None for a leaf): a comb's right child is
+    a leaf, or a blue-rooted comb under a red node."""
+    if sr is None:
+        return (BLUE, BLUE), (RED, RED)
+    return ((RED, RED),) if sr == BLUE else ()
 
 
-class _SubFamilies(dict):
-    """The families on proper subsets of one enumeration's label set,
-    keyed by sorted label tuple.  A miss builds the family by the
-    recursion's ``body``, which reads its own sub-families here.  Nothing
-    in the values refers back to the dict, so it is freed with the last
-    reference to it, when the enumeration returns."""
-
-    def __init__(self, body):
-        super().__init__()
-        self.body = body
-
-    def __missing__(self, B):
-        got = self[B] = self.body(B, self)
-        return got
+def _lyndon_rule(sl, _sr, x):
+    """sig is (m, root colour), m the least leaf of the right child: a
+    normalized node is Lyndon when m(l) is None or m(l) > min(R), and a
+    node that is not must be blue over a red l."""
+    m, col = sl
+    if m is None or m > x:
+        return (BLUE, (x, BLUE)), (RED, (x, RED))
+    return ((BLUE, (x, BLUE)),) if col == RED else ()
 
 
-def _one_memo_per_call(body):
-    """The family on a sorted label tuple by ``body(A, sub)``, where
-    ``sub[B]`` is the family on a proper subset B: each call makes its own
-    ``_SubFamilies`` and drops it with the family on A returned."""
-
-    @wraps(body)
-    def family(A):
-        return body(A, _SubFamilies(body))
-
-    return family
-
-
-def _combs_blue_rooted(A, sub):
-    trees, reds = [], bytearray()
-    for x in A[1:]:
-        lefts, kls = sub[tuple(y for y in A if y != x)]
-        for l in lefts:
-            trees.append((BLUE, l, x))
-        reds += kls
-    return trees, reds
+def _liu_rule(sl, sr, _x):
+    """sig is (v, w, root colour), v the recursive valency and w that of
+    the right child: a blue node needs v(l) < v(r) and, over a blue l,
+    w(l) > v(r); a red node needs v(l) > v(r) and a leaf or red l with
+    w(l) < v(r).  Either way the node's valency is v(l)."""
+    vl, w, col = sl
+    vr = sr[0]
+    if vl < vr and (w is None or col == RED or w > vr):
+        return ((BLUE, (vl, vr, BLUE)),)
+    if vl > vr and (w is None or (col == RED and w < vr)):
+        return ((RED, (vl, vr, RED)),)
+    return ()
 
 
-@_one_memo_per_call
-def _combs(A, sub):
-    """Bicolored combs on the sorted label tuple ``A`` as (trees, reds):
-    ``reds[j]`` is the red count of ``trees[j]``.  A comb's right child is
-    a leaf, or a blue-rooted comb under a red node.  The splits read the
-    combs on proper subsets of ``A`` from ``sub``."""
-    if len(A) == 1:
-        return [A[0]], b"\0"
-    trees, reds = _combs_blue_rooted(A, sub)
-    for left, B in _splits(A, normalized=True):
-        rights, krs = (([B[0]], b"\0") if len(B) == 1
-                       else _combs_blue_rooted(B, sub))
-        lefts, kls = sub[left]
-        for rt, kr in zip(rights, krs):
-            for l in lefts:
-                trees.append((RED, l, rt))
-            reds += kls.translate(_ADD[kr + 1])
-    return trees, bytes(reds)
+# family -> (splits keep the least label on the left, rule, sig of a leaf)
+_FAMILIES = {
+    "comb": (True, _comb_rule, lambda x: None),
+    "lyndon": (True, _lyndon_rule, lambda x: (None, None)),
+    "liu": (False, _liu_rule, lambda x: (x, None, None)),
+}
 
 
-@_one_memo_per_call
-def _lyndon(A, sub):
-    """Lyndon trees on the sorted label tuple ``A`` as three columns
-    (trees, ms, reds): ``ms[j]`` is the least leaf of the right child of
-    ``trees[j]`` (None for a leaf) and ``reds[j]`` its red count.
+def _family(family, A, i=None):
+    """The family on the sorted label tuple ``A`` as {(sig, k): trees}.
 
-    A normalized node (l, r) is Lyndon when l is a leaf or m(l) > min(r),
-    and a node that is not must be blue with a red left child.  The
-    splits read the Lyndon trees on proper subsets of ``A`` from
-    ``sub``."""
-    if len(A) == 1:
-        return [A[0]], [None], b"\0"
-    trees, ms, reds = [], [], bytearray()
-    for L, R in _splits(A, normalized=True):
-        x = R[0]
-        rights, _rms, krs = sub[R]
-        # over each right tree, a blue and then a red node
-        krs2 = bytes(k + c for k in krs for c in (0, 1))
-        lefts, lms, kls = sub[L]
-        for l, m, kl in zip(lefts, lms, kls):
-            if m is None or m > x:
-                for r in rights:
-                    trees.append((BLUE, l, r))
-                    trees.append((RED, l, r))
-                reds += krs2.translate(_ADD[kl])
-            elif l[0] == RED:
-                for r in rights:
-                    trees.append((BLUE, l, r))
-                reds += krs.translate(_ADD[kl])
-        # every tree of this split has R's least label as its m
-        ms += [x] * (len(trees) - len(ms))
-    return trees, ms, bytes(reds)
-
-
-@_one_memo_per_call
-def _liu(A, sub):
-    """Liu-Lyndon trees on the sorted label tuple ``A``, grouped by their
-    recursive valency, as {v: (trees, ws, reds)}: ``ws[j]`` is the
-    recursive valency of the right child of ``trees[j]`` (None for a
-    leaf) and ``reds[j]`` its red count.
-
-    A blue node needs v(l) < v(r) and, over a blue left child, w(l) > v(r);
-    a red node needs v(l) > v(r) and a leaf or red left child with
-    w(l) < v(r).  Either way the node's valency is v(l).  The splits read
-    the Liu-Lyndon trees on proper subsets of ``A`` from ``sub``."""
-    if len(A) == 1:
-        return {A[0]: ([A[0]], [None], b"\0")}
-    out = {}
-    for L, R in _splits(A, normalized=False):
-        rights = sub[R]
-        for vl, (lefts, lws, kls) in sub[L].items():
-            trees, ws, reds = out.setdefault(vl, ([], [], bytearray()))
-            for l, w, kl in zip(lefts, lws, kls):
-                for vr, (rs, _rws, krs) in rights.items():
-                    if vl < vr and (w is None or l[0] == RED or w > vr):
-                        col, k = BLUE, kl
-                    elif vl > vr and (w is None or (l[0] == RED and w < vr)):
-                        col, k = RED, kl + 1
-                    else:
-                        continue
-                    trees.extend((col, l, r) for r in rs)
-                    ws += [vr] * len(rs)
-                    reds += krs.translate(_ADD[k])
-    return {v: (trees, ws, bytes(reds)) for v, (trees, ws, reds) in out.items()}
-
-
-def _family_columns(family, A):
-    """(trees, reds) of the family on the sorted label tuple ``A``:
-    ``reds[j]`` is the red count of ``trees[j]``, in
-    ``enumerate_family``'s order."""
-    if family == "comb":
-        return _combs(A)
-    if family == "lyndon":
-        trees, _ms, reds = _lyndon(A)
-        return trees, reds
-    if family == "liu":
-        groups = _liu(A).values()
-        return ([t for trees, _ws, _reds in groups for t in trees],
-                b"".join(reds for _trees, _ws, reds in groups))
-    raise KeyError(family)
-
-
-@lru_cache(maxsize=None)
-def _by_red_count(family, A):
-    """{k: the family's trees on the sorted label tuple ``A`` with k red
-    nodes}, each list in ``enumerate_family``'s order; one pass over the
-    family's columns, no tree walked.  The one cache that keeps a whole
-    family: the columns' sub-families are freed when the pass ends."""
-    out = {}
-    for t, k in zip(*_family_columns(family, A)):
-        out.setdefault(k, []).append(t)
-    return out
+    Every subset of ``A`` is filled in order of size, from the leaves up,
+    by joining the groups of L and R over each split (L, R) under the
+    family's node rule.  With ``i``, a group on B is kept only when
+    i - (|A| - |B|) <= k <= i, since a tree on B gains at most |A| - |B|
+    red nodes on its way to A; a kept group is built from kept groups
+    alone, so it is the same list as without ``i``."""
+    normalized, rule, leaf_sig = _FAMILIES[family]
+    n = len(A)
+    groups = {}
+    for size in range(1, n + 1):
+        lo, hi = (0, n) if i is None else (i - n + size, i)
+        for B in itertools.combinations(A, size):
+            got = groups[B] = {}
+            if size == 1:
+                if lo <= 0 <= hi:
+                    got[leaf_sig(B[0]), 0] = [B[0]]
+                continue
+            for L, R in _splits(B, normalized):
+                x = R[0]
+                for (sl, kl), lefts in groups[L].items():
+                    for (sr, kr), rights in groups[R].items():
+                        for col, sig in rule(sl, sr, x):
+                            k = kl + kr + (col == RED)
+                            if lo <= k <= hi:
+                                got.setdefault((sig, k), []).extend(
+                                    (col, l, r) for l in lefts for r in rights)
+    return groups.get(A, {})
 
 
 def enumerate_family(family, labels, i=None):
     """Enumerate one of the three tree families on ``labels`` (an int n
     stands for [n]), optionally only the trees with ``i`` red nodes.
 
-    Each family is a recursion over the splits of the sorted label set
-    that joins the trees on both sides under a local node rule: combs and
-    Lyndon trees split with the least label on the left (normalized),
-    Liu-Lyndon trees over all ordered splits.  The families on proper
-    subsets are memoized for this call only, and nothing keeps the list
-    returned, so a family and its sub-families are freed when the caller
-    drops it.  Each recursion keeps its trees' red counts (and the label
-    its node rule reads) as columns beside them, and the trees with ``i``
-    red nodes are grouped and cached once per (family, label set).  The
-    list comes in that construction's order, which is deterministic but
-    otherwise unspecified.  More than TREE_ENUM_CAP labels are refused
-    before any work."""
+    The families are one join over the splits of the sorted label set
+    (``_family``) under three local node rules: combs and Lyndon trees
+    split with the least label on the left (normalized), Liu-Lyndon trees
+    over all ordered splits.  The trees come grouped by red count, so the
+    trees with ``i`` red nodes are built without the others, and nothing
+    is kept past the call.  The list comes in the join's order, which is
+    deterministic but otherwise unspecified; each i-bucket is a
+    subsequence of the full list, in its order.  More than TREE_ENUM_CAP
+    labels are refused before any work."""
     A = tuple(_sorted_labels(labels, f"{family} trees"))
-    if i is not None:
-        return list(_by_red_count(family, A).get(i, ()))
-    return _family_columns(family, A)[0]
+    # with i, every group on A has k == i
+    return [t for trees in _family(family, A, i).values() for t in trees]
 
 
 # -- linear extensions -------------------------------------------------------
@@ -766,15 +674,3 @@ def enumerate_rooted_forests(n):
         for combo in itertools.product(*(on_block[m] for m in part)):
             yield list(combo)
 
-
-def forest_counts(n):
-    """Numbers of rooted forests on [n] with k = 1..n trees (index k-1),
-    from one enumeration, each checked against C(n-1, k-1) n^(n-k)."""
-    counts = [0] * n
-    for F in enumerate_rooted_forests(n):
-        counts[len(F) - 1] += 1
-    for k, count in enumerate(counts, 1):
-        expected = comb(n - 1, k - 1) * n ** (n - k)
-        if count != expected:
-            raise AssertionError(f"forest count {count} != {expected} at n={n}, k={k}")
-    return counts

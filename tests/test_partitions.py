@@ -151,9 +151,13 @@ def test_whitney_matrices_inverse():
 
 
 def test_forest_count_closed_form():
-    assert tr.forest_counts(5)[0] == 625
-    assert tr.forest_counts(4)[1] == 48
-    assert tr.forest_counts(3)[2] == 1
+    # rooted forests on [n] with k trees: C(n-1, k-1) n^(n-k)
+    def with_trees(n, k):
+        return sum(len(F) == k for F in tr.enumerate_rooted_forests(n))
+
+    assert with_trees(5, 1) == 625
+    assert with_trees(4, 2) == 48
+    assert with_trees(3, 3) == 1
 
 
 def test_caps_raise():

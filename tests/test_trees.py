@@ -60,7 +60,7 @@ def test_family_direct_matches_filter():
     # be min-leaf normalized, so they are filtered from the full set
     preds = {"comb": tr.is_comb, "lyndon": is_lyndon,
              "liu": is_liu_lyndon}
-    for n in range(1, 5):
+    for n in range(1, 6):
         for fam in ("comb", "lyndon", "liu"):
             pool = (tr.enumerate_bicolored(n) if fam == "liu"
                     else enumerate_normalized(n))
@@ -91,26 +91,29 @@ def test_family_edge_cases(fam):
     assert tr.enumerate_family(fam, (300,), 0) == [300]
 
 
-def test_family_columns_match_their_trees():
-    # every label set the recursions memoize within [6], [n] included:
-    # each stored m, w and red count equals the one read off its tree
-    def right_min(t):
-        return None if tr.is_leaf(t) else tr.min_leaf(t[2])
+def test_family_groups_match_their_trees():
+    # every label set within [6], [6] included: each tree in group
+    # (sig, k) has red count k and the sig its family's rule reads of it
+    def colour(t):
+        return None if tr.is_leaf(t) else t[0]
 
-    def right_valency(t):
-        return None if tr.is_leaf(t) else recursive_valency(t[2])
+    def right(f, t):
+        return None if tr.is_leaf(t) else f(t[2])
 
+    sig_of = {
+        "comb": colour,
+        "lyndon": lambda t: (right(tr.min_leaf, t), colour(t)),
+        "liu": lambda t: (recursive_valency(t),
+                          right(recursive_valency, t), colour(t)),
+    }
     for size in range(1, 7):
         for A in itertools.combinations(range(1, 7), size):
-            trees, reds = tr._combs(A)
-            assert list(reds) == [tr.red_count(t) for t in trees], A
-            trees, ms, reds = tr._lyndon(A)
-            assert list(reds) == [tr.red_count(t) for t in trees], A
-            assert ms == [right_min(t) for t in trees], A
-            for v, (trees, ws, reds) in tr._liu(A).items():
-                assert {recursive_valency(t) for t in trees} == {v}, A
-                assert list(reds) == [tr.red_count(t) for t in trees], A
-                assert ws == [right_valency(t) for t in trees], A
+            for fam in FAMILIES:
+                for (sig, k), trees in tr._family(fam, A).items():
+                    assert trees, (fam, A, sig, k)
+                    for t in trees:
+                        assert tr.red_count(t) == k, (fam, A, t)
+                        assert sig_of[fam](t) == sig, (fam, A, t)
 
 
 def _digest(trees):
@@ -119,26 +122,23 @@ def _digest(trees):
 
 def test_family_order_is_pinned():
     # sha256 of the repr of every family list and i-bucket on [n], n <= 7,
-    # recorded before the recursions kept their side data as columns
+    # recorded when the three families became one join under three rules
     want = json.loads(
         Path(__file__).with_name("family_order_digests.json").read_text())
-    try:
-        for key, digests in want.items():
-            fam, n = key.split()
-            n = int(n)
-            got = [_digest(tr.enumerate_family(fam, n))]
-            got += [_digest(tr.enumerate_family(fam, n, i)) for i in range(n)]
-            assert got == digests, key
-    finally:
-        # the [7] buckets are read by no other test
-        tr._by_red_count.cache_clear()
+    for key, digests in want.items():
+        fam, n = key.split()
+        n = int(n)
+        got = [_digest(tr.enumerate_family(fam, n))]
+        got += [_digest(tr.enumerate_family(fam, n, i)) for i in range(n)]
+        assert got == digests, key
 
 
-# What the trees module still holds after the three families on [6] are
-# built and dropped (tracemalloc, Python 3.11): 4.1 MiB while each
-# process-lifetime memo kept its (tree, label) pairs and the families on
-# [6] themselves, 1.2 MiB with columns and proper sub-label-sets only,
-# and nothing once each enumeration drops its own memo.
+# What the trees module still holds after the three families on [6], and
+# each of their i-buckets, are built and dropped (tracemalloc, Python
+# 3.11): 4.1 MiB while each process-lifetime memo kept its (tree, label)
+# pairs and the families on [6] themselves, 2.4 MiB while the i-buckets
+# were cached for the process, and nothing once every call builds what
+# it returns and drops the rest.
 RETAINED_BOUND_MIB = 0.25
 
 
@@ -150,7 +150,9 @@ def test_families_free_what_the_caller_drops():
         for fam in FAMILIES:
             trees = tr.enumerate_family(fam, 6)
             assert len(trees) == 6 ** 5
-            del trees
+            per_i = [tr.enumerate_family(fam, 6, i) for i in range(6)]
+            assert sum(map(len, per_i)) == 6 ** 5
+            del trees, per_i
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -158,17 +160,12 @@ def test_families_free_what_the_caller_drops():
     assert held < RETAINED_BOUND_MIB * 2 ** 20, held / 2 ** 20
 
 
-# The caches that keep a family past one enumeration call on purpose: the
-# i-buckets of a (family, n).
-KEPT_CACHES = {"_by_red_count"}
-
-
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_no_cache_keeps_a_sub_family(fam):
     tr.enumerate_family(fam, 6)
+    tr.enumerate_family(fam, 6, 2)
     held = {name: value.cache_info().currsize
-            for name, value in vars(tr).items()
-            if hasattr(value, "cache_info") and name not in KEPT_CACHES}
+            for name, value in vars(tr).items() if hasattr(value, "cache_info")}
     assert not any(held.values()), held
 
 
@@ -292,12 +289,18 @@ def test_descent_counts_tally_the_listed_trees():
         assert tr.descent_counts(n) == [per_d[d] for d in range(n)]
 
 
+def forest_counts(n):
+    """Numbers of rooted forests on [n] with k = 1..n trees (index k-1)."""
+    per_k = Counter(len(F) for F in tr.enumerate_rooted_forests(n))
+    return [per_k[k] for k in range(1, n + 1)]
+
+
 def test_forest_counts_one_pass():
     # C(n-1, k-1) n^(n-k); they sum to (n+1)^(n-1)
-    assert tr.forest_counts(4) == [64, 48, 12, 1]
-    assert tr.forest_counts(5) == [625, 500, 150, 20, 1]
+    assert forest_counts(4) == [64, 48, 12, 1]
+    assert forest_counts(5) == [625, 500, 150, 20, 1]
     for n in range(1, 6):
-        assert sum(tr.forest_counts(n)) == (n + 1) ** (n - 1)
+        assert sum(forest_counts(n)) == (n + 1) ** (n - 1)
 
 
 def test_rooted_forests_are_distinct_and_cover_n():
@@ -387,7 +390,7 @@ def test_lyndon_recursion_matches_forced_colorings():
 
 
 def test_families_hold_labels_past_a_byte():
-    # the m and w columns hold any int label, not only those below 256
+    # the Lyndon and Liu sigs hold any int label, not only those below 256
     A = (2, 5, 300, 301, 302)
     lyndon = tr.enumerate_family("lyndon", A)
     assert len(set(lyndon)) == len(lyndon) == 625
