@@ -2,9 +2,10 @@
 
 A bicolored binary tree together with a linear extension of its internal
 nodes determines a maximal chain of [0-hat, [n]^i]: walk the extension
-and at each step u-merge the blocks carried by the two child subtrees,
-with u = 0 for a blue node and u = 1 for a red one.  The leaf masks of
-those blocks are carried up one postorder pass.
+and at each step merge the blocks carried by the two child subtrees
+(``partitions.merge``), their weights summed plus u, with u = 0 for a
+blue node and u = 1 for a red one.  The leaf masks of those blocks are
+carried up one postorder pass.
 
 A rooted tree T on [n] spans the boolean subposet Pi_T of the weighted
 partition poset: one element alpha(T_E) per subset E of its edges.
@@ -25,37 +26,17 @@ from . import partitions as pt
 from . import trees as tr
 
 
-def u_of_color(color):
-    return 0 if color == tr.BLUE else 1
-
-
-def u_merge(p, block_masks, u):
-    """Replace the named blocks of p by their union with weight sum+u."""
-    if not 0 <= u <= len(block_masks) - 1:
-        raise ValueError(f"u={u} out of range for {len(block_masks)} blocks")
-    named = set(block_masks)
-    chosen = [b for b in p if b[0] in named]
-    if len(chosen) != len(block_masks):
-        raise ValueError("some blocks are absent from the partition")
-    rest = [b for b in p if b[0] not in named]
-    mask = 0
-    total = u
-    for m, v in chosen:
-        mask |= m
-        total += v
-    rest.append((mask, total))
-    return pt.sort_blocks(rest)
-
-
 def chain_partitions_of_tree(t, tau=None):
     """The chain of weighted partitions determined by (t, tau), bottom
     included, as a tuple of partitions.  tau is a sequence of postorder
     indices of the internal nodes and defaults to the identity.
 
-    One postorder pass records, per internal node, its u and the leaf
-    masks of its two children, each mask the union of the masks carried
-    up from below, and the postorder indices of its internal children."""
-    nodes = []  # (u, left mask, right mask, left index, right index)
+    One postorder pass records, per internal node, whether it is red and
+    the leaf masks of its two children, each mask the union of the masks
+    carried up from below, and the postorder indices of its internal
+    children.  The chain keeps the masks of its current blocks, so each
+    step finds the two children's blocks and merges them."""
+    nodes = []  # (red, left mask, right mask, left index, right index)
 
     def walk(s):
         """(leaf mask of s, postorder index of s or -1 for a leaf)"""
@@ -65,7 +46,9 @@ def chain_partitions_of_tree(t, tau=None):
             return 1 << (s - 1), -1
         lmask, lk = walk(s[1])
         rmask, rk = walk(s[2])
-        nodes.append((u_of_color(s[0]), lmask, rmask, lk, rk))
+        if lmask & rmask:
+            raise ValueError("tree leaves must be exactly [n]")
+        nodes.append((int(s[0] == tr.RED), lmask, rmask, lk, rk))
         return lmask | rmask, len(nodes) - 1
 
     full = walk(t)[0]
@@ -77,13 +60,17 @@ def chain_partitions_of_tree(t, tau=None):
     elif sorted(tau) != list(range(len(nodes))):
         raise ValueError("tau must permute the internal nodes")
     merged = [False] * len(nodes)
+    masks = [1 << a for a in range(n)]
     chain = [pt.bottom(n)]
     for k in tau:
-        u, lmask, rmask, lk, rk = nodes[k]
+        red, lmask, rmask, lk, rk = nodes[k]
         if (lk >= 0 and not merged[lk]) or (rk >= 0 and not merged[rk]):
             raise ValueError("tau is not a linear extension")
         merged[k] = True
-        chain.append(u_merge(chain[-1], [lmask, rmask], u))
+        i, j = sorted((masks.index(lmask), masks.index(rmask)))
+        p = chain[-1]
+        chain.append(pt.merge(p, i, j, p[i][1] + p[j][1] + red))
+        masks[i] |= masks.pop(j)
     return tuple(chain)
 
 
@@ -108,10 +95,10 @@ def pi_subposet(T):
     bitmask of E over ``T.parent``.  T must be a tree on [n].
 
     The entry for E is the entry for E minus its lowest edge (c, p) with
-    the blocks of c and p u-merged, u = (c < p): a component's weight is
-    its count of descent (red) edges.  The table is
-    checked to be the boolean lattice of edge subsets, embedded in
-    Pi_n^w (``check_boolean``).
+    the blocks of c and p merged (``partitions.merge``), their weights
+    summed plus (c < p): a component's weight is its count of descent
+    (red) edges.  The table is checked to be the boolean lattice of edge
+    subsets, embedded in Pi_n^w (``check_boolean``).
     """
     n = len(T.labels)
     if T.labels != frozenset(range(1, n + 1)):
@@ -122,8 +109,9 @@ def pi_subposet(T):
         c, p = T.parent[low.bit_length() - 1]
         ends = 1 << (c - 1) | 1 << (p - 1)
         below = table[E ^ low]
-        table.append(u_merge(below, [m for m, _v in below if m & ends],
-                             int(c < p)))
+        i, j = (k for k, (m, _v) in enumerate(below) if m & ends)
+        table.append(pt.merge(below, i, j,
+                              below[i][1] + below[j][1] + int(c < p)))
     check_boolean(n, table)
     return table
 

@@ -164,18 +164,21 @@ def _cycle_index(chains, rows):
     coboundary row, and the stored rows span them all.
 
     One pass in chain order: a chain no row is pivoted at is free, and
-    the j-th free chain gets z_j = 1 there.  At the pivot c of a row s,
-    z[c] = -(1/s[c]) * sum of s[k] z[k] over its other keys k, each an
-    earlier chain.  Where s[c] is not a unit, every entry so far is first
-    multiplied by |s[c]|; one factor for every z_j keeps them a basis of
-    the same span.  Each z_j is 0 on every other free chain, so they are
-    independent."""
-    z, count = [], 0
+    the k-th free chain gets z_j = 1 there, j = count - 1 - k: the
+    columns count down, so a quotient row's largest key, the one
+    ``linalg.Echelon`` pivots on, is its earliest free chain.  At the
+    pivot c of a row s, z[c] = -(1/s[c]) * sum of s[k] z[k] over its
+    other keys k, each an earlier chain.  Where s[c] is not a unit, every
+    entry so far is first multiplied by |s[c]|; one factor for every z_j
+    keeps them a basis of the same span.  Each z_j is 0 on every other
+    free chain, so they are independent."""
+    count = len(chains) - len(rows)
+    z, free = [], 0
     for p in range(len(chains)):
         s = rows.get(p)
         if s is None:
-            z.append((count, 1))
-            count += 1
+            z.append((count - 1 - free, 1))
+            free += 1
             continue
         d = s[p]
         if d not in (1, -1):
@@ -237,7 +240,7 @@ def interval_elements(n, i):
     on [n]: those below [n]^i (``_below_top``), without the bottom and
     [n]^i; no order relation is read and no order complex is built."""
     P = pt.build_poset(n, pt.WEIGHTED)
-    ends = {pt.bottom(n), pt.sort_blocks((((1 << n) - 1, i),))}
+    ends = {pt.bottom(n), (((1 << n) - 1, i),)}
     return [e for e in P.elements if e not in ends
             and _below_top(len(e), sum(w for _m, w in e), i)]
 

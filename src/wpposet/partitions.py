@@ -9,8 +9,10 @@ block.
 
 Covers merge exactly two blocks: the union gets weight w1+w2+u with
 u in {0, 1} (weighted) or a point chosen from the two old points
-(pointed).  The augmented poset adjoins a maximum element TOP above
-the one-block partitions.
+(pointed).  That one cover step is ``merge``; the poset's covers and
+the chains of trees and of Pi_T in ``chains`` all take it, and the
+blocks it leaves are still sorted.  The augmented poset adjoins a
+maximum element TOP above the one-block partitions.
 """
 
 from __future__ import annotations
@@ -91,6 +93,13 @@ def partition_str(p):
     return "{" + "|".join(parts) + "}"
 
 
+def merge(p, i, j, w):
+    """p with its blocks i < j replaced by their union, weighted (or
+    pointed) w: the one cover step.  The union keeps block i's least
+    element, so it takes block i's place and the blocks stay sorted."""
+    return p[:i] + ((p[i][0] | p[j][0], w),) + p[i + 1:j] + p[j + 1:]
+
+
 def upper_covers(p, variant=WEIGHTED):
     """The partitions covering p: every merge of two of its blocks, with
     each weight (or point) the merge allows.  The one place the cover
@@ -98,12 +107,10 @@ def upper_covers(p, variant=WEIGHTED):
     out = []
     for i in range(len(p)):
         for j in range(i + 1, len(p)):
-            (m1, v1), (m2, v2) = p[i], p[j]
-            rest = p[:i] + p[i + 1:j] + p[j + 1:]
-            m = m1 | m2
+            v1, v2 = p[i][1], p[j][1]
             choices = (v1 + v2, v1 + v2 + 1) if variant == WEIGHTED else (v1, v2)
             for v in choices:
-                out.append(sort_blocks(rest + ((m, v),)))
+                out.append(merge(p, i, j, v))
     return out
 
 
@@ -118,7 +125,7 @@ def enumerate_partitions(n, variant=WEIGHTED):
         else:
             choices = [mask_members(m) for m in part]
         for vals in itertools.product(*choices):
-            out.append(sort_blocks(tuple(zip(part, vals))))
+            out.append(tuple(zip(part, vals)))
     out.sort(key=lambda p: (-len(p), p))  # rank order, bottom first
     return out
 

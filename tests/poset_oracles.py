@@ -1,14 +1,18 @@
 """Direct definitions the tests use as oracles: the cover and order
-relations read blockwise from two partitions, the edge label of a cover
-pair, an open poset's order transposed from down-sets, its chains as
-tuples of partitions, its top cycles as ChainVectors, a whole integer
-kernel by tracked elimination, the boundary and coboundary of
-ChainVectors, the pairing that makes chains orthonormal, and the EL
-check over every listed saturated chain.  The package decides covers
-only by generating them, reads each host's order and each label off a
-pair the poset's covers hold, reduces coboundary maps over index chains
-without tracking, solves the cycle index off the top map's stored rows
-and counts chains over covers, so none of these is needed there."""
+relations read blockwise from two partitions, the cover step as a merge
+of named blocks re-sorted afterwards (``u_merge``, ``upper_covers``),
+the edge label of a cover pair, an open poset's order transposed from
+down-sets, its chains as tuples of partitions, its top cycles as
+ChainVectors, a whole integer kernel by tracked elimination, the
+boundary and coboundary of ChainVectors, the pairing that makes chains
+orthonormal, and the EL check over every listed saturated chain.  The
+package decides covers only by generating them, merges two blocks in
+place (the union takes the place of the block with the lesser least
+element, so no sort is needed), reads each host's order and each label
+off a pair the poset's covers hold, reduces coboundary maps over index
+chains without tracking, solves the cycle index off the top map's
+stored rows and counts chains over covers, so none of these is needed
+there."""
 
 from math import gcd
 
@@ -57,6 +61,41 @@ def edge_label(x, y, n):
     (m1, v1), (m2, v2) = gone
     ((_m, v),) = set(y) - set(x)
     return lb.EdgeLabel(pt.mask_min(m1), pt.mask_min(m2), v - (v1 + v2))
+
+
+def u_merge(p, block_masks, u):
+    """Replace the named blocks of p by their union with weight sum+u."""
+    if not 0 <= u <= len(block_masks) - 1:
+        raise ValueError(f"u={u} out of range for {len(block_masks)} blocks")
+    named = set(block_masks)
+    chosen = [b for b in p if b[0] in named]
+    if len(chosen) != len(block_masks):
+        raise ValueError("some blocks are absent from the partition")
+    rest = [b for b in p if b[0] not in named]
+    mask = 0
+    total = u
+    for m, v in chosen:
+        mask |= m
+        total += v
+    rest.append((mask, total))
+    return pt.sort_blocks(rest)
+
+
+def upper_covers(p, variant=pt.WEIGHTED):
+    """The partitions covering p, in the order of
+    ``partitions.upper_covers``: every merge of two of its blocks with
+    each weight (or point) it allows, the union appended to the other
+    blocks and the whole re-sorted."""
+    out = []
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            (m1, v1), (m2, v2) = p[i], p[j]
+            rest = p[:i] + p[i + 1:j] + p[j + 1:]
+            m = m1 | m2
+            choices = (v1 + v2, v1 + v2 + 1) if variant == pt.WEIGHTED else (v1, v2)
+            for v in choices:
+                out.append(pt.sort_blocks(rest + ((m, v),)))
+    return out
 
 
 def leq(a, b, variant=pt.WEIGHTED):

@@ -4,7 +4,7 @@ from wpposet import chains as ch
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
-from poset_oracles import ground_size, leq
+from poset_oracles import ground_size, leq, u_merge
 from tree_oracles import linear_extensions, postorder_internal
 
 B, R = tr.BLUE, tr.RED
@@ -104,10 +104,41 @@ def test_tree_of_chain_roundtrip_exhaustive():
     assert count == 144
 
 
-def test_u_merge_validates():
-    p = pt.bottom(3)
-    with pytest.raises(ValueError):
-        ch.u_merge(p, [0b001, 0b010], 2)  # u too large for two blocks
+@pytest.mark.parametrize("t, tau, message", [
+    ((B, 0, 1), None, "exactly"),  # a leaf below 1
+    ((B, 1, 3), None, "exactly"),  # 2 is missing
+    ((B, 1, 1), None, "exactly"),  # 1 twice
+    ((B, (R, 1, 2), 2), None, "exactly"),  # 2 twice, in two subtrees
+    ((B, (R, 1, 2), 3), (0, 0), "permute"),
+    ((B, (R, 1, 2), 3), (1, 0), "linear extension"),
+], ids=["leaf-below-1", "missing-label", "repeated-leaf",
+        "repeated-across-subtrees", "tau-not-a-permutation",
+        "tau-not-a-linear-extension"])
+def test_chain_builder_rejects_bad_input(t, tau, message):
+    with pytest.raises(ValueError, match=message):
+        ch.chain_partitions_of_tree(t, tau)
+
+
+def chain_by_u_merge(t, tau=None):
+    """The chain of (t, tau) by naming the two child blocks of each
+    internal node, in the order tau, and u-merging them."""
+    nodes = [node for _path, node in postorder_internal(t)]
+    chain = [pt.bottom(len(tr.leaves(t)))]
+    for k in range(len(nodes)) if tau is None else tau:
+        color, left, right = nodes[k]
+        children = [pt.members_mask(tr.leaves(s)) for s in (left, right)]
+        chain.append(u_merge(chain[-1], children, int(color == R)))
+    return tuple(chain)
+
+
+def test_chain_matches_the_u_merge_oracle():
+    for n in range(1, 6):
+        for t in tr.enumerate_bicolored(n):
+            assert ch.chain_partitions_of_tree(t) == chain_by_u_merge(t), t
+            if tr.is_normalized(t):
+                tau = tr.valency_decreasing_tau(t)
+                assert (ch.chain_partitions_of_tree(t, tau)
+                        == chain_by_u_merge(t, tau)), t
 
 
 def test_alpha_of_forest():
@@ -157,6 +188,22 @@ def test_pi_subposet_matches_forest_partition():
             assert ch.pi_subposet(T) == [
                 forest_partition(T, [e for k, e in enumerate(edges) if E >> k & 1])
                 for E in range(1 << len(edges))]
+
+
+def test_pi_subposet_matches_the_u_merge_oracle():
+    # the entry for E: the entry for E minus its lowest edge (c, p), the
+    # blocks holding c and p named and u-merged
+    for n in range(1, 6):
+        for T in tr.enumerate_rooted_trees(range(1, n + 1)):
+            table = [pt.bottom(n)]
+            for E in range(1, 1 << len(T.parent)):
+                low = E & -E
+                c, p = T.parent[low.bit_length() - 1]
+                below = table[E ^ low]
+                named = [m for m, _v in below if m >> (c - 1) & 1
+                         or m >> (p - 1) & 1]
+                table.append(u_merge(below, named, int(c < p)))
+            assert ch.pi_subposet(T) == table, T
 
 
 def test_boolean_check_rejects_swapped_images():

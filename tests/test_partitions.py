@@ -8,7 +8,7 @@ from wpposet import ResourceCapError
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
-from poset_oracles import covers, leq
+from poset_oracles import covers, leq, upper_covers as sorted_covers
 
 
 def blocks(p):
@@ -118,6 +118,22 @@ def test_generated_covers_match_the_blockwise_relation(variant):
             ups = set(P.covers[k])
             for j, y in enumerate(P.elements):
                 assert covers(x, y, P.variant) == (j in ups), (x, y)
+
+
+def test_merge_takes_the_place_of_the_lesser_block():
+    # {1|2|3|4} with blocks 2 and 4 merged: the union sits where 2 was
+    assert pt.merge(pt.bottom(4), 1, 3, 1) == \
+        ((0b0001, 0), (0b1010, 1), (0b0100, 0))
+
+
+@pytest.mark.parametrize("variant", [pt.WEIGHTED, pt.POINTED])
+def test_upper_covers_match_the_re_sorted_merge(variant):
+    # every element listed with its blocks sorted, and its covers, merged
+    # in place, equal to the union appended and the blocks re-sorted
+    for n in range(1, 7):
+        for x in pt.build_poset(n, variant).elements:
+            assert x == pt.sort_blocks(x)
+            assert pt.upper_covers(x, variant) == sorted_covers(x, variant), x
 
 
 def test_leq_respects_covers():
