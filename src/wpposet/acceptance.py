@@ -49,18 +49,28 @@ def _el_labeling(n):
 
 
 def _ascent_free_chains(n):
+    # distinct ascent-free maximal chains of [0-hat, [n]^i], as many as
+    # the count over the covers finds: together, the set of all of them
     counts = tr.descent_counts(n)
     P, labels = lb.cover_labels(n)
     for i in range(n):
-        top = (((1 << n) - 1, i),)
-        af = lb.ascent_free_chains(P, labels, top)
-        if len(af) != counts[i]:
-            raise AssertionError(f"n={n} i={i}: {len(af)} ascent-free chains")
-        got = {tuple(P.elements[k] for k in c) for c in af}
-        want = {ch.chain_partitions_of_tree(t, tr.valency_decreasing_tau(t))
-                for t in tr.enumerate_family("lyndon", n, i)}
-        if got != want:
-            raise AssertionError(f"n={n} i={i}: chain sets differ")
+        top = P.index[(((1 << n) - 1, i),)]
+        count = lb.interval_counts(P, labels, top)[0][3]
+        trees = tr.enumerate_family("lyndon", n, i)
+        chains = {ch.chain_partitions_of_tree(t, tr.valency_decreasing_tau(t))
+                  for t in trees}
+        for c in chains:
+            at = [P.index.get(x) for x in c]
+            word = [labels.get(step) for step in zip(at, at[1:])]
+            if at[0] != 0 or at[-1] != top or None in word or any(
+                    lb.label_less(p, q) for p, q in zip(word, word[1:])):
+                chain = " < ".join(map(pt.partition_str, c))
+                raise AssertionError(f"n={n} i={i}: not an ascent-free "
+                                     f"maximal chain: {chain}")
+        if not len(trees) == len(chains) == count == counts[i]:
+            raise AssertionError(f"n={n} i={i}: {count} ascent-free chains, "
+                                 f"{len(chains)} chains of {len(trees)} "
+                                 f"Lyndon trees")
 
 
 def _betti_numbers(n):

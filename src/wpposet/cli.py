@@ -298,6 +298,9 @@ def main(argv=None):
             if i is not None and not 0 <= i < args.n:
                 raise ValueError(f"--i must be in 0..{args.n - 1}, got {i}")
             if args.cap and args.max_elements is not None:
+                if args.max_elements < 0:
+                    raise ValueError(f"--max-elements must be >= 0, "
+                                     f"got {args.max_elements}")
                 what, size = args.cap[0], args.cap[1](args)
                 if size > args.max_elements:
                     raise ResourceCapError(f"{what} with {size} elements",

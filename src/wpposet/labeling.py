@@ -7,12 +7,13 @@ gets (1, n+1)^0.  Labels live in the poset Lambda_n: the ordinal sum over
 a of the componentwise orders on (b, u).  ``cover_labels`` reads each
 label off a cover pair of the poset (covers are decided only by
 ``partitions.upper_covers``) into one table, which the EL check, the
-ascent-free chains and the DOT rendering all take.
+ascent-free count of criterion 8 and the DOT rendering all take.
 
-The EL property (Bjorner-Wachs, Trans. AMS 1996) is checked by counting
-chains over the covers, never by listing them: walking down from each
-top y, every cover inside [., y] carries the numbers of increasing and of
-ascent-free maximal chains that start with it.
+Chains are counted over the covers, never listed: ``interval_counts``
+walks down from one top y, and every cover inside [., y] carries the
+numbers of increasing and of ascent-free maximal chains that start with
+it.  The EL property (Bjorner-Wachs, Trans. AMS 1996) is that count,
+read for every top by ``verify_el``.
 """
 
 from __future__ import annotations
@@ -67,20 +68,62 @@ def cover_labels(n):
     return P, labels
 
 
+COUNTS = ("max_chains", "increasing", "lex_first_ok", "ascent_free")
+
+
+def interval_counts(P, labels, y):
+    """{z: COUNTS of [z, y]} for every z < y: the numbers of maximal
+    chains, of increasing and of ascent-free ones under the cover labels
+    ``labels`` of P (as from ``cover_labels``), and whether exactly one is
+    increasing and lexicographically first.  The upper covers of each
+    element must carry distinct labels, as ``verify_el`` checks.
+    """
+    # distinct labels make lex-first a test of single steps: each step of
+    # the increasing chain leads, its label strictly below every other
+    # cover label inside the interval.
+    # steps[z]: (label, #increasing, #ascent-free, lex-ok) of each cover
+    # z < w inside [., y], over the maximal chains of [z, y] that start
+    # with it; lex-ok, read only where exactly one is increasing, says
+    # that every step of that one leads
+    below = P.down_sets()[y]
+    steps, chains, counts = {y: []}, {y: 1}, {}
+    for z in reversed(pt.bits(below ^ (1 << y))):
+        out, max_chains = [], 0
+        for w in P.covers[z]:
+            if not below >> w & 1:
+                continue
+            lab = labels[z, w]
+            inc, af, ok = (1, 1, True) if w == y else (0, 0, False)
+            for lv, iv, av, okv in steps[w]:
+                if label_less(lab, lv):
+                    inc += iv
+                    if iv:
+                        ok = okv
+                else:
+                    af += av
+            out.append((lab, inc, af, ok))
+            max_chains += chains[w]
+        steps[z] = [(lab, inc, af, ok and inc == 1 and all(
+            label_less(lab, other) for other, *_ in out if other != lab))
+            for lab, inc, af, ok in out]
+        chains[z] = max_chains
+        increasing = sum(s[1] for s in out)
+        counts[z] = (max_chains, increasing,
+                     increasing == 1 and any(s[3] for s in steps[z]),
+                     sum(s[2] for s in out))
+    return counts
+
+
 def verify_el(P, labels):
     """Check the EL property of the cover labels ``labels`` (as from
     ``cover_labels``) on every closed interval of P: exactly one
     increasing maximal chain, lexicographically first.
 
     Returns a report dict; report["violations"] is empty iff the check
-    passed, and report["rows"] lists per-interval counts (interval, #max
-    chains, #increasing, lex_first_ok, #ascent-free) in interval order.
-    Two upper covers of one element with one label raise AssertionError.
+    passed, and report["rows"] lists the interval and its COUNTS from
+    ``interval_counts``, in interval order.  Two upper covers of one
+    element with one label raise AssertionError.
     """
-    # with distinct labels on the upper covers of each element, a label
-    # word fixes its chain, so lex-first is a test of single steps: each
-    # step of the increasing chain leads, its label strictly below every
-    # other cover label inside the interval
     for z, ups in enumerate(P.covers):
         if len({labels[z, w] for w in ups}) != len(ups):
             raise AssertionError(f"two upper covers of "
@@ -88,42 +131,10 @@ def verify_el(P, labels):
                                  f"share a label")
     names = [pt.partition_str(e) for e in P.elements]
     rows_by_x = [[] for _ in names]
-    for y, below in enumerate(P.down_sets()):
-        # steps[z]: (label, #increasing, #ascent-free, lex-ok) of each
-        # cover z < w inside [., y], over the maximal chains of [z, y] that
-        # start with it; lex-ok, read only where exactly one is increasing,
-        # says that every step of that one leads
-        steps, chains = {y: []}, {y: 1}
-        for z in reversed(pt.bits(below ^ (1 << y))):
-            out, max_chains = [], 0
-            for w in P.covers[z]:
-                if not below >> w & 1:
-                    continue
-                lab = labels[z, w]
-                inc, af, ok = (1, 1, True) if w == y else (0, 0, False)
-                for lv, iv, av, okv in steps[w]:
-                    if label_less(lab, lv):
-                        inc += iv
-                        if iv:
-                            ok = okv
-                    else:
-                        af += av
-                out.append((lab, inc, af, ok))
-                max_chains += chains[w]
-            steps[z] = [(lab, inc, af, ok and inc == 1 and all(
-                label_less(lab, other) for other, *_ in out if other != lab))
-                for lab, inc, af, ok in out]
-            chains[z] = max_chains
-            increasing = sum(s[1] for s in out)
-            rows_by_x[z].append({
-                "x": names[z],
-                "y": names[y],
-                "max_chains": max_chains,
-                "increasing": increasing,
-                "lex_first_ok": increasing == 1 and any(
-                    s[3] for s in steps[z]),
-                "ascent_free": sum(s[2] for s in out),
-            })
+    for y in range(len(names)):
+        for z, counts in interval_counts(P, labels, y).items():
+            rows_by_x[z].append({"x": names[z], "y": names[y],
+                                 **dict(zip(COUNTS, counts))})
     rows = [row for per_x in rows_by_x for row in per_x]
     violations = [{"interval": (row["x"], row["y"]),
                    "increasing": row["increasing"],
@@ -133,36 +144,12 @@ def verify_el(P, labels):
             "passed": not violations, "rows": rows}
 
 
-def ascent_free_chains(P, labels, top):
-    """Ascent-free maximal chains of [0-hat, top] under the cover labels
-    ``labels`` of P (as from ``cover_labels``).
-
-    top is a poset element (a partition or pt.TOP); returns index tuples,
-    grown down from top through the lower covers in their order.
-    """
-    found = []
-
-    def grow(chain, above):
-        # chain runs up to top; above is the label of its first step
-        x = chain[0]
-        if x == P.bottom_index:
-            found.append(chain)
-        for w in P.lower_covers[x]:
-            lab = labels[w, x]
-            if above is None or not label_less(lab, above):
-                grow((w,) + chain, lab)
-
-    grow((P.index[top],), None)
-    return found
-
-
 def report_csv(report):
     """Per-interval CSV of an EL verification report."""
     import csv
     import io
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=[
-        "x", "y", "max_chains", "increasing", "lex_first_ok", "ascent_free"])
+    writer = csv.DictWriter(buf, fieldnames=["x", "y", *COUNTS])
     writer.writeheader()
     writer.writerows(report["rows"])
     return buf.getvalue()

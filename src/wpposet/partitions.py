@@ -12,7 +12,8 @@ u in {0, 1} (weighted) or a point chosen from the two old points
 (pointed).  That one cover step is ``merge``; the poset's covers and
 the chains of trees and of Pi_T in ``chains`` all take it, and the
 blocks it leaves are still sorted.  The augmented poset adjoins a
-maximum element TOP above the one-block partitions.
+maximum element TOP above the one-block partitions.  A ``Poset`` keeps
+one adjacency, the upper covers, and its bottom is element 0.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ class Poset:
         self.index = {e: k for k, e in enumerate(self.elements)}
         self.ranks = [n - len(e) if e is not TOP else n for e in self.elements]
         self.covers = [[] for _ in self.elements]
-        self.lower_covers = [[] for _ in self.elements]
         for k, e in enumerate(self.elements):
             if e is TOP:
                 continue
@@ -170,14 +170,8 @@ class Poset:
             if augmented and len(e) == 1:
                 ups.append(self.index[TOP])
             self.covers[k] = ups
-            for j in ups:
-                self.lower_covers[j].append(k)
         self._down = None
         self._mu = None
-
-    @property
-    def bottom_index(self):
-        return 0
 
     def rank_sizes(self):
         sizes = [0] * (max(self.ranks) + 1)
@@ -192,19 +186,18 @@ class Poset:
 
     def down_sets(self):
         """Bitset of the elements <= k, for every k: the one stored form
-        of the order relation, read by the Mobius sweep, the EL check
-        and ``chains.check_boolean``.
+        of the order relation, read by the Mobius sweep, the chain counts
+        of ``labeling.interval_counts`` and ``chains.check_boolean``.
 
-        Elements are listed in rank order, so every lower cover of k has
-        a smaller index and one pass over lower_covers builds them all.
+        Elements are listed in rank order, so covers only go up in index:
+        one pass ORs the down-set of k into each upper cover of k, and
+        every down-set is complete before it is read.
         """
         if self._down is None:
-            down = []
-            for k, lows in enumerate(self.lower_covers):
-                d = 1 << k
-                for j in lows:
-                    d |= down[j]
-                down.append(d)
+            down = [1 << k for k in range(len(self.elements))]
+            for k, ups in enumerate(self.covers):
+                for j in ups:
+                    down[j] |= down[k]
             self._down = down
         return self._down
 

@@ -5,10 +5,12 @@ the edge label of a cover pair, an open poset's order transposed from
 down-sets, its chains as tuples of partitions, its top cycles as
 ChainVectors, a whole integer kernel by tracked elimination, the
 boundary and coboundary of ChainVectors, the pairing that makes chains
-orthonormal, and the EL check over every listed saturated chain.  The
-package decides covers only by generating them, merges two blocks in
-place (the union takes the place of the block with the lesser least
-element, so no sort is needed), reads each host's order and each label
+orthonormal, the lower covers transposed from the upper ones with the
+down-sets folded over them, and the EL check and the ascent-free chains
+over every listed saturated chain.  The package decides covers only by
+generating them, merges two blocks in place (the union takes the place
+of the block with the lesser least element, so no sort is needed),
+keeps only the upper covers, reads each host's order and each label
 off a pair the poset's covers hold, reduces coboundary maps over index
 chains without tracking, solves the cycle index off the top map's
 stored rows and counts chains over covers, so none of these is needed
@@ -233,16 +235,38 @@ def pairing(u, v):
     return sum(x * v[k] for k, x in u.items() if k in v)
 
 
+def lower_covers(P):
+    """The lower covers of every element of P, each list ascending: the
+    upper covers ``P.covers`` transposed."""
+    lows = [[] for _ in P.elements]
+    for k, ups in enumerate(P.covers):
+        for j in ups:
+            lows[j].append(k)
+    return lows
+
+
+def down_sets_by_lower_covers(P):
+    """``P.down_sets()`` as one fold over the lower covers: every lower
+    cover of k has a smaller index, so its down-set is already built."""
+    down = []
+    for k, lows in enumerate(lower_covers(P)):
+        d = 1 << k
+        for j in lows:
+            d |= down[j]
+        down.append(d)
+    return down
+
+
 def saturated_chains_by_interval(P):
     """{(x_index, y_index): the saturated chains of [x, y] as index
     tuples}, each interval's chains in the order they are grown down from
     y through the lower covers."""
-    down = {}
+    down, lows = {}, lower_covers(P)
 
     def descend(y):
         # every saturated chain that ends at y
         if y not in down:
-            down[y] = [(y,)] + [c + (y,) for x in P.lower_covers[y]
+            down[y] = [(y,)] + [c + (y,) for x in lows[y]
                                 for c in descend(x)]
         return down[y]
 
@@ -309,6 +333,6 @@ def el_report_by_listing(P, labels):
 
 def ascent_free_chains_by_listing(P, labels, top):
     """The ascent-free maximal chains of [0-hat, top], filtered from the
-    listing in its order."""
-    chains = saturated_chains_by_interval(P)[P.bottom_index, P.index[top]]
+    listing in its order; 0-hat is element 0."""
+    chains = saturated_chains_by_interval(P)[0, P.index[top]]
     return [c for c in chains if is_ascent_free(label_word(labels, c))]

@@ -121,11 +121,14 @@ def test_whitney(capsys):
 
 
 def test_resource_cap_exit_code(capsys):
-    code, out = run(capsys, "invariants", "--n", "4", "--max-elements", "10")
-    assert code == 3
-    rep = json.loads(out)
-    assert rep["error"] == "resource-cap"
-    assert rep["limit"] == 10
+    # 0 is a cap like any other
+    for limit in (10, 0):
+        code, out = run(capsys, "invariants", "--n", "4",
+                        "--max-elements", str(limit))
+        assert code == 3
+        rep = json.loads(out)
+        assert rep["error"] == "resource-cap"
+        assert rep["limit"] == limit
 
 
 def test_report_all_small(capsys):
@@ -279,10 +282,18 @@ def _refuse(*args, **kwargs):
      "error: --jobs must be >= 1, got 0\n"),
     (["report-all", "--n", "2", "--jobs", "-3"],
      "error: --jobs must be >= 1, got -3\n"),
-], ids=["full-i", "full-family", "full-default-family", "jobs-0", "jobs-neg"])
+    (["invariants", "--n", "2", "--max-elements", "-1"],
+     "error: --max-elements must be >= 0, got -1\n"),
+    (["homology", "--n", "2", "--i", "0", "--max-elements", "-3"],
+     "error: --max-elements must be >= 0, got -3\n"),
+], ids=["full-i", "full-family", "full-default-family", "jobs-0", "jobs-neg",
+        "max-elements-neg", "homology-max-elements-neg"])
 def test_ignored_flag_is_bad_input(capsys, monkeypatch, argv, err):
-    from wpposet import acceptance, homology, straighten, trees
+    from wpposet import acceptance, homology, partitions, straighten, trees
 
+    # a negative --max-elements is refused before any size is computed
+    monkeypatch.setattr(partitions, "poset_size", _refuse)
+    monkeypatch.setattr(homology, "interval_size", _refuse)
     monkeypatch.setattr(homology, "proper_part", _refuse)
     monkeypatch.setattr(straighten, "verify_bases", _refuse)
     monkeypatch.setattr(trees, "enumerate_family", _refuse)

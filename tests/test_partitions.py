@@ -8,7 +8,8 @@ from wpposet import ResourceCapError
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
-from poset_oracles import covers, leq, upper_covers as sorted_covers
+from poset_oracles import (covers, down_sets_by_lower_covers, leq,
+                           upper_covers as sorted_covers)
 
 
 def blocks(p):
@@ -45,7 +46,7 @@ def test_characteristic_polynomial_is_shifted_power():
 def test_single_interval_mobius():
     P = pt.build_poset(3, pt.WEIGHTED)
     y = pt.sort_blocks(((0b011, 1), (0b100, 0)))  # {12^1|3^0}
-    assert P.elements[P.bottom_index] == pt.bottom(3)
+    assert P.elements[0] == pt.bottom(3)
     assert P.mu_from_bottom()[P.index[y]] == -1
 
 
@@ -59,14 +60,14 @@ def test_mobius_all_pairs_defining_sum():
             for y in P.elements:
                 total = sum(m for z, m in zip(P.elements, mu)
                             if leq(z, y, P.variant))
-                assert total == (y == P.elements[P.bottom_index])
+                assert total == (y == P.elements[0])
 
 
 def test_poset_is_pure_and_bounded_below():
     for n in range(1, 5):
         for variant in (pt.WEIGHTED, pt.POINTED, pt.AUGMENTED):
             P = pt.build_poset(n, variant)
-            assert P.ranks[P.bottom_index] == 0
+            assert P.ranks[0] == 0
             for k, ups in enumerate(P.covers):
                 for j in ups:
                     assert P.ranks[j] == P.ranks[k] + 1
@@ -134,6 +135,13 @@ def test_upper_covers_match_the_re_sorted_merge(variant):
         for x in pt.build_poset(n, variant).elements:
             assert x == pt.sort_blocks(x)
             assert pt.upper_covers(x, variant) == sorted_covers(x, variant), x
+
+
+@pytest.mark.parametrize("variant", [pt.WEIGHTED, pt.POINTED, pt.AUGMENTED])
+def test_down_sets_match_the_lower_cover_fold(variant):
+    for n in range(1, 7):
+        P = pt.build_poset(n, variant)
+        assert P.down_sets() == down_sets_by_lower_covers(P)
 
 
 def test_leq_respects_covers():
