@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
-from math import comb
+from math import comb, prod
 
 from . import chains as ch
 from . import homology as hm
@@ -27,18 +27,23 @@ def _characteristic_polynomials(n):
 
 
 def _forests_vs_mobius(n):
+    # [0-hat, alpha] is the product over the blocks B of alpha, so
+    # |mu(0-hat, alpha)| counts the rooted forests with one tree on each
+    # block, w(B) descents in it; relabelling B in order keeps descents,
+    # so a block's trees are counted by the descent counts of its size
     P = pt.mobius_poset(n, pt.WEIGHTED)
-    per_alpha = Counter(ch.alpha_of_forest(F)
-                        for F in tr.enumerate_rooted_forests(n))
+    trees = [None, *map(tr.descent_counts, range(1, n + 1))]
+    forests = [prod(trees[m.bit_count()][w] for m, w in e)
+               for e in P.elements]
     # alpha has one block per tree: C(n-1, k-1) n^(n-k) forests of k trees
     per_k = Counter()
-    for alpha, count in per_alpha.items():
-        per_k[len(alpha)] += count
+    for e, count in zip(P.elements, forests):
+        per_k[len(e)] += count
     for k in range(1, n + 1):
         if per_k[k] != comb(n - 1, k - 1) * n ** (n - k):
             raise AssertionError(f"{per_k[k]} forests of {k} trees on [{n}]")
-    for e, mu in zip(P.elements, P.mu_from_bottom()):
-        if abs(mu) != per_alpha.get(e, 0):
+    for e, mu, count in zip(P.elements, P.mu_from_bottom(), forests):
+        if abs(mu) != count:
             raise AssertionError(f"mismatch at {pt.partition_str(e)}")
 
 

@@ -1,4 +1,4 @@
-"""Chains of the weighted partition poset built from trees and forests.
+"""Chains of the weighted partition poset built from trees.
 
 A bicolored binary tree together with a linear extension of its internal
 nodes determines a maximal chain of [0-hat, [n]^i]: walk the extension
@@ -72,18 +72,6 @@ def chain_partitions_of_tree(t, tau=None):
         chain.append(pt.merge(p, i, j, p[i][1] + p[j][1] + red))
         masks[i] |= masks.pop(j)
     return tuple(chain)
-
-
-# ---------------------------------------------------------------------------
-# forests
-# ---------------------------------------------------------------------------
-
-def alpha_of_forest(F):
-    """The weighted partition of a rooted forest: one block per tree,
-    weighted by its descent count."""
-    blocks = tuple((pt.members_mask(sorted(T.labels)), T.descent_count())
-                   for T in F)
-    return pt.sort_blocks(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
@@ -35,12 +34,15 @@ def _dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _emit(args, text_fn, json_obj, csv_fn=None, dot_fn=None):
-    # args.format is one of the formats the command declares
+def _emit(args, text_fn, json_obj, csv_rows=None, dot_fn=None):
+    # args.format is one of the formats the command declares; csv_rows is
+    # a non-empty list of dicts, the header the keys of its first row
     if args.format == "json":
         print(_dumps(json_obj))
     elif args.format == "csv":
-        print(csv_fn(), end="")
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(csv_rows[0]))
+        writer.writeheader()
+        writer.writerows(csv_rows)
     elif args.format == "dot":
         print(dot_fn())
     else:
@@ -53,6 +55,11 @@ def _emit(args, text_fn, json_obj, csv_fn=None, dot_fn=None):
 # ---------------------------------------------------------------------------
 
 def cmd_invariants(args):
+    if args.format == "dot":
+        # the diagram reads only the elements and covers, so no invariant
+        # is computed and the Mobius cap does not apply
+        print(pt.to_dot(pt.build_poset(args.n, args.variant)))
+        return 0
     rep = pt.json_report(args.n, args.variant)
     P = pt.build_poset(args.n, args.variant)
 
@@ -66,7 +73,7 @@ def cmd_invariants(args):
         print(f"whitney first:   {rep['whitney_first']}")
         print(f"whitney second:  {rep['whitney_second']}")
 
-    return _emit(args, text, rep, dot_fn=lambda: pt.to_dot(P))
+    return _emit(args, text, rep)
 
 
 def cmd_el_verify(args):
@@ -83,8 +90,7 @@ def cmd_el_verify(args):
         print(f"EL verification passed at n={args.n}: "
               f"{rep['intervals']} intervals checked")
 
-    return _emit(args, text, summary,
-                 csv_fn=lambda: lb.report_csv(rep),
+    return _emit(args, text, summary, csv_rows=rep["rows"],
                  dot_fn=lambda: lb.labeled_dot(P, labels))
 
 
@@ -100,15 +106,9 @@ def cmd_homology(args):
         torsion = {r: v for r, v in rep["torsion_top"].items() if v}
         print(f"torsion (top maps):  {torsion or 'none'}")
 
-    def as_csv():
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["dim", "chains", "betti"])
-        for r in sorted(rep["betti"], key=int):
-            w.writerow([r, rep["dims"].get(r, 0), rep["betti"][r]])
-        return buf.getvalue()
-
-    return _emit(args, text, rep, csv_fn=as_csv)
+    rows = [{"dim": r, "chains": rep["dims"].get(r, 0),
+             "betti": rep["betti"][r]} for r in sorted(rep["betti"], key=int)]
+    return _emit(args, text, rep, csv_rows=rows)
 
 
 def cmd_bases(args):
@@ -190,15 +190,7 @@ def cmd_psi(args):
                   f"descents {r['descents']}  ->  {r['psi']}")
         print(f"{len(rows)} trees, bijection verified")
 
-    def as_csv():
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=["root", "parent_map",
-                                            "descents", "psi"])
-        w.writeheader()
-        w.writerows(rows)
-        return buf.getvalue()
-
-    return _emit(args, text, rep, csv_fn=as_csv)
+    return _emit(args, text, rep, csv_rows=rows)
 
 
 def cmd_whitney(args):

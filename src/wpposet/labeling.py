@@ -144,17 +144,6 @@ def verify_el(P, labels):
             "passed": not violations, "rows": rows}
 
 
-def report_csv(report):
-    """Per-interval CSV of an EL verification report."""
-    import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["x", "y", *COUNTS])
-    writer.writeheader()
-    writer.writerows(report["rows"])
-    return buf.getvalue()
-
-
 def labeled_dot(P, labels):
     """DOT rendering of the Hasse diagram of P with its cover labels."""
     lines = ["digraph labeled_poset {", "  rankdir=BT;"]

@@ -77,10 +77,6 @@ def bits(x):
     return out
 
 
-def sort_blocks(blocks):
-    return tuple(sorted(blocks, key=lambda b: b[0] & -b[0]))
-
-
 def bottom(n):
     return tuple((1 << (a - 1), 0) for a in range(1, n + 1))
 

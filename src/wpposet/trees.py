@@ -31,16 +31,15 @@ kept past one call: the families on the subsets are freed when
 
 Rooted (non-binary) trees are immutable :class:`RootedTree` values built
 from a parent map.  One rerooting sweep, ``_rerootings``, stands behind
-rooted trees, descent counts and forests: it decodes each Prufer
-sequence straight into the tree rooted at the greatest label, the one
-label the decode never removes, and gives the descent count of every
-root, since moving the root across an edge flips that edge only.
-:func:`descent_counts` tallies those counts;
+rooted trees and descent counts: it decodes each Prufer sequence
+straight into the tree rooted at the greatest label, the one label the
+decode never removes, and gives the descent count of every root, since
+moving the root across an edge flips that edge only.
+:func:`descent_counts` tallies those counts, which count the rooted
+trees on any n-set as well, since relabelling in order keeps descents;
 :func:`enumerate_rooted_trees` writes the parent tuple of a root that
 passes its filter by flipping the edges on the path to the greatest
-label;
-:func:`enumerate_rooted_forests` reads the set partitions of
-``partitions`` and lists each block's rooted trees once per call.
+label.
 :func:`psi` costs O(n) per tree on [n].  :func:`liu_linear_extension`
 orders the trees of one T_{A,i} for the Liu pairing by one local rule,
 with no closure of Liu's order kept: for each tree it lists the trees
@@ -55,7 +54,7 @@ from collections import namedtuple
 from math import comb, factorial
 
 from .errors import ResourceCapError
-from .partitions import drake_product, mask_members, set_partitions_masks
+from .partitions import drake_product
 
 BLUE = "b"
 RED = "r"
@@ -655,22 +654,4 @@ def liu_linear_extension(trees):
     if len(out) < len(order):
         raise RuntimeError("cycle detected in the support of the Liu pairing")
     return out
-
-
-# ---------------------------------------------------------------------------
-# rooted forests
-# ---------------------------------------------------------------------------
-
-def enumerate_rooted_forests(n):
-    """All rooted forests on [n] (lists of RootedTree, one per block of a
-    set partition, by least label).  Each block's rooted trees are
-    enumerated once per call, however many set partitions hold it."""
-    refuse_past_cap("rooted forests", n)
-    on_block = {}
-    for part in set_partitions_masks(n):
-        for m in part:
-            if m not in on_block:
-                on_block[m] = enumerate_rooted_trees(mask_members(m))
-        for combo in itertools.product(*(on_block[m] for m in part)):
-            yield list(combo)
 

@@ -6,9 +6,16 @@ asserts the criterion's verdict.  The same checks back the CLI's
 ``report-all`` subcommand.
 """
 
+from collections import Counter
+from math import prod
+
 from wpposet import acceptance
+from wpposet import partitions as pt
+from wpposet import trees as tr
 
 import pytest
+
+from tree_oracles import alpha_of_forest, enumerate_rooted_forests
 
 # the native sizes at which each claim has been verified; they may only go up
 NATIVE_FLOORS = {1: 7, 2: 6, 3: 6, 4: 6, 5: 6, 6: 6, 7: 5, 8: 5, 9: 6, 10: 8,
@@ -43,6 +50,41 @@ def test_criterion_05_whitney_matrices():
 
 def test_criterion_06_forest_counts():
     _run(6)
+
+
+def test_listed_forests_of_each_alpha_are_its_block_product():
+    # criterion 6 counts the forests of alpha as a product over its
+    # blocks; the listing buckets every rooted forest by its alpha
+    for n in range(1, 6):
+        per_alpha = Counter(map(alpha_of_forest, enumerate_rooted_forests(n)))
+        P = pt.build_poset(n, pt.WEIGHTED)
+        assert per_alpha.keys() == set(P.elements)
+        for alpha in P.elements:
+            assert per_alpha[alpha] == prod(
+                tr.descent_counts(bin(m).count("1"))[w] for m, w in alpha)
+
+
+@pytest.mark.parametrize("b, shift, witness", [
+    (2, (1, 0), "3 forests of 1 trees on [2]"),
+    (3, (1, 0, 0), "10 forests of 1 trees on [3]"),
+    (4, (1, 0, 0, 0), "65 forests of 1 trees on [4]"),
+    # the total kept, so only the comparison with Mobius sees it
+    (3, (-1, 1, 0), "mismatch at {123^0}"),
+])
+def test_criterion_06_catches_a_descent_count_off(monkeypatch, b, shift,
+                                                  witness):
+    real = tr.descent_counts
+    monkeypatch.setattr(tr, "descent_counts", lambda n: [
+        c + d for c, d in zip(real(n), shift if n == b else [0] * n)])
+    assert acceptance.run_criterion(6) == \
+        ("forest counts vs Mobius", False, witness)
+
+
+def test_criterion_06_catches_a_signed_mobius_value(monkeypatch):
+    # the abs dropped: mu(0-hat, alpha) is negative at every odd rank
+    monkeypatch.setattr(acceptance, "abs", lambda x: x, raising=False)
+    assert acceptance.run_criterion(6) == \
+        ("forest counts vs Mobius", False, "mismatch at {12^0}")
 
 
 def test_criterion_07_el_labeling():

@@ -4,8 +4,9 @@ from wpposet import chains as ch
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
-from poset_oracles import ground_size, leq, u_merge
-from tree_oracles import linear_extensions, postorder_internal
+from poset_oracles import ground_size, leq, sort_blocks, u_merge
+from tree_oracles import (alpha_of_forest, enumerate_rooted_forests,
+                          linear_extensions, postorder_internal)
 
 B, R = tr.BLUE, tr.RED
 
@@ -18,7 +19,7 @@ def test_chain_of_small_tree():
     parts = ch.chain_partitions_of_tree((B, (R, 1, 2), 3))
     assert parts[0] == pt.bottom(3)
     assert nonsingleton_blocks(parts[1]) == {((1, 2), 1)}
-    assert parts[2] == pt.sort_blocks((((0b111), 1),))
+    assert parts[2] == sort_blocks((((0b111), 1),))
 
 
 def test_nine_leaf_bracket_chain():
@@ -90,7 +91,7 @@ def test_tree_of_chain_roundtrip_exhaustive():
     P = pt.build_poset(4, pt.WEIGHTED)
     count = 0
     for i in range(4):
-        top = pt.sort_blocks((((1 << 4) - 1, i),))
+        top = sort_blocks((((1 << 4) - 1, i),))
         stack = [(P.index[pt.bottom(4)],)]
         while stack:
             c = stack.pop()
@@ -142,9 +143,9 @@ def test_chain_matches_the_u_merge_oracle():
 
 
 def test_alpha_of_forest():
-    F = tr.enumerate_rooted_forests(3)
+    F = enumerate_rooted_forests(3)
     # partitions with all weights zero appear for descent-free forests
-    alphas = {ch.alpha_of_forest(f) for f in F}
+    alphas = {alpha_of_forest(f) for f in F}
     P = pt.build_poset(3, pt.WEIGHTED)
     assert alphas == set(P.elements)
 
@@ -171,7 +172,7 @@ def forest_partition(T, edge_subset):
         mask = pt.members_mask(members)
         w = sum(1 for c, p in keep if c < p and c in members)
         blocks.append((mask, w))
-    return pt.sort_blocks(tuple(blocks))
+    return sort_blocks(tuple(blocks))
 
 
 def test_pi_subposet_is_boolean():

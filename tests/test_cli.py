@@ -63,9 +63,12 @@ def test_invariants_dot(capsys):
 
 
 def test_el_verify_csv(capsys):
+    # one row per interval; EL_VERIFY_SHA256 pins the bytes
     code, out = run(capsys, "el-verify", "--n", "4", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[0] == "x,y,max_chains,increasing,lex_first_ok,ascent_free"
+    lines = out.splitlines()
+    assert lines[0] == "x,y,max_chains,increasing,lex_first_ok,ascent_free"
+    assert len(lines) > 10
 
 
 def test_homology_json(capsys):
@@ -220,6 +223,23 @@ def test_el_verify_bytes_pinned(capsys, n, fmt):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         EL_VERIFY_SHA256[n, fmt]
+
+
+# sha256 of `homology --n 5 [--i 2] --format csv` stdout, as printed when
+# each command wrote its own CSV
+HOMOLOGY_CSV_SHA256 = {
+    (): "27a748f7003c007aa983edd6f14c07da6199dc7c758dad33c51294019fb1c62e",
+    ("--i", "2"):
+        "7abbcb49e4d1056424f718893600ee977efe76d82a994d4932ca81d8d47d8504",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(HOMOLOGY_CSV_SHA256))
+def test_homology_csv_bytes_pinned(capsys, extra):
+    code, out = run(capsys, "homology", "--n", "5", *extra, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        HOMOLOGY_CSV_SHA256[extra]
 
 
 @pytest.mark.parametrize("argv", [
@@ -554,6 +574,21 @@ def test_mobius_cap_fires_before_any_poset(capsys, monkeypatch, argv):
     assert json.loads(out) == {"error": "resource-cap",
                                "what": "all-pairs Mobius at n=8",
                                "limit": 6}
+
+
+def test_invariants_dot_computes_no_invariant(capsys, monkeypatch):
+    # the diagram reads only the elements and covers, so n = 7, past the
+    # Mobius cap, is drawn too
+    from wpposet import partitions
+
+    def refuse(self):
+        raise AssertionError("a Mobius value was computed for a diagram")
+
+    monkeypatch.setattr(partitions.Poset, "mu_from_bottom", refuse)
+    code, out = run(capsys, "invariants", "--n", "7", "--format", "dot")
+    assert code == 0
+    nodes = [line for line in out.splitlines() if " [label=" in line]
+    assert len(nodes) == partitions.poset_size(7) == 6322
 
 
 # sha256 of the stdout of each command with --format json, as printed

@@ -18,7 +18,7 @@ from wpposet import trees as tr
 
 from poset_oracles import (boundary, boundary_of_chain, chains_by_dim,
                            coboundary, cycle_basis, ground_size, kernel_basis,
-                           leq, pairing, up_by_transposition)
+                           leq, pairing, sort_blocks, up_by_transposition)
 
 B, R = tr.BLUE, tr.RED
 
@@ -332,7 +332,7 @@ def test_interval_elements_match_leq_filter():
         P = pt.build_poset(n, pt.WEIGHTED)
         bot = pt.bottom(n)
         for i in range(n):
-            top = pt.sort_blocks((((1 << n) - 1, i),))
+            top = sort_blocks((((1 << n) - 1, i),))
             assert hm.interval_elements(n, i) == [
                 e for e in P.elements if e not in (top, bot) and leq(e, top)]
 

@@ -9,7 +9,8 @@ from wpposet import partitions as pt
 from wpposet import trees as tr
 
 from poset_oracles import (covers, down_sets_by_lower_covers, leq,
-                           upper_covers as sorted_covers)
+                           sort_blocks, upper_covers as sorted_covers)
+from tree_oracles import enumerate_rooted_forests
 
 
 def blocks(p):
@@ -45,7 +46,7 @@ def test_characteristic_polynomial_is_shifted_power():
 
 def test_single_interval_mobius():
     P = pt.build_poset(3, pt.WEIGHTED)
-    y = pt.sort_blocks(((0b011, 1), (0b100, 0)))  # {12^1|3^0}
+    y = sort_blocks(((0b011, 1), (0b100, 0)))  # {12^1|3^0}
     assert P.elements[0] == pt.bottom(3)
     assert P.mu_from_bottom()[P.index[y]] == -1
 
@@ -133,7 +134,7 @@ def test_upper_covers_match_the_re_sorted_merge(variant):
     # in place, equal to the union appended and the blocks re-sorted
     for n in range(1, 7):
         for x in pt.build_poset(n, variant).elements:
-            assert x == pt.sort_blocks(x)
+            assert x == sort_blocks(x)
             assert pt.upper_covers(x, variant) == sorted_covers(x, variant), x
 
 
@@ -156,11 +157,11 @@ def test_leq_weight_window():
     # {12^u | 3} above bottom for u = 0 only via one merge; u = 1 also leq
     bot = pt.bottom(3)
     for u in (0, 1):
-        p = pt.sort_blocks(((0b011, u), (0b100, 0)))
+        p = sort_blocks(((0b011, u), (0b100, 0)))
         assert leq(bot, p)
     # weight beyond |B| - 1 is not a valid element; leq rejects a bad window
-    one_block = pt.sort_blocks(((0b111, 0),))
-    assert leq(pt.sort_blocks(((0b011, 1), (0b100, 0))), one_block) is False
+    one_block = sort_blocks(((0b111, 0),))
+    assert leq(sort_blocks(((0b011, 1), (0b100, 0))), one_block) is False
 
 
 def test_whitney_numbers_frozen():
@@ -177,7 +178,7 @@ def test_whitney_matrices_inverse():
 def test_forest_count_closed_form():
     # rooted forests on [n] with k trees: C(n-1, k-1) n^(n-k)
     def with_trees(n, k):
-        return sum(len(F) == k for F in tr.enumerate_rooted_forests(n))
+        return sum(len(F) == k for F in enumerate_rooted_forests(n))
 
     assert with_trees(5, 1) == 625
     assert with_trees(4, 2) == 48
@@ -214,5 +215,5 @@ def test_to_dot_mentions_every_element():
 
 
 def test_partition_str_format():
-    p = pt.sort_blocks(((0b011, 1), (0b100, 0)))
+    p = sort_blocks(((0b011, 1), (0b100, 0)))
     assert pt.partition_str(p) == "{12^1|3^0}"

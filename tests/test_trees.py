@@ -15,11 +15,12 @@ from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
-from tree_oracles import (enumerate_normalized, is_liu_lyndon, is_lyndon,
-                          is_lyndon_node, linear_extensions, liu_leq,
-                          liu_reachability, normalized_uncolored, orient,
-                          postorder_internal, recursive_valency, replace_at,
-                          tree_sign, unrooted_trees)
+from tree_oracles import (enumerate_normalized, enumerate_rooted_forests,
+                          is_liu_lyndon, is_lyndon, is_lyndon_node,
+                          linear_extensions, liu_leq, liu_reachability,
+                          normalized_uncolored, orient, postorder_internal,
+                          recursive_valency, replace_at, tree_sign,
+                          unrooted_trees)
 from tree_oracles import liu_linear_extension as liu_order
 from tree_oracles import enumerate_bicolored as bicolored_by_shape
 from tree_oracles import normalize_signed as normalize_by_definition
@@ -291,7 +292,7 @@ def test_descent_counts_tally_the_listed_trees():
 
 def forest_counts(n):
     """Numbers of rooted forests on [n] with k = 1..n trees (index k-1)."""
-    per_k = Counter(len(F) for F in tr.enumerate_rooted_forests(n))
+    per_k = Counter(len(F) for F in enumerate_rooted_forests(n))
     return [per_k[k] for k in range(1, n + 1)]
 
 
@@ -305,7 +306,7 @@ def test_forest_counts_one_pass():
 
 def test_rooted_forests_are_distinct_and_cover_n():
     for n in range(1, 6):
-        forests = [frozenset(F) for F in tr.enumerate_rooted_forests(n)]
+        forests = [frozenset(F) for F in enumerate_rooted_forests(n)]
         assert len(set(forests)) == len(forests) == (n + 1) ** (n - 1)
         for F in forests:
             labels = [x for T in F for x in T.labels]

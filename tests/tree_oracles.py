@@ -2,16 +2,18 @@
 by path with a replacement by path, the recursive tree sign, family
 membership by predicate, the bicolored and normalized trees listed
 shape by shape, every linear extension of a tree's internal nodes, the
-labeled trees as adjacency dicts oriented from any root, Liu's order on
-a class as a closure with one comparison and one linear extension, and
-the swap normal form by its recursive definition.
+labeled trees as adjacency dicts oriented from any root, the rooted
+forests on [n] listed block by block with their weighted partitions,
+Liu's order on a class as a closure with one comparison and one linear
+extension, and the swap normal form by its recursive definition.
 The package walks a tree once with each node's own replacement, reads
 the sign off the tree weight, builds each family directly, decodes each
 bicolored tree from its index, decides Liu-Lyndon membership by the psi
 round trip, sorts the one extension it reads, decodes each rooted tree
-already rooted, orders the Liu pairing by the trees whose Pi_T holds
-each chain and carries subtree facts up while it normalizes, so none of
-these is needed there."""
+already rooted, counts the forests of a weighted partition as a product
+of descent counts over its blocks, orders the Liu pairing by the trees
+whose Pi_T holds each chain and carries subtree facts up while it
+normalizes, so none of these is needed there."""
 
 import heapq
 import itertools
@@ -20,6 +22,8 @@ from functools import lru_cache
 from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
+
+from poset_oracles import sort_blocks
 
 
 def postorder_internal(t, _path=()):
@@ -224,6 +228,26 @@ def orient(adj, root):
                 pmap[v] = u
                 stack.append(v)
     return pmap
+
+
+def enumerate_rooted_forests(n):
+    """All rooted forests on [n]: lists of RootedTree, one per block of a
+    set partition, by least label.  Each block's rooted trees are listed
+    once per call, however many set partitions hold it."""
+    on_block = {}
+    for part in pt.set_partitions_masks(n):
+        for m in part:
+            if m not in on_block:
+                on_block[m] = tr.enumerate_rooted_trees(pt.mask_members(m))
+        for combo in itertools.product(*(on_block[m] for m in part)):
+            yield list(combo)
+
+
+def alpha_of_forest(F):
+    """The weighted partition of a rooted forest: one block per tree,
+    weighted by its descent count."""
+    return sort_blocks((pt.members_mask(T.labels), T.descent_count())
+                       for T in F)
 
 
 def _subtree(x, kids):
