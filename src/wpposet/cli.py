@@ -61,11 +61,11 @@ def cmd_invariants(args):
         print(pt.to_dot(pt.build_poset(args.n, args.variant)))
         return 0
     rep = pt.json_report(args.n, args.variant)
-    P = pt.build_poset(args.n, args.variant)
 
     def text():
+        # the rank sizes count every element, Top included
         print(f"poset: n={args.n} variant={args.variant} "
-              f"({len(P.elements)} elements)")
+              f"({sum(rep['rank_sizes'])} elements)")
         print(f"rank sizes:      {rep['rank_sizes']}")
         print(f"mu poly:         {rep['mu_poly']}")
         print(f"char poly:       {pt.poly_str(rep['char_poly'])}"

@@ -11,21 +11,23 @@ Covers merge exactly two blocks: the union gets weight w1+w2+u with
 u in {0, 1} (weighted) or a point chosen from the two old points
 (pointed).  That one cover step is ``merge``; the poset's covers and
 the chains of trees and of Pi_T in ``chains`` all take it, and the
-blocks it leaves are still sorted.  The augmented poset adjoins a
-maximum element TOP above the one-block partitions.  A ``Poset`` keeps
-one adjacency, the upper covers, and its bottom is element 0.
+blocks it leaves are still sorted.  Every partition is reached from
+the singletons by covers, so the elements are the closure of ``bottom``
+under ``upper_covers``, and no other rule decides them.  The augmented
+poset adjoins a maximum element TOP above the one-block partitions.  A
+``Poset`` keeps one adjacency, the upper covers, and its bottom is
+element 0.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import comb
 
 from .errors import ResourceCapError
 
 POSET_CAP_N = 9
-MOBIUS_CAP_N = 6
+MOBIUS_CAP_N = 7
 
 WEIGHTED = "weighted"
 POINTED = "pointed"
@@ -57,13 +59,6 @@ def mask_members(mask):
     return [k + 1 for k in bits(mask)]
 
 
-def members_mask(members):
-    m = 0
-    for a in members:
-        m |= 1 << (a - 1)
-    return m
-
-
 def bits(x):
     """The positions of the set bits of x, as an ascending list.  The high
     bit is taken first, so x shrinks at each step (isolating the low bit,
@@ -77,8 +72,11 @@ def bits(x):
     return out
 
 
-def bottom(n):
-    return tuple((1 << (a - 1), 0) for a in range(1, n + 1))
+def bottom(n, variant=WEIGHTED):
+    """0-hat: the singletons of [n], each weighted 0 (or pointed at its
+    own member)."""
+    return tuple((1 << (a - 1), 0 if variant == WEIGHTED else a)
+                 for a in range(1, n + 1))
 
 
 def partition_str(p):
@@ -111,61 +109,42 @@ def upper_covers(p, variant=WEIGHTED):
     return out
 
 
-def enumerate_partitions(n, variant=WEIGHTED):
-    """All weighted (or pointed) partitions of [n], in deterministic order."""
-    if n > POSET_CAP_N:
-        raise ResourceCapError(f"partitions of [{n}]", POSET_CAP_N)
-    out = []
-    for part in set_partitions_masks(n):
-        if variant == WEIGHTED:
-            choices = [range(bin(m).count("1")) for m in part]
-        else:
-            choices = [mask_members(m) for m in part]
-        for vals in itertools.product(*choices):
-            out.append(tuple(zip(part, vals)))
-    out.sort(key=lambda p: (-len(p), p))  # rank order, bottom first
-    return out
-
-
-def set_partitions_masks(n):
-    """Set partitions of [n] as tuples of masks sorted by minimum."""
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        first = remaining & -remaining
-        rest = remaining ^ first
-        others = mask_members(rest)
-        for k in range(len(others) + 1):
-            for extra in itertools.combinations(others, k):
-                block = first | members_mask(extra)
-                for tail in rec(remaining ^ block):
-                    yield (block,) + tail
-
-    return rec((1 << n) - 1)
-
-
 class Poset:
     """A finite graded poset given by its elements and covers; the order
-    relation is their closure, kept as down-set bitsets (``down_sets``)."""
+    relation is their closure, kept as down-set bitsets (``down_sets``).
+
+    The elements are the closure of the bottom under ``upper_covers``,
+    grown one rank at a time: each rank is the set of covers of the rank
+    below, indexed in sorted order, so elements come rank by rank, bottom
+    first, and each cover list in index order.
+    """
 
     def __init__(self, n, variant, augmented):
         self.n = n
         self.variant = variant
         self.augmented = augmented
-        base = enumerate_partitions(n, variant)
-        self.elements = list(base) + ([TOP] if augmented else [])
-        self.index = {e: k for k, e in enumerate(self.elements)}
-        self.ranks = [n - len(e) if e is not TOP else n for e in self.elements]
-        self.covers = [[] for _ in self.elements]
-        for k, e in enumerate(self.elements):
-            if e is TOP:
-                continue
-            ups = sorted(self.index[q] for q in upper_covers(e, variant))
-            if augmented and len(e) == 1:
-                ups.append(self.index[TOP])
-            self.covers[k] = ups
+        elements = self.elements = [bottom(n, variant)]
+        covers = self.covers = [[]]
+        start = 0
+        while start < len(elements):
+            # the elements below each cover of this rank, in index order
+            below = {}
+            for k in range(start, len(elements)):
+                for q in upper_covers(elements[k], variant):
+                    below.setdefault(q, []).append(k)
+            start = len(elements)
+            for j, q in enumerate(sorted(below), start):
+                elements.append(q)
+                covers.append([])
+                for k in below[q]:
+                    covers[k].append(j)
+        if augmented:
+            for k in self.maximal_indices():
+                covers[k].append(len(elements))
+            elements.append(TOP)
+            covers.append([])
+        self.index = {e: k for k, e in enumerate(elements)}
+        self.ranks = [n - len(e) if e is not TOP else n for e in elements]
         self._down = None
         self._mu = None
 
@@ -214,6 +193,8 @@ def build_poset(n, variant=WEIGHTED):
     """Construct the full poset.  variant: weighted | pointed | augmented."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n > POSET_CAP_N:
+        raise ResourceCapError(f"partitions of [{n}]", POSET_CAP_N)
     if variant == AUGMENTED:
         return Poset(n, WEIGHTED, augmented=True)
     if variant in (WEIGHTED, POINTED):

@@ -1,22 +1,25 @@
-"""Direct definitions the tests use as oracles: the cover and order
-relations read blockwise from two partitions, a partition from its
-blocks in any order (``sort_blocks``), the cover step as a merge of
-named blocks re-sorted afterwards (``u_merge``, ``upper_covers``), the
-edge label of a cover pair, an open poset's order transposed from
-down-sets, its chains as tuples of partitions, its top cycles as
-ChainVectors, a whole integer kernel by tracked elimination, the
-boundary and coboundary of ChainVectors, the pairing that makes chains
-orthonormal, the lower covers transposed from the upper ones with the
-down-sets folded over them, and the EL check and the ascent-free chains
-over every listed saturated chain.  The package decides covers only by
-generating them, merges two blocks in place (the union takes the place
-of the block with the lesser least element, so no sort is needed),
-keeps only the upper covers, reads each host's order and each label
-off a pair the poset's covers hold, reduces coboundary maps over index
-chains without tracking, solves the cycle index off the top map's
-stored rows and counts chains over covers, so none of these is needed
-there."""
+"""Direct definitions the tests use as oracles: every weighted (or
+pointed) partition listed as a set partition with each weight (or
+point) its blocks allow, the cover and order relations read blockwise
+from two partitions, a partition from its blocks in any order
+(``sort_blocks``), the cover step as a merge of named blocks re-sorted
+afterwards (``u_merge``, ``upper_covers``), the edge label of a cover
+pair, an open poset's order transposed from down-sets, its chains as
+tuples of partitions, its top cycles as ChainVectors, a whole integer
+kernel by tracked elimination, the boundary and coboundary of
+ChainVectors, the pairing that makes chains orthonormal, the lower
+covers transposed from the upper ones with the down-sets folded over
+them, and the EL check and the ascent-free chains over every listed
+saturated chain.  The package reaches its elements from the bottom by
+covers, decides covers only by generating them, merges two blocks in
+place (the union takes the place of the block with the lesser least
+element, so no sort is needed), keeps only the upper covers, reads each
+host's order and each label off a pair the poset's covers hold, reduces
+coboundary maps over index chains without tracking, solves the cycle
+index off the top map's stored rows and counts chains over covers, so
+none of these is needed there."""
 
+import itertools
 from math import gcd
 
 from wpposet import labeling as lb
@@ -29,6 +32,48 @@ def ground_size(p):
     for m, _v in p:
         union |= m
     return union.bit_length()
+
+
+def members_mask(members):
+    m = 0
+    for a in members:
+        m |= 1 << (a - 1)
+    return m
+
+
+def set_partitions_masks(n):
+    """Set partitions of [n] as tuples of masks sorted by minimum."""
+
+    def rec(remaining):
+        if not remaining:
+            yield ()
+            return
+        first = remaining & -remaining
+        rest = remaining ^ first
+        others = pt.mask_members(rest)
+        for k in range(len(others) + 1):
+            for extra in itertools.combinations(others, k):
+                block = first | members_mask(extra)
+                for tail in rec(remaining ^ block):
+                    yield (block,) + tail
+
+    return rec((1 << n) - 1)
+
+
+def enumerate_partitions(n, variant=pt.WEIGHTED):
+    """All weighted (or pointed) partitions of [n], rank by rank from the
+    bottom and sorted within a rank: each set partition with every weight
+    in [0, |B|-1] (or every point in B) on each block B."""
+    out = []
+    for part in set_partitions_masks(n):
+        if variant == pt.WEIGHTED:
+            choices = [range(m.bit_count()) for m in part]
+        else:
+            choices = [pt.mask_members(m) for m in part]
+        for vals in itertools.product(*choices):
+            out.append(tuple(zip(part, vals)))
+    out.sort(key=lambda p: (-len(p), p))
+    return out
 
 
 def sort_blocks(blocks):

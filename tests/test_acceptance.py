@@ -18,8 +18,8 @@ import pytest
 from tree_oracles import alpha_of_forest, enumerate_rooted_forests
 
 # the native sizes at which each claim has been verified; they may only go up
-NATIVE_FLOORS = {1: 7, 2: 6, 3: 6, 4: 6, 5: 6, 6: 6, 7: 5, 8: 5, 9: 6, 10: 8,
-                 11: 7, 12: 6, 13: 5, 14: 5, 15: 5, 16: 4}
+NATIVE_FLOORS = {1: 8, 2: 7, 3: 7, 4: 7, 5: 6, 6: 7, 7: 6, 8: 6, 9: 6, 10: 8,
+                 11: 7, 12: 6, 13: 5, 14: 5, 15: 7, 16: 4}
 
 
 def _run(k):

@@ -4,7 +4,8 @@ from wpposet import chains as ch
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
-from poset_oracles import ground_size, leq, sort_blocks, u_merge
+from poset_oracles import (ground_size, leq, members_mask, sort_blocks,
+                           u_merge)
 from tree_oracles import (alpha_of_forest, enumerate_rooted_forests,
                           linear_extensions, postorder_internal)
 
@@ -73,7 +74,7 @@ def tree_of_chain(parts):
         subtree[m] = (color, subtree.pop(m1), subtree.pop(m2))
         creation.append(m)
     (t,) = subtree.values()
-    pos = {pt.members_mask(tr.leaves(node)): k
+    pos = {members_mask(tr.leaves(node)): k
            for k, (_p, node) in enumerate(postorder_internal(t))}
     tau = tuple(pos[m] for m in creation)
     return t, tau
@@ -127,7 +128,7 @@ def chain_by_u_merge(t, tau=None):
     chain = [pt.bottom(len(tr.leaves(t)))]
     for k in range(len(nodes)) if tau is None else tau:
         color, left, right = nodes[k]
-        children = [pt.members_mask(tr.leaves(s)) for s in (left, right)]
+        children = [members_mask(tr.leaves(s)) for s in (left, right)]
         chain.append(u_merge(chain[-1], children, int(color == R)))
     return tuple(chain)
 
@@ -169,7 +170,7 @@ def forest_partition(T, edge_subset):
         groups.setdefault(find(x), []).append(x)
     blocks = []
     for members in groups.values():
-        mask = pt.members_mask(members)
+        mask = members_mask(members)
         w = sum(1 for c, p in keep if c < p and c in members)
         blocks.append((mask, w))
     return sort_blocks(tuple(blocks))

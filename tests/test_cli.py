@@ -573,17 +573,18 @@ def test_mobius_cap_fires_before_any_poset(capsys, monkeypatch, argv):
     assert code == 3
     assert json.loads(out) == {"error": "resource-cap",
                                "what": "all-pairs Mobius at n=8",
-                               "limit": 6}
+                               "limit": 7}
 
 
 def test_invariants_dot_computes_no_invariant(capsys, monkeypatch):
-    # the diagram reads only the elements and covers, so n = 7, past the
-    # Mobius cap, is drawn too
+    # the diagram reads only the elements and covers, so n = 7, past a
+    # Mobius cap of 6, is drawn too
     from wpposet import partitions
 
     def refuse(self):
         raise AssertionError("a Mobius value was computed for a diagram")
 
+    monkeypatch.setattr(partitions, "MOBIUS_CAP_N", 6)
     monkeypatch.setattr(partitions.Poset, "mu_from_bottom", refuse)
     code, out = run(capsys, "invariants", "--n", "7", "--format", "dot")
     assert code == 0

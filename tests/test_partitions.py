@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wpposet import ResourceCapError
+from wpposet import acceptance
 from wpposet import partitions as pt
 from wpposet import trees as tr
 
-from poset_oracles import (covers, down_sets_by_lower_covers, leq,
-                           sort_blocks, upper_covers as sorted_covers)
+from poset_oracles import (covers, down_sets_by_lower_covers,
+                           enumerate_partitions, leq, sort_blocks,
+                           upper_covers as sorted_covers)
 from tree_oracles import enumerate_rooted_forests
 
 
@@ -138,6 +140,51 @@ def test_upper_covers_match_the_re_sorted_merge(variant):
             assert pt.upper_covers(x, variant) == sorted_covers(x, variant), x
 
 
+@pytest.mark.parametrize("variant", [pt.WEIGHTED, pt.POINTED])
+def test_grown_poset_is_the_listed_one(variant):
+    # the closure of the bottom under the cover step is every weighted
+    # (or pointed) partition, in rank order, and each cover list is the
+    # re-sorted merges, indexed and in index order
+    for n in range(1, 7):
+        P = pt.build_poset(n, variant)
+        assert P.elements == enumerate_partitions(n, variant)
+        for k, e in enumerate(P.elements):
+            assert P.covers[k] == sorted(P.index[q]
+                                         for q in sorted_covers(e, variant))
+
+
+@pytest.fixture
+def fresh_posets():
+    # a mutant's posets must not outlive its test, nor a cached poset
+    # stand in for the one the mutant would build
+    pt.build_poset.cache_clear()
+    yield
+    pt.build_poset.cache_clear()
+
+
+def test_pointed_poset_grown_from_the_weighted_bottom_fails(monkeypatch,
+                                                            fresh_posets):
+    # every singleton pointed at 0: both points of a merge are 0, so
+    # [2] has one element where it has two
+    real = pt.bottom
+    monkeypatch.setattr(pt, "bottom", lambda n, variant=pt.WEIGHTED: real(n))
+    assert acceptance.run_criterion(4) == (
+        "characteristic polynomial (both variants)", False,
+        "chi [-1, 1] != [-2, 1] for pointed n=2")
+
+
+def test_weighted_merge_without_its_second_weight_fails(monkeypatch,
+                                                        fresh_posets):
+    def sum_only(p, variant=pt.WEIGHTED):
+        return [pt.merge(p, i, j, p[i][1] + p[j][1])
+                for i in range(len(p)) for j in range(i + 1, len(p))]
+
+    monkeypatch.setattr(pt, "upper_covers", sum_only)
+    assert acceptance.run_criterion(1) == (
+        "rank generating function", False,
+        "rank sizes [1, 1] != [1, 2] at n=2")
+
+
 @pytest.mark.parametrize("variant", [pt.WEIGHTED, pt.POINTED, pt.AUGMENTED])
 def test_down_sets_match_the_lower_cover_fold(variant):
     for n in range(1, 7):
@@ -189,12 +236,12 @@ def test_caps_raise():
     with pytest.raises(ResourceCapError):
         pt.build_poset(10, pt.WEIGHTED)
     with pytest.raises(ResourceCapError):
-        pt.mu_polynomial(7)
+        pt.mu_polynomial(pt.MOBIUS_CAP_N + 1)
 
 
 def test_whitney_cohomology_ranks_are_capped():
     with pytest.raises(ResourceCapError):
-        pt.whitney_cohomology_ranks(7)
+        pt.whitney_cohomology_ranks(pt.MOBIUS_CAP_N + 1)
 
 
 def test_json_report_schema_and_determinism():

@@ -23,7 +23,7 @@ from wpposet import partitions as pt
 from wpposet import straighten as sn
 from wpposet import trees as tr
 
-from poset_oracles import sort_blocks
+from poset_oracles import members_mask, set_partitions_masks, sort_blocks
 
 
 def postorder_internal(t, _path=()):
@@ -235,7 +235,7 @@ def enumerate_rooted_forests(n):
     set partition, by least label.  Each block's rooted trees are listed
     once per call, however many set partitions hold it."""
     on_block = {}
-    for part in pt.set_partitions_masks(n):
+    for part in set_partitions_masks(n):
         for m in part:
             if m not in on_block:
                 on_block[m] = tr.enumerate_rooted_trees(pt.mask_members(m))
@@ -246,7 +246,7 @@ def enumerate_rooted_forests(n):
 def alpha_of_forest(F):
     """The weighted partition of a rooted forest: one block per tree,
     weighted by its descent count."""
-    return sort_blocks((pt.members_mask(T.labels), T.descent_count())
+    return sort_blocks((members_mask(T.labels), T.descent_count())
                        for T in F)
 
 
