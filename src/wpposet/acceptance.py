@@ -186,12 +186,12 @@ CRITERIA = [
     Criterion("Betti numbers and torsion", 2, 6, _betti_numbers),
     Criterion("descent product identity", 1, 8, tr.descent_polynomial),
     Criterion("family counts n^(n-1), per-i", 1, 7, _family_counts),
-    Criterion("psi bijection with inverse", 1, 6, _psi_bijection,
+    Criterion("psi bijection with inverse", 1, 7, _psi_bijection,
               "A within [{}]"),
     Criterion("straightening soundness", 2, 5, _straightening, "full n <= {}"),
     Criterion("basis verifications", 2, 5, _bases, "full n <= {}"),
     Criterion("Whitney cohomology ranks", 1, 7, pt.whitney_cohomology_ranks),
-    Criterion("phi verification", 2, 4, _phi),
+    Criterion("phi verification", 2, 5, _phi),
 ]
 
 
@@ -201,6 +201,10 @@ def run_criterion(k, nmax=None):
     instead of ending the run."""
     name, first, native, check, detail = CRITERIA[k - 1]
     hi = native if nmax is None else min(native, nmax)
+    # the memos live for one check: none feeds the next or outlives it
+    memos = (pt._posets, st._memo, st._phi)
+    for memo in memos:
+        memo.clear()
     try:
         for n in range(first, hi + 1):
             check(n)
@@ -208,6 +212,9 @@ def run_criterion(k, nmax=None):
         return name, False, str(exc)
     except Exception as exc:
         return name, False, f"raised {type(exc).__name__}: {exc}"
+    finally:
+        for memo in memos:
+            memo.clear()
     return name, True, detail.format(hi)
 
 

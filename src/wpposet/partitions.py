@@ -21,7 +21,6 @@ element 0.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .errors import ResourceCapError
@@ -188,18 +187,22 @@ class Poset:
         return self._mu
 
 
-@lru_cache(maxsize=None)
+# (n, variant) -> poset, emptied before and after each acceptance check
+_posets = {}
+
+
 def build_poset(n, variant=WEIGHTED):
     """Construct the full poset.  variant: weighted | pointed | augmented."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > POSET_CAP_N:
         raise ResourceCapError(f"partitions of [{n}]", POSET_CAP_N)
-    if variant == AUGMENTED:
-        return Poset(n, WEIGHTED, augmented=True)
-    if variant in (WEIGHTED, POINTED):
-        return Poset(n, variant, augmented=False)
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in (WEIGHTED, POINTED, AUGMENTED):
+        raise ValueError(f"unknown variant {variant!r}")
+    if (n, variant) not in _posets:
+        base = WEIGHTED if variant == AUGMENTED else variant
+        _posets[n, variant] = Poset(n, base, augmented=variant == AUGMENTED)
+    return _posets[n, variant]
 
 
 def mobius_poset(n, variant=WEIGHTED):

@@ -27,8 +27,6 @@ Sums of trees are plain ``{tree: coeff}`` dicts, added up with
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import homology as hm
 from . import linalg
 from . import trees as tr
@@ -102,12 +100,10 @@ def rewrite_terms(node, side):
     raise AssertionError("red-blue pattern is not offending")
 
 
-# Straightened normalized trees by (tree, side), bounded as ``phi`` is:
-# the bound holds criterion 13's 3,628 entries at n = 5, and past it the
-# oldest entry goes first.  Nothing reads an entry back while its own
-# straightening runs, so an eviction costs a recomputation, not a result.
-_MEMO_BOUND = 1 << 14
+# Straightened normalized trees by (tree, side), and ``phi`` by tree:
+# both are emptied before and after each acceptance check
 _memo = {}
+_phi = {}
 
 
 def _straighten_normalized(t, side, trace):
@@ -141,8 +137,6 @@ def _straighten_normalized(t, side, trace):
             linalg.vec_add(out, _straighten_normalized(t2, side, trace),
                            coeff * s2)
     if trace is None:
-        if len(_memo) >= _MEMO_BOUND:
-            del _memo[next(iter(_memo))]
         _memo[key] = out
     return out
 
@@ -241,15 +235,14 @@ def relation_instances(n, side=COHOMOLOGY):
 # phi and basis verification
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 14)
 def phi(t):
     """The cochain image of a Lie generator: sgn(sigma) sgn(T) c-bar.
-    The one memo of a tree's chain: ``cochain_sum`` reads its key too, and
-    the bound holds every comb on [n] for all n <= 6 (8,477 of them), so
-    criterion 13 builds each comb's chain once, not once per straightened
-    tree.  Callers only read the returned dict."""
-    sign = tr.leaf_perm_sign(t) * (-1) ** tr.tree_weight(t)
-    return {k: sign * v for k, v in hm.chain_vector_of_tree(t).items()}
+    The one memo of a tree's chain, which ``cochain_sum`` reads too, so a
+    check builds each comb's chain once.  Callers only read the dict."""
+    if t not in _phi:
+        sign = tr.leaf_perm_sign(t) * (-1) ** tr.tree_weight(t)
+        _phi[t] = {k: sign * v for k, v in hm.chain_vector_of_tree(t).items()}
+    return _phi[t]
 
 
 def phi_of_sum(s):

@@ -11,6 +11,7 @@ from math import prod
 
 from wpposet import acceptance
 from wpposet import partitions as pt
+from wpposet import straighten as st
 from wpposet import trees as tr
 
 import pytest
@@ -19,7 +20,7 @@ from tree_oracles import alpha_of_forest, enumerate_rooted_forests
 
 # the native sizes at which each claim has been verified; they may only go up
 NATIVE_FLOORS = {1: 8, 2: 7, 3: 7, 4: 7, 5: 6, 6: 7, 7: 6, 8: 6, 9: 6, 10: 8,
-                 11: 7, 12: 6, 13: 5, 14: 5, 15: 7, 16: 4}
+                 11: 7, 12: 7, 13: 5, 14: 5, 15: 7, 16: 5}
 
 
 def _run(k):
@@ -222,6 +223,22 @@ def test_native_sizes_only_go_up():
     native = {k: row.native for k, row in enumerate(acceptance.CRITERIA, 1)}
     assert native.keys() == NATIVE_FLOORS.keys()
     assert all(native[k] >= NATIVE_FLOORS[k] for k in native), native
+
+
+def test_checks_pass_with_their_memoizing_functions_wrapped(monkeypatch):
+    # a profiler swaps these for plain pass-through functions, which carry
+    # none of the original's attributes: no check may reach for one
+    def passthrough(orig):
+        def wrapper(*args, **kwargs):
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for owner, name in [(pt, "build_poset"), (st, "phi"),
+                        (pt.Poset, "mu_from_bottom")]:
+        monkeypatch.setattr(owner, name, passthrough(getattr(owner, name)))
+    for k in (1, 2, 13, 16):
+        name, ok, detail = acceptance.run_criterion(k, 3)
+        assert ok, (k, name, detail)
 
 
 def _refuted(n):

@@ -153,17 +153,17 @@ def test_grown_poset_is_the_listed_one(variant):
                                          for q in sorted_covers(e, variant))
 
 
-@pytest.fixture
-def fresh_posets():
-    # a mutant's posets must not outlive its test, nor a cached poset
-    # stand in for the one the mutant would build
-    pt.build_poset.cache_clear()
-    yield
-    pt.build_poset.cache_clear()
+def test_a_check_builds_its_own_posets():
+    # a poset some earlier caller left behind, here a wrong one, is not
+    # what the next check reads, and none outlives the check
+    for n in (2, 3):
+        pt._posets[n, pt.WEIGHTED] = pt.build_poset(1)
+    assert acceptance.run_criterion(1, 3) == (
+        "rank generating function", True, "n <= 3")
+    assert pt._posets == {}
 
 
-def test_pointed_poset_grown_from_the_weighted_bottom_fails(monkeypatch,
-                                                            fresh_posets):
+def test_pointed_poset_grown_from_the_weighted_bottom_fails(monkeypatch):
     # every singleton pointed at 0: both points of a merge are 0, so
     # [2] has one element where it has two
     real = pt.bottom
@@ -173,8 +173,7 @@ def test_pointed_poset_grown_from_the_weighted_bottom_fails(monkeypatch,
         "chi [-1, 1] != [-2, 1] for pointed n=2")
 
 
-def test_weighted_merge_without_its_second_weight_fails(monkeypatch,
-                                                        fresh_posets):
+def test_weighted_merge_without_its_second_weight_fails(monkeypatch):
     def sum_only(p, variant=pt.WEIGHTED):
         return [pt.merge(p, i, j, p[i][1] + p[j][1])
                 for i in range(len(p)) for j in range(i + 1, len(p))]

@@ -322,19 +322,3 @@ def test_a_normalized_tree_normalizes_at_its_replacement(side):
                     sign, sub0 = sn.normalize_signed(sub, side)
                     assert sn.normalize_signed(wrap(sub), side) == \
                         (sign, wrap(sub0)), (t, sub)
-
-
-def test_a_bounded_memo_straightens_alike(monkeypatch):
-    # with a bound far below the trees on [4], entries are evicted while
-    # a straightening that reads them runs; every result is unchanged and
-    # the memo never holds more than the bound
-    trees = [t for t in tr.enumerate_bicolored(4) if not tr.is_leaf(t)]
-    monkeypatch.setattr(sn, "_memo", {})
-    want = {side: [sn.straighten(t, side) for t in trees]
-            for side in (sn.COHOMOLOGY, sn.LIE2, sn.FULL)}
-    monkeypatch.setattr(sn, "_memo", {})
-    monkeypatch.setattr(sn, "_MEMO_BOUND", 5)
-    for side, results in want.items():
-        for t, result in zip(trees, results):
-            assert sn.straighten(t, side) == result, (side, t)
-            assert len(sn._memo) <= 5
