@@ -15,10 +15,10 @@ reduces each once, untracked and with clearing; each is the transpose of
 a boundary map, so it gives that map's rank and, through its unit-pivot
 certificate, its torsion.  The host's one form of its top cycle basis,
 the cycle index, from which quotient ranks and coboundary membership are
-read, is solved off the top map's stored rows in the same pass, so
-Betti numbers and the index share it in either order.  Nothing here
-keeps a host: it lives, with its chains, ranks and cycle index, as long
-as its caller holds it.
+read, is solved off the top map's stored rows on its first read.
+Nothing here keeps a host: it lives, with its chains, ranks and cycle
+index, as long as its caller holds it; one past CHAIN_COUNT_CAP is
+refused before its poset is built (``chain_count``).
 Membership is a yes/no answer, with no witness cochain.  The
 fundamental cycle of the boolean subposet Pi_T of a rooted tree needs no
 host and no kernel: it is a signed sum of the maximal chains of Pi_T,
@@ -29,7 +29,7 @@ off the Mobius function, in ``partitions``.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
 from . import chains as ch
 from . import linalg
@@ -74,20 +74,16 @@ class OpenPoset:
                     self.up[k] |= 1 << j | self.up[j]
         self._index_chains = None
         self._reductions = None
+        self._top_map = None  # (top chains, stored rows) until cycle_index
         self._cycles = None
 
     def index_chains(self):
         """dict r -> list of r-chains as tuples of local indices, in
-        lexicographic order; r = -1 is the empty chain.  The chains are
-        counted first (``_chain_count``), and a host with more than
-        CHAIN_COUNT_CAP of them, the empty chain included, is refused
-        before any is listed.  Each chain is then extended by the
-        elements above its last one, in index order."""
+        lexicographic order; r = -1 is the empty chain.  Each chain is
+        extended by the elements above its last one, in index order; the
+        chain cap fired before the host was made (``open_interval``)."""
         if self._index_chains is None:
             above = [pt.bits(u) for u in self.up]
-            if _chain_count(above) > CHAIN_COUNT_CAP:
-                raise pt.ResourceCapError(
-                    f"chains of {self.name}", CHAIN_COUNT_CAP)
             everything = range(len(above))
             by_dim = {}
             frontier = [()]
@@ -118,7 +114,7 @@ class OpenPoset:
     def reductions(self):
         """{r: (rank, unimodular)} of each boundary map d_r: C_r -> C_{r-1},
         r >= 0, from one bottom-up pass over the coboundary maps, computed
-        once; the pass also fills the cycle index.
+        once; the top map's stored rows are kept for the cycle index.
 
         The coboundary map from the r-chains to the (r+1)-chains is the
         transpose of d_{r+1}, so the reduction (``linalg.Echelon``) of its
@@ -143,7 +139,7 @@ class OpenPoset:
                     row.clear()  # ech keeps its own copy
                 self._reductions[r + 1] = ech.rank, ech.unimodular
                 cleared = ech.by_pivot
-            self._cycles = _cycle_index(by_dim[top], cleared)
+            self._top_map = by_dim[top], cleared
         return self._reductions
 
     def cycle_index(self):
@@ -151,9 +147,11 @@ class OpenPoset:
         cycles, stored by chain: index[c] is the flat tuple (j, z_j[c],
         j', z_j'[c], ...) over the z_j with the top index chain c in their
         support.  There is one per chain, so it is a tuple, not a dict,
-        and equal ones are one object.  Filled by the pass of
-        ``reductions`` (``_cycle_index``)."""
-        self.reductions()
+        and equal ones are one object.  Solved on the first read, off the
+        top map's rows ``reductions`` stored, which are then dropped."""
+        if self._cycles is None:
+            self.reductions()
+            self._cycles, self._top_map = _cycle_index(*self._top_map), None
         return self._cycles
 
 
@@ -198,19 +196,6 @@ def _cycle_index(chains, rows):
     return index, count
 
 
-def _chain_count(above):
-    """The number of chains, the empty one included, of an order whose
-    element k lies below exactly the elements in the list above[k], with
-    no chain listed: count[k] = 1 + the sum of count[j] over j in above[k]
-    is the number of chains whose least element is k.  An element above k
-    has fewer elements above it than k has, so filling count in order of
-    len(above[k]) takes the top rank down."""
-    count = [0] * len(above)
-    for k in sorted(range(len(above)), key=lambda k: len(above[k])):
-        count[k] = 1 + sum(count[j] for j in above[k])
-    return 1 + sum(count)
-
-
 def _coboundary_rows(by_dim, r, cleared=()):
     """The coboundary of each r-chain not in cleared (a collection of
     positions), in chain order, keyed by the positions of the (r+1)-chains
@@ -246,56 +231,54 @@ def interval_elements(n, i):
 
 
 def interval_size(n, i):
-    """len(interval_elements(n, i)) without building the poset.
-
-    counts[m][(k, s)] counts the weighted partitions of an m-set with k
-    blocks and weight sum s: the block holding the least element has
-    some size b (C(m-1, b-1) choices of the rest of it) and weight
-    0..b-1.  Those below [n]^i are summed (``_below_top``); the bottom
-    and [n]^i are left out, and at n = 1 they are one element.
-    """
-    counts = [{(0, 0): 1}]
-    for m in range(1, n + 1):
-        here = {}
-        for b in range(1, m + 1):
-            ways = comb(m - 1, b - 1)
-            for (k, s), c in counts[m - b].items():
-                for w in range(b):
-                    key = (k + 1, s + w)
-                    here[key] = here.get(key, 0) + ways * c
-        counts.append(here)
-    below = sum(c for (k, s), c in counts[n].items() if _below_top(k, s, i))
+    """len(interval_elements(n, i)) without building the poset: the
+    partitions below [n]^i by type (``partitions.type_sums``), less the
+    bottom and [n]^i, which at n = 1 are one element."""
+    counts = pt.type_sums(n, lambda b, w: 1)[n]
+    below = sum(c for (k, s), c in counts.items() if _below_top(k, s, i))
     return below - (1 if n == 1 else 2)
 
 
-def _refuse_past_chain_cap(name, top_chains):
-    """Refuse the host ``name`` before its poset is built when its top
-    chains alone reach CHAIN_COUNT_CAP, which ``index_chains`` would.  The
-    callers take the count only on a host that ``build_poset`` accepts, so
-    past POSET_CAP_N its cap still fires first, with no count paid for."""
-    if top_chains >= CHAIN_COUNT_CAP:
-        raise pt.ResourceCapError(f"chains of {name}", CHAIN_COUNT_CAP)
+def chain_count(n, i=None):
+    """The chains, the empty one included, of (0-hat, [n]^i), or of the
+    proper part when i is None, counted on block types.  Z_y(m), the
+    multichains 0-hat = x_0 <= ... <= x_m = y, is the product of
+    Z_[|B|]^w(m) over the blocks B^w of y (Stanley, EC1 3.12), and
+    Z_[b]^w(m) sums Z_z(m-1) over the z below [b]^w.  The strict chains
+    of length j from 0-hat to y number sum_m (-1)^(j-m) C(j, m) Z_y(m):
+    those with j >= 2 to [n]^i are the open interval's, those with
+    j >= 1 to any y != 0-hat the proper part's, largest element y."""
+    top = {(b, w): 1 for b in range(1, n + 1) for w in range(b)}
+    z = [0]  # z[m]: Z_[n]^i(m), or the sum of Z_y(m) over y != 0-hat
+    for m in range(1, n):
+        sums = pt.type_sums(n, lambda b, w: top[b, w])
+        z.append(top[n, i] if i is not None else sum(sums[n].values()) - 1)
+        top = {(b, w): sum(c for (k, s), c in sums[b].items()
+                           if _below_top(k, s, w)) for b, w in top}
+    first = 1 if i is None else 2
+    return 1 + sum((-1) ** (j - m) * comb(j, m) * z[m]
+                   for j in range(first, n) for m in range(1, j + 1))
 
 
 def open_interval(n, i):
-    """(0-hat, [n]^i) as a new OpenPoset; a caller that needs it more than
-    once holds on to it.  Its top chains are the C(n-1, i) n! (n-1)! /
-    2^(n-1) maximal chains of the closed interval."""
+    """(0-hat, [n]^i) as a new OpenPoset, refused past CHAIN_COUNT_CAP
+    before any poset is built; a caller that needs it more than once
+    holds on to it."""
     name = f"(0,[{n}]^{i})"
-    if 0 <= i < n <= pt.POSET_CAP_N:
-        _refuse_past_chain_cap(name, comb(n - 1, i) * factorial(n)
-                               * factorial(n - 1) // 2 ** (n - 1))
+    # past POSET_CAP_N build_poset refuses first, with no count paid for
+    if 0 <= i < n <= pt.POSET_CAP_N and chain_count(n, i) > CHAIN_COUNT_CAP:
+        raise pt.ResourceCapError(f"chains of {name}", CHAIN_COUNT_CAP)
     return OpenPoset(name, pt.build_poset(n, pt.WEIGHTED),
                      interval_elements(n, i))
 
 
 def proper_part(n):
-    """Pi_n^w minus its bottom, as a new OpenPoset; a caller that needs it
-    more than once holds on to it.  Its n! (n-1)! top chains are those of
-    the intervals (0-hat, [n]^i) over every i."""
+    """Pi_n^w minus its bottom, as a new OpenPoset, refused past
+    CHAIN_COUNT_CAP before any poset is built; a caller that needs it
+    more than once holds on to it."""
     name = f"Pi_{n}^w - 0"
-    if 1 <= n <= pt.POSET_CAP_N:
-        _refuse_past_chain_cap(name, factorial(n) * factorial(n - 1))
+    if 1 <= n <= pt.POSET_CAP_N and chain_count(n) > CHAIN_COUNT_CAP:
+        raise pt.ResourceCapError(f"chains of {name}", CHAIN_COUNT_CAP)
     P = pt.build_poset(n, pt.WEIGHTED)
     return OpenPoset(name, P, P.elements[1:])
 

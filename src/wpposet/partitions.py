@@ -214,6 +214,23 @@ def mobius_poset(n, variant=WEIGHTED):
     return build_poset(n, variant)
 
 
+def type_sums(n, f):
+    """For each b <= n, {(k, s): the sum over the weighted partitions of
+    a b-set with k blocks and weight sum s of the product of f(|B|, w)
+    over their blocks B^w}, none listed: the block of the least element
+    has size c (C(b-1, c-1) choices of its rest) and weight 0..c-1."""
+    sums = [{(0, 0): 1}]
+    for b in range(1, n + 1):
+        here = {}
+        for c in range(1, b + 1):
+            for w in range(c):
+                x = comb(b - 1, c - 1) * f(c, w)
+                for (k, s), y in sums[b - c].items():
+                    here[k + 1, s + w] = here.get((k + 1, s + w), 0) + x * y
+        sums.append(here)
+    return sums
+
+
 def poset_size(n, variant=WEIGHTED):
     """Number of elements of ``build_poset(n, variant)`` without building
     it: sum_k C(n,k) (n-k)^k over the ranks (a block of size b has b

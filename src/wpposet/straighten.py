@@ -270,10 +270,10 @@ def family_ranks(n, i, families):
     kept only where the root has that colour unless root is None.  On the
     proper part a cochain keeps the top of its chain.  Each cap fires
     before what it bounds is paid for: the first family's tree cap before
-    the host is built, the host's chain cap before any tree is listed."""
+    the host is made, and the host's chain cap, when it is made, before
+    its poset is built and any tree is listed."""
     tr.refuse_past_cap(f"{families[0][0]} trees", n)
     host = hm.proper_part(n) if i is None else hm.open_interval(n, i)
-    host.index_chains()
     out = []
     for name, root in families:
         fam = [t for t in tr.enumerate_family(name, n, i)

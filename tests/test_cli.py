@@ -482,9 +482,14 @@ def test_bases_chain_cap_fires_before_any_tree(capsys, monkeypatch, argv,
     (["homology", "--n", "9", "--i", "0"], "(0,[9]^0)"),
     (["homology", "--n", "9"], "Pi_9^w - 0"),
     (["bases", "--n", "8", "--i", "3", "--family", "comb"], "(0,[8]^3)"),
-], ids=["interval", "proper-part", "bases"])
+    (["homology", "--n", "8", "--i", "0"], "(0,[8]^0)"),
+    (["homology", "--n", "8", "--i", "7"], "(0,[8]^7)"),
+    (["homology", "--n", "7", "--i", "3"], "(0,[7]^3)"),
+    (["bases", "--n", "8", "--i", "0", "--family", "comb"], "(0,[8]^0)"),
+], ids=["interval", "proper-part", "bases", "interval-8-0", "interval-8-7",
+        "interval-7-3", "bases-8-0"])
 def test_chain_cap_fires_before_the_poset(capsys, monkeypatch, argv, host):
-    # the top chains alone pass the chain cap, so no poset is built
+    # the chains are counted on block types, so no poset is built
     from wpposet import partitions
 
     def refuse(*args, **kwargs):
@@ -505,12 +510,11 @@ def test_chain_cap_fires_before_the_poset(capsys, monkeypatch, argv, host):
 ], ids=["interval", "proper-part", "huge"])
 def test_partition_cap_fires_before_the_chain_count(capsys, monkeypatch,
                                                     argv):
-    # past the partition cap no top-chain count is taken: the host is
+    # past the partition cap no chain count is taken: the host is
     # refused by the partition cap, with its record, as it always was
     from wpposet import homology as hm
 
-    monkeypatch.setattr(hm, "factorial", _refuse)
-    monkeypatch.setattr(hm, "comb", _refuse)
+    monkeypatch.setattr(hm, "chain_count", _refuse)
     code, out = run(capsys, *argv)
     assert code == 3
     assert json.loads(out) == {"error": "resource-cap",

@@ -344,15 +344,42 @@ def test_interval_size_matches_elements():
     assert hm.interval_size(8, 3) == 34_274
 
 
-def test_chain_count_matches_the_listing():
-    for host in _open_hosts():
-        above = [list(pt.bits(u)) for u in host.up]
-        assert hm._chain_count(above) == \
-            sum(map(len, host.index_chains().values())), host.name
+def _host(n, i):
+    return hm.proper_part(n) if i is None else hm.open_interval(n, i)
+
+
+def test_chain_cap_fires_at_the_exact_count(monkeypatch):
+    # every host with n <= 6: at a cap of its counted chains it is made
+    # and lists exactly that many; one below, it is refused before any
+    # poset is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the poset was built before the chain cap")
+
+    for n in range(1, 7):
+        for i in [*range(n), None]:
+            total = hm.chain_count(n, i)
+            with monkeypatch.context() as m:
+                m.setattr(hm, "CHAIN_COUNT_CAP", total)
+                host = _host(n, i)
+                assert sum(map(len, host.index_chains().values())) == total
+                m.setattr(hm, "CHAIN_COUNT_CAP", total - 1)
+                m.setattr(pt, "build_poset", refuse)
+                with pytest.raises(ResourceCapError) as err:
+                    _host(n, i)
+            assert (err.value.what, err.value.limit) == \
+                (f"chains of {host.name}", total - 1)
+
+
+def test_chain_counts_are_pinned():
+    assert hm.chain_count(7, 1) == 1_410_144
+    assert hm.chain_count(7, 3) == 4_304_175
+    assert hm.chain_count(7) == 20_942_118
+    assert hm.chain_count(8, 3) == 291_874_936
 
 
 def test_top_chain_counts_match_the_listing():
-    # the closed forms the hosts are refused by before any poset is built
+    # the maximal chains of each closed interval, and of every one at once,
+    # in closed form
     hosts = [(n, i) for n in range(1, 6) for i in range(n)] + [(6, 0), (6, 5)]
     for n, i in hosts:
         chains = hm.open_interval(n, i).index_chains()
@@ -362,18 +389,6 @@ def test_top_chain_counts_match_the_listing():
         chains = hm.proper_part(n).index_chains()
         assert len(chains[max(chains)]) == \
             math.factorial(n) * math.factorial(n - 1), n
-
-
-def test_chain_cap_is_checked_before_the_frontier(monkeypatch):
-    P = pt.build_poset(4, pt.WEIGHTED)
-    total = sum(len(cs) for cs in chains_by_dim(hm.proper_part(4)).values())
-    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total)
-    assert sum(len(cs) for cs in chains_by_dim(hm.OpenPoset(
-        "at cap", P, P.elements[1:])).values()) == total
-    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total - 1)
-    with pytest.raises(ResourceCapError) as err:
-        chains_by_dim(hm.OpenPoset("past cap", P, P.elements[1:]))
-    assert (err.value.what, err.value.limit) == ("chains of past cap", total - 1)
 
 
 # The partition-keyed route the index-keyed one replaced: one Echelon per
@@ -430,6 +445,21 @@ def test_streamed_cycle_index_matches_kernel_list():
         oracle = kernel_basis(rows)
         assert count == len(oracle) == linalg.rank_of(basis) == \
             linalg.rank_of(basis + oracle), host.name
+
+
+def test_betti_numbers_leave_the_cycle_index_unsolved(monkeypatch):
+    # the index is solved on its first read, so a caller of Betti numbers
+    # alone never pays for it, and a later read still gets it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cycle index was solved unread")
+
+    hosts, fresh = _fresh_hosts(4), _fresh_hosts(4)
+    with monkeypatch.context() as m:
+        m.setattr(hm, "_cycle_index", refuse)
+        for host in hosts:
+            hm.homology_report(host)
+    for host, other in zip(hosts, fresh):
+        assert host.cycle_index() == other.cycle_index(), host.name
 
 
 def test_index_chain_reduction_matches_partition_oracle():
