@@ -348,26 +348,34 @@ def _host(n, i):
     return hm.proper_part(n) if i is None else hm.open_interval(n, i)
 
 
-def test_chain_cap_fires_at_the_exact_count(monkeypatch):
+def test_chain_count_matches_the_listing(monkeypatch):
     # every host with n <= 6: at a cap of its counted chains it is made
-    # and lists exactly that many; one below, it is refused before any
-    # poset is built
-    def refuse(*args, **kwargs):
-        raise AssertionError("the poset was built before the chain cap")
-
+    # and lists exactly that many
     for n in range(1, 7):
         for i in [*range(n), None]:
             total = hm.chain_count(n, i)
-            with monkeypatch.context() as m:
-                m.setattr(hm, "CHAIN_COUNT_CAP", total)
-                host = _host(n, i)
-                assert sum(map(len, host.index_chains().values())) == total
-                m.setattr(hm, "CHAIN_COUNT_CAP", total - 1)
-                m.setattr(pt, "build_poset", refuse)
-                with pytest.raises(ResourceCapError) as err:
-                    _host(n, i)
+            monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total)
+            host = _host(n, i)
+            assert sum(map(len, host.index_chains().values())) == total, \
+                host.name
+
+
+def test_chain_cap_is_checked_before_the_frontier(monkeypatch):
+    # every host with n <= 6: one below its counted chains it is refused
+    # before any poset is built, so no chain frontier is ever started
+    def refuse(*args, **kwargs):
+        raise AssertionError("the poset was built before the chain cap")
+
+    monkeypatch.setattr(pt, "build_poset", refuse)
+    for n in range(1, 7):
+        for i in [*range(n), None]:
+            total = hm.chain_count(n, i)
+            monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total - 1)
+            with pytest.raises(ResourceCapError) as err:
+                _host(n, i)
+            name = f"Pi_{n}^w - 0" if i is None else f"(0,[{n}]^{i})"
             assert (err.value.what, err.value.limit) == \
-                (f"chains of {host.name}", total - 1)
+                (f"chains of {name}", total - 1)
 
 
 def test_chain_counts_are_pinned():
