@@ -194,7 +194,7 @@ def cmd_psi(args):
 
 
 def cmd_whitney(args):
-    first, second = pt.whitney_numbers(args.n)
+    first, second = pt.whitney_numbers(pt.mobius_poset(args.n))
     ranks = pt.whitney_cohomology_ranks(args.n)
     rep = {"n": args.n, "whitney_first": first, "whitney_second": second,
            "cohomology_ranks": ranks, "cohomology_total": sum(ranks)}

@@ -344,16 +344,16 @@ def whitney_matrices(n):
     return A, B
 
 
-def whitney_numbers(n):
-    """(first kind, second kind), read off chi and the rank sizes; also
-    verifies the inverse-matrix identity."""
-    chi = characteristic_polynomial(mobius_poset(n, WEIGHTED))
-    first = [chi[n - 1 - k] for k in range(n)]
-    second = rank_generating_function(n)
-    exp_first = [(-1) ** k * comb(n - 1, k) * n ** k for k in range(n)]
-    if first != exp_first:
-        raise AssertionError(f"first Whitney numbers {first} != {exp_first}")
-    whitney_matrices(n)
+def whitney_numbers(P):
+    """The Whitney numbers (mu sums, rank sizes) of P's ranks below Top,
+    checked against row n of ``whitney_matrices(n)`` read backwards."""
+    n = P.n
+    rows = [M[-1][::-1] for M in whitney_matrices(n)]
+    first, second = _mu_rank_sums(P)[:n], P.rank_sizes()[:n]
+    for kind, got, row in zip(("first", "second"), (first, second), rows):
+        if got != row:
+            raise AssertionError(f"{kind} Whitney numbers {got} != row {n} "
+                                 f"of the Whitney matrices, reversed, {row}")
     return first, second
 
 
@@ -391,21 +391,20 @@ def to_dot(P):
 
 
 def json_report(n, variant=WEIGHTED):
-    """The summary report for one poset, as a JSON-serializable dict."""
+    """The report of ``mobius_poset(n, variant)``, as a JSON-serializable
+    dict; chi is the first Whitney numbers reversed."""
     P = mobius_poset(n, variant)
-    mu0 = P.mu_from_bottom()
-    chi = None if P.augmented else characteristic_polynomial(P)
     if variant == WEIGHTED:
         mu_poly = mu_polynomial(n)
     else:
-        mu_poly = [mu0[k] for k in P.maximal_indices()]
-    first, second = whitney_numbers(n)
+        mu_poly = [P.mu_from_bottom()[k] for k in P.maximal_indices()]
+    first, second = whitney_numbers(P)
     return {
         "n": n,
         "variant": variant,
         "rank_sizes": P.rank_sizes(),
         "mu_poly": mu_poly,
-        "char_poly": chi,
+        "char_poly": None if P.augmented else first[::-1],
         "whitney_first": first,
         "whitney_second": second,
     }

@@ -49,6 +49,27 @@ def test_criterion_05_whitney_matrices():
     _run(5)
 
 
+@pytest.mark.parametrize("method, n, at, witness", [
+    ("rank_sizes", 4, 1, "second Whitney numbers [1, 13, 24, 4] != row 4 of "
+                         "the Whitney matrices, reversed, [1, 12, 24, 4]"),
+    ("mu_from_bottom", 3, -1, "first Whitney numbers [1, -6, 10] != row 3 "
+                              "of the Whitney matrices, reversed, [1, -6, 9]"),
+], ids=["rank-size", "mobius-value"])
+def test_criterion_05_reads_the_poset(monkeypatch, method, n, at, witness):
+    # one value of the poset on [n] off by one
+    real = getattr(pt.Poset, method)
+
+    def one_off(self):
+        values = list(real(self))
+        if self.n == n:
+            values[at] += 1
+        return values
+
+    monkeypatch.setattr(pt.Poset, method, one_off)
+    assert acceptance.run_criterion(5) == \
+        ("Whitney matrices inverse", False, witness)
+
+
 def test_criterion_06_forest_counts():
     _run(6)
 

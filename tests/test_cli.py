@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from wpposet import cli
+from wpposet import partitions as pt
 
 
 def run(capsys, *argv):
@@ -113,6 +114,13 @@ def test_psi_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "root,parent_map,descents,psi"
     assert len(lines) == 1 + 9
+
+
+def test_whitney_builds_only_the_weighted_poset(capsys, monkeypatch):
+    monkeypatch.setattr(pt, "_posets", {})
+    code, _ = run(capsys, "whitney", "--n", "6", "--format", "json")
+    assert code == 0
+    assert set(pt._posets) == {(6, "weighted")}
 
 
 def test_whitney(capsys):

@@ -211,9 +211,28 @@ def test_leq_weight_window():
 
 
 def test_whitney_numbers_frozen():
-    first, second = pt.whitney_numbers(4)
+    first, second = pt.whitney_numbers(pt.mobius_poset(4))
     assert first == [1, -12, 48, -64]
     assert second == [1, 12, 24, 4]
+
+
+def test_every_variant_gives_the_weighted_whitney_numbers(monkeypatch):
+    # why a pointed or augmented report prints the weighted numbers off
+    # its own poset; a fresh memo, so the posets on [7] go with the test
+    monkeypatch.setattr(pt, "_posets", {})
+    for n in range(1, pt.MOBIUS_CAP_N + 1):
+        weighted = pt.whitney_numbers(pt.mobius_poset(n))
+        for variant in (pt.POINTED, pt.AUGMENTED):
+            assert pt.whitney_numbers(pt.mobius_poset(n, variant)) == weighted
+
+
+@pytest.mark.parametrize("variant", [pt.WEIGHTED, pt.POINTED, pt.AUGMENTED])
+def test_a_report_builds_only_its_own_poset(monkeypatch, variant):
+    monkeypatch.setattr(pt, "_posets", {})
+    for n in range(1, 7):
+        pt._posets.clear()
+        pt.json_report(n, variant)
+        assert set(pt._posets) == {(n, variant)}
 
 
 def test_whitney_matrices_inverse():
