@@ -179,7 +179,7 @@ CRITERIA = [
     Criterion("augmented Mobius value", 1, 7, pt.mu_augmented),
     Criterion("characteristic polynomial (both variants)", 1, 7,
               _characteristic_polynomials),
-    Criterion("Whitney matrices inverse", 1, 6,
+    Criterion("Whitney matrices inverse", 1, 7,
               lambda n: pt.whitney_numbers(pt.mobius_poset(n))),
     Criterion("forest counts vs Mobius", 1, 7, _forests_vs_mobius),
     Criterion("EL verification", 1, 6, _el_labeling),

@@ -13,9 +13,11 @@ sparse dict mapping chains to integers.  Everything is computed over the
 integers.  One pass over the coboundary maps, bottom dimension first,
 reduces each once, untracked and with clearing; each is the transpose of
 a boundary map, so it gives that map's rank and, through its unit-pivot
-certificate, its torsion.  The host's one form of its top cycle basis,
-the cycle index, from which quotient ranks and coboundary membership are
-read, is solved off the top map's stored rows on its first read.
+certificate, its torsion.  A lower map hands the next only its pivot
+positions, the rows it clears; the top map's stored rows are the only
+ones kept.  The host's one form of its top cycle basis, the cycle index,
+from which quotient ranks and coboundary membership are read, is solved
+off those rows on its first read.
 Nothing here keeps a host: it lives, with its chains, ranks and cycle
 index, as long as its caller holds it; one past CHAIN_COUNT_CAP is
 refused before its poset is built (``chain_count``).
@@ -114,7 +116,8 @@ class OpenPoset:
     def reductions(self):
         """{r: (rank, unimodular)} of each boundary map d_r: C_r -> C_{r-1},
         r >= 0, from one bottom-up pass over the coboundary maps, computed
-        once; the top map's stored rows are kept for the cycle index.
+        once.  A lower map hands the next only its pivot positions, and
+        only the top map's stored rows are kept, for the cycle index.
 
         The coboundary map from the r-chains to the (r+1)-chains is the
         transpose of d_{r+1}, so the reduction (``linalg.Echelon``) of its
@@ -126,20 +129,23 @@ class OpenPoset:
         there is a cocycle whose largest chain is that one, so its row
         lies in the span of the rows of the chains before it, would reduce
         to zero and install nothing.  The stored vectors, so the rank and
-        the certificate, are those of the whole map.
+        the certificate, are those of the whole map.  Each row is freed
+        once ``Echelon.add`` has reduced its copy, so a map's rows and its
+        stored vectors are not both held whole.
         """
         if self._reductions is None:
             by_dim = self.index_chains()
             top = max(by_dim)
-            self._reductions, cleared = {}, {}
+            self._reductions, stored = {}, {}
             for r in range(-1, top):
+                # the map below hands on its pivot positions, not its rows
+                cleared, stored = set(stored), None
                 ech = linalg.Echelon()
                 for row in _coboundary_rows(by_dim, r, cleared):
                     ech.add(row)
-                    row.clear()  # ech keeps its own copy
                 self._reductions[r + 1] = ech.rank, ech.unimodular
-                cleared = ech.by_pivot
-            self._top_map = by_dim[top], cleared
+                stored = ech.by_pivot
+            self._top_map = by_dim[top], stored
         return self._reductions
 
     def cycle_index(self):
@@ -199,15 +205,21 @@ def _cycle_index(chains, rows):
 def _coboundary_rows(by_dim, r, cleared=()):
     """The coboundary of each r-chain not in cleared (a collection of
     positions), in chain order, keyed by the positions of the (r+1)-chains
-    it is a face of: one scan of those chains' faces builds them all."""
+    it is a face of: one scan of those chains' faces builds them all.  A
+    generator that lets go of each row as it hands it out, so a row the
+    caller drops is freed."""
     faces = {c: k for k, c in enumerate(by_dim[r])}
-    rows = {k: {} for k in range(len(faces)) if k not in cleared}
+    rows = [None if k in cleared else {} for k in range(len(faces))]
     for p, c in enumerate(by_dim[r + 1]):
         for i in range(len(c)):
-            row = rows.get(faces[c[:i] + c[i + 1:]])
+            row = rows[faces[c[:i] + c[i + 1:]]]
             if row is not None:
                 row[p] = -1 if i & 1 else 1
-    return rows.values()
+    del faces  # not held while the rows are reduced
+    for k, row in enumerate(rows):
+        if row is not None:
+            rows[k] = None  # the caller's reference is then the last one
+            yield row
 
 
 # ---------------------------------------------------------------------------

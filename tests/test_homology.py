@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -157,6 +158,58 @@ def test_degenerate_host():
     host = hm.open_interval(2, 0)
     assert host.elements == []
     assert hm.betti_numbers(host)["betti"] == {-1: 1}
+
+
+# (0,[1]^0), (0,[2]^0), (0,[2]^1) and the proper part of [1] are empty, so
+# their top dimension is -1 and the reduction pass reduces no map;
+# (0,[3]^0) and the proper part of [2] are antichains, top dimension 0,
+# and it reduces one
+@pytest.mark.parametrize("make, top, cycles", [
+    (lambda: hm.open_interval(1, 0), -1, 1),
+    (lambda: hm.open_interval(2, 0), -1, 1),
+    (lambda: hm.open_interval(2, 1), -1, 1),
+    (lambda: hm.proper_part(1), -1, 1),
+    (lambda: hm.open_interval(3, 0), 0, 2),
+    (lambda: hm.proper_part(2), 0, 1),
+], ids=["(0,[1]^0)", "(0,[2]^0)", "(0,[2]^1)", "proper-part-1",
+        "(0,[3]^0)", "proper-part-2"])
+def test_hosts_with_at_most_one_map(make, top, cycles):
+    host = make()
+    rep = hm.betti_numbers(host)
+    assert rep["top_dim"] == host.top_dim == top
+    assert rep["betti"][top] == cycles
+    assert host.cycle_index()[1] == cycles
+    assert hm.rank_in_top_quotient(host, []) == (0, cycles)
+    # one top chain is no coboundary: the empty chain, or one element
+    chain = tuple(host.elements[:top + 1])
+    assert hm.rank_in_top_quotient(host, [{chain: 1}]) == (1, cycles)
+
+
+# The traced peak of a host's reduction pass over what the host holds
+# right after it, its ranks and the top map's stored rows, with its chains
+# listed beforehand (tracemalloc, Python 3.11): 2.46x on (0,[6]^0) and
+# 2.29x on the proper part of [5] while each map handed the next its whole
+# dict of stored rows and every coboundary row lived until its map was
+# reduced; 1.45x and 1.42x once a map hands on only its pivot positions
+# and each row is freed as soon as it is reduced.  A ratio holds on Python
+# 3.10 and 3.11 alike, where a bound in MiB would not.
+REDUCTION_PEAK_RATIO = 2.0
+
+
+@pytest.mark.parametrize("make", [lambda: hm.open_interval(6, 0),
+                                  lambda: hm.proper_part(5)],
+                         ids=["(0,[6]^0)", "proper-part-5"])
+def test_the_reduction_pass_frees_each_maps_rows(make):
+    host = make()
+    host.index_chains()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        host.reductions()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < REDUCTION_PEAK_RATIO * held, peak / held
 
 
 def test_boundary_squares_to_zero():
