@@ -5,7 +5,8 @@ nodes determines a maximal chain of [0-hat, [n]^i]: walk the extension
 and at each step merge the blocks carried by the two child subtrees
 (``partitions.merge``), their weights summed plus u, with u = 0 for a
 blue node and u = 1 for a red one.  The leaf masks of those blocks are
-carried up one postorder pass.
+carried up one postorder pass, and each block's position is counted off
+the least leaves of the blocks before it.
 
 A rooted tree T on [n] spans the boolean subposet Pi_T of the weighted
 partition poset: one element alpha(T_E) per subset E of its edges.
@@ -32,26 +33,33 @@ def chain_partitions_of_tree(t, tau=None):
     indices of the internal nodes and defaults to the identity.
 
     One postorder pass records, per internal node, whether it is red and
-    the leaf masks of its two children, each mask the union of the masks
-    carried up from below, and the postorder indices of its internal
-    children.  The chain keeps the masks of its current blocks, so each
-    step finds the two children's blocks and merges them."""
-    nodes = []  # (red, left mask, right mask, left index, right index)
+    the least leaf (a one-bit mask) and leaf mask of each child, the
+    child with the lesser least leaf first.  The chain keeps the bitmask
+    mins of its current blocks' least leaves; the blocks are sorted by
+    least leaf, so the block whose least leaf is a sits at position
+    (mins & (a - 1)).bit_count().  Each step finds the two children's
+    blocks that way, checks that they are the children's whole leaf
+    sets, which holds for every node exactly when tau lists each node
+    after its children, merges them and clears the greater least leaf
+    from mins."""
+    nodes = []  # (red, least leaf, leaf mask, and the same of the other)
 
     def walk(s):
-        """(leaf mask of s, postorder index of s or -1 for a leaf)"""
-        if tr.is_leaf(s):
+        """The leaf mask of s."""
+        if isinstance(s, int):  # a leaf (``trees.is_leaf``), tested inline
             if s < 1:
                 raise ValueError("tree leaves must be exactly [n]")
-            return 1 << (s - 1), -1
-        lmask, lk = walk(s[1])
-        rmask, rk = walk(s[2])
+            return 1 << (s - 1)
+        lmask = walk(s[1])
+        rmask = walk(s[2])
         if lmask & rmask:
             raise ValueError("tree leaves must be exactly [n]")
-        nodes.append((int(s[0] == tr.RED), lmask, rmask, lk, rk))
-        return lmask | rmask, len(nodes) - 1
+        a, b, red = lmask & -lmask, rmask & -rmask, int(s[0] == tr.RED)
+        nodes.append((red, a, lmask, b, rmask) if a < b
+                     else (red, b, rmask, a, lmask))
+        return lmask | rmask
 
-    full = walk(t)[0]
+    full = walk(t)
     n = full.bit_length()
     if full != (1 << n) - 1:
         raise ValueError("tree leaves must be exactly [n]")
@@ -59,18 +67,16 @@ def chain_partitions_of_tree(t, tau=None):
         tau = range(len(nodes))
     elif sorted(tau) != list(range(len(nodes))):
         raise ValueError("tau must permute the internal nodes")
-    merged = [False] * len(nodes)
-    masks = [1 << a for a in range(n)]
+    mins = full  # every leaf is the least leaf of its singleton block
     chain = [pt.bottom(n)]
     for k in tau:
-        red, lmask, rmask, lk, rk = nodes[k]
-        if (lk >= 0 and not merged[lk]) or (rk >= 0 and not merged[rk]):
-            raise ValueError("tau is not a linear extension")
-        merged[k] = True
-        i, j = sorted((masks.index(lmask), masks.index(rmask)))
+        red, a, amask, b, bmask = nodes[k]
+        i, j = (mins & (a - 1)).bit_count(), (mins & (b - 1)).bit_count()
         p = chain[-1]
+        if p[i][0] != amask or p[j][0] != bmask:
+            raise ValueError("tau is not a linear extension")
         chain.append(pt.merge(p, i, j, p[i][1] + p[j][1] + red))
-        masks[i] |= masks.pop(j)
+        mins ^= b
     return tuple(chain)
 
 

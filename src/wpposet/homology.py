@@ -31,7 +31,9 @@ off the Mobius function, in ``partitions``.
 
 from __future__ import annotations
 
+from itertools import cycle
 from math import comb
+from operator import itemgetter
 
 from . import chains as ch
 from . import linalg
@@ -105,8 +107,8 @@ class OpenPoset:
     def top_key(self, c):
         """The index tuple of a top-dimensional chain c of elements;
         ValueError when c is not one."""
-        key = tuple(self.index.get(e, -1) for e in c)
-        if (len(key) != self.top_dim + 1 or -1 in key
+        key = tuple(map(self.index.get, c))
+        if (len(key) != self.top_dim + 1 or None in key
                 or any(not self.up[a] >> b & 1 for a, b in zip(key, key[1:]))):
             raise ValueError(
                 f"{' < '.join(map(pt.partition_str, c)) or 'the empty chain'}"
@@ -172,10 +174,13 @@ def _cycle_index(chains, rows):
     columns count down, so a quotient row's largest key, the one
     ``linalg.Echelon`` pivots on, is its earliest free chain.  At the
     pivot c of a row s, z[c] = -(1/s[c]) * sum of s[k] z[k] over its
-    other keys k, each an earlier chain.  Where s[c] is not a unit, every
-    entry so far is first multiplied by |s[c]|; one factor for every z_j
-    keeps them a basis of the same span.  Each z_j is 0 on every other
-    free chain, so they are independent."""
+    other keys k, each an earlier chain, read off z[k]'s flat tuple in
+    (j, value) pairs by ``zip(it, it)`` over one iterator.  Where s[c] is
+    a unit and s has one other key k, z[c] is z[k] times -s[k]/s[c]: the
+    same tuple when that is 1.  Where s[c] is not a unit, every entry so
+    far is first multiplied by |s[c]|; one factor for every z_j keeps
+    them a basis of the same span.  Each z_j is 0 on every other free
+    chain, so they are independent."""
     count = len(chains) - len(rows)
     z, free = [], 0
     for p in range(len(chains)):
@@ -185,16 +190,28 @@ def _cycle_index(chains, rows):
             free += 1
             continue
         d = s[p]
+        if len(s) == 2 and d in (1, -1):
+            (a, x), (b, y) = s.items()
+            k, x = (b, y) if a == p else (a, x)
+            c, e = -x * d, z[k]
+            z.append(e if c == 1 else
+                     tuple(y * c if t & 1 else y for t, y in enumerate(e)))
+            continue
         if d not in (1, -1):
             g = abs(d)
             z = [tuple(x * g if t & 1 else x for t, x in enumerate(e))
                  for e in z]
         acc = {}
         for k, x in s.items():
-            e = z[k] if k != p else ()
-            for j, y in zip(e[::2], e[1::2]):
-                acc[j] = acc.get(j, 0) + x * y
-        z.append(tuple(v for j, x in acc.items() if x for v in (j, -x // d)))
+            if k != p:
+                it = iter(z[k])
+                for j, y in zip(it, it):
+                    acc[j] = acc.get(j, 0) + x * y
+        e = []
+        for j, x in acc.items():
+            if x:
+                e += j, -x // d
+        z.append(tuple(e))
     index, shared = {}, {}
     for c, e in zip(chains, z):
         if e:
@@ -205,21 +222,37 @@ def _cycle_index(chains, rows):
 def _coboundary_rows(by_dim, r, cleared=()):
     """The coboundary of each r-chain not in cleared (a collection of
     positions), in chain order, keyed by the positions of the (r+1)-chains
-    it is a face of: one scan of those chains' faces builds them all.  A
+    it is a face of: one scan of those chains' faces builds them all,
+    each face dropped by one of ``_face_maps(r + 2)`` with its sign.  A
     generator that lets go of each row as it hands it out, so a row the
     caller drops is freed."""
     faces = {c: k for k, c in enumerate(by_dim[r])}
     rows = [None if k in cleared else {} for k in range(len(faces))]
+    drops = list(zip(_face_maps(r + 2), cycle((1, -1))))
     for p, c in enumerate(by_dim[r + 1]):
-        for i in range(len(c)):
-            row = rows[faces[c[:i] + c[i + 1:]]]
+        for face, sign in drops:
+            row = rows[faces[face(c)]]
             if row is not None:
-                row[p] = -1 if i & 1 else 1
+                row[p] = sign
     del faces  # not held while the rows are reduced
     for k, row in enumerate(rows):
         if row is not None:
             rows[k] = None  # the caller's reference is then the last one
             yield row
+
+
+def _face_maps(length):
+    """One function per position i of a chain tuple of that length: the
+    face without position i, always a tuple.  ``operator.itemgetter`` of
+    the other positions, except where that is not a tuple: of one
+    position it gives the bare item, so a one-element face is a slice,
+    and of none it fails, so the face of a one-element chain is ()."""
+    if length == 1:
+        return [lambda c: ()]
+    if length == 2:
+        return [lambda c: c[1:], lambda c: c[:1]]
+    return [itemgetter(*(j for j in range(length) if j != i))
+            for i in range(length)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +364,19 @@ def betti_numbers(host):
 
 def _quotient_row(host, v):
     """The cycle-index columns of a top-dimensional ChainVector v,
-    {j: <v, z_j>}; ValueError on a chain that is not a top chain."""
+    {j: <v, z_j>}; ValueError on a chain that is not a top chain.  Every
+    chain the index holds is a top chain, so only a chain it misses is
+    checked (``OpenPoset.top_key``)."""
     index = host.cycle_index()[0]
+    local = host.index.get
     row = {}
     for c, coeff in v.items():
-        entries = index.get(host.top_key(c), ())
-        for j, x in zip(entries[::2], entries[1::2]):
+        entries = index.get(tuple(map(local, c)))
+        if entries is None:
+            host.top_key(c)
+            continue
+        it = iter(entries)
+        for j, x in zip(it, it):
             row[j] = row.get(j, 0) + coeff * x
     return {j: x for j, x in row.items() if x}
 
@@ -378,9 +418,11 @@ def fundamental_cycle(T):
 def rank_in_top_quotient(host, vectors):
     """Rank of the images of top-dimensional cochain vectors in the
     quotient C^top / B^top: each vector becomes the sum of its chains'
-    cycle-index rows.  A chain that is not a top chain of host raises
-    ValueError."""
-    rows = [_quotient_row(host, v) for v in vectors]
+    cycle-index rows.  The rank does not depend on the order of the rows,
+    so they are reduced sparsest first, which keeps the stored vectors
+    short while the dense rows are cleared against them.  A chain that
+    is not a top chain of host raises ValueError."""
+    rows = sorted((_quotient_row(host, v) for v in vectors), key=len)
     return linalg.rank_of(rows), host.cycle_index()[1]
 
 

@@ -339,10 +339,12 @@ def _family(family, A, i=None):
 
     Every subset of ``A`` is filled in order of size, from the leaves up,
     by joining the groups of L and R over each split (L, R) under the
-    family's node rule.  With ``i``, a group on B is kept only when
-    i - (|A| - |B|) <= k <= i, since a tree on B gains at most |A| - |B|
-    red nodes on its way to A; a kept group is built from kept groups
-    alone, so it is the same list as without ``i``."""
+    family's node rule: each colour the rule allows extends its group by
+    ``itertools.product((colour,), lefts, rights)``, every left tree with
+    every right one, left trees outer.  With ``i``, a group on B is kept
+    only when i - (|A| - |B|) <= k <= i, since a tree on B gains at most
+    |A| - |B| red nodes on its way to A; a kept group is built from kept
+    groups alone, so it is the same list as without ``i``."""
     normalized, rule, leaf_sig = _FAMILIES[family]
     n = len(A)
     groups = {}
@@ -362,7 +364,7 @@ def _family(family, A, i=None):
                             k = kl + kr + (col == RED)
                             if lo <= k <= hi:
                                 got.setdefault((sig, k), []).extend(
-                                    (col, l, r) for l in lefts for r in rights)
+                                    itertools.product((col,), lefts, rights))
     return groups.get(A, {})
 
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from wpposet import chains as ch
@@ -7,7 +10,8 @@ from wpposet import trees as tr
 from poset_oracles import (ground_size, leq, members_mask, sort_blocks,
                            u_merge)
 from tree_oracles import (alpha_of_forest, enumerate_rooted_forests,
-                          linear_extensions, postorder_internal)
+                          linear_extensions, normalize_signed,
+                          postorder_internal)
 
 B, R = tr.BLUE, tr.RED
 
@@ -141,6 +145,38 @@ def test_chain_matches_the_u_merge_oracle():
                 tau = tr.valency_decreasing_tau(t)
                 assert (ch.chain_partitions_of_tree(t, tau)
                         == chain_by_u_merge(t, tau)), t
+
+
+def test_chain_builder_refuses_exactly_the_non_extensions():
+    # every permutation of the internal nodes of every tree on [4]: the
+    # builder refuses a tau by comparing the two blocks it finds with the
+    # children's leaf sets, and builds the chain of every other
+    for t in tr.enumerate_bicolored(4):
+        extensions = set(linear_extensions(t))
+        for tau in itertools.permutations(range(tr.internal_count(t))):
+            if tau in extensions:
+                assert (ch.chain_partitions_of_tree(t, tau)
+                        == chain_by_u_merge(t, tau)), (t, tau)
+            else:
+                with pytest.raises(ValueError, match="linear extension"):
+                    ch.chain_partitions_of_tree(t, tau)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_chain_matches_the_u_merge_oracle_on_sampled_trees(n):
+    # the blocks of each merge are found by popcounts over the least
+    # leaves of the current blocks: sampled trees on [6..8] reach masks
+    # and block positions the exhaustive n <= 5 check does not; each tree
+    # is also normalized and built under its valency-decreasing tau
+    rng = random.Random(n)
+    total = tr.bicolored_count(n)
+    for _ in range(200):
+        t = tr.bicolored_at(n, rng.randrange(total))
+        assert ch.chain_partitions_of_tree(t) == chain_by_u_merge(t), t
+        t = normalize_signed(t, "cohomology")[1]
+        tau = tr.valency_decreasing_tau(t)
+        assert (ch.chain_partitions_of_tree(t, tau)
+                == chain_by_u_merge(t, tau)), t
 
 
 def test_alpha_of_forest():

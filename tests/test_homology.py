@@ -212,6 +212,35 @@ def test_the_reduction_pass_frees_each_maps_rows(make):
     assert peak < REDUCTION_PEAK_RATIO * held, peak / held
 
 
+def _coboundary_rows_by_slicing(by_dim, r, cleared=()):
+    """The rows of ``hm._coboundary_rows``, each face cut by slicing."""
+    rows = {k: {} for k in range(len(by_dim[r])) if k not in cleared}
+    faces = {c: k for k, c in enumerate(by_dim[r])}
+    for p, c in enumerate(by_dim[r + 1]):
+        for i in range(len(c)):
+            k = faces[c[:i] + c[i + 1:]]
+            if k in rows:
+                rows[k][p] = (-1) ** i
+    return list(rows.values())
+
+
+@pytest.mark.parametrize("n, i", [
+    *((n, i) for n in range(1, 6) for i in [*range(n), None]), (6, 0)])
+def test_coboundary_rows_match_sliced_faces(n, i):
+    # every map of the host, with and without every other position
+    # cleared: among them the maps from the empty chain and from the
+    # points, whose faces are () and one-element tuples, and the map from
+    # the edges, whose faces have two elements
+    host = hm.proper_part(n) if i is None else hm.open_interval(n, i)
+    by_dim = host.index_chains()
+    for r in range(-1, host.top_dim):
+        cleared = set(range(0, len(by_dim[r]), 2))
+        for skip in ((), cleared):
+            assert (list(hm._coboundary_rows(by_dim, r, skip))
+                    == _coboundary_rows_by_slicing(by_dim, r, skip)), \
+                (host.name, r)
+
+
 def test_boundary_squares_to_zero():
     host = hm.open_interval(4, 2)
     for c in chains_by_dim(host)[1]:
@@ -592,6 +621,18 @@ def test_quotient_rank_and_membership_match_pairing_oracle():
             (linalg.rank_of(rows), len(basis)), host.name
         for v, row in zip(vecs, rows):
             assert hm.coboundary_member(host, v) == (not row), (host.name, v)
+
+
+def test_quotient_rank_does_not_depend_on_vector_order():
+    # rank_in_top_quotient reduces its rows sparsest first, so the order
+    # the vectors come in must not reach the answer
+    rng = random.Random(2)
+    for host, vecs in _quotient_cases():
+        want = hm.rank_in_top_quotient(host, vecs)
+        shuffled = list(vecs)
+        rng.shuffle(shuffled)
+        assert hm.rank_in_top_quotient(host, vecs[::-1]) == want, host.name
+        assert hm.rank_in_top_quotient(host, shuffled) == want, host.name
 
 
 def test_a_non_unit_top_pivot_keeps_the_quotient(monkeypatch):
