@@ -11,13 +11,17 @@ tuple of partitions those indices stand for.  The empty chain
 generates the degree -1 part of the reduced complex.  A ChainVector is a
 sparse dict mapping chains to integers.  Everything is computed over the
 integers.  One pass over the coboundary maps, bottom dimension first,
-reduces each once, untracked and with clearing; each is the transpose of
-a boundary map, so it gives that map's rank and, through its unit-pivot
-certificate, its torsion.  A lower map hands the next only its pivot
-positions, the rows it clears; the top map's stored rows are the only
-ones kept.  The host's one form of its top cycle basis, the cycle index,
-from which quotient ranks and coboundary membership are read, is solved
-off those rows on its first read.
+reduces each once, with clearing; each is the transpose of a boundary
+map, so it gives that map's rank and, through its unit-pivot
+certificate, its torsion.  A coboundary is read straight off the host's
+up and down bitsets, so no row is stored: each chain the map below did
+not clear is paired with its largest coface, and only a map where a
+coface is claimed twice is reduced by ``linalg.Echelon``.  A lower map
+hands the next only its pivot positions, the rows it clears; the top
+map keeps its pairs.  The host's one form of its top cycle basis, the
+cycle index, from which quotient ranks and coboundary membership are
+read, is solved on its first read off the top map's rows, the
+partners' coboundaries built one at a time.
 Nothing here keeps a host: it lives, with its chains, ranks and cycle
 index, as long as its caller holds it; one past CHAIN_COUNT_CAP is
 refused before its poset is built (``chain_count``).
@@ -31,9 +35,9 @@ off the Mobius function, in ``partitions``.
 
 from __future__ import annotations
 
-from itertools import cycle
+from bisect import bisect_left
+from collections.abc import Mapping
 from math import comb
-from operator import itemgetter
 
 from . import chains as ch
 from . import linalg
@@ -48,18 +52,21 @@ class OpenPoset:
     its order complex.
 
     Elements are listed sorted and indexed locally; up[k] is the bitset
-    over those indices of the elements strictly above element k.  It is
-    filled from P's covers, from the top rank down, so building it costs
-    one step per cover inside keep.  That reads the induced order only if
-    any two comparable elements of keep are joined by covers of P inside
-    keep, as they are when keep is order-convex in P: every open interval
-    and proper part is.  Chains of the order complex are listed per
-    dimension as tuples of local indices, in lexicographic order; since
-    local indices follow the sorted elements, a chain's position in its
-    list orders it as its tuple of partitions would.  The host stores the
-    rank and certificate of each boundary map (``reductions``) and one
-    form of its top cycle basis, the cycle index (``cycle_index``), both
-    from one pass over its coboundary maps.
+    over those indices of the elements strictly above element k, and
+    down[k] of those strictly below it.  Both are filled from P's covers,
+    up from the top rank down and down from the bottom rank up, so each
+    costs one step per cover inside keep.  That reads the induced order
+    only if any two comparable elements of keep are joined by covers of P
+    inside keep, as they are when keep is order-convex in P: every open
+    interval and proper part is.  A coarser partition sorts after a finer
+    one, so local indices are a linear extension of the order.  Chains of
+    the order complex are listed per dimension as tuples of local indices,
+    in lexicographic order; since local indices follow the sorted
+    elements, a chain's position in its list orders it as its tuple of
+    partitions would.  The host stores the rank and certificate of each
+    boundary map (``reductions``) and one form of its top cycle basis, the
+    cycle index (``cycle_index``), both from one pass over its coboundary
+    maps.
     """
 
     def __init__(self, name, P, keep):
@@ -67,18 +74,20 @@ class OpenPoset:
         self.elements = sorted(keep)
         self.index = {e: k for k, e in enumerate(self.elements)}
         local = {P.index[e]: k for k, e in enumerate(self.elements)}
-        self.up = [0] * len(local)
         # P lists its elements in rank order, so each upper cover of h
-        # has a larger index and its up set is complete before h's
-        for h in sorted(local, reverse=True):
-            k = local[h]
-            for g in P.covers[h]:
-                j = local.get(g)
-                if j is not None:
-                    self.up[k] |= 1 << j | self.up[j]
+        # has a larger index: read backwards, the covers complete each up
+        # set before it is read, and read forwards, each down set
+        covers = [(local[h], j) for h in sorted(local) for g in P.covers[h]
+                  if (j := local.get(g)) is not None]
+        up = self.up = [0] * len(local)
+        down = self.down = [0] * len(local)
+        for k, j in reversed(covers):
+            up[k] |= 1 << j | up[j]
+        for k, j in covers:
+            down[j] |= 1 << k | down[k]
         self._index_chains = None
         self._reductions = None
-        self._top_map = None  # (top chains, stored rows) until cycle_index
+        self._top_map = None  # (top chains, rows by pivot) until cycle_index
         self._cycles = None
 
     def index_chains(self):
@@ -117,37 +126,25 @@ class OpenPoset:
 
     def reductions(self):
         """{r: (rank, unimodular)} of each boundary map d_r: C_r -> C_{r-1},
-        r >= 0, from one bottom-up pass over the coboundary maps, computed
-        once.  A lower map hands the next only its pivot positions, and
-        only the top map's stored rows are kept, for the cycle index.
-
-        The coboundary map from the r-chains to the (r+1)-chains is the
-        transpose of d_{r+1}, so the reduction (``linalg.Echelon``) of its
-        rows (``_coboundary_rows``), added in chain order, gives that
-        map's rank and unit-pivot certificate.  The row of an r-chain
-        installed as a pivot by the map below is skipped (cohomology with
-        clearing: de Silva-Morozov-Vejdemo-Johansson, "Dualities in
-        persistent (co)homology", 2011): the reduced coboundary pivoted
-        there is a cocycle whose largest chain is that one, so its row
-        lies in the span of the rows of the chains before it, would reduce
-        to zero and install nothing.  The stored vectors, so the rank and
-        the certificate, are those of the whole map.  Each row is freed
-        once ``Echelon.add`` has reduced its copy, so a map's rows and its
-        stored vectors are not both held whole.
-        """
+        r >= 0, from one bottom-up pass over the coboundary maps
+        (``_reduce``), computed once.  A lower map hands the next only its
+        pivot positions, the rows that map clears; the top map's rows by
+        pivot are kept for the cycle index."""
         if self._reductions is None:
             by_dim = self.index_chains()
             top = max(by_dim)
-            self._reductions, stored = {}, {}
+            self._reductions, rows = {}, {}
             for r in range(-1, top):
-                # the map below hands on its pivot positions, not its rows
-                cleared, stored = set(stored), None
-                ech = linalg.Echelon()
-                for row in _coboundary_rows(by_dim, r, cleared):
-                    ech.add(row)
-                self._reductions[r + 1] = ech.rank, ech.unimodular
-                stored = ech.by_pivot
-            self._top_map = by_dim[top], stored
+                # the map below hands on its pivot positions, not its rows:
+                # one byte per chain, set where a pivot is
+                cleared = bytearray(len(by_dim[r]))
+                for p in rows:
+                    cleared[p] = 1
+                del rows
+                rank, unimodular, rows = _reduce(
+                    self.up, self.down, by_dim[r], by_dim[r + 1], cleared)
+                self._reductions[r + 1] = rank, unimodular
+            self._top_map = by_dim[top], rows
         return self._reductions
 
     def cycle_index(self):
@@ -156,7 +153,8 @@ class OpenPoset:
         j', z_j'[c], ...) over the z_j with the top index chain c in their
         support.  There is one per chain, so it is a tuple, not a dict,
         and equal ones are one object.  Solved on the first read, off the
-        top map's rows ``reductions`` stored, which are then dropped."""
+        top map's rows by pivot that ``reductions`` kept, which are then
+        dropped."""
         if self._cycles is None:
             self.reductions()
             self._cycles, self._top_map = _cycle_index(*self._top_map), None
@@ -165,9 +163,10 @@ class OpenPoset:
 
 def _cycle_index(chains, rows):
     """(index, count) of ``OpenPoset.cycle_index`` for the top chains,
-    read off rows, the stored vectors of the top coboundary map's
-    reduction by pivot position.  A top cycle is orthogonal to every
-    coboundary row, and the stored rows span them all.
+    read off rows, any mapping from a pivot position of the top
+    coboundary map's reduction to its reduced row there (``_reduce``),
+    each row read once.  A top cycle is orthogonal to every coboundary
+    row, and the reduced rows span them all.
 
     One pass in chain order: a chain no row is pivoted at is free, and
     the k-th free chain gets z_j = 1 there, j = count - 1 - k: the
@@ -219,40 +218,115 @@ def _cycle_index(chains, rows):
     return index, count
 
 
-def _coboundary_rows(by_dim, r, cleared=()):
-    """The coboundary of each r-chain not in cleared (a collection of
-    positions), in chain order, keyed by the positions of the (r+1)-chains
-    it is a face of: one scan of those chains' faces builds them all,
-    each face dropped by one of ``_face_maps(r + 2)`` with its sign.  A
-    generator that lets go of each row as it hands it out, so a row the
-    caller drops is freed."""
-    faces = {c: k for k, c in enumerate(by_dim[r])}
-    rows = [None if k in cleared else {} for k in range(len(faces))]
-    drops = list(zip(_face_maps(r + 2), cycle((1, -1))))
-    for p, c in enumerate(by_dim[r + 1]):
-        for face, sign in drops:
-            row = rows[faces[face(c)]]
-            if row is not None:
-                row[p] = sign
-    del faces  # not held while the rows are reduced
-    for k, row in enumerate(rows):
-        if row is not None:
-            rows[k] = None  # the caller's reference is then the last one
-            yield row
+def _gaps(up, down, c):
+    """The elements that extend the chain c of local indices, as (g, mask)
+    for each gap g they fill, top gap first: at g = len(c) those above
+    c[-1], at 0 < g < len(c) those strictly between c[g-1] and c[g], at
+    g = 0 those below c[0]; every element when c is empty.  The one face
+    scan: each coface of c is c with one element inserted at its gap."""
+    if not c:
+        if up:
+            yield 0, (1 << len(up)) - 1
+        return
+    mask = up[c[-1]]
+    if mask:
+        yield len(c), mask
+    for g in range(len(c) - 1, 0, -1):
+        mask = up[c[g - 1]] & down[c[g]]
+        if mask:
+            yield g, mask
+    mask = down[c[0]]
+    if mask:
+        yield 0, mask
 
 
-def _face_maps(length):
-    """One function per position i of a chain tuple of that length: the
-    face without position i, always a tuple.  ``operator.itemgetter`` of
-    the other positions, except where that is not a tuple: of one
-    position it gives the bare item, so a one-element face is a slice,
-    and of none it fails, so the face of a one-element chain is ()."""
-    if length == 1:
-        return [lambda c: ()]
-    if length == 2:
-        return [lambda c: c[1:], lambda c: c[:1]]
-    return [itemgetter(*(j for j in range(length) if j != i))
-            for i in range(length)]
+def _coboundary(up, down, cofaces, c, hi=None):
+    """The coboundary of the chain c of local indices, {position: sign}
+    over the positions of its cofaces in cofaces, their dimension's list:
+    x inserted at gap g (``_gaps``) gives the coface c[:g] + (x,) + c[g:],
+    with sign (-1)^g, the sign of c as its face at position g.  Local
+    indices are a linear extension, so x is less than the c[g] it
+    precedes, and a coface at a lower gap is the lesser chain: the
+    cofaces come in chain order, gap by gap from the bottom and element
+    by element, largest last, and each is found by bisect between the one
+    before and hi, a bound on them all where the caller knows one."""
+    row, lo = {}, 0
+    for g, mask in reversed(list(_gaps(up, down, c))):
+        sign = -1 if g & 1 else 1
+        head, tail = c[:g], c[g:]
+        for x in pt.bits(mask):
+            lo = bisect_left(cofaces, head + (x,) + tail, lo, hi)
+            row[lo] = sign
+            lo += 1
+    return row
+
+
+def _largest_coface(up, down, cofaces, c):
+    """The position in cofaces of the largest coface of c, the last key
+    of its coboundary: the greatest element of its top nonempty gap,
+    inserted there; None when c is a maximal chain."""
+    for g, mask in _gaps(up, down, c):
+        return bisect_left(cofaces, c[:g] + (mask.bit_length() - 1,) + c[g:])
+    return None
+
+
+class _PairedRows(Mapping):
+    """The rows of a coboundary map reduced by pairing, by pivot position:
+    the row at p is the coboundary of the chain paired with p, built on
+    each read, so none is stored.  It holds the host's bitsets, not the
+    host, so a host that keeps its top map's rows is no reference
+    cycle."""
+
+    def __init__(self, up, down, cofaces, pairs):
+        self._args, self._pairs = (up, down, cofaces), pairs
+
+    def __getitem__(self, p):
+        # p is the partner's largest coface, so it bounds the search
+        return _coboundary(*self._args, self._pairs[p], p + 1)
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+
+def _reduce(up, down, chains, cofaces, cleared):
+    """(rank, unimodular, rows) of the coboundary map from chains to
+    cofaces, the transpose of a boundary map, with rows its reduced rows
+    by pivot position; cleared holds a nonzero byte at the position of
+    each chain the map below installed as a pivot.
+
+    A cleared chain's row is never built (cohomology with clearing: de
+    Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent
+    (co)homology", 2011): the reduced coboundary pivoted there is a
+    cocycle whose largest chain is that one, so its row lies in the span
+    of the rows before it and would reduce to zero.  Every other chain,
+    in chain order, is paired with its largest coface, the pivot its row
+    would install at (``_largest_coface``).  While no coface is claimed
+    twice no row takes an elimination step, so the map's rank is the
+    number of pairs, every pivot is +-1 and the pairs are a Morse
+    matching (Kozlov, *Combinatorial Algebraic Topology*, 2008, ch. 11):
+    rows are read off the pairs (``_PairedRows``).  A coface claimed
+    twice sends this one map to ``linalg.Echelon`` over the same rows,
+    added in chain order, each freed once ``Echelon.add`` has reduced its
+    copy; rows are then its stored vectors."""
+    pairs = {}
+    for c, done in zip(chains, cleared):
+        if not done:
+            p = _largest_coface(up, down, cofaces, c)
+            if p in pairs:
+                break
+            if p is not None:
+                pairs[p] = c
+    else:
+        return len(pairs), True, _PairedRows(up, down, cofaces, pairs)
+    del pairs
+    ech = linalg.Echelon()
+    for c, done in zip(chains, cleared):
+        if not done:
+            ech.add(_coboundary(up, down, cofaces, c))
+    return ech.rank, ech.unimodular, ech.by_pivot
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +339,20 @@ def _below_top(k, s, i):
     return s <= i <= s + k - 1
 
 
+def refuse_weight(n, i):
+    """ValueError unless [n]^i is a maximal element of the weighted poset
+    on [n], 0 <= i <= n - 1: the one check on a top's weight, made before
+    any work."""
+    if not 0 <= i < n:
+        raise ValueError(f"i must be in 0..{n - 1}, got {i}")
+
+
 def interval_elements(n, i):
     """The elements of (0-hat, [n]^i), in the order of the weighted poset
     on [n]: those below [n]^i (``_below_top``), without the bottom and
-    [n]^i; no order relation is read and no order complex is built."""
+    [n]^i; no order relation is read and no order complex is built.  An i
+    outside 0..n-1 is refused with ValueError."""
+    refuse_weight(n, i)
     P = pt.build_poset(n, pt.WEIGHTED)
     ends = {pt.bottom(n), (((1 << n) - 1, i),)}
     return [e for e in P.elements if e not in ends
@@ -278,7 +362,9 @@ def interval_elements(n, i):
 def interval_size(n, i):
     """len(interval_elements(n, i)) without building the poset: the
     partitions below [n]^i by type (``partitions.type_sums``), less the
-    bottom and [n]^i, which at n = 1 are one element."""
+    bottom and [n]^i, which at n = 1 are one element.  An i outside
+    0..n-1 is refused with ValueError."""
+    refuse_weight(n, i)
     counts = pt.type_sums(n, lambda b, w: 1)[n]
     below = sum(c for (k, s), c in counts.items() if _below_top(k, s, i))
     return below - (1 if n == 1 else 2)
@@ -292,7 +378,10 @@ def chain_count(n, i=None):
     Z_[b]^w(m) sums Z_z(m-1) over the z below [b]^w.  The strict chains
     of length j from 0-hat to y number sum_m (-1)^(j-m) C(j, m) Z_y(m):
     those with j >= 2 to [n]^i are the open interval's, those with
-    j >= 1 to any y != 0-hat the proper part's, largest element y."""
+    j >= 1 to any y != 0-hat the proper part's, largest element y.  An i
+    outside 0..n-1 is refused with ValueError."""
+    if i is not None:
+        refuse_weight(n, i)
     top = {(b, w): 1 for b in range(1, n + 1) for w in range(b)}
     z = [0]  # z[m]: Z_[n]^i(m), or the sum of Z_y(m) over y != 0-hat
     for m in range(1, n):
@@ -307,11 +396,13 @@ def chain_count(n, i=None):
 
 def open_interval(n, i):
     """(0-hat, [n]^i) as a new OpenPoset, refused past CHAIN_COUNT_CAP
-    before any poset is built; a caller that needs it more than once
-    holds on to it."""
+    before any poset is built, and with ValueError before that when i is
+    outside 0..n-1; a caller that needs it more than once holds on to
+    it."""
+    refuse_weight(n, i)
     name = f"(0,[{n}]^{i})"
     # past POSET_CAP_N build_poset refuses first, with no count paid for
-    if 0 <= i < n <= pt.POSET_CAP_N and chain_count(n, i) > CHAIN_COUNT_CAP:
+    if n <= pt.POSET_CAP_N and chain_count(n, i) > CHAIN_COUNT_CAP:
         raise pt.ResourceCapError(f"chains of {name}", CHAIN_COUNT_CAP)
     return OpenPoset(name, pt.build_poset(n, pt.WEIGHTED),
                      interval_elements(n, i))
@@ -340,7 +431,8 @@ def betti_numbers(host):
     pass (``OpenPoset.reductions``); where every installed pivot is a
     unit the map's invariant factors are all 1, and only where one is not
     does ``linalg.snf_invariant_factors`` compute them from the whole
-    map's transpose, which has the same ones."""
+    map's transpose, which has the same ones, its rows read off the
+    host's bitsets (``_coboundary``)."""
     by_dim = host.index_chains()
     top = max(by_dim)
     maps = host.reductions()
@@ -348,7 +440,8 @@ def betti_numbers(host):
     for r in range(top, -1, -1):
         torsion[r] = [] if maps[r][1] else [
             f for f in linalg.snf_invariant_factors(
-                list(_coboundary_rows(by_dim, r - 1))) if f != 1]
+                [_coboundary(host.up, host.down, by_dim[r], c)
+                 for c in by_dim[r - 1]]) if f != 1]
     rank = {r: m[0] for r, m in maps.items()}
     betti = {r: len(by_dim[r]) - rank.get(r, 0) - rank.get(r + 1, 0)
              for r in sorted(by_dim)}

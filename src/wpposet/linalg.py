@@ -5,10 +5,13 @@ and the torsion certificate share one fraction-free, untracked column
 reduction (:class:`Echelon`); a step whose stored pivot divides the
 entry it clears is a plain subtraction, made in place on the vector
 being reduced, and :func:`snf_invariant_factors` runs only where the
-certificate fails.  No reduction records which inputs a stored vector
-combines: the one kernel the package reads, the top cycles of an open
-poset, is solved off the stored vectors in ``homology``.  Every value is
-an integer.
+certificate fails.  ``homology`` reduces a coboundary map by pairing
+each chain with its largest coface, so an Echelon serves the quotient
+ranks and only those coboundary maps where a coface is claimed twice.
+No reduction records which inputs a stored vector combines: the one
+kernel the package reads, the top cycles of an open poset, is solved in
+``homology`` off the top map's rows by pivot.  Every value is an
+integer.
 """
 
 from __future__ import annotations
@@ -74,29 +77,27 @@ class Echelon:
         return len(self.by_pivot)
 
     def add(self, v):
-        """Insert ``v``; True when the rank grew.  Its largest key is
-        cleared against the stored vector pivoted there until no stored
-        vector has that pivot; where the stored pivot divides v's entry
-        the step subtracts in place, on a copy of v made once."""
+        """Insert ``v``, which is left as it is; True when the rank grew.
+        Its largest key is cleared against the stored vector pivoted
+        there until no stored vector has that pivot, one ``max`` per
+        step; where the stored pivot divides v's entry the step subtracts
+        in place, on a copy of v made once."""
         v = dict(v)
         while v:
             low = max(v)
             prow = self.by_pivot.get(low)
             if prow is None:
-                break
+                if v[low] not in (1, -1):
+                    self.unimodular = False
+                self.by_pivot[low] = v
+                return True
             c, p = v[low], prow[low]
             if c % p == 0:
                 vec_add(v, prow, -(c // p))
             else:
                 g = gcd(c, p)
                 v = vec_primitive(vec_combine(v, p // g, prow, -(c // g)))
-        if not v:
-            return False
-        low = max(v)
-        if v[low] not in (1, -1):
-            self.unimodular = False
-        self.by_pivot[low] = v
-        return True
+        return False
 
 
 def rank_of(vectors):

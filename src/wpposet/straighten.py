@@ -268,10 +268,13 @@ def family_ranks(n, i, families):
     of (0-hat, [n]^i), or of the proper part when i is None.  A family is
     (name, root): the trees ``trees.enumerate_family`` lists by that name,
     kept only where the root has that colour unless root is None.  On the
-    proper part a cochain keeps the top of its chain.  Each cap fires
-    before what it bounds is paid for: the first family's tree cap before
-    the host is made, and the host's chain cap, when it is made, before
-    its poset is built and any tree is listed."""
+    proper part a cochain keeps the top of its chain.  An i outside
+    0..n-1 is refused with ValueError first.  Each cap fires before what
+    it bounds is paid for: the first family's tree cap before the host is
+    made, and the host's chain cap, when it is made, before its poset is
+    built and any tree is listed."""
+    if i is not None:
+        hm.refuse_weight(n, i)
     tr.refuse_past_cap(f"{families[0][0]} trees", n)
     host = hm.proper_part(n) if i is None else hm.open_interval(n, i)
     out = []
@@ -293,8 +296,8 @@ def verify_bases(n, i=None):
     diagonal; with i None, checks the blue-rooted combs and red-rooted
     Lyndon trees in the proper part.
     Returns a report dict with a "passed" flag.  The proper part's claim
-    is about n >= 2; a smaller n is refused with ValueError before any
-    work.
+    is about n >= 2; a smaller n, or an i outside 0..n-1, is refused with
+    ValueError before any work.
     """
     if i is None:
         if n < 2:

@@ -15,9 +15,9 @@ covers, decides covers only by generating them, merges two blocks in
 place (the union takes the place of the block with the lesser least
 element, so no sort is needed), keeps only the upper covers, reads each
 host's order and each label off a pair the poset's covers hold, reduces
-coboundary maps over index chains without tracking, solves the cycle
-index off the top map's stored rows and counts chains over covers, so
-none of these is needed there."""
+coboundary maps over index chains by pairing each chain with its
+largest coface, solves the cycle index off the top map's pairs and
+counts chains over covers, so none of these is needed there."""
 
 import itertools
 from math import gcd

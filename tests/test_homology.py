@@ -47,13 +47,49 @@ def _fresh_hosts(n):
                                                P.elements[1:])]
 
 
+def _colliding_trees(monkeypatch, n):
+    """The rooted trees T on [n] whose proper part of Pi_T has a
+    coboundary map with a coface claimed twice: the hosts whose reduction
+    pass reaches ``linalg.Echelon``.  Such a map's ``_reduce`` returns the
+    Echelon's dict of stored vectors, a paired one ``_PairedRows``."""
+    out = []
+    for T in tr.enumerate_rooted_trees(range(1, n + 1)):
+        with monkeypatch.context() as m:
+            calls = _reduce_calls(m)
+            _open_boolean_of_tree(T).reductions()
+        if any(type(rows) is dict for _cofaces, (*_, rows) in calls):
+            out.append(T)
+    return out
+
+
+def _reduce_calls(monkeypatch):
+    """Every ``_reduce`` call from here on, as (cofaces, result)."""
+    calls = []
+    real = hm._reduce
+
+    def recorded(up, down, chains, cofaces, cleared):
+        out = real(up, down, chains, cofaces, cleared)
+        calls.append((cofaces, out))
+        return out
+
+    monkeypatch.setattr(hm, "_reduce", recorded)
+    return calls
+
+
 def test_betti_numbers_fallback_matches_certificate(monkeypatch):
     # every map below has unit pivots, so the report is read from the
     # certificate; with it forced off the SNF must give the same report.
-    # A host keeps its certificates from its one pass, so the forced run
+    # The hosts of [4] reduce every map by pairing; the proper parts of
+    # Pi_T on [4] below send a colliding map through linalg.Echelon.  A
+    # host keeps its certificates from its one pass, so the forced run
     # reduces hosts of its own.
-    reports = [hm.betti_numbers(host) for host in _fresh_hosts(4)]
-    hosts = _fresh_hosts(4)
+    trees = _colliding_trees(monkeypatch, 4)
+    assert trees
+
+    def hosts():
+        return _fresh_hosts(4) + [_open_boolean_of_tree(T) for T in trees]
+
+    reports = [hm.betti_numbers(host) for host in hosts()]
     calls = []
     snf = hm.linalg.snf_invariant_factors
 
@@ -61,9 +97,15 @@ def test_betti_numbers_fallback_matches_certificate(monkeypatch):
         calls.append(len(vectors))
         return snf(vectors)
 
-    monkeypatch.setattr(hm.linalg.Echelon, "unimodular", False)
+    real = hm._reduce
+
+    def uncertified(*args):
+        rank, _unimodular, rows = real(*args)
+        return rank, False, rows
+
+    monkeypatch.setattr(hm, "_reduce", uncertified)
     monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
-    for host, rep in zip(hosts, reports):
+    for host, rep in zip(hosts(), reports):
         assert hm.betti_numbers(host) == rep, host.name
         top = rep["top_dim"]
         assert list(rep["torsion_nontrivial"]) == [top, top - 1]
@@ -125,6 +167,7 @@ def test_top_map_is_reduced_once(monkeypatch, betti_first):
     bases.append([hm.chain_vector_of_tree(t, omit_top=False)
                   for t in tr.enumerate_family("comb", 4) if t[0] == B])
     for host, vecs in zip(_fresh_hosts(4), bases):
+        calls = _reduce_calls(monkeypatch)
         made = _count_echelons(monkeypatch)
         if betti_first:
             rep = hm.betti_numbers(host)
@@ -134,12 +177,15 @@ def test_top_map_is_reduced_once(monkeypatch, betti_first):
             rep = hm.betti_numbers(host)
         assert not hm.coboundary_member(host, vecs[0])
         assert len(cycle_basis(host)) == betti
-        # one reduction per coboundary map, bottom first, then the one
-        # of the quotient rank
+        # one reduction per coboundary map, bottom first, each by pairing
+        # with no Echelon, then the one Echelon of the quotient rank
         top = host.top_dim
-        assert len(made) == top + 2, host.name
-        assert [(e.rank, e.unimodular) for e in made[:top + 1]] == \
+        by_dim = host.index_chains()
+        assert [cofaces for cofaces, _out in calls] == \
+            [by_dim[r] for r in range(top + 1)], host.name
+        assert [out[:2] for _cofaces, out in calls] == \
             [host.reductions()[r] for r in range(top + 1)], host.name
+        assert len(made) == 1 and made[0].rank == rank, host.name
         assert rank == betti == len(vecs) == rep["betti"][rep["top_dim"]], \
             host.name
 
@@ -186,13 +232,16 @@ def test_hosts_with_at_most_one_map(make, top, cycles):
 
 
 # The traced peak of a host's reduction pass over what the host holds
-# right after it, its ranks and the top map's stored rows, with its chains
-# listed beforehand (tracemalloc, Python 3.11): 2.46x on (0,[6]^0) and
-# 2.29x on the proper part of [5] while each map handed the next its whole
-# dict of stored rows and every coboundary row lived until its map was
-# reduced; 1.45x and 1.42x once a map hands on only its pivot positions
-# and each row is freed as soon as it is reduced.  A ratio holds on Python
-# 3.10 and 3.11 alike, where a bound in MiB would not.
+# right after it, its ranks and the top map's pairs (stored rows, before
+# the pairing), with its chains listed beforehand (tracemalloc, Python
+# 3.11): 2.46x on (0,[6]^0) and 2.29x on the proper part of [5] while each
+# map handed the next its whole dict of stored rows and every coboundary
+# row lived until its map was reduced; 1.45x and 1.42x once a map handed
+# on only its pivot positions and each row was freed as soon as it was
+# reduced; 1.06x and 1.05x (0.14 MiB held, against 0.69 and 0.75 MiB of
+# stored rows) once each chain pairs with its largest coface and a map
+# hands on one byte per chain.  A ratio holds on Python 3.10 and 3.11
+# alike, where a bound in MiB would not.
 REDUCTION_PEAK_RATIO = 2.0
 
 
@@ -212,33 +261,38 @@ def test_the_reduction_pass_frees_each_maps_rows(make):
     assert peak < REDUCTION_PEAK_RATIO * held, peak / held
 
 
-def _coboundary_rows_by_slicing(by_dim, r, cleared=()):
-    """The rows of ``hm._coboundary_rows``, each face cut by slicing."""
-    rows = {k: {} for k in range(len(by_dim[r])) if k not in cleared}
+def _coboundary_rows_by_slicing(by_dim, r):
+    """The coboundary row of each r-chain, keyed by the positions of the
+    (r+1)-chains it is a face of, each face cut by slicing."""
+    rows = [{} for _ in by_dim[r]]
     faces = {c: k for k, c in enumerate(by_dim[r])}
     for p, c in enumerate(by_dim[r + 1]):
         for i in range(len(c)):
-            k = faces[c[:i] + c[i + 1:]]
-            if k in rows:
-                rows[k][p] = (-1) ** i
-    return list(rows.values())
+            rows[faces[c[:i] + c[i + 1:]]][p] = (-1) ** i
+    return rows
 
 
 @pytest.mark.parametrize("n, i", [
     *((n, i) for n in range(1, 6) for i in [*range(n), None]), (6, 0)])
 def test_coboundary_rows_match_sliced_faces(n, i):
-    # every map of the host, with and without every other position
-    # cleared: among them the maps from the empty chain and from the
-    # points, whose faces are () and one-element tuples, and the map from
-    # the edges, whose faces have two elements
+    # every row of every map of the host, read off its bitsets: among them
+    # the maps from the empty chain and from the points, whose faces are
+    # () and one-element tuples, and the map from the edges, whose faces
+    # have two elements.  The cofaces come in chain order, largest last,
+    # and a bound past the largest does not change them.
     host = hm.proper_part(n) if i is None else hm.open_interval(n, i)
     by_dim = host.index_chains()
     for r in range(-1, host.top_dim):
-        cleared = set(range(0, len(by_dim[r]), 2))
-        for skip in ((), cleared):
-            assert (list(hm._coboundary_rows(by_dim, r, skip))
-                    == _coboundary_rows_by_slicing(by_dim, r, skip)), \
-                (host.name, r)
+        cofaces = by_dim[r + 1]
+        oracle = _coboundary_rows_by_slicing(by_dim, r)
+        for c, want in zip(by_dim[r], oracle):
+            row = hm._coboundary(host.up, host.down, cofaces, c)
+            assert row == want and list(row) == sorted(row), (host.name, c)
+            largest = hm._largest_coface(host.up, host.down, cofaces, c)
+            assert largest == max(row, default=None), (host.name, c)
+            if row:
+                assert hm._coboundary(host.up, host.down, cofaces, c,
+                                      largest + 1) == row, (host.name, c)
 
 
 def test_boundary_squares_to_zero():
@@ -510,31 +564,73 @@ def _index_hosts():
         yield hm.proper_part(n)
 
 
+def _assert_cycle_index_is_the_kernel(host):
+    """Over chain positions: the top boundary rows, the index's z_j and
+    the oracle's kernel vectors."""
+    by_dim = host.index_chains()
+    top = max(by_dim)
+    faces = {c: k for k, c in enumerate(by_dim.get(top - 1, []))}
+    rows = [{faces[f]: x for f, x in boundary_of_chain(c).items()}
+            for c in by_dim[top]]
+    position = {c: k for k, c in enumerate(by_dim[top])}
+    index, count = host.cycle_index()
+    basis = [{} for _ in range(count)]
+    for c, entries in index.items():
+        for j, x in zip(entries[::2], entries[1::2]):
+            basis[j][position[c]] = x
+    for z in basis:
+        image = {}
+        for k, x in z.items():
+            linalg.vec_add(image, rows[k], x)
+        assert image == {}, host.name
+    # as many as the oracle's kernel vectors, independent, and with them
+    # no more: the same span
+    oracle = kernel_basis(rows)
+    assert count == len(oracle) == linalg.rank_of(basis) == \
+        linalg.rank_of(basis + oracle), host.name
+
+
 def test_streamed_cycle_index_matches_kernel_list():
-    # over chain positions: the top boundary rows, the index's z_j and the
-    # oracle's kernel vectors
     for host in _index_hosts():
+        _assert_cycle_index_is_the_kernel(host)
+
+
+def test_pairs_are_the_pivots_of_the_full_reduction(monkeypatch):
+    # on every interval and proper part with n <= 5, and on (0,[6]^0), no
+    # coface is claimed twice, and each map's pairs are the pivots of an
+    # Echelon reduction of all its rows, cleared ones included, the vector
+    # stored at each pivot the row of the chain paired with it
+    for host in _index_hosts():
+        with monkeypatch.context() as m:
+            calls = _reduce_calls(m)
+            host.reductions()
         by_dim = host.index_chains()
-        top = max(by_dim)
-        faces = {c: k for k, c in enumerate(by_dim.get(top - 1, []))}
-        rows = [{faces[f]: x for f, x in boundary_of_chain(c).items()}
-                for c in by_dim[top]]
-        position = {c: k for k, c in enumerate(by_dim[top])}
-        index, count = host.cycle_index()
-        basis = [{} for _ in range(count)]
-        for c, entries in index.items():
-            for j, x in zip(entries[::2], entries[1::2]):
-                basis[j][position[c]] = x
-        for z in basis:
-            image = {}
-            for k, x in z.items():
-                linalg.vec_add(image, rows[k], x)
-            assert image == {}, host.name
-        # as many as the oracle's kernel vectors, independent, and with
-        # them no more: the same span
-        oracle = kernel_basis(rows)
-        assert count == len(oracle) == linalg.rank_of(basis) == \
-            linalg.rank_of(basis + oracle), host.name
+        assert len(calls) == host.top_dim + 1, host.name
+        for r, (cofaces, (rank, unimodular, rows)) in enumerate(calls, -1):
+            assert cofaces is by_dim[r + 1], (host.name, r)
+            assert isinstance(rows, hm._PairedRows), (host.name, r)
+            ech = linalg.Echelon()
+            for row in _coboundary_rows_by_slicing(by_dim, r):
+                ech.add(row)
+            assert dict(rows) == ech.by_pivot, (host.name, r)
+            assert (rank, unimodular) == (ech.rank, ech.unimodular) == \
+                (len(rows), True), (host.name, r)
+
+
+def test_colliding_hosts_match_the_oracle(monkeypatch):
+    # a proper part of Pi_T with a coface claimed twice reduces that map
+    # with linalg.Echelon; its ranks, certificates and cycle index are
+    # still the partition-keyed oracle's
+    trees = _colliding_trees(monkeypatch, 4) + \
+        _colliding_trees(monkeypatch, 5)[:10]
+    assert len(trees) == 14
+    for T in trees:
+        host = _open_boolean_of_tree(T)
+        assert host.reductions() == {
+            r: (ech.rank, ech.unimodular)
+            for r, ech in _oracle_reductions(host).items() if r >= 0}, \
+            host.name
+        _assert_cycle_index_is_the_kernel(host)
 
 
 def test_betti_numbers_leave_the_cycle_index_unsolved(monkeypatch):
@@ -635,24 +731,40 @@ def test_quotient_rank_does_not_depend_on_vector_order():
         assert hm.rank_in_top_quotient(host, shuffled) == want, host.name
 
 
+def _top_chain_vectors(host):
+    """Each top chain of host alone, and the sum and the difference of
+    each two neighbours in chain order: some coboundaries, some not."""
+    top = chains_by_dim(host)[host.top_dim]
+    return [{c: 1} for c in top] + [
+        {a: 1, b: sign} for a, b in zip(top, top[1:]) for sign in (1, -1)]
+
+
 def test_a_non_unit_top_pivot_keeps_the_quotient(monkeypatch):
-    # the first row of each host's top coboundary map is doubled as it is
-    # added, so its stored pivot is 2: the top certificate turns off, the
-    # SNF of the whole map gives the torsion, and the cycle index is
-    # rescaled to a basis of the same span
-    plain = [(hm.rank_in_top_quotient(host, vecs),
-              [hm.coboundary_member(host, v) for v in vecs],
-              hm.betti_numbers(host), host.reductions())
-             for host, vecs in itertools.islice(_quotient_cases(), 12)]
-    made, calls, top = [], [], None
+    # the proper parts of Pi_T whose top coboundary map has a coface
+    # claimed twice reduce that map with linalg.Echelon; its first row is
+    # doubled as it is added, so its stored pivot is 2: the top
+    # certificate turns off, the SNF of the whole map gives the torsion,
+    # and the cycle index is rescaled to a basis of the same span
+    trees = _colliding_trees(monkeypatch, 4) + \
+        _colliding_trees(monkeypatch, 5)[:6]
+    plain = []
+    for T in trees:
+        host = _open_boolean_of_tree(T)
+        vecs = _top_chain_vectors(host)
+        plain.append((vecs, hm.rank_in_top_quotient(host, vecs),
+                      [hm.coboundary_member(host, v) for v in vecs],
+                      hm.betti_numbers(host), host.reductions()))
+    calls, reducing = [], {}
+    real = hm._reduce
+
+    def tracked(up, down, chains, cofaces, cleared):
+        reducing["cofaces"] = cofaces
+        return real(up, down, chains, cofaces, cleared)
 
     class DoubleFirstTopRow(linalg.Echelon):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
         def add(self, v):
-            if len(made) == top + 1 and not self.by_pivot:
+            if reducing["cofaces"] is reducing["top"] and not self.by_pivot:
+                reducing["doubled"] = True
                 v = {k: 2 * x for k, x in v.items()}
             return super().add(v)
 
@@ -662,18 +774,19 @@ def test_a_non_unit_top_pivot_keeps_the_quotient(monkeypatch):
         calls.append(len(vectors))
         return snf(vectors)
 
+    monkeypatch.setattr(hm, "_reduce", tracked)
     monkeypatch.setattr(hm.linalg, "Echelon", DoubleFirstTopRow)
     monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
     checked = 0
-    for (host, vecs), (quotient, members, rep, maps) in zip(
-            itertools.islice(_quotient_cases(), 12), plain):
-        made.clear()
-        calls.clear()
+    for T, (vecs, quotient, members, rep, maps) in zip(trees, plain):
+        host = _open_boolean_of_tree(T)
         top = host.top_dim
-        if top < 0:
-            continue  # no map to double
-        assert host.reductions() == {**maps, top: (maps[top][0], False)}, \
-            host.name
+        calls.clear()
+        reducing.update(top=host.index_chains()[top], doubled=False)
+        reductions = host.reductions()
+        if not reducing["doubled"]:
+            continue  # the top map was reduced by pairing
+        assert reductions == {**maps, top: (maps[top][0], False)}, host.name
         assert hm.rank_in_top_quotient(host, vecs) == quotient, host.name
         assert [hm.coboundary_member(host, v) for v in vecs] == members, \
             host.name
@@ -682,7 +795,7 @@ def test_a_non_unit_top_pivot_keeps_the_quotient(monkeypatch):
         # the transpose of the top map: one row per (top-1)-chain
         assert calls == [len(host.index_chains()[top - 1])], host.name
         checked += 1
-    assert checked == 10  # every host with n <= 4 but the two empty ones
+    assert checked == len(trees) == 10
 
 
 @given(st.integers(0, 10_000))
@@ -715,6 +828,39 @@ def test_up_from_covers_matches_transposed_down_sets():
             P = pt.build_poset(ground_size(host.elements[0]), pt.WEIGHTED)
             assert host.up == up_by_transposition(P, host.elements), \
                 host.name
+
+
+def test_local_indices_are_a_linear_extension():
+    # a coarser partition sorts later, so every element above k has a
+    # larger local index and every one below a smaller, which puts the
+    # cofaces of a chain in chain order; down is the transpose of up
+    hosts = [*_open_hosts(), *(hm.open_interval(6, i) for i in range(6)),
+             hm.proper_part(6)]
+    for host in hosts:
+        for k, (above, below) in enumerate(zip(host.up, host.down)):
+            assert above >> (k + 1) << (k + 1) == above, (host.name, k)
+            assert below < 1 << k, (host.name, k)
+        assert host.down == [
+            sum(1 << j for j, above in enumerate(host.up) if above >> k & 1)
+            for k in range(len(host.up))], host.name
+
+
+@pytest.mark.parametrize("n, i", [(3, 5), (3, 3), (3, -1), (1, 1)])
+def test_a_weight_outside_the_top_range_is_refused(monkeypatch, n, i):
+    # [n]^i is an element only for 0 <= i <= n - 1; any other i is refused
+    # before a poset is built, a type table filled or a tree listed
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the weight was checked")
+
+    for module, name in [(pt, "build_poset"), (pt, "type_sums"),
+                         (tr, "enumerate_family"),
+                         (tr, "enumerate_rooted_trees")]:
+        monkeypatch.setattr(module, name, refuse)
+    for call in (hm.open_interval, hm.interval_size, hm.interval_elements,
+                 hm.chain_count, sn.verify_bases):
+        with pytest.raises(ValueError,
+                           match=rf"i must be in 0\.\.{n - 1}, got {i}$"):
+            call(n, i)
 
 
 def test_chain_outside_the_host_is_refused():

@@ -70,6 +70,27 @@ def echelon_of(vecs):
     return ech
 
 
+def test_add_takes_one_max_per_step(monkeypatch):
+    # a vector installed as it is takes one max, one cleared against a
+    # stored pivot one more per step, and the caller's vector is kept
+    calls = []
+
+    def counted_max(v):
+        calls.append(dict(v))
+        return max(v)
+
+    monkeypatch.setattr(linalg, "max", counted_max, raising=False)
+    ech = linalg.Echelon()
+    first, second, again = {0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}
+    for v, steps, grew in [(first, 1, True), (second, 2, True),
+                           (again, 1, False)]:
+        calls.clear()
+        assert ech.add(v) is grew
+        assert len(calls) == steps
+    assert (first, second, again) == ({0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 2: 1})
+    assert ech.by_pivot == {2: {0: 1, 2: 1}, 1: {0: -1, 1: 1}}
+
+
 def test_unimodular_certificate():
     assert echelon_of(dense_to_vecs([[1, 1, 0], [0, -1, 1], [1, 0, 1]])).unimodular
     # a content of 2 is stored as it is, with pivot 2
