@@ -240,7 +240,7 @@ def _gaps(up, down, c):
         yield 0, mask
 
 
-def _coboundary(up, down, cofaces, c, hi=None):
+def _coboundary(up, down, cofaces, c):
     """The coboundary of the chain c of local indices, {position: sign}
     over the positions of its cofaces in cofaces, their dimension's list:
     x inserted at gap g (``_gaps``) gives the coface c[:g] + (x,) + c[g:],
@@ -248,14 +248,14 @@ def _coboundary(up, down, cofaces, c, hi=None):
     indices are a linear extension, so x is less than the c[g] it
     precedes, and a coface at a lower gap is the lesser chain: the
     cofaces come in chain order, gap by gap from the bottom and element
-    by element, largest last, and each is found by bisect between the one
-    before and hi, a bound on them all where the caller knows one."""
+    by element, largest last, and each is found by bisect past the one
+    before."""
     row, lo = {}, 0
     for g, mask in reversed(list(_gaps(up, down, c))):
         sign = -1 if g & 1 else 1
         head, tail = c[:g], c[g:]
         for x in pt.bits(mask):
-            lo = bisect_left(cofaces, head + (x,) + tail, lo, hi)
+            lo = bisect_left(cofaces, head + (x,) + tail, lo)
             row[lo] = sign
             lo += 1
     return row
@@ -281,8 +281,7 @@ class _PairedRows(Mapping):
         self._args, self._pairs = (up, down, cofaces), pairs
 
     def __getitem__(self, p):
-        # p is the partner's largest coface, so it bounds the search
-        return _coboundary(*self._args, self._pairs[p], p + 1)
+        return _coboundary(*self._args, self._pairs[p])
 
     def __iter__(self):
         return iter(self._pairs)
