@@ -12,16 +12,17 @@ generates the degree -1 part of the reduced complex.  A ChainVector is a
 sparse dict mapping chains to integers.  Everything is computed over the
 integers.  One pass over the coboundary maps, bottom dimension first,
 reduces each once, with clearing; each is the transpose of a boundary
-map, so it gives that map's rank and, through its unit-pivot
-certificate, its torsion.  A coboundary is read straight off the host's
-up and down bitsets, so no row is stored: each chain the map below did
-not clear is paired with its largest coface, and only a map where a
-coface is claimed twice is reduced by ``linalg.Echelon``.  A lower map
-hands the next only its pivot positions, the rows it clears; the top
-map keeps its pairs.  The host's one form of its top cycle basis, the
-cycle index, from which quotient ranks and coboundary membership are
-read, is solved on its first read off the top map's rows, the
-partners' coboundaries built one at a time.
+map, so it gives that map's rank.  A coboundary is read straight off
+the host's up and down bitsets, so no row is stored: each chain the map
+below did not clear is paired with its largest coface, an acyclic
+matching with +-1 incidences, so every invariant factor is 1.  A coface
+claimed twice is a witness against that certificate, not a case to
+reduce another way: it raises AssertionError naming the host, the
+coface and both chains.  A lower map hands the next only its pivot
+positions; the top map keeps its pairs.  The host's one form of its top
+cycle basis, the cycle index, from which quotient ranks and coboundary
+membership are read, is solved on its first read off the top map's
+pairs, the partners' coboundaries built one at a time.
 Nothing here keeps a host: it lives, with its chains, ranks and cycle
 index, as long as its caller holds it; one past CHAIN_COUNT_CAP is
 refused before its poset is built (``chain_count``).
@@ -36,7 +37,6 @@ off the Mobius function, in ``partitions``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Mapping
 from math import comb
 
 from . import chains as ch
@@ -45,6 +45,11 @@ from . import partitions as pt
 from . import trees as tr
 
 CHAIN_COUNT_CAP = 2_000_000
+
+
+def _chain_str(chain):
+    """A chain of partitions as the CLI and the witnesses print it."""
+    return " < ".join(map(pt.partition_str, chain)) or "the empty chain"
 
 
 class OpenPoset:
@@ -63,10 +68,9 @@ class OpenPoset:
     the order complex are listed per dimension as tuples of local indices,
     in lexicographic order; since local indices follow the sorted
     elements, a chain's position in its list orders it as its tuple of
-    partitions would.  The host stores the rank and certificate of each
-    boundary map (``reductions``) and one form of its top cycle basis, the
-    cycle index (``cycle_index``), both from one pass over its coboundary
-    maps.
+    partitions would.  The host stores the rank of each boundary map
+    (``reductions``) and one form of its top cycle basis, the cycle index
+    (``cycle_index``), both from one pass over its coboundary maps.
     """
 
     def __init__(self, name, P, keep):
@@ -87,7 +91,7 @@ class OpenPoset:
             down[j] |= 1 << k | down[k]
         self._index_chains = None
         self._reductions = None
-        self._top_map = None  # (top chains, rows by pivot) until cycle_index
+        self._top_pairs = None  # the top map's pairs until cycle_index
         self._cycles = None
 
     def index_chains(self):
@@ -119,32 +123,30 @@ class OpenPoset:
         key = tuple(map(self.index.get, c))
         if (len(key) != self.top_dim + 1 or None in key
                 or any(not self.up[a] >> b & 1 for a, b in zip(key, key[1:]))):
-            raise ValueError(
-                f"{' < '.join(map(pt.partition_str, c)) or 'the empty chain'}"
-                f" is not a top chain of {self.name}")
+            raise ValueError(f"{_chain_str(c)} is not a top chain of "
+                             f"{self.name}")
         return key
 
     def reductions(self):
-        """{r: (rank, unimodular)} of each boundary map d_r: C_r -> C_{r-1},
-        r >= 0, from one bottom-up pass over the coboundary maps
-        (``_reduce``), computed once.  A lower map hands the next only its
-        pivot positions, the rows that map clears; the top map's rows by
-        pivot are kept for the cycle index."""
+        """{r: rank} of each boundary map d_r: C_r -> C_{r-1}, r >= 0, the
+        number of pairs of one bottom-up pass over the coboundary maps
+        (``_pair``), computed once; AssertionError where a coface is
+        claimed twice.  A lower map hands the next only its pivot
+        positions; the top map's pairs are kept for the cycle index."""
         if self._reductions is None:
             by_dim = self.index_chains()
             top = max(by_dim)
-            self._reductions, rows = {}, {}
+            reductions, pairs = {}, {}
             for r in range(-1, top):
-                # the map below hands on its pivot positions, not its rows:
-                # one byte per chain, set where a pivot is
+                # the map below hands on its pivot positions, not its
+                # pairs: one byte per chain, set where a pivot is
                 cleared = bytearray(len(by_dim[r]))
-                for p in rows:
+                for p in pairs:
                     cleared[p] = 1
-                del rows
-                rank, unimodular, rows = _reduce(
-                    self.up, self.down, by_dim[r], by_dim[r + 1], cleared)
-                self._reductions[r + 1] = rank, unimodular
-            self._top_map = by_dim[top], rows
+                del pairs
+                pairs = _pair(self, by_dim[r], by_dim[r + 1], cleared)
+                reductions[r + 1] = len(pairs)
+            self._reductions, self._top_pairs = reductions, pairs
         return self._reductions
 
     def cycle_index(self):
@@ -153,63 +155,59 @@ class OpenPoset:
         j', z_j'[c], ...) over the z_j with the top index chain c in their
         support.  There is one per chain, so it is a tuple, not a dict,
         and equal ones are one object.  Solved on the first read, off the
-        top map's rows by pivot that ``reductions`` kept, which are then
+        top map's pairs that ``reductions`` kept, which are then
         dropped."""
         if self._cycles is None:
             self.reductions()
-            self._cycles, self._top_map = _cycle_index(*self._top_map), None
+            self._cycles = _cycle_index(self.up, self.down,
+                                        self.index_chains()[self.top_dim],
+                                        self._top_pairs)
+            self._top_pairs = None
         return self._cycles
 
 
-def _cycle_index(chains, rows):
+def _cycle_index(up, down, chains, pairs):
     """(index, count) of ``OpenPoset.cycle_index`` for the top chains,
-    read off rows, any mapping from a pivot position of the top
-    coboundary map's reduction to its reduced row there (``_reduce``),
-    each row read once.  A top cycle is orthogonal to every coboundary
-    row, and the reduced rows span them all.
+    solved off pairs, the top coboundary map's pairs by pivot position
+    (``_pair``): the row pivoted at p is the coboundary of the chain
+    paired with p, built once, when p is reached.  A top cycle is
+    orthogonal to every coboundary row, and these rows span them all.
 
     One pass in chain order: a chain no row is pivoted at is free, and
     the k-th free chain gets z_j = 1 there, j = count - 1 - k: the
     columns count down, so a quotient row's largest key, the one
     ``linalg.Echelon`` pivots on, is its earliest free chain.  At the
-    pivot c of a row s, z[c] = -(1/s[c]) * sum of s[k] z[k] over its
-    other keys k, each an earlier chain, read off z[k]'s flat tuple in
-    (j, value) pairs by ``zip(it, it)`` over one iterator.  Where s[c] is
-    a unit and s has one other key k, z[c] is z[k] times -s[k]/s[c]: the
-    same tuple when that is 1.  Where s[c] is not a unit, every entry so
-    far is first multiplied by |s[c]|; one factor for every z_j keeps
-    them a basis of the same span.  Each z_j is 0 on every other free
-    chain, so they are independent."""
-    count = len(chains) - len(rows)
+    pivot p of a row s, z[p] = -s[p] * sum of s[k] z[k] over its other
+    keys k, each an earlier chain, since s[p] is +-1; z[k]'s flat tuple
+    is read in (j, value) pairs by ``zip(it, it)`` over one iterator.
+    Where s has one other key k, z[p] is z[k] times -s[p] * s[k]: the
+    same tuple when that is 1.  Each z_j is 0 on every other free chain,
+    so they are independent."""
+    count = len(chains) - len(pairs)
     z, free = [], 0
     for p in range(len(chains)):
-        s = rows.get(p)
-        if s is None:
+        c = pairs.get(p)
+        if c is None:
             z.append((count - 1 - free, 1))
             free += 1
             continue
-        d = s[p]
-        if len(s) == 2 and d in (1, -1):
-            (a, x), (b, y) = s.items()
-            k, x = (b, y) if a == p else (a, x)
-            c, e = -x * d, z[k]
-            z.append(e if c == 1 else
-                     tuple(y * c if t & 1 else y for t, y in enumerate(e)))
+        s = _coboundary(up, down, chains, c)
+        d = -s.pop(p)
+        if len(s) == 1:
+            ((k, x),) = s.items()
+            f, e = x * d, z[k]
+            z.append(e if f == 1 else
+                     tuple(y * f if t & 1 else y for t, y in enumerate(e)))
             continue
-        if d not in (1, -1):
-            g = abs(d)
-            z = [tuple(x * g if t & 1 else x for t, x in enumerate(e))
-                 for e in z]
         acc = {}
         for k, x in s.items():
-            if k != p:
-                it = iter(z[k])
-                for j, y in zip(it, it):
-                    acc[j] = acc.get(j, 0) + x * y
+            it = iter(z[k])
+            for j, y in zip(it, it):
+                acc[j] = acc.get(j, 0) + x * y
         e = []
         for j, x in acc.items():
             if x:
-                e += j, -x // d
+                e += j, x * d
         z.append(tuple(e))
     index, shared = {}, {}
     for c, e in zip(chains, z):
@@ -270,62 +268,38 @@ def _largest_coface(up, down, cofaces, c):
     return None
 
 
-class _PairedRows(Mapping):
-    """The rows of a coboundary map reduced by pairing, by pivot position:
-    the row at p is the coboundary of the chain paired with p, built on
-    each read, so none is stored.  It holds the host's bitsets, not the
-    host, so a host that keeps its top map's rows is no reference
-    cycle."""
-
-    def __init__(self, up, down, cofaces, pairs):
-        self._args, self._pairs = (up, down, cofaces), pairs
-
-    def __getitem__(self, p):
-        return _coboundary(*self._args, self._pairs[p])
-
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __len__(self):
-        return len(self._pairs)
-
-
-def _reduce(up, down, chains, cofaces, cleared):
-    """(rank, unimodular, rows) of the coboundary map from chains to
-    cofaces, the transpose of a boundary map, with rows its reduced rows
-    by pivot position; cleared holds a nonzero byte at the position of
-    each chain the map below installed as a pivot.
+def _pair(host, chains, cofaces, cleared):
+    """{pivot position: chain}: each chain of the coboundary map from
+    chains to cofaces, the transpose of a boundary map, that the map below
+    did not clear, paired with its largest coface; cleared holds a nonzero
+    byte at the position of each chain the map below paired.
 
     A cleared chain's row is never built (cohomology with clearing: de
     Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent
-    (co)homology", 2011): the reduced coboundary pivoted there is a
-    cocycle whose largest chain is that one, so its row lies in the span
-    of the rows before it and would reduce to zero.  Every other chain,
-    in chain order, is paired with its largest coface, the pivot its row
-    would install at (``_largest_coface``).  While no coface is claimed
-    twice no row takes an elimination step, so the map's rank is the
-    number of pairs, every pivot is +-1 and the pairs are a Morse
-    matching (Kozlov, *Combinatorial Algebraic Topology*, 2008, ch. 11):
-    rows are read off the pairs (``_PairedRows``).  A coface claimed
-    twice sends this one map to ``linalg.Echelon`` over the same rows,
-    added in chain order, each freed once ``Echelon.add`` has reduced its
-    copy; rows are then its stored vectors."""
-    pairs = {}
+    (co)homology", 2011): the coboundary of the chain the map below
+    paired with it is a cocycle whose largest chain is that one, with
+    coefficient +-1, so its row lies in the integer span of the rows
+    before it.  Every other chain, in chain order, claims its largest
+    coface, the pivot its row would install at (``_largest_coface``).  No
+    two claim the same one, so no row takes an elimination step: the
+    map's rank is the number of pairs, every pivot is a +-1 incidence,
+    every invariant factor is 1, and the pairs are a Morse matching
+    (Kozlov, *Combinatorial Algebraic Topology*, 2008, ch. 11).  A coface
+    claimed twice raises AssertionError naming the host, the coface and
+    both chains as partitions: no host the package builds has one."""
+    up, down, pairs = host.up, host.down, {}
     for c, done in zip(chains, cleared):
         if not done:
             p = _largest_coface(up, down, cofaces, c)
             if p in pairs:
-                break
+                coface, first, second = (
+                    _chain_str(host.elements[k] for k in t)
+                    for t in (cofaces[p], pairs[p], c))
+                raise AssertionError(f"{host.name}: the coface {coface} is "
+                                     f"claimed by {first} and by {second}")
             if p is not None:
                 pairs[p] = c
-    else:
-        return len(pairs), True, _PairedRows(up, down, cofaces, pairs)
-    del pairs
-    ech = linalg.Echelon()
-    for c, done in zip(chains, cleared):
-        if not done:
-            ech.add(_coboundary(up, down, cofaces, c))
-    return ech.rank, ech.unimodular, ech.by_pivot
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -423,34 +397,22 @@ def proper_part(n):
 # ---------------------------------------------------------------------------
 
 def betti_numbers(host):
-    """Reduced Betti numbers {r: betti_r} plus the nontrivial invariant
-    factors of every boundary map d_r, r >= 0, top first: all of them in
-    "torsion_every_map", those of the top two in "torsion_nontrivial".
-    Each map's rank and unit-pivot certificate come from the host's one
-    pass (``OpenPoset.reductions``); where every installed pivot is a
-    unit the map's invariant factors are all 1, and only where one is not
-    does ``linalg.snf_invariant_factors`` compute them from the whole
-    map's transpose, which has the same ones, its rows read off the
-    host's bitsets (``_coboundary``)."""
+    """Reduced Betti numbers {r: betti_r} and the nontrivial invariant
+    factors of the top two boundary maps, in "torsion_nontrivial", top
+    first.  Each map's rank is its number of pairs in the host's one pass
+    (``OpenPoset.reductions``), whose +-1 pivots make every invariant
+    factor 1, so each list of factors is empty; a pass that cannot pair
+    every chain raises AssertionError instead."""
     by_dim = host.index_chains()
     top = max(by_dim)
-    maps = host.reductions()
-    torsion = {}
-    for r in range(top, -1, -1):
-        torsion[r] = [] if maps[r][1] else [
-            f for f in linalg.snf_invariant_factors(
-                [_coboundary(host.up, host.down, by_dim[r], c)
-                 for c in by_dim[r - 1]]) if f != 1]
-    rank = {r: m[0] for r, m in maps.items()}
+    rank = host.reductions()
     betti = {r: len(by_dim[r]) - rank.get(r, 0) - rank.get(r + 1, 0)
              for r in sorted(by_dim)}
-    top_two = {r: v for r, v in torsion.items() if r >= top - 1}
     return {
         "betti": betti,
         "top_dim": top,
-        "torsion_nontrivial": top_two,
-        "torsion_free_top": all(not v for v in top_two.values()),
-        "torsion_every_map": torsion,
+        "torsion_nontrivial": {r: [] for r in range(top, max(top - 2, -1), -1)},
+        "torsion_free_top": True,
     }
 
 

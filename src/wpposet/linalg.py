@@ -1,17 +1,15 @@
 """Exact sparse integer linear algebra.
 
 Vectors are dicts mapping hashable, sortable keys to nonzero ints.  Rank
-and the torsion certificate share one fraction-free, untracked column
-reduction (:class:`Echelon`); a step whose stored pivot divides the
-entry it clears is a plain subtraction, made in place on the vector
-being reduced, and :func:`snf_invariant_factors` runs only where the
-certificate fails.  ``homology`` reduces a coboundary map by pairing
-each chain with its largest coface, so an Echelon serves the quotient
-ranks and only those coboundary maps where a coface is claimed twice.
-No reduction records which inputs a stored vector combines: the one
-kernel the package reads, the top cycles of an open poset, is solved in
-``homology`` off the top map's rows by pivot.  Every value is an
-integer.
+is one fraction-free, untracked column reduction (:class:`Echelon`); a
+step whose stored pivot divides the entry it clears is a plain
+subtraction, made in place on the vector being reduced.  ``homology``
+reduces a coboundary map by pairing each chain with its largest coface,
+which certifies its rank and its torsion with no elimination, so an
+Echelon serves only the quotient ranks (``rank_of``).  No reduction
+records which inputs a stored vector combines: the one kernel the
+package reads, the top cycles of an open poset, is solved in
+``homology`` off the top map's pairs.  Every value is an integer.
 """
 
 from __future__ import annotations
@@ -59,15 +57,7 @@ class Echelon:
     two stored vectors share a pivot, so the rank is the number stored
     (persistence-style reduction: Edelsbrunner-Harer, *Computational
     Topology*, ch. VII).
-
-    ``unimodular`` stays True while every vector installed has pivot entry
-    +-1.  Then every reduction step is a unit subtraction, so the stored
-    vectors are a Z-basis of the inputs' span with unit pivots in distinct
-    keys: the span is a direct summand and every invariant factor of the
-    inputs is 1.
     """
-
-    unimodular = True  # the class default; add() clears it per instance
 
     def __init__(self):
         self.by_pivot = {}   # pivot key -> stored vector
@@ -87,8 +77,6 @@ class Echelon:
             low = max(v)
             prow = self.by_pivot.get(low)
             if prow is None:
-                if v[low] not in (1, -1):
-                    self.unimodular = False
                 self.by_pivot[low] = v
                 return True
             c, p = v[low], prow[low]
@@ -105,49 +93,3 @@ def rank_of(vectors):
     for v in vectors:
         ech.add(v)
     return ech.rank
-
-
-def snf_invariant_factors(vectors):
-    """Invariant factors (positive, divisibility-sorted) of the integer
-    matrix whose rows are ``vectors``.
-
-    The fallback for a reduction that installed a non-unit pivot (see
-    ``Echelon.unimodular``), so it is short rather than fast: pivot on an
-    entry of least absolute value, divide it out of its column by row
-    operations and out of its row by column operations, and pivot again
-    while a remainder is left; a pivot alone in its row and column is an
-    invariant factor up to divisibility.
-    """
-    rows = [dict(v) for v in vectors if v]
-    factors = []
-    while rows:
-        prow, pk = min(((v, k) for v in rows for k in v),
-                       key=lambda e: abs(e[0][e[1]]))
-        p = prow[pk]
-        for v in rows:
-            if v is not prow and pk in v:
-                vec_add(v, prow, -(v[pk] // p))
-        if all(pk not in v for v in rows if v is not prow):
-            # column pk holds p alone, so a column operation changes
-            # only the pivot row
-            for k in [k for k in prow if k != pk]:
-                if prow[k] % p:
-                    prow[k] %= p
-                else:
-                    del prow[k]
-            if len(prow) == 1:
-                factors.append(abs(p))
-                prow.clear()
-        rows = [v for v in rows if v]
-    # enforce the divisibility chain: (a, b) -> (gcd, lcm) until sorted
-    changed = True
-    while changed:
-        changed = False
-        factors.sort()
-        for a in range(len(factors)):
-            for b in range(a + 1, len(factors)):
-                if factors[b] % factors[a]:
-                    g = gcd(factors[a], factors[b])
-                    factors[a], factors[b] = g, factors[a] * factors[b] // g
-                    changed = True
-    return factors

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import tracemalloc
 import weakref
 
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from wpposet import ResourceCapError
 from wpposet import acceptance
 from wpposet import chains as ch
+from wpposet import cli
 from wpposet import homology as hm
 from wpposet import linalg
 from wpposet import partitions as pt
@@ -47,101 +49,83 @@ def _fresh_hosts(n):
                                                P.elements[1:])]
 
 
-def _colliding_trees(monkeypatch, n):
+def _colliding_trees(n):
     """The rooted trees T on [n] whose proper part of Pi_T has a
-    coboundary map with a coface claimed twice: the hosts whose reduction
-    pass reaches ``linalg.Echelon``.  Such a map's ``_reduce`` returns the
-    Echelon's dict of stored vectors, a paired one ``_PairedRows``."""
+    coboundary map with a coface claimed twice, which its reduction pass
+    reports by AssertionError."""
     out = []
     for T in tr.enumerate_rooted_trees(range(1, n + 1)):
-        with monkeypatch.context() as m:
-            calls = _reduce_calls(m)
+        try:
             _open_boolean_of_tree(T).reductions()
-        if any(type(rows) is dict for _cofaces, (*_, rows) in calls):
+        except AssertionError:
             out.append(T)
     return out
 
 
-def _reduce_calls(monkeypatch):
-    """Every ``_reduce`` call from here on, as (cofaces, result)."""
+def _pair_calls(monkeypatch):
+    """Every ``_pair`` call from here on, as (cofaces, pairs)."""
     calls = []
-    real = hm._reduce
+    real = hm._pair
 
-    def recorded(up, down, chains, cofaces, cleared):
-        out = real(up, down, chains, cofaces, cleared)
-        calls.append((cofaces, out))
-        return out
+    def recorded(host, chains, cofaces, cleared):
+        pairs = real(host, chains, cofaces, cleared)
+        calls.append((cofaces, pairs))
+        return pairs
 
-    monkeypatch.setattr(hm, "_reduce", recorded)
+    monkeypatch.setattr(hm, "_pair", recorded)
     return calls
 
 
-def test_betti_numbers_fallback_matches_certificate(monkeypatch):
-    # every map below has unit pivots, so the report is read from the
-    # certificate; with it forced off the SNF must give the same report.
-    # The hosts of [4] reduce every map by pairing; the proper parts of
-    # Pi_T on [4] below send a colliding map through linalg.Echelon.  A
-    # host keeps its certificates from its one pass, so the forced run
-    # reduces hosts of its own.
-    trees = _colliding_trees(monkeypatch, 4)
-    assert trees
-
-    def hosts():
-        return _fresh_hosts(4) + [_open_boolean_of_tree(T) for T in trees]
-
-    reports = [hm.betti_numbers(host) for host in hosts()]
-    calls = []
-    snf = hm.linalg.snf_invariant_factors
-
-    def counted_snf(vectors):
-        calls.append(len(vectors))
-        return snf(vectors)
-
-    real = hm._reduce
-
-    def uncertified(*args):
-        rank, _unimodular, rows = real(*args)
-        return rank, False, rows
-
-    monkeypatch.setattr(hm, "_reduce", uncertified)
-    monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
-    for host, rep in zip(hosts(), reports):
-        assert hm.betti_numbers(host) == rep, host.name
-        top = rep["top_dim"]
-        assert list(rep["torsion_nontrivial"]) == [top, top - 1]
-        assert list(rep["torsion_every_map"]) == list(range(top, -1, -1))
-    # every boundary map d_0 .. d_top of every host
-    assert len(calls) == sum(rep["top_dim"] + 1 for rep in reports)
+def _witness(message, host):
+    """The coface and the two chains a collision's AssertionError names
+    after the host, as tuples of local indices, the chains in the order
+    they came."""
+    local = {pt.partition_str(e): k for k, e in enumerate(host.elements)}
+    found = re.fullmatch(rf"{re.escape(host.name)}: the coface (.+) is "
+                         r"claimed by (.+) and by (.+)", message)
+    assert found, message
+    coface, first, second = (tuple(local[e] for e in g.split(" < "))
+                             for g in found.groups())
+    assert len(coface) - 1 == len(first) == len(second), message
+    assert first < second, message
+    return coface, first, second
 
 
-def test_criterion_9_reads_the_certificate_of_every_map(monkeypatch):
-    # every certificate of a map below a host's top two is patched off, so
-    # betti_numbers must send those maps, and only those, to the SNF
-    real = hm.OpenPoset.reductions
-
-    def off(self):
-        top = self.top_dim
-        return {r: (rank, unimodular and r >= top - 1)
-                for r, (rank, unimodular) in real(self).items()}
-
-    monkeypatch.setattr(hm.OpenPoset, "reductions", off)
-    snf = hm.linalg.snf_invariant_factors
-    sizes = []
-
-    def counted_snf(vectors):
-        sizes.append(len(vectors))
-        return snf(vectors)
-
-    monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
-    # n <= 4: the proper part of [4] is the one host with a map below its
-    # top two, d_0, whose transpose is the one row of the empty chain
-    assert acceptance.run_criterion(9, 4)[1]
-    assert sizes == [1]
-    monkeypatch.setattr(hm.linalg, "snf_invariant_factors", lambda v: [2])
+def test_a_claimed_coface_is_a_witness(monkeypatch, capsys):
+    # on 4 of the 64 proper parts of Pi_T on [4] two chains claim one
+    # coface: the pass stops there and names both, each a face of the
+    # coface whose largest coface it is
+    trees = _colliding_trees(4)
+    assert len(trees) == 4
+    for T in trees:
+        host = _open_boolean_of_tree(T)
+        with pytest.raises(AssertionError) as err:
+            hm.betti_numbers(host)
+        coface, first, second = _witness(str(err.value), host)
+        cofaces = host.index_chains()[len(first)]
+        for face in (first, second):
+            assert face in {coface[:g] + coface[g + 1:]
+                            for g in range(len(coface))}, host.name
+            assert hm._largest_coface(host.up, host.down, cofaces, face) \
+                == cofaces.index(coface), host.name
+    # with every chain claiming the first coface of its map, the first
+    # host with two unpaired chains in one map fails criterion 9's row,
+    # and a host's collision is exit 1 in the CLI
+    real = hm._largest_coface
+    monkeypatch.setattr(hm, "_largest_coface", lambda *args: (
+        None if real(*args) is None else 0))
     name, ok, detail = acceptance.run_criterion(9, 4)
-    assert not ok
-    assert detail.startswith("proper part n=4: {")
-    assert detail.endswith(", torsion {2: [], 1: [], 0: [2]}")
+    assert (name, ok) == ("Betti numbers and torsion", False)
+    host = hm.proper_part(3)
+    coface, _first, _second = _witness(detail, host)
+    assert coface == host.index_chains()[1][0], detail
+    assert cli.main(["homology", "--n", "4", "--i", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("assertion failed: "), out
+    host = hm.open_interval(4, 1)
+    coface, _first, _second = _witness(
+        out.removeprefix("assertion failed: ").rstrip("\n"), host)
+    assert coface == host.index_chains()[1][0], out
 
 
 def _count_echelons(monkeypatch):
@@ -167,7 +151,7 @@ def test_top_map_is_reduced_once(monkeypatch, betti_first):
     bases.append([hm.chain_vector_of_tree(t, omit_top=False)
                   for t in tr.enumerate_family("comb", 4) if t[0] == B])
     for host, vecs in zip(_fresh_hosts(4), bases):
-        calls = _reduce_calls(monkeypatch)
+        calls = _pair_calls(monkeypatch)
         made = _count_echelons(monkeypatch)
         if betti_first:
             rep = hm.betti_numbers(host)
@@ -177,13 +161,13 @@ def test_top_map_is_reduced_once(monkeypatch, betti_first):
             rep = hm.betti_numbers(host)
         assert not hm.coboundary_member(host, vecs[0])
         assert len(cycle_basis(host)) == betti
-        # one reduction per coboundary map, bottom first, each by pairing
-        # with no Echelon, then the one Echelon of the quotient rank
+        # one pairing per coboundary map, bottom first, with no Echelon,
+        # then the one Echelon of the quotient rank
         top = host.top_dim
         by_dim = host.index_chains()
-        assert [cofaces for cofaces, _out in calls] == \
+        assert [cofaces for cofaces, _pairs in calls] == \
             [by_dim[r] for r in range(top + 1)], host.name
-        assert [out[:2] for _cofaces, out in calls] == \
+        assert [len(pairs) for _cofaces, pairs in calls] == \
             [host.reductions()[r] for r in range(top + 1)], host.name
         assert len(made) == 1 and made[0].rank == rank, host.name
         assert rank == betti == len(vecs) == rep["betti"][rep["top_dim"]], \
@@ -356,9 +340,11 @@ def _open_boolean_of_tree(T):
 
 def _kernel_fundamental_cycle(T):
     """The fundamental cycle of Pi_T as the integer kernel of the top
-    boundary map of its proper part, normalized at the chain of psi(T)."""
+    boundary map of its proper part, normalized at the chain of psi(T);
+    read off the oracle, since some of these hosts claim a coface
+    twice."""
     key = tuple(ch.chain_partitions_of_tree(tr.psi(T))[1:-1])
-    (rho,) = cycle_basis(_open_boolean_of_tree(T))
+    (rho,) = _oracle_cycle_basis(_open_boolean_of_tree(T))
     return {c: x * rho[key] for c, x in rho.items()}
 
 
@@ -441,12 +427,16 @@ class _PairwiseOrder:
 
 
 def _open_hosts():
+    """Every interval and proper part with n <= 5, and the proper parts
+    of Pi_T on [4] where no coface is claimed twice."""
     for n in range(1, 6):
         for i in range(n):
             yield hm.open_interval(n, i)
         yield hm.proper_part(n)
+    colliding = _colliding_trees(4)
     for T in tr.enumerate_rooted_trees(range(1, 5)):
-        yield _open_boolean_of_tree(T)
+        if T not in colliding:
+            yield _open_boolean_of_tree(T)
 
 
 def test_open_posets_match_pairwise_leq_order():
@@ -547,6 +537,13 @@ def _oracle_reductions(host):
     return out
 
 
+def _unit_pivots(ech):
+    """Whether every pivot ech installed is +-1: then its stored vectors
+    are a Z-basis of the inputs' span with unit pivots in distinct keys,
+    so every invariant factor of the inputs is 1."""
+    return all(v[p] in (1, -1) for p, v in ech.by_pivot.items())
+
+
 def _oracle_cycle_basis(host):
     chains_top = chains_by_dim(host)[host.top_dim]
     combos = kernel_basis([boundary_of_chain(c) for c in chains_top])
@@ -592,41 +589,26 @@ def test_streamed_cycle_index_matches_kernel_list():
 
 
 def test_pairs_are_the_pivots_of_the_full_reduction(monkeypatch):
-    # on every interval and proper part with n <= 5, and on (0,[6]^0), no
-    # coface is claimed twice, and each map's pairs are the pivots of an
-    # Echelon reduction of all its rows, cleared ones included, the vector
-    # stored at each pivot the row of the chain paired with it
+    # on every interval and proper part with n <= 5, and on (0,[6]^0), each
+    # map's pairs are the pivots of an Echelon reduction of all its rows,
+    # cleared ones included, the vector stored at each pivot the row of
+    # the chain paired with it, and every pivot is +-1
     for host in _index_hosts():
         with monkeypatch.context() as m:
-            calls = _reduce_calls(m)
+            calls = _pair_calls(m)
             host.reductions()
         by_dim = host.index_chains()
         assert len(calls) == host.top_dim + 1, host.name
-        for r, (cofaces, (rank, unimodular, rows)) in enumerate(calls, -1):
+        for r, (cofaces, pairs) in enumerate(calls, -1):
             assert cofaces is by_dim[r + 1], (host.name, r)
-            assert isinstance(rows, hm._PairedRows), (host.name, r)
             ech = linalg.Echelon()
             for row in _coboundary_rows_by_slicing(by_dim, r):
                 ech.add(row)
-            assert dict(rows) == ech.by_pivot, (host.name, r)
-            assert (rank, unimodular) == (ech.rank, ech.unimodular) == \
-                (len(rows), True), (host.name, r)
-
-
-def test_colliding_hosts_match_the_oracle(monkeypatch):
-    # a proper part of Pi_T with a coface claimed twice reduces that map
-    # with linalg.Echelon; its ranks, certificates and cycle index are
-    # still the partition-keyed oracle's
-    trees = _colliding_trees(monkeypatch, 4) + \
-        _colliding_trees(monkeypatch, 5)[:10]
-    assert len(trees) == 14
-    for T in trees:
-        host = _open_boolean_of_tree(T)
-        assert host.reductions() == {
-            r: (ech.rank, ech.unimodular)
-            for r, ech in _oracle_reductions(host).items() if r >= 0}, \
-            host.name
-        _assert_cycle_index_is_the_kernel(host)
+            assert {p: hm._coboundary(host.up, host.down, cofaces, c)
+                    for p, c in pairs.items()} == ech.by_pivot, (host.name, r)
+            assert host.reductions()[r + 1] == len(pairs) == ech.rank, \
+                (host.name, r)
+            assert _unit_pivots(ech), (host.name, r)
 
 
 def test_betti_numbers_leave_the_cycle_index_unsolved(monkeypatch):
@@ -650,20 +632,20 @@ def test_index_chain_reduction_matches_partition_oracle():
         oracle = _oracle_reductions(host)
         for r, cs in idx.items():
             assert cs == sorted(cs), (host.name, r)
-        # each coboundary map reduces to the rank and certificate of the
-        # boundary map it transposes
+        # each coboundary map reduces to the rank of the boundary map it
+        # transposes, and that map's unit pivots show it has no torsion
         assert host.reductions() == {
-            r: (ech.rank, ech.unimodular)
-            for r, ech in oracle.items() if r >= 0}, host.name
+            r: ech.rank for r, ech in oracle.items() if r >= 0}, host.name
+        assert all(map(_unit_pivots, oracle.values())), host.name
         rep = hm.betti_numbers(host)
         assert rep["betti"] == {
             r: len(cs) - oracle[r].rank - (oracle[r + 1].rank
                                            if r + 1 in oracle else 0)
             for r, cs in chains.items()}, host.name
         top = rep["top_dim"]
-        assert rep["torsion_free_top"] == all(
-            oracle[r].unimodular for r in (top, top - 1) if r >= 0), host.name
-        assert not any(rep["torsion_every_map"].values()), host.name
+        assert rep["torsion_free_top"] is True, host.name
+        assert rep["torsion_nontrivial"] == {
+            r: [] for r in (top, top - 1) if r >= 0}, host.name
 
 
 def _bicolored_sample(n, i, count, seed):
@@ -727,98 +709,10 @@ def test_quotient_rank_does_not_depend_on_vector_order():
         assert hm.rank_in_top_quotient(host, shuffled) == want, host.name
 
 
-def _top_chain_vectors(host):
-    """Each top chain of host alone, and the sum and the difference of
-    each two neighbours in chain order: some coboundaries, some not."""
-    top = chains_by_dim(host)[host.top_dim]
-    return [{c: 1} for c in top] + [
-        {a: 1, b: sign} for a, b in zip(top, top[1:]) for sign in (1, -1)]
-
-
-def test_a_non_unit_top_pivot_keeps_the_quotient(monkeypatch):
-    # the proper parts of Pi_T whose top coboundary map has a coface
-    # claimed twice reduce that map with linalg.Echelon; its first row is
-    # doubled as it is added, so its stored pivot is 2: the top
-    # certificate turns off, the SNF of the whole map gives the torsion,
-    # and the cycle index is rescaled to a basis of the same span
-    trees = _colliding_trees(monkeypatch, 4) + \
-        _colliding_trees(monkeypatch, 5)[:6]
-    plain = []
-    for T in trees:
-        host = _open_boolean_of_tree(T)
-        vecs = _top_chain_vectors(host)
-        plain.append((vecs, hm.rank_in_top_quotient(host, vecs),
-                      [hm.coboundary_member(host, v) for v in vecs],
-                      hm.betti_numbers(host), host.reductions()))
-    calls, reducing = [], {}
-    real = hm._reduce
-
-    def tracked(up, down, chains, cofaces, cleared):
-        reducing["cofaces"] = cofaces
-        return real(up, down, chains, cofaces, cleared)
-
-    class DoubleFirstTopRow(linalg.Echelon):
-        def add(self, v):
-            if reducing["cofaces"] is reducing["top"] and not self.by_pivot:
-                reducing["doubled"] = True
-                v = {k: 2 * x for k, x in v.items()}
-            return super().add(v)
-
-    snf = hm.linalg.snf_invariant_factors
-
-    def counted_snf(vectors):
-        calls.append(len(vectors))
-        return snf(vectors)
-
-    monkeypatch.setattr(hm, "_reduce", tracked)
-    monkeypatch.setattr(hm.linalg, "Echelon", DoubleFirstTopRow)
-    monkeypatch.setattr(hm.linalg, "snf_invariant_factors", counted_snf)
-    checked = 0
-    for T, (vecs, quotient, members, rep, maps) in zip(trees, plain):
-        host = _open_boolean_of_tree(T)
-        top = host.top_dim
-        calls.clear()
-        reducing.update(top=host.index_chains()[top], doubled=False)
-        reductions = host.reductions()
-        if not reducing["doubled"]:
-            continue  # the top map was reduced by pairing
-        assert reductions == {**maps, top: (maps[top][0], False)}, host.name
-        assert hm.rank_in_top_quotient(host, vecs) == quotient, host.name
-        assert [hm.coboundary_member(host, v) for v in vecs] == members, \
-            host.name
-        assert all(boundary(z) == {} for z in cycle_basis(host)), host.name
-        assert hm.betti_numbers(host) == rep, host.name
-        # the transpose of the top map: one row per (top-1)-chain
-        assert calls == [len(host.index_chains()[top - 1])], host.name
-        checked += 1
-    assert checked == len(trees) == 10
-
-
-@given(st.integers(0, 10_000))
-def test_cycle_index_solves_any_stored_rows(seed):
-    # random integer rows, non-unit pivots among them: the index must be a
-    # basis of everything orthogonal to the rows, rescaled where a pivot
-    # does not divide
-    rng = random.Random(seed)
-    m = rng.randint(1, 7)
-    rows = [{k: x for k in range(m)
-             if (x := rng.choice([0, 0, 0, 1, -1, 2, -2, 3]))}
-            for _ in range(rng.randint(0, 6))]
-    ech = linalg.Echelon()
-    for v in rows:
-        ech.add(v)
-    index, count = hm._cycle_index([(k,) for k in range(m)], ech.by_pivot)
-    basis = [{} for _ in range(count)]
-    for (k,), entries in index.items():
-        for j, x in zip(entries[::2], entries[1::2]):
-            basis[j][k] = x
-    assert count == m - ech.rank == linalg.rank_of(basis)
-    assert all(pairing(z, v) == 0 for z in basis for v in rows)
-
-
 def test_up_from_covers_matches_transposed_down_sets():
     # every interval and proper part with n <= 5, and the proper parts of
-    # Pi_T on [4]: not order-convex, but joined by covers inside
+    # Pi_T on [4] that pair every chain: not order-convex, but joined by
+    # covers inside
     for host in _open_hosts():
         if host.elements:
             P = pt.build_poset(ground_size(host.elements[0]), pt.WEIGHTED)

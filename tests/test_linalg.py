@@ -54,22 +54,6 @@ def test_kernel_basis_annihilates():
         assert linalg.vec_content(combo) == 1
 
 
-def test_snf_divisibility_chain():
-    M = [[2, 0], [0, 3]]
-    assert linalg.snf_invariant_factors(dense_to_vecs(M)) == [1, 6]
-    M = [[4, 0], [0, 6]]
-    assert linalg.snf_invariant_factors(dense_to_vecs(M)) == [2, 12]
-    M = [[1, 0], [0, 1]]
-    assert linalg.snf_invariant_factors(dense_to_vecs(M)) == [1, 1]
-
-
-def echelon_of(vecs):
-    ech = linalg.Echelon()
-    for v in vecs:
-        ech.add(v)
-    return ech
-
-
 def test_add_takes_one_max_per_step(monkeypatch):
     # a vector installed as it is takes one max, one cleared against a
     # stored pivot one more per step, and the caller's vector is kept
@@ -89,30 +73,6 @@ def test_add_takes_one_max_per_step(monkeypatch):
         assert len(calls) == steps
     assert (first, second, again) == ({0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 2: 1})
     assert ech.by_pivot == {2: {0: 1, 2: 1}, 1: {0: -1, 1: 1}}
-
-
-def test_unimodular_certificate():
-    assert echelon_of(dense_to_vecs([[1, 1, 0], [0, -1, 1], [1, 0, 1]])).unimodular
-    # a content of 2 is stored as it is, with pivot 2
-    assert not echelon_of([{0: 2}]).unimodular
-    assert linalg.snf_invariant_factors([{0: 2}]) == [2]
-    # a non-unit pivot without torsion: the fallback finds the factor 1
-    assert not echelon_of([{0: 1, 1: 2}]).unimodular
-    assert linalg.snf_invariant_factors([{0: 1, 1: 2}]) == [1]
-
-
-@given(st.integers(0, 10_000))
-def test_unimodular_certificate_means_no_torsion(seed):
-    rng = random.Random(seed)
-    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-    M = [[rng.choice([0, 0, 0, 1, -1, 1, -1, 2, -2, 3])
-          for _ in range(cols)] for _ in range(rows)]
-    vecs = dense_to_vecs(M)
-    ech = echelon_of(vecs)
-    factors = linalg.snf_invariant_factors(vecs)
-    assert len(factors) == ech.rank
-    if ech.unimodular:
-        assert factors == [1] * ech.rank
 
 
 def test_bareiss_det_known():
@@ -148,20 +108,3 @@ def test_random_kernel_dimension(seed):
         for j, c in combo.items():
             total = linalg.vec_combine(total, 1, vecs[j], c)
         assert total == {}
-
-
-@given(st.integers(0, 10_000))
-def test_snf_product_matches_det(seed):
-    # |det| equals the product of the invariant factors for square full rank
-    rng = random.Random(seed)
-    n = rng.randint(1, 4)
-    M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-    det = abs(bareiss_det(M))
-    factors = linalg.snf_invariant_factors(dense_to_vecs(M))
-    if det:
-        prod = 1
-        for f in factors:
-            prod *= f
-        assert len(factors) == n and prod == det
-    else:
-        assert len(factors) < n
