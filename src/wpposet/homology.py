@@ -2,30 +2,34 @@
 
 An open poset is a subset of the weighted partition poset on [n]; its
 order is read from that poset's covers.  Inside this module a chain of
-the order complex is a tuple of the open poset's local indices, strictly
-increasing in the poset order, and a coboundary map is reduced over the
-positions of the chains in their dimension's list; in the ChainVectors
-the module takes (``coboundary_member``, ``rank_in_top_quotient``) and
-gives (``chain_vector_of_tree``, ``fundamental_cycle``) a chain is the
-tuple of partitions those indices stand for.  The empty chain
-generates the degree -1 part of the reduced complex.  A ChainVector is a
-sparse dict mapping chains to integers.  Everything is computed over the
-integers.  One pass over the coboundary maps, bottom dimension first,
-reduces each once, with clearing; each is the transpose of a boundary
-map, so it gives that map's rank.  A coboundary is read straight off
-the host's up and down bitsets, so no row is stored: each chain the map
-below did not clear is paired with its largest coface, an acyclic
-matching with +-1 incidences, so every invariant factor is 1.  A coface
-claimed twice is a witness against that certificate, not a case to
-reduce another way: it raises AssertionError naming the host, the
-coface and both chains.  A lower map hands the next only its pivot
-positions; the top map keeps its pairs.  The host's one form of its top
-cycle basis, the cycle index, from which quotient ranks and coboundary
-membership are read, is solved on its first read off the top map's
-pairs, the partners' coboundaries built one at a time.
+the order complex is one integer: its local indices packed, the first
+most significant, in the host's width of bits each (``OpenPoset``).  A
+dimension's chains are one typed array in numeric order, which is the
+lexicographic order of their index tuples, and a coboundary map is
+reduced over the positions of the chains in that array; in the
+ChainVectors the module takes (``coboundary_member``,
+``rank_in_top_quotient``) and gives (``chain_vector_of_tree``,
+``fundamental_cycle``) a chain is the tuple of partitions its indices
+stand for.  The empty chain, packed to 0, generates the degree -1 part
+of the reduced complex.  A ChainVector is a sparse dict mapping chains
+to integers.  Everything is computed over the integers.  One pass over
+the coboundary maps, bottom dimension first, reduces each once, with
+clearing; each is the transpose of a boundary map, so it gives that
+map's rank.  A coboundary is read straight off the host's up and down
+bitsets, so no row is stored: each chain the map below did not clear is
+paired with its largest coface, an acyclic matching with +-1
+incidences, so every invariant factor is 1.  A coface claimed twice is
+a witness against that certificate, not a case to reduce another way:
+it raises AssertionError naming the host, the coface and both chains.
+Each map's pairs are one array over its cofaces, which the next map
+reads as its cleared chains; the top map's is kept.  The host's one
+form of its top cycle basis, the cycle index, from which quotient ranks
+and coboundary membership are read, is solved on its first read off
+the top map's pairs, the partners' coboundaries built one at a time.
 Nothing here keeps a host: it lives, with its chains, ranks and cycle
-index, as long as its caller holds it; one past CHAIN_COUNT_CAP is
-refused before its poset is built (``chain_count``).
+index, as long as its caller holds it; one past CHAIN_COUNT_CAP, or
+whose longest chain does not pack into 63 bits, is refused before its
+poset is built (``_refuse_host``).
 Membership is a yes/no answer, with no witness cochain.  The
 fundamental cycle of the boolean subposet Pi_T of a rooted tree needs no
 host and no kernel: it is a signed sum of the maximal chains of Pi_T,
@@ -36,6 +40,7 @@ off the Mobius function, in ``partitions``.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from math import comb
 
@@ -45,11 +50,27 @@ from . import partitions as pt
 from . import trees as tr
 
 CHAIN_COUNT_CAP = 2_000_000
+# the bits of a packed chain: one signed 64-bit array item
+KEY_BITS = 63
 
 
 def _chain_str(chain):
     """A chain of partitions as the CLI and the witnesses print it."""
     return " < ".join(map(pt.partition_str, chain)) or "the empty chain"
+
+
+def _width(size):
+    """The bits of one local index of a host with size elements."""
+    return max(1, (size - 1).bit_length())
+
+
+def _pack(key, bits):
+    """The tuple of local indices key as one integer, bits bits an index,
+    the first most significant."""
+    c = 0
+    for k in key:
+        c = c << bits | k
+    return c
 
 
 class OpenPoset:
@@ -64,19 +85,24 @@ class OpenPoset:
     only if any two comparable elements of keep are joined by covers of P
     inside keep, as they are when keep is order-convex in P: every open
     interval and proper part is.  A coarser partition sorts after a finer
-    one, so local indices are a linear extension of the order.  Chains of
-    the order complex are listed per dimension as tuples of local indices,
-    in lexicographic order; since local indices follow the sorted
-    elements, a chain's position in its list orders it as its tuple of
-    partitions would.  The host stores the rank of each boundary map
-    (``reductions``) and one form of its top cycle basis, the cycle index
-    (``cycle_index``), both from one pass over its coboundary maps.
+    one, so local indices are a linear extension of the order.  A chain
+    of the order complex is one integer, its local indices packed ``bits``
+    bits each, the first most significant (``unpack`` reads them back);
+    the chains of each dimension are one ``array('q')``, ascending, which
+    orders them as their index tuples, and so as their tuples of
+    partitions, since local indices follow the sorted elements.  Chains of
+    different dimensions may pack alike (a leading index 0 adds no bits),
+    so a packed chain is read only with its dimension.  The host stores
+    the rank of each boundary map (``reductions``) and one form of its top
+    cycle basis, the cycle index (``cycle_index``), both from one pass
+    over its coboundary maps.
     """
 
     def __init__(self, name, P, keep):
         self.name = name
         self.elements = sorted(keep)
         self.index = {e: k for k, e in enumerate(self.elements)}
+        self.bits = _width(len(self.elements))
         local = {P.index[e]: k for k, e in enumerate(self.elements)}
         # P lists its elements in rank order, so each upper cover of h
         # has a larger index: read backwards, the covers complete each up
@@ -95,20 +121,20 @@ class OpenPoset:
         self._cycles = None
 
     def index_chains(self):
-        """dict r -> list of r-chains as tuples of local indices, in
-        lexicographic order; r = -1 is the empty chain.  Each chain is
-        extended by the elements above its last one, in index order; the
-        chain cap fired before the host was made (``open_interval``)."""
+        """dict r -> array('q') of the packed r-chains, ascending; r = -1
+        is the empty chain, 0.  Each chain is extended by the elements
+        above its last one, in index order; the chain cap and the width
+        were checked before the host was made (``open_interval``)."""
         if self._index_chains is None:
             above = [pt.bits(u) for u in self.up]
-            everything = range(len(above))
-            by_dim = {}
-            frontier = [()]
-            r = -1
+            bits, last = self.bits, (1 << self.bits) - 1
+            by_dim = {-1: array("q", [0])}
+            frontier = array("q", range(len(above)))
+            r = 0
             while frontier:
                 by_dim[r] = frontier
-                frontier = [c + (j,) for c in frontier
-                            for j in (above[c[-1]] if c else everything)]
+                frontier = array("q", [c << bits | j for c in frontier
+                                       for j in above[c & last]])
                 r += 1
             self._index_chains = by_dim
         return self._index_chains
@@ -117,61 +143,61 @@ class OpenPoset:
     def top_dim(self):
         return max(self.index_chains())
 
+    def unpack(self, c, r):
+        """The local indices of the packed r-chain c, first to last."""
+        bits, last = self.bits, (1 << self.bits) - 1
+        return tuple(c >> bits * k & last for k in range(r, -1, -1))
+
     def top_key(self, c):
-        """The index tuple of a top-dimensional chain c of elements;
-        ValueError when c is not one."""
+        """The packed top-dimensional chain c of elements; ValueError when
+        c is not one.  The length and every index are checked before
+        packing, since a shorter chain may pack to a top chain's key."""
         key = tuple(map(self.index.get, c))
         if (len(key) != self.top_dim + 1 or None in key
                 or any(not self.up[a] >> b & 1 for a, b in zip(key, key[1:]))):
             raise ValueError(f"{_chain_str(c)} is not a top chain of "
                              f"{self.name}")
-        return key
+        return _pack(key, self.bits)
 
     def reductions(self):
         """{r: rank} of each boundary map d_r: C_r -> C_{r-1}, r >= 0, the
         number of pairs of one bottom-up pass over the coboundary maps
         (``_pair``), computed once; AssertionError where a coface is
-        claimed twice.  A lower map hands the next only its pivot
-        positions; the top map's pairs are kept for the cycle index."""
+        claimed twice.  Each map reads the pairs of the map below as its
+        cleared chains; the top map's pairs are kept for the cycle
+        index."""
         if self._reductions is None:
             by_dim = self.index_chains()
-            top = max(by_dim)
-            reductions, pairs = {}, {}
-            for r in range(-1, top):
-                # the map below hands on its pivot positions, not its
-                # pairs: one byte per chain, set where a pivot is
-                cleared = bytearray(len(by_dim[r]))
-                for p in pairs:
-                    cleared[p] = 1
-                del pairs
-                pairs = _pair(self, by_dim[r], by_dim[r + 1], cleared)
-                reductions[r + 1] = len(pairs)
+            reductions = {}
+            # no map below pairs the empty chain
+            pairs = bytes(1)
+            for r in range(-1, max(by_dim)):
+                pairs = _pair(self, by_dim[r], by_dim[r + 1], pairs, r)
+                reductions[r + 1] = len(pairs) - pairs.count(0)
             self._reductions, self._top_pairs = reductions, pairs
         return self._reductions
 
     def cycle_index(self):
         """(index, count): an integer basis z_0 .. z_{count-1} of the top
         cycles, stored by chain: index[c] is the flat tuple (j, z_j[c],
-        j', z_j'[c], ...) over the z_j with the top index chain c in their
-        support.  There is one per chain, so it is a tuple, not a dict,
-        and equal ones are one object.  Solved on the first read, off the
-        top map's pairs that ``reductions`` kept, which are then
+        j', z_j'[c], ...) over the z_j with the packed top chain c in
+        their support.  There is one per chain, so it is a tuple, not a
+        dict, and equal ones are one object.  Solved on the first read,
+        off the top map's pairs that ``reductions`` kept, which are then
         dropped."""
         if self._cycles is None:
             self.reductions()
-            self._cycles = _cycle_index(self.up, self.down,
-                                        self.index_chains()[self.top_dim],
-                                        self._top_pairs)
+            self._cycles = _cycle_index(self, self._top_pairs)
             self._top_pairs = None
         return self._cycles
 
 
-def _cycle_index(up, down, chains, pairs):
-    """(index, count) of ``OpenPoset.cycle_index`` for the top chains,
-    solved off pairs, the top coboundary map's pairs by pivot position
-    (``_pair``): the row pivoted at p is the coboundary of the chain
-    paired with p, built once, when p is reached.  A top cycle is
-    orthogonal to every coboundary row, and these rows span them all.
+def _cycle_index(host, pairs):
+    """(index, count) of ``OpenPoset.cycle_index`` for the top chains of
+    host, solved off pairs, the top coboundary map's pairs (``_pair``):
+    the row pivoted at p is the coboundary of the chain paired with p,
+    built once, when p is reached.  A top cycle is orthogonal to every
+    coboundary row, and these rows span them all.
 
     One pass in chain order: a chain no row is pivoted at is free, and
     the k-th free chain gets z_j = 1 there, j = count - 1 - k: the
@@ -183,15 +209,18 @@ def _cycle_index(up, down, chains, pairs):
     Where s has one other key k, z[p] is z[k] times -s[p] * s[k]: the
     same tuple when that is 1.  Each z_j is 0 on every other free chain,
     so they are independent."""
-    count = len(chains) - len(pairs)
+    up, down, bits = host.up, host.down, host.bits
+    by_dim = host.index_chains()
+    top = max(by_dim)
+    chains, faces = by_dim[top], by_dim.get(top - 1)
+    count = pairs.count(0)
     z, free = [], 0
-    for p in range(len(chains)):
-        c = pairs.get(p)
-        if c is None:
+    for p, partner in enumerate(pairs):
+        if not partner:
             z.append((count - 1 - free, 1))
             free += 1
             continue
-        s = _coboundary(up, down, chains, c)
+        s = _coboundary(up, down, bits, chains, faces[partner - 1], top - 1)
         d = -s.pop(p)
         if len(s) == 1:
             ((k, x),) = s.items()
@@ -216,63 +245,75 @@ def _cycle_index(up, down, chains, pairs):
     return index, count
 
 
-def _gaps(up, down, c):
-    """The elements that extend the chain c of local indices, as (g, mask)
-    for each gap g they fill, top gap first: at g = len(c) those above
-    c[-1], at 0 < g < len(c) those strictly between c[g-1] and c[g], at
-    g = 0 those below c[0]; every element when c is empty.  The one face
-    scan: each coface of c is c with one element inserted at its gap."""
-    if not c:
+def _gaps(up, down, bits, c, r):
+    """The elements that extend the packed r-chain c, as (g, mask) for
+    each gap g they fill, top gap first: at g = r + 1 those above its last
+    element, at 0 < g <= r those strictly between its elements g - 1 and
+    g, at g = 0 those below its first; every element when c is empty.
+    Elements are read off c from the last by shift and mask.  The one
+    face scan: each coface of c is c with one element inserted at its
+    gap."""
+    if r < 0:
         if up:
             yield 0, (1 << len(up)) - 1
         return
-    mask = up[c[-1]]
+    last = (1 << bits) - 1
+    above = c & last
+    mask = up[above]
     if mask:
-        yield len(c), mask
-    for g in range(len(c) - 1, 0, -1):
-        mask = up[c[g - 1]] & down[c[g]]
+        yield r + 1, mask
+    for g in range(r, 0, -1):
+        c >>= bits
+        below = c & last
+        mask = up[below] & down[above]
         if mask:
             yield g, mask
-    mask = down[c[0]]
+        above = below
+    mask = down[above]
     if mask:
         yield 0, mask
 
 
-def _coboundary(up, down, cofaces, c):
-    """The coboundary of the chain c of local indices, {position: sign}
-    over the positions of its cofaces in cofaces, their dimension's list:
-    x inserted at gap g (``_gaps``) gives the coface c[:g] + (x,) + c[g:],
-    with sign (-1)^g, the sign of c as its face at position g.  Local
-    indices are a linear extension, so x is less than the c[g] it
-    precedes, and a coface at a lower gap is the lesser chain: the
-    cofaces come in chain order, gap by gap from the bottom and element
-    by element, largest last, and each is found by bisect past the one
-    before."""
+def _coboundary(up, down, bits, cofaces, c, r):
+    """The coboundary of the packed r-chain c, {position: sign} over the
+    positions of its cofaces in cofaces, their dimension's array: x
+    inserted at gap g (``_gaps``) gives the coface that splits c below its
+    g-th element, with sign (-1)^g, the sign of c as its face at position
+    g.  Local indices are a linear extension, so x is less than the
+    element it precedes, and a coface at a lower gap is the lesser chain:
+    the cofaces come in chain order, gap by gap from the bottom and
+    element by element, largest last, and each is found by bisect past
+    the one before."""
     row, lo = {}, 0
-    for g, mask in reversed(list(_gaps(up, down, c))):
+    for g, mask in reversed(list(_gaps(up, down, bits, c, r))):
         sign = -1 if g & 1 else 1
-        head, tail = c[:g], c[g:]
+        s = bits * (r + 1 - g)
+        head, tail = c >> s << bits, c & ((1 << s) - 1)
         for x in pt.bits(mask):
-            lo = bisect_left(cofaces, head + (x,) + tail, lo)
+            lo = bisect_left(cofaces, (head | x) << s | tail, lo)
             row[lo] = sign
             lo += 1
     return row
 
 
-def _largest_coface(up, down, cofaces, c):
-    """The position in cofaces of the largest coface of c, the last key
-    of its coboundary: the greatest element of its top nonempty gap,
-    inserted there; None when c is a maximal chain."""
-    for g, mask in _gaps(up, down, c):
-        return bisect_left(cofaces, c[:g] + (mask.bit_length() - 1,) + c[g:])
+def _largest_coface(up, down, bits, cofaces, c, r):
+    """The position in cofaces of the largest coface of the packed
+    r-chain c, the last key of its coboundary: the greatest element of its
+    top nonempty gap, inserted there; None when c is a maximal chain."""
+    for g, mask in _gaps(up, down, bits, c, r):
+        s = bits * (r + 1 - g)
+        return bisect_left(cofaces, ((c >> s << bits | mask.bit_length() - 1)
+                                     << s | c & ((1 << s) - 1)))
     return None
 
 
-def _pair(host, chains, cofaces, cleared):
-    """{pivot position: chain}: each chain of the coboundary map from
-    chains to cofaces, the transpose of a boundary map, that the map below
-    did not clear, paired with its largest coface; cleared holds a nonzero
-    byte at the position of each chain the map below paired.
+def _pair(host, chains, cofaces, cleared, r):
+    """The pairs of the coboundary map from the r-chains chains to
+    cofaces, the transpose of a boundary map, as an array('q') over the
+    cofaces: 1 + the position of its partner in chains, or 0 where a
+    coface is unpaired.  Each chain that the map below did not clear is
+    paired with its largest coface; cleared is the map below's array, or
+    any sequence as long as chains, nonzero at each chain it paired.
 
     A cleared chain's row is never built (cohomology with clearing: de
     Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent
@@ -287,18 +328,21 @@ def _pair(host, chains, cofaces, cleared):
     (Kozlov, *Combinatorial Algebraic Topology*, 2008, ch. 11).  A coface
     claimed twice raises AssertionError naming the host, the coface and
     both chains as partitions: no host the package builds has one."""
-    up, down, pairs = host.up, host.down, {}
-    for c, done in zip(chains, cleared):
+    up, down, bits = host.up, host.down, host.bits
+    pairs = array("q", [0]) * len(cofaces)
+    for k, (c, done) in enumerate(zip(chains, cleared), 1):
         if not done:
-            p = _largest_coface(up, down, cofaces, c)
-            if p in pairs:
+            p = _largest_coface(up, down, bits, cofaces, c, r)
+            if p is None:
+                continue
+            if pairs[p]:
                 coface, first, second = (
-                    _chain_str(host.elements[k] for k in t)
-                    for t in (cofaces[p], pairs[p], c))
+                    _chain_str(host.elements[j] for j in host.unpack(t, d))
+                    for t, d in ((cofaces[p], r + 1),
+                                 (chains[pairs[p] - 1], r), (c, r)))
                 raise AssertionError(f"{host.name}: the coface {coface} is "
                                      f"claimed by {first} and by {second}")
-            if p is not None:
-                pairs[p] = c
+            pairs[p] = k
     return pairs
 
 
@@ -367,27 +411,42 @@ def chain_count(n, i=None):
                    for j in range(first, n) for m in range(1, j + 1))
 
 
+def _refuse_host(name, chains, size, length):
+    """ResourceCapError for a host with chains chains, the empty one
+    included, size elements and length elements in its longest chain:
+    past CHAIN_COUNT_CAP, or when that chain, packed at the host's width
+    (``OpenPoset``), needs more than KEY_BITS bits."""
+    if chains > CHAIN_COUNT_CAP:
+        raise pt.ResourceCapError(f"chains of {name}", CHAIN_COUNT_CAP)
+    if _width(size) * length > KEY_BITS:
+        raise pt.ResourceCapError(f"bits of a packed chain of {name}",
+                                  KEY_BITS)
+
+
 def open_interval(n, i):
-    """(0-hat, [n]^i) as a new OpenPoset, refused past CHAIN_COUNT_CAP
-    before any poset is built, and with ValueError before that when i is
-    outside 0..n-1; a caller that needs it more than once holds on to
-    it."""
+    """(0-hat, [n]^i) as a new OpenPoset, refused past CHAIN_COUNT_CAP or
+    KEY_BITS (``_refuse_host``) before any poset is built, and with
+    ValueError before that when i is outside 0..n-1; a caller that needs
+    it more than once holds on to it."""
     refuse_weight(n, i)
     name = f"(0,[{n}]^{i})"
-    # past POSET_CAP_N build_poset refuses first, with no count paid for
-    if n <= pt.POSET_CAP_N and chain_count(n, i) > CHAIN_COUNT_CAP:
-        raise pt.ResourceCapError(f"chains of {name}", CHAIN_COUNT_CAP)
+    # past POSET_CAP_N build_poset refuses first, with no count paid for;
+    # a longest chain runs from rank 1 to rank n - 2
+    if n <= pt.POSET_CAP_N:
+        _refuse_host(name, chain_count(n, i), interval_size(n, i),
+                     max(0, n - 2))
     return OpenPoset(name, pt.build_poset(n, pt.WEIGHTED),
                      interval_elements(n, i))
 
 
 def proper_part(n):
     """Pi_n^w minus its bottom, as a new OpenPoset, refused past
-    CHAIN_COUNT_CAP before any poset is built; a caller that needs it
-    more than once holds on to it."""
+    CHAIN_COUNT_CAP or KEY_BITS (``_refuse_host``) before any poset is
+    built; a caller that needs it more than once holds on to it."""
     name = f"Pi_{n}^w - 0"
-    if 1 <= n <= pt.POSET_CAP_N and chain_count(n) > CHAIN_COUNT_CAP:
-        raise pt.ResourceCapError(f"chains of {name}", CHAIN_COUNT_CAP)
+    # a longest chain runs from rank 1 to the top rank n - 1
+    if 1 <= n <= pt.POSET_CAP_N:
+        _refuse_host(name, chain_count(n), pt.poset_size(n) - 1, n - 1)
     P = pt.build_poset(n, pt.WEIGHTED)
     return OpenPoset(name, P, P.elements[1:])
 
@@ -420,12 +479,16 @@ def _quotient_row(host, v):
     """The cycle-index columns of a top-dimensional ChainVector v,
     {j: <v, z_j>}; ValueError on a chain that is not a top chain.  Every
     chain the index holds is a top chain, so only a chain it misses is
-    checked (``OpenPoset.top_key``)."""
+    checked (``OpenPoset.top_key``).  A chain is packed only at the top
+    length with every element in the host: a shorter chain may pack to a
+    top chain's key."""
     index = host.cycle_index()[0]
-    local = host.index.get
+    local, bits, length = host.index.get, host.bits, host.top_dim + 1
     row = {}
     for c, coeff in v.items():
-        entries = index.get(tuple(map(local, c)))
+        key = tuple(map(local, c))
+        entries = (index.get(_pack(key, bits))
+                   if len(key) == length and None not in key else None)
         if entries is None:
             host.top_key(c)
             continue

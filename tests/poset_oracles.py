@@ -182,7 +182,7 @@ def chains_by_dim(host):
     """dict r -> list of r-chains of host as tuples of elements, in the
     order of ``host.index_chains()``."""
     elements = host.elements
-    return {r: [tuple(elements[k] for k in c) for c in cs]
+    return {r: [tuple(elements[k] for k in host.unpack(c, r)) for c in cs]
             for r, cs in host.index_chains().items()}
 
 
@@ -191,9 +191,9 @@ def cycle_basis(host):
     its cycle index."""
     index, count = host.cycle_index()
     basis = [{} for _ in range(count)]
-    elements = host.elements
+    elements, top = host.elements, host.top_dim
     for c, entries in index.items():
-        chain = tuple(elements[k] for k in c)
+        chain = tuple(elements[k] for k in host.unpack(c, top))
         for j, x in zip(entries[::2], entries[1::2]):
             basis[j][chain] = x
     return basis

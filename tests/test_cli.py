@@ -511,6 +511,29 @@ def test_chain_cap_fires_before_the_poset(capsys, monkeypatch, argv, host):
                                "limit": 2_000_000}
 
 
+@pytest.mark.parametrize("argv, host", [
+    (["homology", "--n", "7", "--i", "2"], "(0,[7]^2)"),
+    (["homology", "--n", "7"], "Pi_7^w - 0"),
+    (["bases", "--n", "7", "--i", "2", "--family", "comb"], "(0,[7]^2)"),
+], ids=["interval", "proper-part", "bases"])
+def test_chain_width_cap_fires_before_the_poset(capsys, monkeypatch, argv,
+                                                host):
+    # with the chain cap raised past them, (0,[7]^2) (13 bits an index,
+    # 5 a longest chain) and the proper part of [7] (13 and 6) do not
+    # pack into 63 bits: exit 3 before a poset is built or a chain listed
+    from wpposet import homology as hm
+    from wpposet import partitions
+
+    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", hm.chain_count(7))
+    monkeypatch.setattr(partitions, "build_poset", _refuse)
+    monkeypatch.setattr(hm.OpenPoset, "index_chains", _refuse)
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": f"bits of a packed chain of {host}",
+                               "limit": 63}
+
+
 @pytest.mark.parametrize("argv", [
     ["homology", "--n", "10", "--i", "0"],
     ["homology", "--n", "10"],

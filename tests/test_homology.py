@@ -67,8 +67,8 @@ def _pair_calls(monkeypatch):
     calls = []
     real = hm._pair
 
-    def recorded(host, chains, cofaces, cleared):
-        pairs = real(host, chains, cofaces, cleared)
+    def recorded(host, chains, cofaces, cleared, r):
+        pairs = real(host, chains, cofaces, cleared, r)
         calls.append((cofaces, pairs))
         return pairs
 
@@ -102,12 +102,15 @@ def test_a_claimed_coface_is_a_witness(monkeypatch, capsys):
         with pytest.raises(AssertionError) as err:
             hm.betti_numbers(host)
         coface, first, second = _witness(str(err.value), host)
-        cofaces = host.index_chains()[len(first)]
+        r = len(first) - 1
+        cofaces = host.index_chains()[r + 1]
+        packed = {host.unpack(c, r): c for c in host.index_chains()[r]}
         for face in (first, second):
             assert face in {coface[:g] + coface[g + 1:]
                             for g in range(len(coface))}, host.name
-            assert hm._largest_coface(host.up, host.down, cofaces, face) \
-                == cofaces.index(coface), host.name
+            p = hm._largest_coface(host.up, host.down, host.bits, cofaces,
+                                   packed[face], r)
+            assert host.unpack(cofaces[p], r + 1) == coface, host.name
     # with every chain claiming the first coface of its map, the first
     # host with two unpaired chains in one map fails criterion 9's row,
     # and a host's collision is exit 1 in the CLI
@@ -118,14 +121,14 @@ def test_a_claimed_coface_is_a_witness(monkeypatch, capsys):
     assert (name, ok) == ("Betti numbers and torsion", False)
     host = hm.proper_part(3)
     coface, _first, _second = _witness(detail, host)
-    assert coface == host.index_chains()[1][0], detail
+    assert coface == host.unpack(host.index_chains()[1][0], 1), detail
     assert cli.main(["homology", "--n", "4", "--i", "1"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("assertion failed: "), out
     host = hm.open_interval(4, 1)
     coface, _first, _second = _witness(
         out.removeprefix("assertion failed: ").rstrip("\n"), host)
-    assert coface == host.index_chains()[1][0], out
+    assert coface == host.unpack(host.index_chains()[1][0], 1), out
 
 
 def _count_echelons(monkeypatch):
@@ -167,7 +170,7 @@ def test_top_map_is_reduced_once(monkeypatch, betti_first):
         by_dim = host.index_chains()
         assert [cofaces for cofaces, _pairs in calls] == \
             [by_dim[r] for r in range(top + 1)], host.name
-        assert [len(pairs) for _cofaces, pairs in calls] == \
+        assert [len(pairs) - pairs.count(0) for _cofaces, pairs in calls] == \
             [host.reductions()[r] for r in range(top + 1)], host.name
         assert len(made) == 1 and made[0].rank == rank, host.name
         assert rank == betti == len(vecs) == rep["betti"][rep["top_dim"]], \
@@ -215,18 +218,16 @@ def test_hosts_with_at_most_one_map(make, top, cycles):
     assert hm.rank_in_top_quotient(host, [{chain: 1}]) == (1, cycles)
 
 
-# The traced peak of a host's reduction pass over what the host holds
-# right after it, its ranks and the top map's pairs (stored rows, before
-# the pairing), with its chains listed beforehand (tracemalloc, Python
-# 3.11): 2.46x on (0,[6]^0) and 2.29x on the proper part of [5] while each
-# map handed the next its whole dict of stored rows and every coboundary
-# row lived until its map was reduced; 1.45x and 1.42x once a map handed
-# on only its pivot positions and each row was freed as soon as it was
-# reduced; 1.06x and 1.05x (0.14 MiB held, against 0.69 and 0.75 MiB of
-# stored rows) once each chain pairs with its largest coface and a map
-# hands on one byte per chain.  A ratio holds on Python 3.10 and 3.11
-# alike, where a bound in MiB would not.
-REDUCTION_PEAK_RATIO = 2.0
+# The traced peak of a host's reduction pass, with its chains listed
+# beforehand (tracemalloc).  Each map's pairs are one array('q') over its
+# cofaces, 8 bytes a chain, which the next map reads as its cleared
+# chains, so the pass holds the arrays of at most two adjacent maps at
+# once (57,576 bytes at peak on (0,[6]^0), against 55,560 for the arrays
+# of its top two maps, on Python 3.11), and the host keeps only the top
+# map's.  A map that kept its coboundary rows, or a pass that kept every
+# map's array, would exceed the bound; a ratio holds on Python 3.10 and
+# 3.11 alike, where a bound in bytes would not.
+REDUCTION_PEAK_RATIO = 1.1
 
 
 @pytest.mark.parametrize("make", [lambda: hm.open_interval(6, 0),
@@ -234,7 +235,7 @@ REDUCTION_PEAK_RATIO = 2.0
                          ids=["(0,[6]^0)", "proper-part-5"])
 def test_the_reduction_pass_frees_each_maps_rows(make):
     host = make()
-    host.index_chains()
+    sizes = [len(cs) for _r, cs in sorted(host.index_chains().items())]
     gc.collect()
     tracemalloc.start()
     try:
@@ -242,15 +243,22 @@ def test_the_reduction_pass_frees_each_maps_rows(make):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < REDUCTION_PEAK_RATIO * held, peak / held
+    # 8 bytes a chain of the top map's array, and the array and rank
+    # dict's own headers
+    assert held < 8 * sizes[-1] + 1024, held
+    two = max(8 * (a + b) for a, b in zip(sizes, sizes[1:]))
+    assert peak < REDUCTION_PEAK_RATIO * two, peak / two
 
 
-def _coboundary_rows_by_slicing(by_dim, r):
-    """The coboundary row of each r-chain, keyed by the positions of the
-    (r+1)-chains it is a face of, each face cut by slicing."""
+def _coboundary_rows_by_slicing(host, r):
+    """The coboundary row of each r-chain of host, keyed by the positions
+    of the (r+1)-chains it is a face of, each face cut by slicing its
+    unpacked index tuple."""
+    by_dim = host.index_chains()
     rows = [{} for _ in by_dim[r]]
-    faces = {c: k for k, c in enumerate(by_dim[r])}
+    faces = {host.unpack(c, r): k for k, c in enumerate(by_dim[r])}
     for p, c in enumerate(by_dim[r + 1]):
+        c = host.unpack(c, r + 1)
         for i in range(len(c)):
             rows[faces[c[:i] + c[i + 1:]]][p] = (-1) ** i
     return rows
@@ -267,11 +275,12 @@ def test_coboundary_rows_match_sliced_faces(n, i):
     by_dim = host.index_chains()
     for r in range(-1, host.top_dim):
         cofaces = by_dim[r + 1]
-        oracle = _coboundary_rows_by_slicing(by_dim, r)
+        oracle = _coboundary_rows_by_slicing(host, r)
         for c, want in zip(by_dim[r], oracle):
-            row = hm._coboundary(host.up, host.down, cofaces, c)
+            row = hm._coboundary(host.up, host.down, host.bits, cofaces, c, r)
             assert row == want and list(row) == sorted(row), (host.name, c)
-            largest = hm._largest_coface(host.up, host.down, cofaces, c)
+            largest = hm._largest_coface(host.up, host.down, host.bits,
+                                         cofaces, c, r)
             assert largest == max(row, default=None), (host.name, c)
 
 
@@ -500,6 +509,43 @@ def test_chain_cap_is_checked_before_the_frontier(monkeypatch):
                 (f"chains of {name}", total - 1)
 
 
+def test_a_host_too_wide_to_pack_is_refused(monkeypatch):
+    # (0,[7]^2|3|4) have 4,578 to 5,348 elements, 13 bits an index, and a
+    # longest chain of 5 elements: 65 bits.  With the chain cap raised
+    # past them they are refused on the width, before any poset is built
+    # or chain listed; the proper part of [7] needs 13 * 6 = 78
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the width was checked")
+
+    monkeypatch.setattr(pt, "build_poset", refuse)
+    monkeypatch.setattr(hm.OpenPoset, "index_chains", refuse)
+    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", hm.chain_count(7))
+    for i, name in [(2, "(0,[7]^2)"), (3, "(0,[7]^3)"), (4, "(0,[7]^4)"),
+                    (None, "Pi_7^w - 0")]:
+        with pytest.raises(ResourceCapError) as err:
+            _host(7, i)
+        assert (err.value.what, err.value.limit) == \
+            (f"bits of a packed chain of {name}", 63)
+
+
+def test_every_host_under_the_chain_cap_packs(monkeypatch):
+    # no host the chain cap admits is refused on the width: the widest,
+    # (0,[7]^1) and (0,[7]^5), take 12 bits an index and 5 a longest
+    # chain, 60 bits
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(pt, "build_poset", built)
+    for n in range(1, pt.POSET_CAP_N + 1):
+        for i in [*range(n), None]:
+            if hm.chain_count(n, i) <= hm.CHAIN_COUNT_CAP:
+                with pytest.raises(Built):
+                    _host(n, i)
+
+
 def test_chain_counts_are_pinned():
     assert hm.chain_count(7, 1) == 1_410_144
     assert hm.chain_count(7, 3) == 4_304_175
@@ -562,8 +608,10 @@ def _assert_cycle_index_is_the_kernel(host):
     the oracle's kernel vectors."""
     by_dim = host.index_chains()
     top = max(by_dim)
-    faces = {c: k for k, c in enumerate(by_dim.get(top - 1, []))}
-    rows = [{faces[f]: x for f, x in boundary_of_chain(c).items()}
+    faces = {host.unpack(c, top - 1): k
+             for k, c in enumerate(by_dim.get(top - 1, []))}
+    rows = [{faces[f]: x
+             for f, x in boundary_of_chain(host.unpack(c, top)).items()}
             for c in by_dim[top]]
     position = {c: k for k, c in enumerate(by_dim[top])}
     index, count = host.cycle_index()
@@ -602,12 +650,14 @@ def test_pairs_are_the_pivots_of_the_full_reduction(monkeypatch):
         for r, (cofaces, pairs) in enumerate(calls, -1):
             assert cofaces is by_dim[r + 1], (host.name, r)
             ech = linalg.Echelon()
-            for row in _coboundary_rows_by_slicing(by_dim, r):
+            for row in _coboundary_rows_by_slicing(host, r):
                 ech.add(row)
-            assert {p: hm._coboundary(host.up, host.down, cofaces, c)
-                    for p, c in pairs.items()} == ech.by_pivot, (host.name, r)
-            assert host.reductions()[r + 1] == len(pairs) == ech.rank, \
+            assert {p: hm._coboundary(host.up, host.down, host.bits, cofaces,
+                                      by_dim[r][k - 1], r)
+                    for p, k in enumerate(pairs) if k} == ech.by_pivot, \
                 (host.name, r)
+            assert host.reductions()[r + 1] == \
+                len(pairs) - pairs.count(0) == ech.rank, (host.name, r)
             assert _unit_pivots(ech), (host.name, r)
 
 
@@ -631,7 +681,9 @@ def test_index_chain_reduction_matches_partition_oracle():
         idx, chains = host.index_chains(), chains_by_dim(host)
         oracle = _oracle_reductions(host)
         for r, cs in idx.items():
-            assert cs == sorted(cs), (host.name, r)
+            tuples = [host.unpack(c, r) for c in cs]
+            assert list(cs) == sorted(cs) and tuples == sorted(tuples) \
+                and chains[r] == sorted(chains[r]), (host.name, r)
         # each coboundary map reduces to the rank of the boundary map it
         # transposes, and that map's unit pivots show it has no torsion
         assert host.reductions() == {
@@ -765,6 +817,15 @@ def test_chain_outside_the_host_is_refused():
     # a chain, are refused too
     low = chains_by_dim(host1)[host1.top_dim - 1][0]
     top = chains_by_dim(host1)[host1.top_dim][0]
-    for bad in (low, top[::-1]):
+    # a top chain led by local index 0 packs to the integer its tail, a
+    # lower chain, would pack to: the tail of one the cycle index holds
+    r = host1.top_dim
+    led = next(c for c in host1.cycle_index()[0]
+               if host1.unpack(c, r)[0] == 0)
+    tail = tuple(host1.elements[k] for k in host1.unpack(led, r)[1:])
+    assert host1.index_chains()[r - 1].count(led) == 1
+    for bad in (low, top[::-1], tail):
         with pytest.raises(ValueError, match="not a top chain"):
             hm.coboundary_member(host1, {bad: 1})
+        with pytest.raises(ValueError, match="not a top chain"):
+            hm.rank_in_top_quotient(host1, [{bad: 1}])
