@@ -5,10 +5,12 @@ Poset construction and invariants (partitions), bicolored tree families
 shellability checks (labeling), integral (co)homology of order complexes
 (homology), and straightening of cochains onto comb bases (straighten).
 The sixteen end-to-end checks live in acceptance; the command line
-surface is wpposet.cli.
+surface is wpposet.cli.  ResourceCapError, raised wherever an
+enumeration would pass its cap, is defined in partitions and exported
+here.
 """
 
-from .errors import ResourceCapError
+from .partitions import ResourceCapError
 
 __all__ = ["ResourceCapError", "__version__"]
 __version__ = "0.1.0"

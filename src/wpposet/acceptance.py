@@ -69,9 +69,8 @@ def _ascent_free_chains(n):
             word = [labels.get(step) for step in zip(at, at[1:])]
             if at[0] != 0 or at[-1] != top or None in word or any(
                     lb.label_less(p, q) for p, q in zip(word, word[1:])):
-                chain = " < ".join(map(pt.partition_str, c))
                 raise AssertionError(f"n={n} i={i}: not an ascent-free "
-                                     f"maximal chain: {chain}")
+                                     f"maximal chain: {pt.chain_str(c)}")
         if not len(trees) == len(chains) == count == counts[i]:
             raise AssertionError(f"n={n} i={i}: {count} ascent-free chains, "
                                  f"{len(chains)} chains of {len(trees)} "

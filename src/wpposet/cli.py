@@ -25,7 +25,6 @@ from . import labeling as lb
 from . import partitions as pt
 from . import straighten as st
 from . import trees as tr
-from .errors import ResourceCapError
 
 DEFAULT_SEED = 20260823
 
@@ -295,14 +294,14 @@ def main(argv=None):
                                      f"got {args.max_elements}")
                 what, size = args.cap[0], args.cap[1](args)
                 if size > args.max_elements:
-                    raise ResourceCapError(f"{what} with {size} elements",
-                                           args.max_elements)
+                    raise pt.ResourceCapError(
+                        f"{what} with {size} elements", args.max_elements)
             code = args.fn(args)
         except SystemExit:
             # argparse exits after --help with the text still buffered
             sys.stdout.flush()
             raise
-        except ResourceCapError as exc:
+        except pt.ResourceCapError as exc:
             print(_dumps({"error": "resource-cap", "what": exc.what,
                           "limit": exc.limit}))
             code = 3

@@ -54,11 +54,6 @@ CHAIN_COUNT_CAP = 2_000_000
 KEY_BITS = 63
 
 
-def _chain_str(chain):
-    """A chain of partitions as the CLI and the witnesses print it."""
-    return " < ".join(map(pt.partition_str, chain)) or "the empty chain"
-
-
 def _width(size):
     """The bits of one local index of a host with size elements."""
     return max(1, (size - 1).bit_length())
@@ -148,16 +143,15 @@ class OpenPoset:
         bits, last = self.bits, (1 << self.bits) - 1
         return tuple(c >> bits * k & last for k in range(r, -1, -1))
 
-    def top_key(self, c):
-        """The packed top-dimensional chain c of elements; ValueError when
-        c is not one.  The length and every index are checked before
-        packing, since a shorter chain may pack to a top chain's key."""
+    def check_top_chain(self, c):
+        """ValueError unless the chain c of elements is a top-dimensional
+        chain of the host: of the top length, every element in the host
+        and each below the next."""
         key = tuple(map(self.index.get, c))
         if (len(key) != self.top_dim + 1 or None in key
                 or any(not self.up[a] >> b & 1 for a, b in zip(key, key[1:]))):
-            raise ValueError(f"{_chain_str(c)} is not a top chain of "
+            raise ValueError(f"{pt.chain_str(c)} is not a top chain of "
                              f"{self.name}")
-        return _pack(key, self.bits)
 
     def reductions(self):
         """{r: rank} of each boundary map d_r: C_r -> C_{r-1}, r >= 0, the
@@ -337,7 +331,7 @@ def _pair(host, chains, cofaces, cleared, r):
                 continue
             if pairs[p]:
                 coface, first, second = (
-                    _chain_str(host.elements[j] for j in host.unpack(t, d))
+                    pt.chain_str(host.elements[j] for j in host.unpack(t, d))
                     for t, d in ((cofaces[p], r + 1),
                                  (chains[pairs[p] - 1], r), (c, r)))
                 raise AssertionError(f"{host.name}: the coface {coface} is "
@@ -479,9 +473,9 @@ def _quotient_row(host, v):
     """The cycle-index columns of a top-dimensional ChainVector v,
     {j: <v, z_j>}; ValueError on a chain that is not a top chain.  Every
     chain the index holds is a top chain, so only a chain it misses is
-    checked (``OpenPoset.top_key``).  A chain is packed only at the top
-    length with every element in the host: a shorter chain may pack to a
-    top chain's key."""
+    checked (``OpenPoset.check_top_chain``).  A chain is packed only at
+    the top length with every element in the host: a shorter chain may
+    pack to a top chain's key."""
     index = host.cycle_index()[0]
     local, bits, length = host.index.get, host.bits, host.top_dim + 1
     row = {}
@@ -490,7 +484,7 @@ def _quotient_row(host, v):
         entries = (index.get(_pack(key, bits))
                    if len(key) == length and None not in key else None)
         if entries is None:
-            host.top_key(c)
+            host.check_top_chain(c)
             continue
         it = iter(entries)
         for j, x in zip(it, it):

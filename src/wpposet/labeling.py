@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import partitions as pt
-from .errors import ResourceCapError
 
 
 class EdgeLabel(namedtuple("EdgeLabel", "a b u")):
@@ -48,7 +47,7 @@ def cover_labels(n):
     (x_index, y_index) of P.covers to its edge label, read off the two
     partitions.  n past EL_CAP_N is refused before anything is built."""
     if n > EL_CAP_N:
-        raise ResourceCapError(f"EL verification on {n} labels", EL_CAP_N)
+        raise pt.ResourceCapError(f"EL verification on {n} labels", EL_CAP_N)
     P = pt.build_poset(n, pt.AUGMENTED)
     top = P.index[pt.TOP]
     labels = {}

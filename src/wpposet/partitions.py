@@ -14,16 +14,15 @@ the chains of trees and of Pi_T in ``chains`` all take it, and the
 blocks it leaves are still sorted.  Every partition is reached from
 the singletons by covers, so the elements are the closure of ``bottom``
 under ``upper_covers``, and no other rule decides them.  The augmented
-poset adjoins a maximum element TOP above the one-block partitions.  A
-``Poset`` keeps one adjacency, the upper covers, and its bottom is
-element 0.
+poset adjoins a maximum element TOP above the one-block partitions: the
+partition with no blocks, ``()``, so every element e has rank n - len(e)
+and TOP alone has rank n.  A ``Poset`` keeps one adjacency, the upper
+covers, and its bottom is element 0.
 """
 
 from __future__ import annotations
 
 from math import comb
-
-from .errors import ResourceCapError
 
 POSET_CAP_N = 9
 MOBIUS_CAP_N = 7
@@ -32,22 +31,17 @@ WEIGHTED = "weighted"
 POINTED = "pointed"
 AUGMENTED = "augmented"
 
-
-class _Top:
-    """The adjoined maximum of the augmented poset."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Top"
+# the adjoined maximum of the augmented poset: the partition with no blocks
+TOP = ()
 
 
-TOP = _Top()
+class ResourceCapError(RuntimeError):
+    """Raised when an enumeration would exceed its configured cap."""
+
+    def __init__(self, what, limit):
+        super().__init__(f"{what} exceeds the enumeration cap {limit}")
+        self.what = what
+        self.limit = limit
 
 
 def mask_min(mask):
@@ -85,6 +79,11 @@ def partition_str(p):
     for m, v in p:
         parts.append("".join(str(a) for a in mask_members(m)) + f"^{v}")
     return "{" + "|".join(parts) + "}"
+
+
+def chain_str(chain):
+    """A chain of partitions as the CLI and the witnesses print it."""
+    return " < ".join(map(partition_str, chain)) or "the empty chain"
 
 
 def merge(p, i, j, w):
@@ -143,7 +142,7 @@ class Poset:
             elements.append(TOP)
             covers.append([])
         self.index = {e: k for k, e in enumerate(elements)}
-        self.ranks = [n - len(e) if e is not TOP else n for e in elements]
+        self.ranks = [n - len(e) for e in elements]
         self._down = None
         self._mu = None
 
@@ -155,8 +154,7 @@ class Poset:
 
     def maximal_indices(self):
         """Indices of the one-block partitions, in weight/point order."""
-        return [k for k, e in enumerate(self.elements)
-                if e is not TOP and len(e) == 1]
+        return [k for k, e in enumerate(self.elements) if len(e) == 1]
 
     def down_sets(self):
         """Bitset of the elements <= k, for every k: the one stored form
@@ -243,12 +241,12 @@ def poset_size(n, variant=WEIGHTED):
 # invariants
 # ---------------------------------------------------------------------------
 
-def poly_str(coeffs, var="x"):
+def poly_str(coeffs):
     terms = []
     for k, c in enumerate(coeffs):
         if c == 0:
             continue
-        base = str(c) if k == 0 else (f"{c}*{var}" if k == 1 else f"{c}*{var}^{k}")
+        base = str(c) if k == 0 else (f"{c}*x" if k == 1 else f"{c}*x^{k}")
         terms.append(base)
     return " + ".join(terms) if terms else "0"
 

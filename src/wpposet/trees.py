@@ -53,8 +53,7 @@ import itertools
 from collections import namedtuple
 from math import comb, factorial
 
-from .errors import ResourceCapError
-from .partitions import drake_product
+from .partitions import ResourceCapError, drake_product
 
 BLUE = "b"
 RED = "r"
@@ -198,15 +197,16 @@ def _catalan(m):
     return comb(2 * m, m) // (m + 1)
 
 
-def enumerate_bicolored(labels, i=None):
-    """All labeled bicolored binary trees on the given label set, optionally
-    restricted to ``i`` red internal nodes.  Deterministic order: leaf word
-    (permutations in lexicographic order), then shape (split point, left
-    shape major), then coloring (in postorder, blue before red)."""
+def enumerate_bicolored(labels):
+    """All labeled bicolored binary trees on the given label set.
+    Deterministic order: leaf word (permutations in lexicographic order),
+    then shape (split point, left shape major), then coloring (in
+    postorder, blue before red)."""
     A = _sorted_labels(labels, "bicolored trees")
     n = len(A)
     shapes = range(_catalan(n - 1))
-    colorings = [_colors_at(n - 1, k, i) for k in range(_colorings_count(n, i))]
+    colorings = [_colors_at(n - 1, k, None)
+                 for k in range(_colorings_count(n, None))]
     out = []
     for word in itertools.permutations(A):
         for s in shapes:
@@ -220,8 +220,9 @@ def _colorings_count(n, i):
 
 
 def bicolored_count(labels, i=None):
-    """``len(enumerate_bicolored(labels, i))`` in closed form:
-    n! Cat(n-1) 2^(n-1), or n! Cat(n-1) C(n-1, i) red-count ``i`` trees."""
+    """The number of bicolored trees on labels, or of those with ``i`` red
+    internal nodes, in closed form: n! Cat(n-1) 2^(n-1), or
+    n! Cat(n-1) C(n-1, i)."""
     n = len(_sorted_labels(labels, "bicolored trees"))
     return factorial(n) * _catalan(n - 1) * _colorings_count(n, i)
 
@@ -262,9 +263,10 @@ def _colors_at(m, k, i):
 
 
 def bicolored_at(labels, k, i=None):
-    """``enumerate_bicolored(labels, i)[k]`` without building the list:
-    the leaf word, the shape and the coloring are decoded from ``k`` in
-    turn, in the enumeration's order."""
+    """The ``k``-th bicolored tree on labels, or of those with ``i`` red
+    internal nodes, in the order of ``enumerate_bicolored``, without
+    building a list: the leaf word, the shape and the coloring are decoded
+    from ``k`` in turn."""
     A = _sorted_labels(labels, "bicolored trees")
     n = len(A)
     if not 0 <= k < bicolored_count(A, i):

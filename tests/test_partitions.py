@@ -94,6 +94,26 @@ def test_augmented_adds_one_top(n):
     assert all(top in A.covers[A.index[e]] for e in W.elements if len(e) == 1)
 
 
+def test_rank_is_n_minus_the_block_count():
+    # the rank read off the covers, from 0 at the bottom, is n - len(e)
+    # for every element e, Top, the partition with no blocks, included
+    for n in range(1, 6):
+        for variant in (pt.WEIGHTED, pt.POINTED, pt.AUGMENTED):
+            P = pt.build_poset(n, variant)
+            depth = [0] * len(P.elements)
+            for k, ups in enumerate(P.covers):
+                for j in ups:
+                    depth[j] = depth[k] + 1
+            assert P.ranks == depth == [n - len(e) for e in P.elements]
+            # Top alone has rank n, and it is not one of the one-block
+            # partitions below it
+            top = [k for k, r in enumerate(P.ranks) if r == n]
+            assert top == ([P.index[pt.TOP]] if variant == pt.AUGMENTED
+                           else [])
+            assert P.maximal_indices() == [
+                k for k, r in enumerate(P.ranks) if r == n - 1]
+
+
 def _bits_by_low_bit(x):
     # the oracle: isolate the low bit, clear it, repeat
     out = []
@@ -282,3 +302,6 @@ def test_to_dot_mentions_every_element():
 def test_partition_str_format():
     p = sort_blocks(((0b011, 1), (0b100, 0)))
     assert pt.partition_str(p) == "{12^1|3^0}"
+    assert pt.partition_str(pt.TOP) == "Top"
+    assert pt.chain_str((p, pt.TOP)) == "{12^1|3^0} < Top"
+    assert pt.chain_str(()) == "the empty chain"

@@ -714,20 +714,17 @@ def test_enumeration_cap():
 
 
 def test_bicolored_at_matches_enumeration():
-    for n in range(1, 6):
-        for i in [None] + list(range(n)):
-            pool = tr.enumerate_bicolored(n, i)
-            # the listing decodes each shape once; the oracle lists them
-            assert pool == bicolored_by_shape(n, i)
-            assert len(pool) == tr.bicolored_count(n, i)
-            assert [tr.bicolored_at(n, k, i) for k in range(len(pool))] == pool
-            with pytest.raises(IndexError):
-                tr.bicolored_at(n, len(pool), i)
     # any label set, not only [n]
-    labels = (2, 5, 7, 9)
-    pool = tr.enumerate_bicolored(labels, 1)
-    assert pool == bicolored_by_shape(labels, 1)
-    assert [tr.bicolored_at(labels, k, 1) for k in range(len(pool))] == pool
+    for labels in [*range(1, 6), (2, 5, 7, 9)]:
+        # the listing decodes each shape once; the oracle lists them
+        assert tr.enumerate_bicolored(labels) == bicolored_by_shape(labels)
+        n = labels if isinstance(labels, int) else len(labels)
+        for i in [None] + list(range(n)):
+            count = tr.bicolored_count(labels, i)
+            assert [tr.bicolored_at(labels, k, i) for k in range(count)] == \
+                bicolored_by_shape(labels, i)
+            with pytest.raises(IndexError):
+                tr.bicolored_at(labels, count, i)
 
 
 def test_bicolored_count_closed_form():
