@@ -18,7 +18,8 @@ from pathlib import Path
 
 
 def commands():
-    """Every command line compared, as argument lists."""
+    """Every command line compared, as argument lists: every command
+    that the CI workflow pins by digest is one of them."""
     out = []
 
     def add(line):
@@ -44,6 +45,9 @@ def commands():
         add(f"bases --n {n} --side full")
     for i in (0, 2, 3):
         add(f"bases --n 6 --i {i} --format json")
+    add("bases --n 5 --i 2 --family tree --format json")
+    for i in range(6):
+        add(f"bases --n 6 --i {i} --family tree --format json")
     for n in range(1, 6):
         for i in ["", *(f"--i {i}" for i in range(n))]:
             for fmt in ("text", "json", "csv"):
@@ -57,6 +61,7 @@ def commands():
             for fmt in ("text", "json"):
                 add(f"straighten --n {n} --side {side} --format {fmt}")
         add(f"straighten --n 5 --i 2 --side {side} --seed 7")
+        add(f"straighten --n 6 --side {side} --seed 1")
         add(f"straighten --n 7 --i 3 --side {side} --seed 11 --format json")
     for fmt in ("text", "json"):
         add(f"report-all --n 4 --format {fmt}")

@@ -59,7 +59,7 @@ def _ascent_free_chains(n):
     counts = tr.descent_counts(n)
     P, labels = lb.cover_labels(n)
     for i in range(n):
-        top = P.index[(((1 << n) - 1, i),)]
+        top = P.index[pt.one_block(n, i)]
         count = lb.interval_counts(P, labels, top)[0][3]
         trees = tr.enumerate_family("lyndon", n, i)
         chains = {ch.chain_partitions_of_tree(t, tr.valency_decreasing_tau(t))

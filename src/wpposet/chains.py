@@ -161,8 +161,7 @@ def _edge_orders(m):
         masks = [0]
         for k in perm:
             masks.append(masks[-1] | 1 << k)
-        inversions = sum(a > b for j, a in enumerate(perm) for b in perm[j + 1:])
-        out.append((tuple(masks), -1 if inversions & 1 else 1))
+        out.append((tuple(masks), tr.perm_sign(perm)))
     return tuple(out)
 
 

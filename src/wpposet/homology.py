@@ -365,7 +365,7 @@ def interval_elements(n, i):
     outside 0..n-1 is refused with ValueError."""
     refuse_weight(n, i)
     P = pt.build_poset(n, pt.WEIGHTED)
-    ends = {pt.bottom(n), (((1 << n) - 1, i),)}
+    ends = {pt.bottom(n), pt.one_block(n, i)}
     return [e for e in P.elements if e not in ends
             and _below_top(len(e), sum(w for _m, w in e), i)]
 

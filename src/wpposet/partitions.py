@@ -14,10 +14,10 @@ the chains of trees and of Pi_T in ``chains`` all take it, and the
 blocks it leaves are still sorted.  Every partition is reached from
 the singletons by covers, so the elements are the closure of ``bottom``
 under ``upper_covers``, and no other rule decides them.  The augmented
-poset adjoins a maximum element TOP above the one-block partitions: the
-partition with no blocks, ``()``, so every element e has rank n - len(e)
-and TOP alone has rank n.  A ``Poset`` keeps one adjacency, the upper
-covers, and its bottom is element 0.
+poset adjoins a maximum element TOP above the one-block partitions
+``one_block(n, i)``: the partition with no blocks, ``()``, so every
+element e has rank n - len(e) and TOP alone has rank n.  A ``Poset``
+keeps one adjacency, the upper covers, and its bottom is element 0.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ def bottom(n, variant=WEIGHTED):
     own member)."""
     return tuple((1 << (a - 1), 0 if variant == WEIGHTED else a)
                  for a in range(1, n + 1))
+
+
+def one_block(n, i):
+    """[n]^i: the one block of [n], weighted i."""
+    return (((1 << n) - 1, i),)
 
 
 def partition_str(p):

@@ -240,7 +240,7 @@ def phi(t):
     The one memo of a tree's chain, which ``cochain_sum`` reads too, so a
     check builds each comb's chain once.  Callers only read the dict."""
     if t not in _phi:
-        sign = tr.leaf_perm_sign(t) * (-1) ** tr.tree_weight(t)
+        sign = tr.perm_sign(tr.leaves(t)) * (-1) ** tr.tree_weight(t)
         _phi[t] = {k: sign * v for k, v in hm.chain_vector_of_tree(t).items()}
     return _phi[t]
 

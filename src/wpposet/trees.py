@@ -41,13 +41,16 @@ trees on any n-set as well, since relabelling in order keeps descents;
 passes its filter by flipping the edges on the path to the greatest
 label.
 :func:`psi` costs O(n) per tree on [n].  :func:`liu_linear_extension`
-orders the trees of one T_{A,i} for the Liu pairing by one local rule,
-with no closure of Liu's order kept: for each tree it lists the trees
-whose Pi_T holds the chain of its psi (``_fitting``).
+orders the trees of one T_{A,i} for the Liu pairing with
+``graphlib.TopologicalSorter``, with no closure of Liu's order kept: each
+tree's predecessors are the trees whose Pi_T holds the chain of its psi
+(``_fitting``), the class goes in sorted, so the order does not depend on
+the input's, and a cycle is an AssertionError naming its trees.
 """
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 import itertools
 from collections import namedtuple
@@ -143,12 +146,11 @@ def tree_inversions(t):
     return total
 
 
-def leaf_perm_sign(t):
-    """Sign of the left-to-right leaf word as a permutation of its sorted labels."""
-    word = leaves(t)
-    inv = sum(1 for i in range(len(word))
-              for j in range(i + 1, len(word)) if word[i] > word[j])
-    return -1 if inv % 2 else 1
+def perm_sign(word):
+    """Sign of a word of distinct labels as a permutation of its sorted
+    labels: -1 to the number of its inversions."""
+    inversions = sum(a > b for j, a in enumerate(word) for b in word[j + 1:])
+    return -1 if inversions & 1 else 1
 
 
 def is_normalized(t):
@@ -626,36 +628,29 @@ def liu_linear_extension(trees):
     <rho_{T_j}, c_{psi(T_k)}> upper unitriangular; ValueError on trees
     from more than one class.
 
-    Kahn's algorithm over the support digraph of that pairing: j -> k
-    whenever T_j != T_k and Pi_{T_j} holds the chain of psi(T_k)
-    (``_fitting``).  Of the trees free to come next it always takes the
-    one that comes first by ``repr``.  Liu's order contains this
-    relation, but the order returned is not always a linear extension of
-    Liu's order.  The function keeps its name only because the benchmark
-    calls it by that name.
+    ``graphlib.TopologicalSorter.static_order`` over the support digraph
+    of that pairing, the trees entered in sorted order, so the order does
+    not depend on the input's: T_j comes before T_k whenever
+    T_j != T_k and Pi_{T_j} holds the chain of psi(T_k) (``_fitting``).
+    Liu's order contains this relation, but the order returned is not
+    always a linear extension of Liu's order.  A cycle in the support
+    would refute the unitriangularity, so it is an AssertionError that
+    names the class and the trees on the cycle.  The function keeps its
+    name only because the benchmark calls it by that name.
     """
-    order = sorted(trees, key=repr)
+    order = sorted(trees)
     if len({(T.labels, T.descent_count()) for T in order}) > 1:
         raise ValueError("the Liu pairing compares trees in one T_{A,i}")
-    at = {T: k for k, T in enumerate(order)}
-    above = [[] for _ in order]
-    indegree = [0] * len(order)
-    for k, T in enumerate(order):
-        for S in _fitting(psi(T)):
-            j = at.get(S, k)
-            if j != k:
-                above[j].append(k)
-                indegree[k] += 1
-    heap = [k for k, d in enumerate(indegree) if d == 0]
-    out = []
-    while heap:
-        k = heapq.heappop(heap)
-        out.append(order[k])
-        for b in above[k]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                heapq.heappush(heap, b)
-    if len(out) < len(order):
-        raise RuntimeError("cycle detected in the support of the Liu pairing")
-    return out
-
+    members = set(order)
+    support = graphlib.TopologicalSorter(dict.fromkeys(order, ()))
+    for T in order:
+        support.add(T, *(S for S in _fitting(psi(T))
+                         if S != T and S in members))
+    try:
+        return list(support.static_order())
+    except graphlib.CycleError as exc:
+        T = order[0]
+        raise AssertionError(
+            f"the support of the Liu pairing on T_({sorted(T.labels)}, "
+            f"{T.descent_count()}) has a cycle: "
+            + " -> ".join(map(repr, exc.args[1]))) from None

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 import wpposet
 from wpposet import ResourceCapError
 from wpposet import acceptance
+from wpposet import cli
 from wpposet import homology as hm
 from wpposet import partitions as pt
 from wpposet import straighten as sn
@@ -548,6 +549,26 @@ def test_pairing_order_reads_no_input_order():
         tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, 4)))
 
 
+def test_a_cycle_in_the_pairing_support_is_a_witness(monkeypatch, capsys):
+    # two trees of T_{[3],1} that each fit the other's psi-chain: the
+    # order, the bases command and criterion 14 each name both of them
+    trees = tr.enumerate_rooted_trees(range(1, 4), 1)
+    S, T = sorted(trees)[:2]
+    other = {tr.psi(S): T, tr.psi(T): S}
+    fitting = tr._fitting
+    monkeypatch.setattr(tr, "_fitting", lambda t: fitting(t) + (
+        [other[t]] if t in other else []))
+    with pytest.raises(AssertionError) as exc:
+        tr.liu_linear_extension(trees)
+    assert repr(S) in str(exc.value) and repr(T) in str(exc.value)
+    assert cli.main(["bases", "--n", "3", "--i", "1", "--family", "tree"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("assertion failed:")
+    assert repr(S) in out and repr(T) in out
+    _name, ok, detail = acceptance.run_criterion(14, 3)
+    assert not ok and repr(S) in detail and repr(T) in detail
+
+
 # -- the edge-rescanning psi the package replaced, and an all-pairs Liu order -
 
 def _old_children(T, x):
@@ -696,10 +717,11 @@ def test_identity_extension_is_linear(t):
     assert tuple(range(tr.internal_count(t))) in linear_extensions(t)
 
 
-def test_leaf_perm_sign():
-    assert tr.leaf_perm_sign((B, 1, 2)) == 1
-    assert tr.leaf_perm_sign((B, 2, 1)) == -1
-    assert tr.leaf_perm_sign((B, (B, 1, 3), 2)) == -1
+def test_perm_sign():
+    assert tr.perm_sign(tr.leaves((B, 1, 2))) == 1
+    assert tr.perm_sign(tr.leaves((B, 2, 1))) == -1
+    assert tr.perm_sign(tr.leaves((B, (B, 1, 3), 2))) == -1
+    assert tr.perm_sign(()) == tr.perm_sign((2, 0, 1)) == 1
 
 
 def test_tree_to_bracket():
