@@ -53,6 +53,7 @@ def commands():
             for fmt in ("text", "json", "csv"):
                 add(f"psi --n {n} {i} --format {fmt}")
     add("psi --n 6 --format csv")
+    add("psi --n 7 --i 3 --format csv")
     for n in range(1, 8):
         for fmt in ("text", "json"):
             add(f"whitney --n {n} --format {fmt}")

@@ -117,7 +117,7 @@ def _psi_bijection(n):
             for T in tr.enumerate_rooted_trees(A):
                 t = tr.psi(T)
                 if (tr.red_count(t) != T.descent_count()
-                        or tr._rooted_tree_of(t) != T):
+                        or tr.psi_inverse(t) != T):
                     raise AssertionError(f"A={A}, T={T!r}")
                 image.add(t)
             if image != set(tr.enumerate_family("liu", A)):

@@ -200,9 +200,8 @@ def _cycle_index(host, pairs):
     pivot p of a row s, z[p] = -s[p] * sum of s[k] z[k] over its other
     keys k, each an earlier chain, since s[p] is +-1; z[k]'s flat tuple
     is read in (j, value) pairs by ``zip(it, it)`` over one iterator.
-    Where s has one other key k, z[p] is z[k] times -s[p] * s[k]: the
-    same tuple when that is 1.  Each z_j is 0 on every other free chain,
-    so they are independent."""
+    Each z_j is 0 on every other free chain, so they are independent.
+    Equal tuples are kept as one object."""
     up, down, bits = host.up, host.down, host.bits
     by_dim = host.index_chains()
     top = max(by_dim)
@@ -216,12 +215,6 @@ def _cycle_index(host, pairs):
             continue
         s = _coboundary(up, down, bits, chains, faces[partner - 1], top - 1)
         d = -s.pop(p)
-        if len(s) == 1:
-            ((k, x),) = s.items()
-            f, e = x * d, z[k]
-            z.append(e if f == 1 else
-                     tuple(y * f if t & 1 else y for t, y in enumerate(e)))
-            continue
         acc = {}
         for k, x in s.items():
             it = iter(z[k])

@@ -40,7 +40,9 @@ trees on any n-set as well, since relabelling in order keeps descents;
 :func:`enumerate_rooted_trees` writes the parent tuple of a root that
 passes its filter by flipping the edges on the path to the greatest
 label.
-:func:`psi` costs O(n) per tree on [n].  :func:`liu_linear_extension`
+:func:`psi` costs O(n) per tree on [n]; :func:`psi_inverse` is the
+decode that inverts it on its image and checks nothing, so a round trip
+compares its result with the starting tree.  :func:`liu_linear_extension`
 orders the trees of one T_{A,i} for the Liu pairing with
 ``graphlib.TopologicalSorter``, with no closure of Liu's order kept: each
 tree's predecessors are the trees whose Pi_T holds the chain of its psi
@@ -570,12 +572,13 @@ def _psi_at(r, kids):
     return t
 
 
-def _rooted_tree_of(t):
+def psi_inverse(t):
     """The rooted tree a bicolored tree reads as: each node (col, l, r)
-    hangs the root of r, its leftmost leaf, below the root of l.  On the
-    image of psi this inverts psi, so a round trip that already holds T
-    checks _rooted_tree_of(psi(T)) == T: if that holds, psi_inverse's
-    membership test would pass, and the second psi it costs is saved."""
+    hangs the root of r, its leftmost leaf, below the root of l.
+
+    On the image of psi, the Liu-Lyndon trees, this inverts :func:`psi`.
+    It reads no colour and checks nothing, so a round trip compares
+    psi_inverse(psi(T)) with the T it started from."""
     pmap = {}
 
     def root_of(s):
@@ -586,17 +589,6 @@ def _rooted_tree_of(t):
         return top
 
     return RootedTree.from_parent_map(root_of(t), pmap)
-
-
-def psi_inverse(t):
-    """Inverse of :func:`psi`; raises ValueError off the Liu-Lyndon family.
-
-    The Liu-Lyndon trees are exactly the image of psi, so t is one iff
-    psi(T) == t for the rooted tree T it reads as (``_rooted_tree_of``)."""
-    T = _rooted_tree_of(t)
-    if psi(T) != t:
-        raise ValueError("psi_inverse requires a Liu-Lyndon tree")
-    return T
 
 
 def _fitting(t):

@@ -352,24 +352,31 @@ def test_psi_roundtrip_small():
             assert tr.psi_inverse(t) == T
 
 
-def test_round_trip_without_a_second_psi_agrees_with_psi_inverse():
-    # criterion 12 compares the decoded tree with T, where psi_inverse
-    # also computes psi of it to test membership
-    for n in range(1, 6):
-        for T in tr.enumerate_rooted_trees(range(1, n + 1)):
-            t = tr.psi(T)
-            assert tr._rooted_tree_of(t) == T
-            assert tr.psi_inverse(t) == T
-
-
-def test_psi_inverse_refuses_exactly_the_non_liu_lyndon_trees():
+def test_psi_inverse_round_trips_exactly_the_liu_lyndon_trees():
+    # the decode reads any bicolored tree; psi maps it back onto t exactly
+    # when t is in psi's image
     for n in range(1, 6):
         for t in tr.enumerate_bicolored(n):
-            if is_liu_lyndon(t):
-                assert tr.psi(tr.psi_inverse(t)) == t
-            else:
-                with pytest.raises(ValueError, match="Liu-Lyndon"):
-                    tr.psi_inverse(t)
+            assert (tr.psi(tr.psi_inverse(t)) == t) == is_liu_lyndon(t)
+
+
+def test_a_psi_defect_is_a_witness(monkeypatch, capsys):
+    # psi with the root's children swapped: the psi command and criterion
+    # 12 each fail on the first tree, and name it
+    psi = tr.psi
+
+    def swapped(T):
+        t = psi(T)
+        return t if tr.is_leaf(t) else (t[0], t[2], t[1])
+
+    monkeypatch.setattr(tr, "psi", swapped)
+    assert cli.main(["psi", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ("psi round trip failed on "
+                   "RootedTree(root=1, parent={2: 1, 3: 1})\n")
+    assert err == ""
+    _name, ok, detail = acceptance.run_criterion(12, 3)
+    assert not ok and "RootedTree(root=1, parent={2: 1})" in detail
 
 
 def test_psi_image_is_liu():
