@@ -116,7 +116,7 @@ def _straighten_normalized(t, side, trace):
         # every output comb is produced here, so one check per memo entry
         # covers every later read of it
         if not tr.is_comb(t):
-            raise AssertionError("straightened output is not a comb")
+            raise AssertionError(f"straightened output is not a comb: {t!r}")
         out = {t: 1}
     else:
         path, node, wrap = found

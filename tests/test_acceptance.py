@@ -188,26 +188,14 @@ def test_criterion_13_catches_a_term_outside_its_interval(monkeypatch):
 
 
 def test_criterion_13_catches_an_output_that_is_not_a_comb(monkeypatch):
-    from wpposet import straighten as st
-    from wpposet import trees as tr
-    real = st.straighten
+    # straighten tests each output comb once, as it enters the memo, so a
+    # comb that test refuses is a FAIL row that names it
     comb = (tr.BLUE, (tr.BLUE, 1, 2), 3)
-    swapped = (tr.BLUE, 3, (tr.BLUE, 1, 2))
-
-    def one_comb_swapped(t, *args, **kwargs):
-        # the children of one comb swap wherever it is an output; its chain
-        # and unsigned cochain stay the same, so only the comb check fails
-        out = real(t, *args, **kwargs)
-        if comb not in out:
-            return out
-        out = dict(out)
-        out[swapped] = out.pop(comb)
-        return out
-
-    monkeypatch.setattr(st, "straighten", one_comb_swapped)
-    name, ok, detail = acceptance.run_criterion(13, 3)
-    assert not ok
-    assert detail == f"output {swapped!r} is not a comb"
+    real = tr.is_comb
+    monkeypatch.setattr(tr, "is_comb", lambda t: t != comb and real(t))
+    assert acceptance.run_criterion(13, 3) == (
+        "straightening soundness", False,
+        f"straightened output is not a comb: {comb!r}")
 
 
 def test_criteria_13_and_16_build_each_interval_host_once(monkeypatch):

@@ -176,78 +176,52 @@ def test_report_all_failure_exit(capsys, monkeypatch):
     assert out.count("[PASS]") == 15
 
 
-# sha256 of `report-all --n N` stdout, text and json: every passing row's
-# name and detail, byte for byte
-REPORT_ALL_SHA256 = {
-    (1, "text"): "ad3bc6505986b677eef04da7ec937139661e079a37b460ff46f25b8ea614026f",
-    (1, "json"): "eea63b97be72be22982dea3edb9a0a2292d58a841a02402080d2c8556ded64a6",
-    (2, "text"): "dde2ee179d0a9912ef74ab586ed857a3cc0eb50016111948b107aa3c36f8b232",
-    (2, "json"): "b29f096422d9e7a9469dd9d3229e7d9b3749daf19dd4f5bf5a64e53eb67ed596",
-    (3, "text"): "66bc640ade0c569a6fd07cb35376a58fa386a29c69f93ff50f6bea80b9a02655",
-    (3, "json"): "ad6f54da42d2e98d9d0012753c5e708dce7e8ac6e5949baec73d19f8e0e1d6a8",
-    (4, "text"): "0440d66f5467516e08f20997cbae1d2a52174d8626c5366b99a307453d9aa566",
-    (4, "json"): "43676f1effe58054725c74f74d1c7f1827e0cc05d3f1992ac4e84c233312ec3b",
-}
+# the table of pinned outputs: one row per command, with the sha256 of its
+# stdout, its exit code and why it is pinned.  The tier-1 rows run here,
+# in-process, one test per command; the ci rows run in
+# .github/check_pins.py
+PINS = json.loads(Path(__file__).with_name("pinned_outputs.json").read_text())
+TIER1 = {tuple(row["argv"]): row for row in PINS if row["where"] == "tier-1"}
 
 
-@pytest.mark.parametrize("n, fmt", sorted(REPORT_ALL_SHA256))
-def test_report_all_bytes_pinned(capsys, n, fmt):
-    code, out = run(capsys, "report-all", "--n", str(n), "--format", fmt)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        REPORT_ALL_SHA256[n, fmt]
+def check_pin(capsys, argv):
+    row = TIER1[argv]
+    code, out = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        (row["exit"], row["sha256"]), argv
 
 
-# sha256 of `el-verify --n N --format F` stdout, as printed when every
-# saturated chain of every interval was listed and compared; counting
-# chains over covers must keep these bytes and the exit code
-EL_VERIFY_SHA256 = {
-    (1, "text"): "f3339714208dc53ac8c1b3dce36adbd156070acc568b584d61102247bee0203e",
-    (1, "json"): "58718c436bfbdd1b43f144dcf4dcb6a6bd7854de17fe2fb99f23e5ae48ceb624",
-    (1, "csv"): "aa823a7284964c7c026e516ad0d085ef4623718474b4b08150d48005e4a238e3",
-    (1, "dot"): "04d3b8b10b79945fe6db149e3efd26de4da3819b18f604b2435d02e45b9d79f5",
-    (2, "text"): "bf1d3f50f3285432fab38e29c0ecaab5f1e31086575c0644db59f5f9a311b552",
-    (2, "json"): "40debd6e5888683e5b180a685bcbc20bf023f3585fb74044e1d3e0d0a327b0f6",
-    (2, "csv"): "97721fe2c910559ede2722e6fa0eea93a3b47d464b1b4e934e45d7acdd270030",
-    (2, "dot"): "4d4052afe2bb7817faa9d56a237c2f4124eb78a54dcdc033d017b23cda124236",
-    (3, "text"): "40f0970ba84c6f09cbb337656c7169e0d6a0d982e9f03e7cd85361a365210c99",
-    (3, "json"): "919926e9723fd3ce1b9e88323bdefe7f0ead24ad7d118e4b47e6489ecd83c1cf",
-    (3, "csv"): "abf1c3418061981e640fadfcbd10aeeab5775b63bf8d6571080cbe50f8c95229",
-    (3, "dot"): "73a9313e7845bbccdb8009b1c4d2b1eb32ff7887c3df36a87fbe636f26401eae",
-    (4, "text"): "5403e93fa76eef1bcacce6ee4caf7e1723c9d783f19c605a04921b300bbda738",
-    (4, "json"): "057aaabdccbf3f74a5c9007474b08ffa67447459194f77d852991168a4f8aa2f",
-    (4, "csv"): "c1e97954b0f4d9a585d921515e12a6d5949a715b90043dd897e9284a531eec62",
-    (4, "dot"): "670719160bd8cb6672fb07c21768721ae4f38ce6491bdbcc2134f5dc93720ec8",
-    (5, "text"): "ae94465833a6cf50980eb51de9594f1b01646952797043aac97dac0440c93460",
-    (5, "json"): "c0d962391d92b44d699f95fb6a9a7cd277ca226772d612d4be331fc19d5eea3f",
-    (5, "csv"): "6116ab50b13f86fd26cbe2c72d3d2cf89f47d42051bc0a1b1435f8f7cf28e651",
-    (5, "dot"): "d62d9622d02d3b62480332ae7fa400b7b47cecd4c79f42ec7426377b99390735",
-}
+def pinned(command, ids):
+    """Parametrize a test over the argv of each tier-1 row of command."""
+    return pytest.mark.parametrize(
+        "argv", [argv for argv in TIER1 if argv[0] == command], ids=ids)
 
 
-@pytest.mark.parametrize("n, fmt", sorted(EL_VERIFY_SHA256))
-def test_el_verify_bytes_pinned(capsys, n, fmt):
-    code, out = run(capsys, "el-verify", "--n", str(n), "--format", fmt)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        EL_VERIFY_SHA256[n, fmt]
+@pinned("report-all", ids=lambda argv: f"{argv[2]}-{argv[4]}")
+def test_report_all_bytes_pinned(capsys, argv):
+    check_pin(capsys, argv)
 
 
-# sha256 of `homology --n 5 [--i 2] --format csv` stdout, as printed when
-# each command wrote its own CSV
-HOMOLOGY_CSV_SHA256 = {
-    (): "27a748f7003c007aa983edd6f14c07da6199dc7c758dad33c51294019fb1c62e",
-    ("--i", "2"):
-        "7abbcb49e4d1056424f718893600ee977efe76d82a994d4932ca81d8d47d8504",
-}
+@pinned("el-verify", ids=lambda argv: f"{argv[2]}-{argv[4]}")
+def test_el_verify_bytes_pinned(capsys, argv):
+    check_pin(capsys, argv)
 
 
-@pytest.mark.parametrize("extra", sorted(HOMOLOGY_CSV_SHA256))
-def test_homology_csv_bytes_pinned(capsys, extra):
-    code, out = run(capsys, "homology", "--n", "5", *extra, "--format", "csv")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        HOMOLOGY_CSV_SHA256[extra]
+# homology --n 5 [--i 2] --format csv, in the table's order
+@pinned("homology", ids=["extra0", "extra1"])
+def test_homology_csv_bytes_pinned(capsys, argv):
+    check_pin(capsys, argv)
+
+
+def test_invariants_and_whitney_json_bytes_pinned(capsys):
+    for argv in TIER1:
+        if argv[0] in ("invariants", "whitney"):
+            check_pin(capsys, argv)
+
+
+def test_every_tier1_pin_has_a_test():
+    assert {argv[0] for argv in TIER1} == {
+        "report-all", "el-verify", "homology", "invariants", "whitney"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -625,68 +599,6 @@ def test_invariants_dot_computes_no_invariant(capsys, monkeypatch):
     assert code == 0
     nodes = [line for line in out.splitlines() if " [label=" in line]
     assert len(nodes) == partitions.poset_size(7) == 6322
-
-
-# sha256 of the stdout of each command with --format json, as printed
-# when every Mobius value came from an any-pair sweep; a rewrite of the
-# Mobius layer must keep these bytes
-JSON_DIGESTS = {
-    "invariants --n 1 --variant weighted":
-        "8acbbaa8c4ed6e4a1adf019d19dfb668d04ca272757416ccf816b769f8c00079",
-    "invariants --n 1 --variant pointed":
-        "eecc3c42feb2e21e478a19f5347ca2b7dc02f4b7bd2e7b7038da58b1a801be28",
-    "invariants --n 1 --variant augmented":
-        "bf29a40f7115ffc1972616e8b4c97886868ccc02c646d5790c0765dcaa1dd658",
-    "invariants --n 2 --variant weighted":
-        "8392dccd7d4b6ed2cd33e17afe8e2340cb97783cdd79f074c403128893ebf35e",
-    "invariants --n 2 --variant pointed":
-        "bdbc39e19dcb6b5699bc54fd1eebed3bc65b0c14167a00c3dacca3ccf0578209",
-    "invariants --n 2 --variant augmented":
-        "5b056074598b696bf7b847df577e895b4005ae174922bf8668005fa73bdb9ace",
-    "invariants --n 3 --variant weighted":
-        "9dbd13b1d100862b5dadaa8b20c388212304fedb4d93663f71d7f9379e17b4a5",
-    "invariants --n 3 --variant pointed":
-        "0a1614a6ec393094976099b1f1c25cf360d1d5a317e7403a096a2c20a3c9b9c9",
-    "invariants --n 3 --variant augmented":
-        "89daeff78e4aab050851bc047445e737bc3f62444ca44142c7d0d9646a01fd4e",
-    "invariants --n 4 --variant weighted":
-        "7d844f5744960284abb7e0f105f17efa7a25897e526313e76e62ade157a974f6",
-    "invariants --n 4 --variant pointed":
-        "9d392d6cea93129e8849a3575a28d85da094899a664d009197244193717175b1",
-    "invariants --n 4 --variant augmented":
-        "b28836c067d2c3b04451915212efb01302b758950113b4b42f327db977d198c6",
-    "invariants --n 5 --variant weighted":
-        "2d66e7ef77c765a6cf3914e0f32372e80f1376e57094809ea4fda15357303d47",
-    "invariants --n 5 --variant pointed":
-        "f490a35c20ced2a9e9e9b7c903a5f861e7f5d2a34881c18d81fbf29ccf904d44",
-    "invariants --n 5 --variant augmented":
-        "167f64188295cd75c4d3218629aa4f157faa8e5db0c175d907a6a1a50ecb0fab",
-    "invariants --n 6 --variant weighted":
-        "f1e5cd4022d1f4d079a5d7c7a5b5c384d4532b7f9093bdf8f8b2a42aa5cdf763",
-    "invariants --n 6 --variant pointed":
-        "900c81e12d8937e8e59c769fc05f36e9265bd013ed5e733fdefefedada5ec31d",
-    "invariants --n 6 --variant augmented":
-        "c158707427f0b0b7666a74230e9e89443dabfcb044833f2ec6e5b637b5ee75ab",
-    "whitney --n 1":
-        "c827f0f7a28f60c1c1620a3df659d78e36e8fa276aa3391914afe356f161c2bd",
-    "whitney --n 2":
-        "b4a1f636cbb55362f4f84190a5fb4422a8c8988ca883b6af37867e480090ef75",
-    "whitney --n 3":
-        "af82fd450ea683b0f88423a8e584f29b5a90d6dac2ca6330a624a5fae866f161",
-    "whitney --n 4":
-        "9c59f39024c4b9c1dc90d9d712e8adc278690bf658bdaeea11897d6836d2e386",
-    "whitney --n 5":
-        "322e41bb6291f8d36ffbce388fbdbc62f92f88cab7ff6204afdae155c7cecf06",
-    "whitney --n 6":
-        "8c70d8ef9c97b30d26a7d99d51a833481a6a3d06c6db9f8bec539982b32f52b3",
-}
-
-
-def test_invariants_and_whitney_json_bytes_pinned(capsys):
-    for command, digest in JSON_DIGESTS.items():
-        code, out = run(capsys, *command.split(), "--format", "json")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 # the formats each subcommand declares, and a small run of each command
