@@ -14,6 +14,7 @@ rows run in-process in ``tests/test_cli.py``.
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -40,12 +41,17 @@ def check(row):
     if bound is not None:
         argv = [sys.executable, str(ROOT / ".github" / "peak_rss.py"), *argv]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    try:
-        done = subprocess.run(argv, env=env, stdout=subprocess.PIPE,
-                              timeout=row.get("timeout"))
-    except subprocess.TimeoutExpired:
-        return f"still running after {row['timeout']} s", None
-    out, peak = done.stdout, None
+    # its own process group, so a timeout stops the command too, not
+    # only peak_rss.py above it
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          start_new_session=True) as done:
+        try:
+            out = done.communicate(timeout=row.get("timeout"))[0]
+        except subprocess.TimeoutExpired:
+            os.killpg(done.pid, signal.SIGKILL)
+            done.communicate()
+            return f"still running after {row['timeout']} s", None
+    peak = None
     if bound is not None:
         # peak_rss.py prints the peak as the last line, after the command's
         # own stdout

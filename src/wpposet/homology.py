@@ -24,8 +24,8 @@ it raises AssertionError naming the host, the coface and both chains.
 Each map's pairs are one array over its cofaces, which the next map
 reads as its cleared chains; the top map's is kept.  The host's one
 form of its top cycle basis, the cycle index, from which quotient ranks
-and coboundary membership are read, is solved on its first read off
-the top map's pairs, the partners' coboundaries built one at a time.
+and coboundary membership are read, is one list aligned with the top
+chains' array, solved on its first read off the top map's pairs.
 Nothing here keeps a host: it lives, with its chains, ranks and cycle
 index, as long as its caller holds it; one past CHAIN_COUNT_CAP, or
 whose longest chain does not pack into 63 bits, is refused before its
@@ -50,6 +50,7 @@ from . import partitions as pt
 from . import trees as tr
 
 CHAIN_COUNT_CAP = 2_000_000
+BATCH = 16_384  # the chains index_chains extends at a time
 # the bits of a packed chain: one signed 64-bit array item
 KEY_BITS = 63
 
@@ -89,8 +90,8 @@ class OpenPoset:
     different dimensions may pack alike (a leading index 0 adds no bits),
     so a packed chain is read only with its dimension.  The host stores
     the rank of each boundary map (``reductions``) and one form of its top
-    cycle basis, the cycle index (``cycle_index``), both from one pass
-    over its coboundary maps.
+    cycle basis, the cycle index (``cycle_index``), a list aligned with
+    the top chains' array, both from one pass over its coboundary maps.
     """
 
     def __init__(self, name, P, keep):
@@ -118,8 +119,9 @@ class OpenPoset:
     def index_chains(self):
         """dict r -> array('q') of the packed r-chains, ascending; r = -1
         is the empty chain, 0.  Each chain is extended by the elements
-        above its last one, in index order; the chain cap and the width
-        were checked before the host was made (``open_interval``)."""
+        above its last one, in index order, BATCH chains at a time; the
+        chain cap and the width were checked before the host was made
+        (``open_interval``)."""
         if self._index_chains is None:
             above = [pt.bits(u) for u in self.up]
             bits, last = self.bits, (1 << self.bits) - 1
@@ -127,9 +129,11 @@ class OpenPoset:
             frontier = array("q", range(len(above)))
             r = 0
             while frontier:
-                by_dim[r] = frontier
-                frontier = array("q", [c << bits | j for c in frontier
-                                       for j in above[c & last]])
+                by_dim[r] = done = frontier
+                frontier = array("q")
+                for k in range(0, len(done), BATCH):
+                    frontier.extend([c << bits | j for c in done[k:k + BATCH]
+                                     for j in above[c & last]])
                 r += 1
             self._index_chains = by_dim
         return self._index_chains
@@ -142,16 +146,6 @@ class OpenPoset:
         """The local indices of the packed r-chain c, first to last."""
         bits, last = self.bits, (1 << self.bits) - 1
         return tuple(c >> bits * k & last for k in range(r, -1, -1))
-
-    def check_top_chain(self, c):
-        """ValueError unless the chain c of elements is a top-dimensional
-        chain of the host: of the top length, every element in the host
-        and each below the next."""
-        key = tuple(map(self.index.get, c))
-        if (len(key) != self.top_dim + 1 or None in key
-                or any(not self.up[a] >> b & 1 for a, b in zip(key, key[1:]))):
-            raise ValueError(f"{pt.chain_str(c)} is not a top chain of "
-                             f"{self.name}")
 
     def reductions(self):
         """{r: rank} of each boundary map d_r: C_r -> C_{r-1}, r >= 0, the
@@ -172,13 +166,12 @@ class OpenPoset:
         return self._reductions
 
     def cycle_index(self):
-        """(index, count): an integer basis z_0 .. z_{count-1} of the top
-        cycles, stored by chain: index[c] is the flat tuple (j, z_j[c],
-        j', z_j'[c], ...) over the z_j with the packed top chain c in
-        their support.  There is one per chain, so it is a tuple, not a
-        dict, and equal ones are one object.  Solved on the first read,
-        off the top map's pairs that ``reductions`` kept, which are then
-        dropped."""
+        """(z, count): an integer basis z_0 .. z_{count-1} of the top
+        cycles, stored by chain in the order of ``index_chains()[top_dim]``:
+        z[p] is the flat tuple (j, z_j[c], j', z_j'[c], ...) over the z_j
+        whose support holds c, the top chain at position p, and () when
+        none does.  Solved on the first read, off the top map's pairs that
+        ``reductions`` kept, which are then dropped."""
         if self._cycles is None:
             self.reductions()
             self._cycles = _cycle_index(self, self._top_pairs)
@@ -187,7 +180,7 @@ class OpenPoset:
 
 
 def _cycle_index(host, pairs):
-    """(index, count) of ``OpenPoset.cycle_index`` for the top chains of
+    """(z, count) of ``OpenPoset.cycle_index`` for the top chains of
     host, solved off pairs, the top coboundary map's pairs (``_pair``):
     the row pivoted at p is the coboundary of the chain paired with p,
     built once, when p is reached.  A top cycle is orthogonal to every
@@ -200,8 +193,7 @@ def _cycle_index(host, pairs):
     pivot p of a row s, z[p] = -s[p] * sum of s[k] z[k] over its other
     keys k, each an earlier chain, since s[p] is +-1; z[k]'s flat tuple
     is read in (j, value) pairs by ``zip(it, it)`` over one iterator.
-    Each z_j is 0 on every other free chain, so they are independent.
-    Equal tuples are kept as one object."""
+    Each z_j is 0 on every other free chain, so they are independent."""
     up, down, bits = host.up, host.down, host.bits
     by_dim = host.index_chains()
     top = max(by_dim)
@@ -225,11 +217,7 @@ def _cycle_index(host, pairs):
             if x:
                 e += j, x * d
         z.append(tuple(e))
-    index, shared = {}, {}
-    for c, e in zip(chains, z):
-        if e:
-            index[c] = shared.setdefault(e, e)
-    return index, count
+    return z, count
 
 
 def _gaps(up, down, bits, c, r):
@@ -464,22 +452,23 @@ def betti_numbers(host):
 
 def _quotient_row(host, v):
     """The cycle-index columns of a top-dimensional ChainVector v,
-    {j: <v, z_j>}; ValueError on a chain that is not a top chain.  Every
-    chain the index holds is a top chain, so only a chain it misses is
-    checked (``OpenPoset.check_top_chain``).  A chain is packed only at
-    the top length with every element in the host: a shorter chain may
-    pack to a top chain's key."""
-    index = host.cycle_index()[0]
-    local, bits, length = host.index.get, host.bits, host.top_dim + 1
+    {j: <v, z_j>}.  Each chain is found by bisect among the host's top
+    chains, with its cycle-index entry at the same position; they are
+    every chain of the top length, so a miss is not a top chain and
+    raises ValueError.  Only a tuple of the top length with every element
+    in the host is packed: a shorter one may pack to a top chain's key."""
+    z, top = host.cycle_index()[0], host.top_dim
+    chains, local, bits = host.index_chains()[top], host.index.get, host.bits
     row = {}
     for c, coeff in v.items():
         key = tuple(map(local, c))
-        entries = (index.get(_pack(key, bits))
-                   if len(key) == length and None not in key else None)
-        if entries is None:
-            host.check_top_chain(c)
-            continue
-        it = iter(entries)
+        packed = (_pack(key, bits)
+                  if len(key) == top + 1 and None not in key else -1)
+        p = bisect_left(chains, packed)
+        if p == len(chains) or chains[p] != packed:
+            raise ValueError(f"{pt.chain_str(c)} is not a top chain of "
+                             f"{host.name}")
+        it = iter(z[p])
         for j, x in zip(it, it):
             row[j] = row.get(j, 0) + coeff * x
     return {j: x for j, x in row.items() if x}

@@ -188,11 +188,11 @@ def chains_by_dim(host):
 
 def cycle_basis(host):
     """Integer basis of the top cycles of host as ChainVectors, read from
-    its cycle index."""
-    index, count = host.cycle_index()
+    its cycle index, which lines up with its top chains."""
+    z, count = host.cycle_index()
     basis = [{} for _ in range(count)]
     elements, top = host.elements, host.top_dim
-    for c, entries in index.items():
+    for c, entries in zip(host.index_chains()[top], z):
         chain = tuple(elements[k] for k in host.unpack(c, top))
         for j, x in zip(entries[::2], entries[1::2]):
             basis[j][chain] = x

@@ -613,15 +613,16 @@ def _assert_cycle_index_is_the_kernel(host):
     rows = [{faces[f]: x
              for f, x in boundary_of_chain(host.unpack(c, top)).items()}
             for c in by_dim[top]]
-    position = {c: k for k, c in enumerate(by_dim[top])}
-    index, count = host.cycle_index()
+    z, count = host.cycle_index()
+    # one entry per top chain, at that chain's position
+    assert len(z) == len(by_dim[top]), host.name
     basis = [{} for _ in range(count)]
-    for c, entries in index.items():
+    for k, entries in enumerate(z):
         for j, x in zip(entries[::2], entries[1::2]):
-            basis[j][position[c]] = x
-    for z in basis:
+            basis[j][k] = x
+    for cycle in basis:
         image = {}
-        for k, x in z.items():
+        for k, x in cycle.items():
             linalg.vec_add(image, rows[k], x)
         assert image == {}, host.name
     # as many as the oracle's kernel vectors, independent, and with them
@@ -807,25 +808,26 @@ def test_a_weight_outside_the_top_range_is_refused(monkeypatch, n, i):
 
 def test_chain_outside_the_host_is_refused():
     host1, host2 = hm.open_interval(4, 1), hm.open_interval(4, 2)
-    c = next(c for c in chains_by_dim(host2)[host2.top_dim]
-             if any(e not in host1.index for e in c))
-    with pytest.raises(ValueError, match=r"not a top chain of \(0,\[4\]\^1\)"):
-        hm.coboundary_member(host1, {c: 1})
-    with pytest.raises(ValueError, match=r"not a top chain of \(0,\[4\]\^1\)"):
-        hm.rank_in_top_quotient(host1, [{c: 1}])
+    outside = next(c for c in chains_by_dim(host2)[host2.top_dim]
+                   if any(e not in host1.index for e in c))
     # a chain of host1 that is not top-dimensional, and one that is not
     # a chain, are refused too
     low = chains_by_dim(host1)[host1.top_dim - 1][0]
     top = chains_by_dim(host1)[host1.top_dim][0]
     # a top chain led by local index 0 packs to the integer its tail, a
-    # lower chain, would pack to: the tail of one the cycle index holds
+    # lower chain, would pack to: the tail of one with a nonzero entry in
+    # the cycle index, which lines up with the top chains
     r = host1.top_dim
-    led = next(c for c in host1.cycle_index()[0]
-               if host1.unpack(c, r)[0] == 0)
+    led = next(c for c, e in zip(host1.index_chains()[r],
+                                 host1.cycle_index()[0])
+               if e and host1.unpack(c, r)[0] == 0)
     tail = tuple(host1.elements[k] for k in host1.unpack(led, r)[1:])
     assert host1.index_chains()[r - 1].count(led) == 1
-    for bad in (low, top[::-1], tail):
-        with pytest.raises(ValueError, match="not a top chain"):
+    for bad in (outside, low, top[::-1], tail):
+        # the whole message, byte for byte
+        message = "^" + re.escape(f"{pt.chain_str(bad)} is not a top chain "
+                                  f"of {host1.name}") + "$"
+        with pytest.raises(ValueError, match=message):
             hm.coboundary_member(host1, {bad: 1})
-        with pytest.raises(ValueError, match="not a top chain"):
+        with pytest.raises(ValueError, match=message):
             hm.rank_in_top_quotient(host1, [{bad: 1}])

@@ -51,7 +51,9 @@ def test_the_workflow_pins_nothing_itself():
     ({"sha256": "0" * 64}, "stdout sha256 "),
     ({"exit": 1}, "exit code 0, pinned 1"),
     ({"rss_mib": 1}, "peak RSS "),
-], ids=["pinned", "digest", "exit", "bound"])
+    # stopped with the command it runs under peak_rss.py
+    ({"rss_mib": 100, "timeout": 0.01}, "still running after 0.01 s"),
+], ids=["pinned", "digest", "exit", "bound", "timeout"])
 def test_check_pins_names_the_row_that_fails(capsys, monkeypatch, edit,
                                               failed):
     row = next(row for row in PINS
