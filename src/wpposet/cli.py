@@ -253,8 +253,9 @@ def build_parser():
     add("homology", cmd_homology,
         "integral homology of (0,[n]^i), or of the proper part without --i",
         ["text", "json", "csv"],
-        ("open poset", lambda args: pt.poset_size(args.n) - 1
-         if args.i is None else hm.interval_size(args.n, args.i)), index)
+        # c_1 of the host's chain counts, its elements; none when empty
+        ("open poset",
+         lambda args: sum(hm.chain_counts(args.n, args.i)[1:2])), index)
     add("bases", cmd_bases,
         "cardinality / full-rank verification of a cochain family",
         text_json, None, index,
@@ -292,6 +293,8 @@ def main(argv=None):
                 if args.max_elements < 0:
                     raise ValueError(f"--max-elements must be >= 0, "
                                      f"got {args.max_elements}")
+                # no size is computed past the partition cap
+                pt.refuse_partitions(args.n)
                 what, size = args.cap[0], args.cap[1](args)
                 if size > args.max_elements:
                     raise pt.ResourceCapError(

@@ -29,7 +29,7 @@ chains' array, solved on its first read off the top map's pairs.
 Nothing here keeps a host: it lives, with its chains, ranks and cycle
 index, as long as its caller holds it; one past CHAIN_COUNT_CAP, or
 whose longest chain does not pack into 63 bits, is refused before its
-poset is built (``_refuse_host``).
+poset is built, on its ``chain_counts`` (``_refuse_host``).
 Membership is a yes/no answer, with no witness cochain.  The
 fundamental cycle of the boolean subposet Pi_T of a rooted tree needs no
 host and no kernel: it is a signed sum of the maximal chains of Pi_T,
@@ -121,7 +121,7 @@ class OpenPoset:
         is the empty chain, 0.  Each chain is extended by the elements
         above its last one, in index order, BATCH chains at a time; the
         chain cap and the width were checked before the host was made
-        (``open_interval``)."""
+        (``_refuse_host``)."""
         if self._index_chains is None:
             above = [pt.bits(u) for u in self.up]
             bits, last = self.bits, (1 << self.bits) - 1
@@ -351,27 +351,18 @@ def interval_elements(n, i):
             and _below_top(len(e), sum(w for _m, w in e), i)]
 
 
-def interval_size(n, i):
-    """len(interval_elements(n, i)) without building the poset: the
-    partitions below [n]^i by type (``partitions.type_sums``), less the
-    bottom and [n]^i, which at n = 1 are one element.  An i outside
-    0..n-1 is refused with ValueError."""
-    refuse_weight(n, i)
-    counts = pt.type_sums(n, lambda b, w: 1)[n]
-    below = sum(c for (k, s), c in counts.items() if _below_top(k, s, i))
-    return below - (1 if n == 1 else 2)
-
-
-def chain_count(n, i=None):
-    """The chains, the empty one included, of (0-hat, [n]^i), or of the
-    proper part when i is None, counted on block types.  Z_y(m), the
-    multichains 0-hat = x_0 <= ... <= x_m = y, is the product of
-    Z_[|B|]^w(m) over the blocks B^w of y (Stanley, EC1 3.12), and
-    Z_[b]^w(m) sums Z_z(m-1) over the z below [b]^w.  The strict chains
-    of length j from 0-hat to y number sum_m (-1)^(j-m) C(j, m) Z_y(m):
-    those with j >= 2 to [n]^i are the open interval's, those with
-    j >= 1 to any y != 0-hat the proper part's, largest element y.  An i
-    outside 0..n-1 is refused with ValueError."""
+def chain_counts(n, i=None):
+    """[c_0, c_1, ...]: c_k is the number of chains with k elements of
+    (0-hat, [n]^i), or of the proper part when i is None, counted on block
+    types, up to the longest; c_0 = 1 is the empty chain and c_1 the
+    elements.  Z_y(m), the multichains 0-hat = x_0 <= ... <= x_m = y, is
+    the product of Z_[|B|]^w(m) over the blocks B^w of y (Stanley, EC1
+    3.12), and Z_[b]^w(m) sums Z_z(m-1) over the z below [b]^w.  The
+    strict chains of length j from 0-hat to y number sum_m (-1)^(j-m)
+    C(j, m) Z_y(m): those to [n]^i have j - 1 elements inside the open
+    interval, those to any y != 0-hat j elements of the proper part,
+    largest element y.  No cap applies; an i outside 0..n-1 is refused
+    with ValueError."""
     if i is not None:
         refuse_weight(n, i)
     top = {(b, w): 1 for b in range(1, n + 1) for w in range(b)}
@@ -382,46 +373,44 @@ def chain_count(n, i=None):
         top = {(b, w): sum(c for (k, s), c in sums[b].items()
                            if _below_top(k, s, w)) for b, w in top}
     first = 1 if i is None else 2
-    return 1 + sum((-1) ** (j - m) * comb(j, m) * z[m]
-                   for j in range(first, n) for m in range(1, j + 1))
+    return [1] + [sum((-1) ** (j - m) * comb(j, m) * z[m]
+                      for m in range(1, j + 1)) for j in range(first, n)]
 
 
-def _refuse_host(name, chains, size, length):
-    """ResourceCapError for a host with chains chains, the empty one
-    included, size elements and length elements in its longest chain:
-    past CHAIN_COUNT_CAP, or when that chain, packed at the host's width
-    (``OpenPoset``), needs more than KEY_BITS bits."""
-    if chains > CHAIN_COUNT_CAP:
+def _refuse_host(name, n, i=None):
+    """ResourceCapError for the host ``name``, (0-hat, [n]^i) or the
+    proper part when i is None, before its poset is built: past the
+    partition cap (``partitions.refuse_partitions``), then, read off its
+    ``chain_counts`` c, with more than CHAIN_COUNT_CAP chains, or when a
+    longest chain, len(c) - 1 indices of an element among c_1, does not
+    pack into KEY_BITS bits at the host's width (``OpenPoset``)."""
+    pt.refuse_partitions(n)
+    c = chain_counts(n, i)
+    if sum(c) > CHAIN_COUNT_CAP:
         raise pt.ResourceCapError(f"chains of {name}", CHAIN_COUNT_CAP)
-    if _width(size) * length > KEY_BITS:
+    # an empty host, c == [1], packs only the empty chain
+    if len(c) > 1 and _width(c[1]) * (len(c) - 1) > KEY_BITS:
         raise pt.ResourceCapError(f"bits of a packed chain of {name}",
                                   KEY_BITS)
 
 
 def open_interval(n, i):
-    """(0-hat, [n]^i) as a new OpenPoset, refused past CHAIN_COUNT_CAP or
-    KEY_BITS (``_refuse_host``) before any poset is built, and with
-    ValueError before that when i is outside 0..n-1; a caller that needs
-    it more than once holds on to it."""
+    """(0-hat, [n]^i) as a new OpenPoset, refused with ValueError when i
+    is outside 0..n-1, then by ``_refuse_host``, before any poset is
+    built; a caller that needs it more than once holds on to it."""
     refuse_weight(n, i)
     name = f"(0,[{n}]^{i})"
-    # past POSET_CAP_N build_poset refuses first, with no count paid for;
-    # a longest chain runs from rank 1 to rank n - 2
-    if n <= pt.POSET_CAP_N:
-        _refuse_host(name, chain_count(n, i), interval_size(n, i),
-                     max(0, n - 2))
+    _refuse_host(name, n, i)
     return OpenPoset(name, pt.build_poset(n, pt.WEIGHTED),
                      interval_elements(n, i))
 
 
 def proper_part(n):
-    """Pi_n^w minus its bottom, as a new OpenPoset, refused past
-    CHAIN_COUNT_CAP or KEY_BITS (``_refuse_host``) before any poset is
-    built; a caller that needs it more than once holds on to it."""
+    """Pi_n^w minus its bottom, as a new OpenPoset, refused by
+    ``_refuse_host`` before any poset is built; a caller that needs it
+    more than once holds on to it."""
     name = f"Pi_{n}^w - 0"
-    # a longest chain runs from rank 1 to the top rank n - 1
-    if 1 <= n <= pt.POSET_CAP_N:
-        _refuse_host(name, chain_count(n), pt.poset_size(n) - 1, n - 1)
+    _refuse_host(name, n)
     P = pt.build_poset(n, pt.WEIGHTED)
     return OpenPoset(name, P, P.elements[1:])
 

@@ -190,6 +190,12 @@ class Poset:
         return self._mu
 
 
+def refuse_partitions(n):
+    """The one partition cap: ResourceCapError for n past POSET_CAP_N."""
+    if n > POSET_CAP_N:
+        raise ResourceCapError(f"partitions of [{n}]", POSET_CAP_N)
+
+
 # (n, variant) -> poset, emptied before and after each acceptance check
 _posets = {}
 
@@ -198,8 +204,7 @@ def build_poset(n, variant=WEIGHTED):
     """Construct the full poset.  variant: weighted | pointed | augmented."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > POSET_CAP_N:
-        raise ResourceCapError(f"partitions of [{n}]", POSET_CAP_N)
+    refuse_partitions(n)
     if variant not in (WEIGHTED, POINTED, AUGMENTED):
         raise ValueError(f"unknown variant {variant!r}")
     if (n, variant) not in _posets:

@@ -191,10 +191,10 @@ def _colorings(t, colors_iter):
 
 def _sorted_labels(labels, what):
     """Sorted label list of ``labels`` (an int n stands for [n]), refused
-    past TREE_ENUM_CAP as ``what``."""
-    A = sorted(labels) if not isinstance(labels, int) else list(range(1, labels + 1))
-    refuse_past_cap(what, len(A))
-    return A
+    past TREE_ENUM_CAP as ``what`` before the list is built."""
+    is_n = isinstance(labels, int)
+    refuse_past_cap(what, labels if is_n else len(labels))
+    return list(range(1, labels + 1)) if is_n else sorted(labels)
 
 
 def _catalan(m):
@@ -490,8 +490,8 @@ def enumerate_rooted_trees(labels, i=None):
     that passes the ``i`` filter, from the tree rooted at the greatest
     label with the edges on the path to that root flipped.
     """
+    refuse_past_cap("rooted trees", len(labels))
     A = tuple(sorted(labels))
-    refuse_past_cap("rooted trees", len(A))
     pos = {x: k for k, x in enumerate(A)}
     out = []
     for pmap, descents in _rerootings(A):

@@ -10,6 +10,8 @@ from collections import Counter
 from math import prod
 
 from wpposet import acceptance
+from wpposet import homology as hm
+from wpposet import labeling as lb
 from wpposet import partitions as pt
 from wpposet import straighten as st
 from wpposet import trees as tr
@@ -282,3 +284,109 @@ def test_a_refuted_library_claim_is_a_witness(monkeypatch):
     assert acceptance.run_criterion(2, 4) == (
         "Mobius product formula", False,
         "mu polynomial [2, 5, 2] != [3, 6, 3] at n=3")
+
+
+def _two_increasing_chains(out, n):
+    # {12^1} < Top labelled (1,3)^1: both maximal chains of [0-hat, Top]
+    # on [2] increase
+    P, labels = out
+    if n == 2:
+        labels[P.index[pt.one_block(2, 1)], P.index[pt.TOP]] = \
+            lb.EdgeLabel(1, 3, 1)
+    return out
+
+
+def _lower_map_short(ranks, host):
+    # d_0 of a host with a top dimension above 0 loses a pair
+    return {**ranks, 0: ranks[0] - 1} if max(ranks, default=0) > 0 else ranks
+
+
+def _proper_top_map_short(ranks, host):
+    # the top map of a proper part loses a pair
+    top = max(ranks, default=None)
+    return ({**ranks, top: ranks[top] - 1} if host.name.startswith("Pi_")
+            else ranks)
+
+
+def _one_more(at):
+    # a list computed for n whose first value is one too large at n = at
+    return lambda values, n: [values[0] + (n == at), *values[1:]]
+
+
+def _mu_one_more(mu, P):
+    # mu(0-hat, 0-hat) on [1] read as 2
+    return [mu[0] + (P.n == 1), *mu[1:]]
+
+
+# each refuted claim: (criterion, nmax, [(owner, name, edit)], witness); the
+# function owner.name is replaced by one whose result passes through
+# edit(result, *args)
+WITNESSES = {
+    "3-mu-augmented": (3, 2, [
+        (pt.Poset, "mu_from_bottom",
+         lambda mu, P: [*mu[:-1], mu[-1] + 1] if P.augmented else mu)],
+        "mu(0,1) = 0 != -1 at n=1"),
+    "5-whitney-inverse": (5, 2, [
+        (pt, "comb", lambda c, a, b: c + ((a, b) == (1, 1)))],
+        "Whitney matrices are not inverse at n=1"),
+    "7-el": (7, 2, [(lb, "cover_labels", _two_increasing_chains)],
+             "[{'interval': ('{1^0|2^0}', 'Top'), 'increasing': 2, "
+             "'lex_first_ok': False}]"),
+    "9-interval-top": (9, 2, [(tr, "descent_counts", _one_more(2))],
+                       "interval n=2 i=0: {-1: 1}"),
+    "9-interval-lower": (9, 4, [(hm.OpenPoset, "reductions",
+                                 _lower_map_short)],
+                         "lower Betti nonzero n=4 i=0"),
+    "9-proper-part": (9, 2, [(hm.OpenPoset, "reductions",
+                              _proper_top_map_short)],
+                      "proper part n=2: {-1: 1, 0: 2}"),
+    "10-descents": (10, 2, [(tr, "descent_counts", _one_more(1))],
+                    "descent counts [2] disagree with the product formula"),
+    "11-per-i": (11, 2, [(pt, "drake_product", _one_more(2))],
+                 "comb n=2: {0: 1, 1: 1}"),
+    "11-total": (11, 2, [
+        (pt, "drake_product", _one_more(2)),
+        (tr, "enumerate_family", lambda trees, family, n, *i:
+         trees + [(tr.BLUE, 1, 3)] if n == 2 else trees)],
+        "total at n=2"),
+    "12-image": (12, 2, [
+        (tr, "enumerate_family", lambda trees, family, A, *i:
+         trees[:-1] if family == "liu" and A == (1, 2) else trees)],
+        "image mismatch on A=(1, 2)"),
+    "13-tree": (13, 2, [
+        (st, "cochain_sum", lambda v, s: {c: -x for c, x in v.items()})],
+        "tree ('b', 1, 2)"),
+    "13-relation": (13, 2, [
+        (st, "relation_instances", lambda rels, n, side:
+         ((kind, at, t, {t: 1}) for kind, at, t, _rel in rels))],
+        "cohomology swap relation at () of ('b', 1, 2)"),
+    "14-bases": (14, 2, [
+        (tr, "enumerate_family", lambda trees, family, n, *i:
+         trees[1:] if family == "comb" else trees)],
+        "{'n': 2, 'passed': False, 'families': {'comb': {'count': 0, "
+         "'rank': 0, 'betti': 1, 'ok': False}, 'lyndon': {'count': 1, "
+         "'rank': 1, 'betti': 1, 'ok': True}, 'liu': {'count': 1, "
+         "'rank': 1, 'betti': 1, 'ok': True}}, 'i': 0, 'pairing': "
+         "{'upper_triangular': True, 'unit_diagonal': True}}"),
+    "15-ranks": (15, 2, [(pt.Poset, "mu_from_bottom", _mu_one_more)],
+                 "Whitney cohomology ranks [2] != [1]"),
+    "15-total": (15, 2, [
+        (pt.Poset, "mu_from_bottom", _mu_one_more),
+        (pt, "comb", lambda c, a, b: c + ((a, b) == (0, 0)))],
+        "Whitney cohomology total is off"),
+    "16-rank": (16, 2, [(st, "phi", lambda v, t: {})], "rank 0 != 1"),
+    "16-relation": (16, 2, [(st, "phi_of_sum", lambda v, s: {(): 1})],
+                    "image of the swap relation at () of ('b', 1, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", WITNESSES)
+def test_each_witness_is_a_fail_row(monkeypatch, case):
+    k, nmax, edits, witness = WITNESSES[case]
+    for owner, name, edit in edits:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, edit=edit,
+                            **kwargs: edit(real(*args, **kwargs), *args,
+                                           **kwargs))
+    assert acceptance.run_criterion(k, nmax) == \
+        (acceptance.CRITERIA[k - 1].name, False, witness)

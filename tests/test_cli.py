@@ -295,7 +295,7 @@ def test_ignored_flag_is_bad_input(capsys, monkeypatch, argv, err):
 
     # a negative --max-elements is refused before any size is computed
     monkeypatch.setattr(partitions, "poset_size", _refuse)
-    monkeypatch.setattr(homology, "interval_size", _refuse)
+    monkeypatch.setattr(homology, "chain_counts", _refuse)
     monkeypatch.setattr(homology, "proper_part", _refuse)
     monkeypatch.setattr(straighten, "verify_bases", _refuse)
     monkeypatch.setattr(trees, "enumerate_family", _refuse)
@@ -327,6 +327,19 @@ def test_el_cap_fires_before_any_poset(capsys, monkeypatch, n):
     assert json.loads(out) == {"error": "resource-cap",
                                "what": f"EL verification on {n} labels",
                                "limit": 6}
+
+
+@pytest.mark.parametrize("command, what", [
+    ("straighten", "bicolored trees"),
+    ("psi", "rooted trees"),
+], ids=["straighten", "psi"])
+def test_tree_cap_fires_before_the_labels_are_listed(capsys, command, what):
+    # a list of [10^18] fails to allocate at once: the cap is read off n
+    n = 10 ** 18
+    code, out = run(capsys, command, "--n", str(n))
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap",
+                               "what": f"{what} on {n} labels", "limit": 8}
 
 
 def test_one_label_table_per_command(capsys, monkeypatch):
@@ -498,7 +511,7 @@ def test_chain_width_cap_fires_before_the_poset(capsys, monkeypatch, argv,
     from wpposet import homology as hm
     from wpposet import partitions
 
-    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", hm.chain_count(7))
+    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", sum(hm.chain_counts(7)))
     monkeypatch.setattr(partitions, "build_poset", _refuse)
     monkeypatch.setattr(hm.OpenPoset, "index_chains", _refuse)
     code, out = run(capsys, *argv)
@@ -512,14 +525,24 @@ def test_chain_width_cap_fires_before_the_poset(capsys, monkeypatch, argv,
     ["homology", "--n", "10", "--i", "0"],
     ["homology", "--n", "10"],
     ["homology", "--n", "1000000"],
-], ids=["interval", "proper-part", "huge"])
+    *([command, "--n", n, "--max-elements", "5"]
+      for command in ("invariants", "el-verify", "homology")
+      for n in ("10", "80", "2000")),
+    ["homology", "--n", "80", "--i", "3", "--max-elements", "5"],
+], ids=["interval", "proper-part", "huge",
+        *(f"{command}-{n}-max-elements"
+          for command in ("invariants", "el-verify", "homology")
+          for n in (10, 80, 2000)),
+        "homology-interval-80-max-elements"])
 def test_partition_cap_fires_before_the_chain_count(capsys, monkeypatch,
                                                     argv):
-    # past the partition cap no chain count is taken: the host is
-    # refused by the partition cap, with its record, as it always was
+    # past the partition cap no chain count is taken and no size for
+    # --max-elements computed: the partition record comes first
     from wpposet import homology as hm
 
-    monkeypatch.setattr(hm, "chain_count", _refuse)
+    monkeypatch.setattr(hm, "chain_counts", _refuse)
+    monkeypatch.setattr(pt, "type_sums", _refuse)
+    monkeypatch.setattr(pt, "poset_size", _refuse)
     code, out = run(capsys, *argv)
     assert code == 3
     assert json.loads(out) == {"error": "resource-cap",

@@ -469,10 +469,13 @@ def test_interval_elements_match_leq_filter():
 
 
 def test_interval_size_matches_elements():
+    # c_1, the one-element chains, is the interval's size; an empty
+    # interval counts the empty chain alone
     for n in range(1, 7):
         for i in range(n):
-            assert hm.interval_size(n, i) == len(hm.interval_elements(n, i))
-    assert hm.interval_size(8, 3) == 34_274
+            assert sum(hm.chain_counts(n, i)[1:2]) == \
+                len(hm.interval_elements(n, i))
+    assert hm.chain_counts(8, 3)[1] == 34_274
 
 
 def _host(n, i):
@@ -480,14 +483,16 @@ def _host(n, i):
 
 
 def test_chain_count_matches_the_listing(monkeypatch):
-    # every host with n <= 6: at a cap of its counted chains it is made
-    # and lists exactly that many
+    # every host with n <= 6: at a cap of its counted chains it is made,
+    # and each dimension r lists exactly c_{r+1} chains
     for n in range(1, 7):
         for i in [*range(n), None]:
-            total = hm.chain_count(n, i)
-            monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total)
+            counts = hm.chain_counts(n, i)
+            monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", sum(counts))
             host = _host(n, i)
-            assert sum(map(len, host.index_chains().values())) == total, \
+            by_dim = host.index_chains()
+            assert sorted(by_dim) == list(range(-1, len(counts) - 1))
+            assert [len(by_dim[r]) for r in sorted(by_dim)] == counts, \
                 host.name
 
 
@@ -500,7 +505,7 @@ def test_chain_cap_is_checked_before_the_frontier(monkeypatch):
     monkeypatch.setattr(pt, "build_poset", refuse)
     for n in range(1, 7):
         for i in [*range(n), None]:
-            total = hm.chain_count(n, i)
+            total = sum(hm.chain_counts(n, i))
             monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", total - 1)
             with pytest.raises(ResourceCapError) as err:
                 _host(n, i)
@@ -519,7 +524,7 @@ def test_a_host_too_wide_to_pack_is_refused(monkeypatch):
 
     monkeypatch.setattr(pt, "build_poset", refuse)
     monkeypatch.setattr(hm.OpenPoset, "index_chains", refuse)
-    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", hm.chain_count(7))
+    monkeypatch.setattr(hm, "CHAIN_COUNT_CAP", sum(hm.chain_counts(7)))
     for i, name in [(2, "(0,[7]^2)"), (3, "(0,[7]^3)"), (4, "(0,[7]^4)"),
                     (None, "Pi_7^w - 0")]:
         with pytest.raises(ResourceCapError) as err:
@@ -541,16 +546,33 @@ def test_every_host_under_the_chain_cap_packs(monkeypatch):
     monkeypatch.setattr(pt, "build_poset", built)
     for n in range(1, pt.POSET_CAP_N + 1):
         for i in [*range(n), None]:
-            if hm.chain_count(n, i) <= hm.CHAIN_COUNT_CAP:
+            if sum(hm.chain_counts(n, i)) <= hm.CHAIN_COUNT_CAP:
                 with pytest.raises(Built):
                     _host(n, i)
 
 
 def test_chain_counts_are_pinned():
-    assert hm.chain_count(7, 1) == 1_410_144
-    assert hm.chain_count(7, 3) == 4_304_175
-    assert hm.chain_count(7) == 20_942_118
-    assert hm.chain_count(8, 3) == 291_874_936
+    assert sum(hm.chain_counts(7, 1)) == 1_410_144
+    assert sum(hm.chain_counts(7, 3)) == 4_304_175
+    assert sum(hm.chain_counts(7)) == 20_942_118
+    assert sum(hm.chain_counts(8, 3)) == 291_874_936
+
+
+def _reduced_euler(counts):
+    # sum over k of (-1)^(k-1) c_k, in integers: the empty chain gives -1
+    return sum(x if k % 2 else -x for k, x in enumerate(counts))
+
+
+def test_chain_counts_satisfy_halls_theorem():
+    # mu(0-hat, [n]^i) is the reduced Euler characteristic of the open
+    # interval (Hall), and mu(0-hat, 1-hat) of the augmented poset that of
+    # the proper part; n = 1 is left out, where 0-hat = [1]^0
+    for n in range(2, 13):
+        for i, x in enumerate(pt.drake_product(n)):
+            assert _reduced_euler(hm.chain_counts(n, i)) == \
+                (x if n % 2 else -x), (n, i)
+        assert _reduced_euler(hm.chain_counts(n)) == \
+            (-1) ** n * (n - 1) ** (n - 1), n
 
 
 def test_top_chain_counts_match_the_listing():
@@ -799,8 +821,8 @@ def test_a_weight_outside_the_top_range_is_refused(monkeypatch, n, i):
                          (tr, "enumerate_family"),
                          (tr, "enumerate_rooted_trees")]:
         monkeypatch.setattr(module, name, refuse)
-    for call in (hm.open_interval, hm.interval_size, hm.interval_elements,
-                 hm.chain_count, sn.verify_bases):
+    for call in (hm.open_interval, hm.interval_elements, hm.chain_counts,
+                 sn.verify_bases):
         with pytest.raises(ValueError,
                            match=rf"i must be in 0\.\.{n - 1}, got {i}$"):
             call(n, i)

@@ -742,6 +742,22 @@ def test_enumeration_cap():
         tr.bicolored_at(9, 0)
 
 
+@pytest.mark.parametrize("call, what", [
+    (tr.bicolored_count, "bicolored trees"),
+    (lambda n: tr.bicolored_at(n, 0), "bicolored trees"),
+    (tr.enumerate_bicolored, "bicolored trees"),
+    (lambda n: tr.enumerate_family("liu", n), "liu trees"),
+    (lambda n: tr.enumerate_rooted_trees(range(1, n + 1)), "rooted trees"),
+], ids=["count", "at", "bicolored", "family", "rooted"])
+def test_tree_cap_is_checked_before_the_labels_are_listed(call, what):
+    # the labels of [10^18] cannot be listed (a MemoryError at once), so
+    # the cap is read off n, or the length of the labels, first
+    n = 10 ** 18
+    with pytest.raises(ResourceCapError) as err:
+        call(n)
+    assert (err.value.what, err.value.limit) == (f"{what} on {n} labels", 8)
+
+
 def test_bicolored_at_matches_enumeration():
     # any label set, not only [n]
     for labels in [*range(1, 6), (2, 5, 7, 9)]:
