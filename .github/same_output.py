@@ -61,7 +61,6 @@ def commands():
         add(f"straighten --n 7 --i 3 --side {side} --seed 11 --format json")
     for fmt in ("text", "json"):
         add(f"report-all --n 4 --format {fmt}")
-    add("report-all --n 3 --jobs 2")
     # bad input (exit 2) and resource caps (exit 3)
     for line in (
             "", "--help", "homology --help", "frobnicate --n 3",

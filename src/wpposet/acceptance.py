@@ -212,25 +212,13 @@ def run_criterion(k, nmax=None):
     return name, True, detail.format(hi)
 
 
-def run_all(nmax=None, emit=print, jobs=1):
-    """Run every criterion, emitting one pass/fail line each; with jobs > 1
-    the criteria run in a pool of that many processes and the lines come
-    in criterion order once all are done.  ``jobs`` below 1 is refused
-    with ValueError before any criterion runs."""
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    ids = range(1, len(CRITERIA) + 1)
-    if jobs > 1:
-        # loading the pool costs every process that imports this module
-        # about 30 ms, so only the --jobs path pays it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(run_criterion, ids, [nmax] * len(ids)))
-    else:
-        raw = (run_criterion(k, nmax) for k in ids)
+def run_all(nmax=None, emit=print):
+    """Run every criterion in order, emitting one pass/fail line as each
+    finishes."""
     ok_all = True
     results = []
-    for k, (name, ok, detail) in zip(ids, raw):
+    for k in range(1, len(CRITERIA) + 1):
+        name, ok, detail = run_criterion(k, nmax)
         ok_all &= ok
         results.append({"criterion": k, "name": name, "ok": ok, "detail": detail})
         emit(f"[{'PASS' if ok else 'FAIL'}] criterion {k:2d}: {name} ({detail})")

@@ -209,7 +209,7 @@ def cmd_whitney(args):
 def cmd_report_all(args):
     # the text rows are printed as each criterion finishes
     emit = print if args.format == "text" else (lambda line: None)
-    ok_all, results = acceptance.run_all(args.n, emit=emit, jobs=args.jobs)
+    ok_all, results = acceptance.run_all(args.n, emit=emit)
     _emit(args, lambda: print(f"all {len(results)} criteria passed at "
                               f"n <= {args.n}" if ok_all else "FAILED"),
           {"n": args.n, "passed": ok_all, "criteria": results})
@@ -276,7 +276,7 @@ def build_parser():
         "Whitney numbers and Whitney cohomology ranks", text_json, None)
     add("report-all", cmd_report_all,
         "run the full acceptance suite with every size capped at n",
-        text_json, None, ("--jobs", {"type": int, "default": 1}))
+        text_json, None)
     return parser
 
 

@@ -280,16 +280,12 @@ def _refuse(*args, **kwargs):
      "error: --family does not apply to --side full\n"),
     (["bases", "--n", "3", "--side", "full", "--family", "comb"],
      "error: --family does not apply to --side full\n"),
-    (["report-all", "--n", "2", "--jobs", "0"],
-     "error: --jobs must be >= 1, got 0\n"),
-    (["report-all", "--n", "2", "--jobs", "-3"],
-     "error: --jobs must be >= 1, got -3\n"),
     (["invariants", "--n", "2", "--max-elements", "-1"],
      "error: --max-elements must be >= 0, got -1\n"),
     (["homology", "--n", "2", "--i", "0", "--max-elements", "-3"],
      "error: --max-elements must be >= 0, got -3\n"),
-], ids=["full-i", "full-family", "full-default-family", "jobs-0", "jobs-neg",
-        "max-elements-neg", "homology-max-elements-neg"])
+], ids=["full-i", "full-family", "full-default-family", "max-elements-neg",
+        "homology-max-elements-neg"])
 def test_ignored_flag_is_bad_input(capsys, monkeypatch, argv, err):
     from wpposet import acceptance, homology, partitions, straighten, trees
 
@@ -569,15 +565,12 @@ def test_homology_cap_fires_before_the_host(capsys, monkeypatch, argv, size):
                                "limit": 10}
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "jobs"])
-def test_report_all_crashing_criterion_is_a_fail_row(capsys, monkeypatch,
-                                                     jobs):
+def test_report_all_crashing_criterion_is_a_fail_row(capsys, monkeypatch):
     def crashing(n):
         raise ZeroDivisionError("injected for the test")
 
     _replace_check(monkeypatch, 3, crashing)
-    code, out = run(capsys, "report-all", "--n", "2", "--jobs", jobs,
-                    "--format", "json")
+    code, out = run(capsys, "report-all", "--n", "2", "--format", "json")
     assert code == 1
     rep = json.loads(out)
     assert not rep["passed"] and len(rep["criteria"]) == 16
@@ -586,6 +579,20 @@ def test_report_all_crashing_criterion_is_a_fail_row(capsys, monkeypatch,
     assert row["name"] == "augmented Mobius value"
     assert row["detail"] == "raised ZeroDivisionError: injected for the test"
     assert all(r["ok"] for r in rep["criteria"] if r is not row)
+
+
+def test_report_all_has_no_jobs_flag(capsys, monkeypatch):
+    # every criterion runs in this process; a --jobs is refused by the
+    # parser before any criterion runs
+    from wpposet import acceptance
+
+    monkeypatch.setattr(acceptance, "run_criterion", _refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report-all", "--n", "2", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --jobs 2" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -688,13 +695,16 @@ def test_undeclared_format_is_refused_before_any_work(capsys, monkeypatch,
 @pytest.mark.parametrize("argv, lines", [
     (["psi", "--n", "6"], 1),
     (["whitney", "--n", "3"], 0),
+    (["report-all", "--n", "3"], 0),
+    (["report-all", "--n", "3", "--format", "json"], 0),
     (["--help"], 0),
     (["psi", "--help"], 0),
-], ids=["closed-after-a-line", "closed-at-once", "help", "subcommand-help"])
+], ids=["closed-after-a-line", "closed-at-once", "report-all",
+        "report-all-json", "help", "subcommand-help"])
 def test_closed_pipe_exits_without_a_traceback(argv, lines):
     # psi fails in a write, far more than a pipe buffer still unwritten;
-    # whitney's few lines and the help texts sit in the stdout buffer until
-    # the last flush
+    # the few lines of whitney and report-all and the help texts sit in the
+    # stdout buffer until the last flush
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(src)

@@ -16,19 +16,25 @@ from wpposet import trees as tr
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = ("acceptance", "chains", "cli", "homology", "labeling", "linalg",
            "partitions", "straighten", "trees")
-# not loaded by importing the package: only the --jobs pool loads the
-# first two, and no path loads the others
+# not loaded by importing the package, and no path loads them
 NOT_AT_IMPORT = ("multiprocessing", "concurrent.futures", "dataclasses",
                  "inspect", "fractions")
+POOL = ("multiprocessing", "concurrent.futures")
 
 
 def test_import_loads_no_pool_and_no_dataclasses():
-    code = (f"import sys\nfrom wpposet import {', '.join(MODULES)}\n"
-            f"print(sorted(m for m in {NOT_AT_IMPORT!r} if m in sys.modules))")
+    # report-all runs every criterion in this process: its rows go to a
+    # buffer, and the modules loaded are printed after them
+    code = ("import io, sys\nfrom contextlib import redirect_stdout\n"
+            f"from wpposet import {', '.join(MODULES)}\n"
+            f"print(sorted(m for m in {NOT_AT_IMPORT!r} if m in sys.modules))\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['report-all', '--n', '2', '--format', 'json'])\n"
+            f"print(code, sorted(m for m in {POOL!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "0 []"]
 
 
 # (value, field tuple, repr) of each class

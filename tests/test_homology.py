@@ -370,6 +370,38 @@ def test_fundamental_cycle_is_a_cycle():
         assert boundary(rho) == {}
 
 
+def _drop_the_chain_of_psi(monkeypatch):
+    real = ch.maximal_chains_of_pi_t
+
+    def without(T):
+        key = tuple(ch.chain_partitions_of_tree(tr.psi(T))[1:-1])
+        return [(c, sign) for c, sign in real(T) if c[1:-1] != key]
+
+    monkeypatch.setattr(ch, "maximal_chains_of_pi_t", without)
+
+
+def _no_edge_order_cycle(monkeypatch):
+    monkeypatch.setattr(ch, "edge_orders_form_a_cycle", lambda m: False)
+
+
+@pytest.mark.parametrize("patch, witness", [
+    (_drop_the_chain_of_psi, "c(psi(T)) is missing from the fundamental cycle"),
+    (_no_edge_order_cycle, "the fundamental cycle of Pi_T has a boundary"),
+], ids=["missing-psi-chain", "boundary"])
+def test_fundamental_cycle_witnesses(monkeypatch, capsys, patch, witness):
+    # these raises are the unit-diagonal check of the Liu pairing:
+    # fundamental_cycle normalizes the chain of psi(T) to +1 when it returns
+    patch(monkeypatch)
+    T = tr.enumerate_rooted_trees(range(1, 4), 1)[0]
+    with pytest.raises(AssertionError) as err:
+        hm.fundamental_cycle(T)
+    assert str(err.value) == witness
+    assert acceptance.run_criterion(14, 3) == (
+        "basis verifications", False, witness)
+    assert cli.main(["bases", "--n", "3", "--i", "1", "--family", "tree"]) == 1
+    assert capsys.readouterr().out == f"assertion failed: {witness}\n"
+
+
 def test_pairing_matrix_n3():
     ordered = tr.liu_linear_extension(tr.enumerate_rooted_trees(range(1, 4), 1))
     cycles = [hm.fundamental_cycle(T) for T in ordered]
