@@ -66,11 +66,9 @@ def commands():
             "", "--help", "homology --help", "frobnicate --n 3",
             "invariants --n 0", "invariants --n 4 --variant nope",
             "invariants --n 10 --format dot",
-            "invariants --n 5 --max-elements 10",
-            "invariants --n 5 --max-elements -1",
-            "el-verify --n 7", "el-verify --n 4 --max-elements 5",
+            "invariants --n 5 --max-elements 10", "el-verify --n 7",
             "homology --n 4 --i 4", "homology --n 4 --i -1",
-            "homology --n 5 --max-elements 3", "homology --n 7 --i 2",
+            "homology --n 7 --i 2",
             "homology --n 7", "homology --n 10 --i 0", "bases --n 4",
             "bases --n 4 --side full --i 1",
             "bases --n 4 --side full --family comb",

@@ -3,11 +3,11 @@
 Every subcommand is a reproducible run: output depends only on the
 arguments (and the seed, where sampling is involved), so identical
 configurations produce byte-identical JSON.  ``build_parser`` alone says
-what a subcommand accepts: its flags, its formats and its size cap, all
-checked before any work.  Exit codes: 0 on success, 1 on an assertion
-failure (the failing witness is printed), 2 on bad input (a message on
-stderr), 3 when a resource cap is exceeded (a structured record is
-printed), 141 when the reader closed stdout early (as for SIGPIPE).
+what a subcommand accepts: its flags and its formats, all checked before
+any work.  Exit codes: 0 on success, 1 on an assertion failure (the
+failing witness is printed), 2 on bad input (a message on stderr), 3
+when a resource cap is exceeded (a structured record is printed), 141
+when the reader closed stdout early (as for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -227,56 +227,48 @@ def build_parser():
                     "partition poset.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, formats, cap, *flags):
-        # cap: (what, size of args), checked against --max-elements
+    def add(name, fn, help_, formats, *flags):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--format", default="text", choices=formats)
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        if cap:
-            p.add_argument("--max-elements", type=int, default=None)
-        p.set_defaults(fn=fn, cap=cap)
+        p.set_defaults(fn=fn)
 
     index = ("--i", {"type": int, "default": None})
     text_json = ["text", "json"]
     add("invariants", cmd_invariants,
         "rank sizes, Mobius, characteristic and Whitney invariants",
         ["text", "json", "dot"],
-        ("poset", lambda args: pt.poset_size(args.n, args.variant)),
         ("--variant", {"default": pt.WEIGHTED,
                        "choices": [pt.WEIGHTED, pt.POINTED, pt.AUGMENTED]}))
     add("el-verify", cmd_el_verify,
         "verify the edge labeling is an EL-labeling",
-        ["text", "json", "csv", "dot"],
-        ("poset", lambda args: pt.poset_size(args.n, pt.AUGMENTED)))
+        ["text", "json", "csv", "dot"])
     add("homology", cmd_homology,
         "integral homology of (0,[n]^i), or of the proper part without --i",
-        ["text", "json", "csv"],
-        # c_1 of the host's chain counts, its elements; none when empty
-        ("open poset",
-         lambda args: sum(hm.chain_counts(args.n, args.i)[1:2])), index)
+        ["text", "json", "csv"], index)
     add("bases", cmd_bases,
         "cardinality / full-rank verification of a cochain family",
-        text_json, None, index,
+        text_json, index,
         ("--family", {"default": None,
                       "choices": ["comb", "lyndon", "liu", "tree"]}),
         ("--side", {"default": st.COHOMOLOGY,
                     "choices": [st.COHOMOLOGY, st.FULL]}))
     add("straighten", cmd_straighten,
         "straighten a seeded random tree onto the comb basis",
-        text_json, None, index,
+        text_json, index,
         ("--side", {"default": st.COHOMOLOGY,
                     "choices": [st.COHOMOLOGY, st.LIE2, st.FULL]}),
         ("--seed", {"type": int, "default": DEFAULT_SEED}))
     add("psi", cmd_psi,
         "the bijection from rooted trees to bicolored Lyndon-type trees",
-        ["text", "json", "csv"], None, index)
+        ["text", "json", "csv"], index)
     add("whitney", cmd_whitney,
-        "Whitney numbers and Whitney cohomology ranks", text_json, None)
+        "Whitney numbers and Whitney cohomology ranks", text_json)
     add("report-all", cmd_report_all,
         "run the full acceptance suite with every size capped at n",
-        text_json, None)
+        text_json)
     return parser
 
 
@@ -289,16 +281,6 @@ def main(argv=None):
             i = getattr(args, "i", None)
             if i is not None and not 0 <= i < args.n:
                 raise ValueError(f"--i must be in 0..{args.n - 1}, got {i}")
-            if args.cap and args.max_elements is not None:
-                if args.max_elements < 0:
-                    raise ValueError(f"--max-elements must be >= 0, "
-                                     f"got {args.max_elements}")
-                # no size is computed past the partition cap
-                pt.refuse_partitions(args.n)
-                what, size = args.cap[0], args.cap[1](args)
-                if size > args.max_elements:
-                    raise pt.ResourceCapError(
-                        f"{what} with {size} elements", args.max_elements)
             code = args.fn(args)
         except SystemExit:
             # argparse exits after --help with the text still buffered

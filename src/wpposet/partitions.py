@@ -239,14 +239,6 @@ def type_sums(n, f):
     return sums
 
 
-def poset_size(n, variant=WEIGHTED):
-    """Number of elements of ``build_poset(n, variant)`` without building
-    it: sum_k C(n,k) (n-k)^k over the ranks (a block of size b has b
-    weights or b points), plus the adjoined top of the augmented poset."""
-    size = sum(comb(n, k) * (n - k) ** k for k in range(n))
-    return size + 1 if variant == AUGMENTED else size
-
-
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

@@ -131,17 +131,6 @@ def test_whitney(capsys):
     assert rep["cohomology_total"] == 125
 
 
-def test_resource_cap_exit_code(capsys):
-    # 0 is a cap like any other
-    for limit in (10, 0):
-        code, out = run(capsys, "invariants", "--n", "4",
-                        "--max-elements", str(limit))
-        assert code == 3
-        rep = json.loads(out)
-        assert rep["error"] == "resource-cap"
-        assert rep["limit"] == limit
-
-
 def test_report_all_small(capsys):
     code, out = run(capsys, "report-all", "--n", "2")
     assert code == 0
@@ -280,17 +269,11 @@ def _refuse(*args, **kwargs):
      "error: --family does not apply to --side full\n"),
     (["bases", "--n", "3", "--side", "full", "--family", "comb"],
      "error: --family does not apply to --side full\n"),
-    (["invariants", "--n", "2", "--max-elements", "-1"],
-     "error: --max-elements must be >= 0, got -1\n"),
-    (["homology", "--n", "2", "--i", "0", "--max-elements", "-3"],
-     "error: --max-elements must be >= 0, got -3\n"),
-], ids=["full-i", "full-family", "full-default-family", "max-elements-neg",
-        "homology-max-elements-neg"])
+    (["bases", "--n", "4"], "error: bases needs --i (or --side full)\n"),
+], ids=["full-i", "full-family", "full-default-family", "bases-no-i"])
 def test_ignored_flag_is_bad_input(capsys, monkeypatch, argv, err):
-    from wpposet import acceptance, homology, partitions, straighten, trees
+    from wpposet import acceptance, homology, straighten, trees
 
-    # a negative --max-elements is refused before any size is computed
-    monkeypatch.setattr(partitions, "poset_size", _refuse)
     monkeypatch.setattr(homology, "chain_counts", _refuse)
     monkeypatch.setattr(homology, "proper_part", _refuse)
     monkeypatch.setattr(straighten, "verify_bases", _refuse)
@@ -355,24 +338,6 @@ def test_one_label_table_per_command(capsys, monkeypatch):
     calls.clear()
     acceptance._ascent_free_chains(4)
     assert calls == [4]
-
-
-@pytest.mark.parametrize("argv, size", [
-    (["el-verify", "--n", "7"], 6323),
-    (["invariants", "--n", "7", "--variant", "pointed"], 6322),
-], ids=["el-verify", "invariants"])
-def test_cap_fires_before_construction(capsys, monkeypatch, argv, size):
-    from wpposet import partitions
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the poset was built before the cap check")
-
-    monkeypatch.setattr(partitions, "build_poset", refuse)
-    code, out = run(capsys, *argv, "--max-elements", "10")
-    assert code == 3
-    assert json.loads(out) == {"error": "resource-cap",
-                               "what": f"poset with {size} elements",
-                               "limit": 10}
 
 
 def _old_straighten_draw(n, i, seed, _pools={}):
@@ -521,48 +486,20 @@ def test_chain_width_cap_fires_before_the_poset(capsys, monkeypatch, argv,
     ["homology", "--n", "10", "--i", "0"],
     ["homology", "--n", "10"],
     ["homology", "--n", "1000000"],
-    *([command, "--n", n, "--max-elements", "5"]
-      for command in ("invariants", "el-verify", "homology")
-      for n in ("10", "80", "2000")),
-    ["homology", "--n", "80", "--i", "3", "--max-elements", "5"],
-], ids=["interval", "proper-part", "huge",
-        *(f"{command}-{n}-max-elements"
-          for command in ("invariants", "el-verify", "homology")
-          for n in (10, 80, 2000)),
-        "homology-interval-80-max-elements"])
+], ids=["interval", "proper-part", "huge"])
 def test_partition_cap_fires_before_the_chain_count(capsys, monkeypatch,
                                                     argv):
-    # past the partition cap no chain count is taken and no size for
-    # --max-elements computed: the partition record comes first
+    # past the partition cap no chain count is taken: the partition
+    # record comes first
     from wpposet import homology as hm
 
     monkeypatch.setattr(hm, "chain_counts", _refuse)
     monkeypatch.setattr(pt, "type_sums", _refuse)
-    monkeypatch.setattr(pt, "poset_size", _refuse)
     code, out = run(capsys, *argv)
     assert code == 3
     assert json.loads(out) == {"error": "resource-cap",
                                "what": f"partitions of [{argv[2]}]",
                                "limit": 9}
-
-
-@pytest.mark.parametrize("argv, size", [
-    (["homology", "--n", "6"], 1056),
-    (["homology", "--n", "6", "--i", "2"], 842),
-], ids=["proper-part", "interval"])
-def test_homology_cap_fires_before_the_host(capsys, monkeypatch, argv, size):
-    from wpposet import homology, partitions
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the poset was built before the cap check")
-
-    monkeypatch.setattr(homology.OpenPoset, "__init__", refuse)
-    monkeypatch.setattr(partitions, "build_poset", refuse)
-    code, out = run(capsys, *argv, "--max-elements", "10")
-    assert code == 3
-    assert json.loads(out) == {"error": "resource-cap",
-                               "what": f"open poset with {size} elements",
-                               "limit": 10}
 
 
 def test_report_all_crashing_criterion_is_a_fail_row(capsys, monkeypatch):
@@ -593,6 +530,26 @@ def test_report_all_has_no_jobs_flag(capsys, monkeypatch):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "unrecognized arguments: --jobs 2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--n", "4"],
+    ["el-verify", "--n", "4"],
+    ["homology", "--n", "4", "--i", "1"],
+], ids=["invariants", "el-verify", "homology"])
+def test_no_command_takes_max_elements(capsys, monkeypatch, argv):
+    # every command is bounded by its built-in caps alone: a
+    # --max-elements is refused by the parser before any work starts
+    from wpposet import homology
+
+    monkeypatch.setattr(pt, "build_poset", _refuse)
+    monkeypatch.setattr(homology, "chain_counts", _refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--max-elements", "10"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-elements 10" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -628,7 +585,7 @@ def test_invariants_dot_computes_no_invariant(capsys, monkeypatch):
     code, out = run(capsys, "invariants", "--n", "7", "--format", "dot")
     assert code == 0
     nodes = [line for line in out.splitlines() if " [label=" in line]
-    assert len(nodes) == partitions.poset_size(7) == 6322
+    assert len(nodes) == 6322
 
 
 # the formats each subcommand declares, and a small run of each command

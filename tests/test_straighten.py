@@ -5,6 +5,7 @@ import types
 import pytest
 from hypothesis import given, strategies as st
 
+from wpposet import acceptance, cli
 from wpposet import homology as hm
 from wpposet import linalg
 from wpposet import straighten as sn
@@ -307,6 +308,23 @@ def test_non_comb_output_is_refused(monkeypatch):
     with pytest.raises(AssertionError, match="straightened output is not a comb"):
         sn._straighten_normalized((B, 1, (B, 2, 3)), sn.COHOMOLOGY, None)
     assert sn._memo == {}
+
+
+def test_measure_witness(monkeypatch, capsys):
+    # the measure check is straightening's termination witness: with a
+    # measure that never decreases, the first rewrite step is refused, in
+    # the function, in criterion 13's FAIL row and in the command
+    witness = "measure failed to decrease: (0, 0) -> (0, 0)"
+    monkeypatch.setattr(sn, "measure", lambda t: (0, 0))
+    monkeypatch.setattr(sn, "_memo", {})
+    with pytest.raises(AssertionError) as err:
+        sn.straighten((B, 1, (B, 2, 3)))
+    assert str(err.value) == witness
+    assert acceptance.run_criterion(13, 3) == (
+        "straightening soundness", False, witness)
+    # the --seed 4 draw on [4], <2,[1,[3,4]]>, takes two assoc steps
+    assert cli.main(["straighten", "--n", "4", "--seed", "4"]) == 1
+    assert capsys.readouterr().out == f"assertion failed: {witness}\n"
 
 
 @pytest.mark.parametrize("side", [sn.COHOMOLOGY, sn.LIE2])
